@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <thread>
 
 #include "cluster/cost_model.h"
 #include "cluster/report.h"
@@ -55,6 +56,7 @@ PerfReport measure_engine(const std::vector<PerfCase>& cases,
   // here; it never feeds back into simulated state.
   using Clock = std::chrono::steady_clock;  // soclint: allow(banned-nondeterminism)
   PerfReport report;
+  report.hardware_concurrency = std::thread::hardware_concurrency();
   const std::uint64_t allocs_at_start = allocation_count();
   // Self-telemetry per case, keyed by name, for the scaling
   // decomposition pass below.  Captured by a dedicated untimed
@@ -171,6 +173,8 @@ std::string perf_report_json(const PerfReport& report) {
   obs::JsonWriter w;
   w.begin_object();
   w.field("schema", "soccluster-perf-report/v1");
+  w.field("hardware_concurrency",
+          static_cast<std::uint64_t>(report.hardware_concurrency));
   w.field("alloc_counter_live", report.alloc_counter_live);
   w.field("total_events", report.total_events);
   w.field("total_wall_seconds", report.total_wall_seconds);
@@ -243,14 +247,21 @@ bool extract_number(const std::string& line, const std::string& key,
 
 }  // namespace
 
-std::vector<PerfSample> load_perf_baseline(const std::string& path) {
+PerfReport load_perf_baseline(const std::string& path) {
   std::ifstream in(path);
   SOC_CHECK(in.good(), "cannot open perf baseline: " + path);
-  std::vector<PerfSample> samples;
+  PerfReport baseline;
+  std::vector<PerfSample>& samples = baseline.samples;
   std::string line;
   while (std::getline(in, line)) {
     PerfSample s;
-    if (!extract_string(line, "name", &s.name)) continue;
+    if (!extract_string(line, "name", &s.name)) {
+      double threads = 0.0;
+      if (extract_number(line, "hardware_concurrency", &threads)) {
+        baseline.hardware_concurrency = static_cast<unsigned>(threads);
+      }
+      continue;
+    }
     std::string checksum;
     double events = 0.0;
     double eps = 0.0;
@@ -273,19 +284,23 @@ std::vector<PerfSample> load_perf_baseline(const std::string& path) {
     samples.push_back(std::move(s));
   }
   SOC_CHECK(!samples.empty(), "perf baseline holds no samples: " + path);
-  return samples;
+  return baseline;
 }
 
-std::string diff_perf_baseline(const PerfReport& report,
-                               const std::vector<PerfSample>& baseline,
-                               double tolerance, double speedup_tolerance) {
+PerfDiff diff_perf_baseline(const PerfReport& report,
+                            const PerfReport& baseline, double tolerance,
+                            double speedup_tolerance) {
   SOC_CHECK(tolerance > 0.0 && tolerance <= 1.0,
             "baseline tolerance must be in (0, 1]");
   SOC_CHECK(speedup_tolerance > 0.0 && speedup_tolerance <= 1.0,
             "baseline speedup tolerance must be in (0, 1]");
-  std::string failures;
+  PerfDiff diff;
+  std::string& failures = diff.failures;
+  const bool same_host_threads =
+      baseline.hardware_concurrency != 0 &&
+      baseline.hardware_concurrency == report.hardware_concurrency;
   int matched = 0;
-  for (const PerfSample& b : baseline) {
+  for (const PerfSample& b : baseline.samples) {
     const PerfSample* s = nullptr;
     for (const PerfSample& fresh : report.samples) {
       if (fresh.name == b.name) {
@@ -303,6 +318,21 @@ std::string diff_perf_baseline(const PerfReport& report,
                   checksum_hex(b.checksum) + " -> " +
                   checksum_hex(s->checksum) + ")\n";
     }
+    // A sharded row's throughput, and so its speedup, depends on how many
+    // cores its workers get (a 4-shard row recorded on one core runs over
+    // 10x slower on a 4-core host), so both are compared on equal core
+    // counts only.
+    if (b.shards > 1 && !same_host_threads) {
+      diff.notes += "perf baseline: " + b.name +
+                    " events/s and speedup gates skipped: baseline "
+                    "hardware_concurrency " +
+                    (baseline.hardware_concurrency == 0
+                         ? std::string("unknown")
+                         : std::to_string(baseline.hardware_concurrency)) +
+                    ", this host " +
+                    std::to_string(report.hardware_concurrency) + "\n";
+      continue;
+    }
     if (s->events_per_second < tolerance * b.events_per_second) {
       failures += "perf baseline: " + b.name + " throughput regressed: " +
                   std::to_string(s->events_per_second) + " < " +
@@ -311,11 +341,10 @@ std::string diff_perf_baseline(const PerfReport& report,
     }
     // Sharded speedup rows also gate on parallel efficiency: both runs
     // divide by their own serial row, so this catches the sharded path
-    // regressing relative to the serial path even when the machine (and
-    // thus absolute events/s) differs from the baseline's.
-    if (!b.baseline.empty() && b.speedup_vs_baseline > 0.0 &&
-        s->speedup_vs_baseline <
-            speedup_tolerance * b.speedup_vs_baseline) {
+    // regressing relative to the serial path even when absolute events/s
+    // differs from the baseline's.
+    if (b.baseline.empty() || b.speedup_vs_baseline <= 0.0) continue;
+    if (s->speedup_vs_baseline < speedup_tolerance * b.speedup_vs_baseline) {
       failures += "perf baseline: " + b.name + " speedup regressed: " +
                   std::to_string(s->speedup_vs_baseline) + " < " +
                   std::to_string(speedup_tolerance) + " x " +
@@ -326,7 +355,7 @@ std::string diff_perf_baseline(const PerfReport& report,
   if (matched == 0) {
     failures += "perf baseline: no case names in common with this run\n";
   }
-  return failures;
+  return diff;
 }
 
 }  // namespace soc::cluster

@@ -75,6 +75,17 @@ struct PerfReport {
   double total_wall_seconds = 0.0;
   double events_per_second = 0.0;   ///< Aggregate throughput.
   bool alloc_counter_live = false;  ///< soc_alloc_hooks linked into binary.
+  /// std::thread::hardware_concurrency() of the measuring host (0 =
+  /// unknown, e.g. a baseline written before the field existed).  Sharded
+  /// rows' throughput depends on it, so they compare only between equal
+  /// values.
+  unsigned hardware_concurrency = 0;
+};
+
+/// Outcome of diff_perf_baseline.
+struct PerfDiff {
+  std::string failures;  ///< Newline-terminated; empty = the gate passed.
+  std::string notes;     ///< Newline-terminated gates skipped, with why.
 };
 
 /// The fig5/fig6 replay shapes at 16 nodes (the scalability benches'
@@ -93,11 +104,11 @@ std::string perf_report_json(const PerfReport& report);
 /// Writes perf_report_json to `path` (parent directory must exist).
 void write_perf_report(const std::string& path, const PerfReport& report);
 
-/// Reads the samples back out of a perf_report_json document (the
-/// committed BENCH_engine.json baseline).  Only the comparison fields
-/// (name, events, checksum, events_per_second, shards, baseline,
-/// speedup_vs_baseline) are recovered.
-std::vector<PerfSample> load_perf_baseline(const std::string& path);
+/// Reads a perf_report_json document (the committed BENCH_engine.json
+/// baseline) back.  Only the comparison fields are recovered: the
+/// report's hardware_concurrency and, per sample, name, events, checksum,
+/// events_per_second, shards, baseline and speedup_vs_baseline.
+PerfReport load_perf_baseline(const std::string& path);
 
 /// Compares a fresh report against a committed baseline: cases present in
 /// both must agree exactly on events and checksum (simulation
@@ -105,12 +116,13 @@ std::vector<PerfSample> load_perf_baseline(const std::string& path);
 /// `tolerance` x the baseline's events/s (wall-clock is machine-dependent,
 /// so the throughput gate is deliberately loose).  Sharded speedup rows
 /// additionally may not drop below `speedup_tolerance` x the baseline's
-/// speedup_vs_baseline — parallel-efficiency regressions are caught even
-/// when absolute throughput moved for unrelated reasons.  Returns an
-/// empty string on success, else a newline-terminated failure list.  At
-/// least one case must match by name.
-std::string diff_perf_baseline(const PerfReport& report,
-                               const std::vector<PerfSample>& baseline,
-                               double tolerance, double speedup_tolerance);
+/// speedup_vs_baseline.  A sharded row's events/s and speedup are
+/// compared only when both reports ran with the same known
+/// hardware_concurrency: measured on another core count they say
+/// nothing about this one, so those two gates are skipped with a note.
+/// At least one case must match by name.
+PerfDiff diff_perf_baseline(const PerfReport& report,
+                            const PerfReport& baseline, double tolerance,
+                            double speedup_tolerance);
 
 }  // namespace soc::cluster

@@ -1,19 +1,21 @@
 // Deterministic open-addressing flat map.
 //
-// The replay engine keeps its pending-message tables in these.  Two
-// properties make that safe where std::unordered_map is banned (see
-// soclint's unordered-in-sim-state rule):
+// The replay engine keeps its memo caches and (through MatchTable) its
+// pending-message tables in these.  Two properties make that safe where
+// std::unordered_map is banned (see soclint's unordered-in-sim-state rule):
 //
-//  1. Iteration walks entries in *insertion order* — entries live in a
-//     plain vector and the hash table is only an index over it — so any
-//     walk over the map is as reproducible as the insertion sequence.
+//  1. Iteration walks the dense entry vector — the hash table is only an
+//     index over it — so iteration order is a deterministic function of
+//     the insert/erase sequence: inserts append, and erase moves the last
+//     entry into the freed index.  Hash values never influence it.
 //  2. Lookups compare full keys, never hashes alone, so a hash collision
 //     can change probe counts but never which entry is found.
 //
-// The trade against std::map: O(1) expected find/insert with zero
+// The trade against std::map: O(1) expected find/insert/erase with zero
 // per-node allocation (one vector for entries, one for slots), at the
-// cost of no erase and no sorted order.  The engine needs neither — its
-// tables are cleared wholesale between runs and never iterated.
+// cost of no sorted order.  Erase uses backward-shift deletion, so the
+// probe table never holds tombstones and a map that churns keys stays as
+// small as its live entry count.
 #pragma once
 
 #include <cstddef>
@@ -28,7 +30,7 @@ namespace soc {
 
 /// Default hash: splitmix64 finalizer for integral keys.  Full-width
 /// mixing keeps linear probing well distributed even for packed bitfield
-/// keys (e.g. the engine's MsgKey) whose low bits carry little entropy.
+/// keys whose low bits carry little entropy.
 template <typename Key>
 struct FlatMapHash {
   static_assert(std::is_integral_v<Key> || std::is_enum_v<Key>,
@@ -42,9 +44,7 @@ struct FlatMapHash {
   }
 };
 
-/// Insertion-ordered open-addressing hash map.  No erase by design: the
-/// engine's tables only grow within a run and reset wholesale, and the
-/// absence of tombstones keeps probing trivially correct.
+/// Dense-vector open-addressing hash map with linear probing.
 template <typename Key, typename Value, typename Hash = FlatMapHash<Key>>
 class flat_map {
  public:
@@ -57,7 +57,7 @@ class flat_map {
   bool empty() const { return entries_.empty(); }
   std::size_t size() const { return entries_.size(); }
 
-  /// Insertion-order iteration (the determinism contract).
+  /// Entry-vector iteration (the determinism contract).
   iterator begin() { return entries_.begin(); }
   iterator end() { return entries_.end(); }
   const_iterator begin() const { return entries_.begin(); }
@@ -76,7 +76,8 @@ class flat_map {
     if (want > slots_.size()) rehash(want);
   }
 
-  /// Pointer to the mapped value, or nullptr when absent.
+  /// Pointer to the mapped value, or nullptr when absent.  Invalidated by
+  /// any insert or erase.
   Value* find(const Key& key) {
     const std::size_t slot = find_slot(key);
     if (slots_.empty() || slots_[slot] == kEmpty) return nullptr;
@@ -101,6 +102,27 @@ class flat_map {
     return entries_[slots_[slot]].second;
   }
 
+  /// Removes `key`; returns false when it was absent.  The last entry
+  /// moves into the freed index, so erase is O(1) expected and never
+  /// leaves a hole in the entry vector.
+  bool erase(const Key& key) {
+    if (slots_.empty()) return false;
+    const std::size_t slot = find_slot(key);
+    if (slots_[slot] == kEmpty) return false;
+    const std::uint32_t index = slots_[slot];
+    shift_back(slot);
+    const auto last = static_cast<std::uint32_t>(entries_.size() - 1);
+    if (index != last) {
+      const std::size_t mask = slots_.size() - 1;
+      std::size_t s = home_slot(entries_[last].first);
+      while (slots_[s] != last) s = (s + 1) & mask;
+      slots_[s] = index;
+      entries_[index] = std::move(entries_[last]);
+    }
+    entries_.pop_back();
+    return true;
+  }
+
  private:
   static constexpr std::uint32_t kEmpty = 0xFFFFFFFFu;
   static constexpr std::size_t kMinSlots = 16;
@@ -120,17 +142,38 @@ class flat_map {
            0.7 * static_cast<double>(slots_.size());
   }
 
+  std::size_t home_slot(const Key& key) const {
+    return static_cast<std::size_t>(Hash{}(key)) & (slots_.size() - 1);
+  }
+
   /// Linear probe: slot holding `key`, or the empty slot where it would
   /// be inserted.  Requires a non-empty slot table unless the map is empty.
   std::size_t find_slot(const Key& key) const {
     if (slots_.empty()) return 0;
     const std::size_t mask = slots_.size() - 1;
-    std::size_t slot = static_cast<std::size_t>(Hash{}(key)) & mask;
+    std::size_t slot = home_slot(key);
     while (slots_[slot] != kEmpty) {
       if (entries_[slots_[slot]].first == key) return slot;
       slot = (slot + 1) & mask;
     }
     return slot;
+  }
+
+  /// Backward-shift deletion: empties `hole`, then walks the rest of its
+  /// probe cluster and pulls back every entry whose home slot lies at or
+  /// before the hole, so each remaining key stays reachable from its home
+  /// without tombstones.
+  void shift_back(std::size_t hole) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t j = (hole + 1) & mask; slots_[j] != kEmpty;
+         j = (j + 1) & mask) {
+      const std::size_t home = home_slot(entries_[slots_[j]].first);
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole] = kEmpty;
   }
 
   void rehash(std::size_t new_slot_count) {
@@ -139,14 +182,13 @@ class flat_map {
     slots_.assign(new_slot_count, kEmpty);
     const std::size_t mask = new_slot_count - 1;
     for (std::size_t i = 0; i < entries_.size(); ++i) {
-      std::size_t slot =
-          static_cast<std::size_t>(Hash{}(entries_[i].first)) & mask;
+      std::size_t slot = home_slot(entries_[i].first);
       while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
       slots_[slot] = static_cast<std::uint32_t>(i);
     }
   }
 
-  std::vector<value_type> entries_;     ///< Insertion-ordered payload.
+  std::vector<value_type> entries_;     ///< Dense payload (see contract 1).
   std::vector<std::uint32_t> slots_;    ///< Power-of-two probe table.
 };
 

@@ -1,14 +1,17 @@
 // Pooled ring-buffer FIFO with inline small-buffer storage.
 //
-// Replaces the per-match std::deque nodes in the engine's pending-message
-// tables.  Message tags are allocated monotonically (msg::ProgramSet
-// never reuses one), so nearly every (src, dst, tag) flow parks at most
-// one endpoint before it matches — a deque heap-allocates a node for
-// each, which makes steady-state replay churn the allocator once per
-// message.  This ring holds its first kInlineCapacity elements inside
-// the object and only spills to the heap on deeper queues, so the common
-// match path performs no allocation at all; the spill buffer, once
-// grown, is retained across pop/clear.
+// The per-key FIFO of soc::MatchTable (the pending-message tables).
+// Message tags are allocated monotonically (msg::ProgramSet never reuses
+// one), so nearly every (src, dst, tag) key queues at most one endpoint
+// before it matches, and MatchTable erases the key as soon as its queue
+// drains.  A deque would heap-allocate a node per parked endpoint, which
+// makes steady-state replay churn the allocator once per message.  This
+// ring holds its first kInlineCapacity elements inside the object — that
+// is, inside the table's entry vector, whose capacity is kept — so in
+// steady state parking and matching a message allocates nothing.  Only
+// a key with more endpoints queued at once spills to the heap; the spill
+// buffer is retained across pop/clear and freed when the table erases
+// the key.
 #pragma once
 
 #include <array>

@@ -3,19 +3,11 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "common/flat_map.h"
-#include "common/ring_queue.h"
+#include "common/match_table.h"
 
 namespace soc::prof {
 
 namespace {
-
-// Same packing as the engine's private Engine::msg_key.
-std::uint64_t msg_key(int src, int dst, int tag) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 42) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 21) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag) & 0x1FFFFF);
-}
 
 bool is_lane_op(sim::OpKind kind) {
   switch (kind) {
@@ -174,32 +166,25 @@ void Profiler::build() {
   // Per (src, dst, tag, protocol-class) key both streams are FIFO, so
   // each message entry pops its sender from the matching class queue and
   // binds the receiver exactly as the engine did.
-  flat_map<std::uint64_t, RingQueue<int>> eager_sends;
-  flat_map<std::uint64_t, RingQueue<int>> rvz_sends;
-  flat_map<std::uint64_t, RingQueue<int>> pending_recvs;
-  flat_map<std::uint64_t, RingQueue<int>> pending_irecvs;
-  flat_map<std::uint64_t, RingQueue<ArrivalRef>> arrivals;
-  auto pop = [](flat_map<std::uint64_t, RingQueue<int>>& table,
-                std::uint64_t key) {
-    auto* q = table.find(key);
-    if (q == nullptr || q->empty()) return -1;
-    const int v = q->front();
-    q->pop_front();
-    return v;
-  };
+  MatchTable<int> eager_sends;
+  MatchTable<int> rvz_sends;
+  MatchTable<int> pending_recvs;
+  MatchTable<int> pending_irecvs;
+  MatchTable<ArrivalRef> arrivals;
   for (const std::int64_t entry : order_) {
     if (entry < 0) {
       const int mi = static_cast<int>(~entry);
       const sim::MessageRecord& m =
           trace_.messages[static_cast<std::size_t>(mi)];
-      const std::uint64_t key = msg_key(m.src_rank, m.dst_rank, m.tag);
-      const int si = pop(m.eager ? eager_sends : rvz_sends, key);
-      SOC_CHECK(si >= 0, "profiler: message with no announcing send");
+      const MsgKey key{m.src_rank, m.dst_rank, m.tag};
+      int si = -1;
+      const bool announced =
+          (m.eager ? eager_sends : rvz_sends).take(key, &si);
+      SOC_CHECK(announced, "profiler: message with no announcing send");
       OpExec& send = trace_.ops[si];
       send.msg = mi;
-      int ri = pop(pending_recvs, key);
-      if (ri < 0) ri = pop(pending_irecvs, key);
-      if (ri >= 0) {
+      int ri = -1;
+      if (pending_recvs.take(key, &ri) || pending_irecvs.take(key, &ri)) {
         OpExec& recv = trace_.ops[ri];
         recv.msg = mi;
         recv.partner = si;
@@ -214,7 +199,7 @@ void Profiler::build() {
         // rendezvous transfer commits at its match, by definition with
         // both endpoints known.
         SOC_CHECK(m.eager, "profiler: rendezvous commit without receiver");
-        arrivals[key].push_back(ArrivalRef{si, mi});
+        arrivals.push(key, ArrivalRef{si, mi});
       }
       continue;
     }
@@ -225,19 +210,17 @@ void Profiler::build() {
     switch (op.kind) {
       case sim::OpKind::kSend:
       case sim::OpKind::kIsend: {
-        const std::uint64_t key = msg_key(op.rank, op.peer, op.tag);
         const bool eager = op.kind == sim::OpKind::kIsend ||
                            op.bytes <= trace_.config.eager_threshold;
-        (eager ? eager_sends : rvz_sends)[key].push_back(oi);
+        (eager ? eager_sends : rvz_sends)
+            .push(MsgKey{op.rank, op.peer, op.tag}, oi);
         break;
       }
       case sim::OpKind::kRecv:
       case sim::OpKind::kIrecv: {
-        const std::uint64_t key = msg_key(op.peer, op.rank, op.tag);
-        auto* arrived = arrivals.find(key);
-        if (arrived != nullptr && !arrived->empty()) {
-          const ArrivalRef a = arrived->front();
-          arrived->pop_front();
+        const MsgKey key{op.peer, op.rank, op.tag};
+        ArrivalRef a;
+        if (arrivals.take(key, &a)) {
           op.msg = a.msg;
           op.partner = a.op;
           op.partner_ready = trace_.ops[a.op].dispatch;
@@ -248,11 +231,8 @@ void Profiler::build() {
         // dispatch completes a rendezvous, the engine commits the
         // transfer within the same event, so the message entry follows
         // immediately and pops us right back out.
-        if (op.kind == sim::OpKind::kRecv) {
-          pending_recvs[key].push_back(oi);
-        } else {
-          pending_irecvs[key].push_back(oi);
-        }
+        (op.kind == sim::OpKind::kRecv ? pending_recvs : pending_irecvs)
+            .push(key, oi);
         break;
       }
       default:

@@ -5,19 +5,12 @@
 #include <map>
 
 #include "common/error.h"
-#include "common/flat_map.h"
-#include "common/ring_queue.h"
+#include "common/match_table.h"
 #include "sim/event_queue.h"
 
 namespace soc::prof {
 
 namespace {
-
-std::uint64_t msg_key(int src, int dst, int tag) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 42) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 21) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag) & 0x1FFFFF);
-}
 
 // (src_node, dst_node, bytes) -> one message-cost table slot.
 std::uint64_t cost_key(int src_node, int dst_node, Bytes bytes) {
@@ -282,7 +275,7 @@ class Evaluator {
   }
 
   void start_send(int rank, SimTime now, const OpExec& op) {
-    const std::uint64_t key = msg_key(rank, op.peer, op.tag);
+    const MsgKey key{rank, op.peer, op.tag};
     if (use_protocol(rank, op.peer)) {
       if (op.bytes <= trace_.config.eager_threshold) {
         launch_eager_remote(rank, op.peer, now, op.bytes, op.tag);
@@ -305,54 +298,48 @@ class Evaluator {
     if (op.bytes <= trace_.config.eager_threshold) {
       const SimTime arrival = launch_eager(rank, op.peer, now, op.bytes);
       const SimTime overhead = send_overhead(rank);
-      auto* pending = pending_recvs_.find(key);
-      auto* posted = pending_irecvs_.find(key);
-      if (pending != nullptr && !pending->empty()) {
-        const PendingRecv pr = pending->front();
-        pending->pop_front();
-        advance(pr.rank, std::max(pr.ready, arrival) + recv_overhead(pr.rank));
-      } else if (posted != nullptr && !posted->empty()) {
-        const int recv_rank = posted->front();
-        posted->pop_front();
-        resolve_request(recv_rank, arrival + recv_overhead(recv_rank));
-      } else {
-        arrivals_[key].push_back(Arrival{arrival});
-      }
+      deliver_eager(key, arrival);
       advance(rank, now + overhead);
       return;
     }
-    auto* pending = pending_recvs_.find(key);
-    if (pending != nullptr && !pending->empty()) {
-      const PendingRecv pr = pending->front();
-      pending->pop_front();
+    PendingRecv pr;
+    if (pending_recvs_.take(key, &pr)) {
       complete_rendezvous(rank, now, pr.rank, pr.ready, op.bytes);
       return;
     }
-    auto* posted = pending_irecvs_.find(key);
-    if (posted != nullptr && !posted->empty()) {
-      const int recv_rank = posted->front();
-      posted->pop_front();
+    int recv_rank = -1;
+    if (pending_irecvs_.take(key, &recv_rank)) {
       const SimTime end = timed_transfer(rank, recv_rank, now, op.bytes);
       advance(rank, end);
       resolve_request(recv_rank, end + recv_overhead(recv_rank));
       return;
     }
-    pending_sends_[key].push_back(PendingSend{rank, now, op.bytes, op.tag, 0});
+    pending_sends_.push(key, PendingSend{rank, now, op.bytes, op.tag, 0});
+  }
+
+  /// An eager payload landed at `arrival`: it completes a parked
+  /// receive, resolves a posted irecv, or waits for its receive.
+  void deliver_eager(const MsgKey& key, SimTime arrival) {
+    PendingRecv pr;
+    int recv_rank = -1;
+    if (pending_recvs_.take(key, &pr)) {
+      advance(pr.rank, std::max(pr.ready, arrival) + recv_overhead(pr.rank));
+    } else if (pending_irecvs_.take(key, &recv_rank)) {
+      resolve_request(recv_rank, arrival + recv_overhead(recv_rank));
+    } else {
+      arrivals_.push(key, Arrival{arrival});
+    }
   }
 
   void start_recv(int rank, SimTime now, const OpExec& op) {
-    const std::uint64_t key = msg_key(op.peer, rank, op.tag);
-    auto* arrived = arrivals_.find(key);
-    if (arrived != nullptr && !arrived->empty()) {
-      const Arrival a = arrived->front();
-      arrived->pop_front();
+    const MsgKey key{op.peer, rank, op.tag};
+    Arrival a;
+    if (arrivals_.take(key, &a)) {
       advance(rank, std::max(now, a.time) + recv_overhead(rank));
       return;
     }
-    auto* pending = pending_sends_.find(key);
-    if (pending != nullptr && !pending->empty()) {
-      const PendingSend ps = pending->front();
-      pending->pop_front();
+    PendingSend ps;
+    if (pending_sends_.take(key, &ps)) {
       if (use_protocol(op.peer, rank)) {
         const SimTime end =
             rendezvous_match(ps, rank, now, std::max(ps.ready, now));
@@ -362,12 +349,11 @@ class Evaluator {
       }
       return;
     }
-    pending_recvs_[key].push_back(PendingRecv{rank, now});
+    pending_recvs_.push(key, PendingRecv{rank, now});
   }
 
   void start_isend(int rank, SimTime now, const OpExec& op) {
     auto& st = states_[static_cast<std::size_t>(rank)];
-    const std::uint64_t key = msg_key(rank, op.peer, op.tag);
     const SimTime overhead = send_overhead(rank);
     if (use_protocol(rank, op.peer)) {
       launch_eager_remote(rank, op.peer, now, op.bytes, op.tag);
@@ -377,37 +363,21 @@ class Evaluator {
     }
     const SimTime arrival = launch_eager(rank, op.peer, now, op.bytes);
     st.requests_complete = std::max(st.requests_complete, now + overhead);
-    auto* pending = pending_recvs_.find(key);
-    auto* posted = pending_irecvs_.find(key);
-    if (pending != nullptr && !pending->empty()) {
-      const PendingRecv pr = pending->front();
-      pending->pop_front();
-      advance(pr.rank, std::max(pr.ready, arrival) + recv_overhead(pr.rank));
-    } else if (posted != nullptr && !posted->empty()) {
-      const int recv_rank = posted->front();
-      posted->pop_front();
-      resolve_request(recv_rank, arrival + recv_overhead(recv_rank));
-    } else {
-      arrivals_[key].push_back(Arrival{arrival});
-    }
+    deliver_eager(MsgKey{rank, op.peer, op.tag}, arrival);
     advance(rank, now + overhead);
   }
 
   void start_irecv(int rank, SimTime now, const OpExec& op) {
     auto& st = states_[static_cast<std::size_t>(rank)];
-    const std::uint64_t key = msg_key(op.peer, rank, op.tag);
-    auto* arrived = arrivals_.find(key);
-    if (arrived != nullptr && !arrived->empty()) {
-      const Arrival a = arrived->front();
-      arrived->pop_front();
+    const MsgKey key{op.peer, rank, op.tag};
+    Arrival a;
+    PendingSend ps;
+    if (arrivals_.take(key, &a)) {
       st.requests_complete =
           std::max(st.requests_complete,
                    std::max(now, a.time) + recv_overhead(rank));
     } else {
-      auto* pending = pending_sends_.find(key);
-      if (pending != nullptr && !pending->empty()) {
-        const PendingSend ps = pending->front();
-        pending->pop_front();
+      if (pending_sends_.take(key, &ps)) {
         if (use_protocol(op.peer, rank)) {
           const SimTime end =
               rendezvous_match(ps, rank, now, std::max(ps.ready, now));
@@ -422,7 +392,7 @@ class Evaluator {
         }
       } else {
         ++st.unresolved;
-        pending_irecvs_[key].push_back(rank);
+        pending_irecvs_.push(key, rank);
       }
     }
     advance(rank, now + recv_overhead(rank));
@@ -501,7 +471,6 @@ class Evaluator {
   void process_arrival(const Proto& p) {
     const int dst = p.dst_rank;
     const int dst_node = node_of(dst);
-    const std::uint64_t key = msg_key(p.src_rank, dst, p.tag);
     SimTime delivery = p.end;
     if (trace_.config.bisection_bandwidth > 0.0) {
       auto& port = port_free_[static_cast<std::size_t>(dst_node)];
@@ -514,43 +483,26 @@ class Evaluator {
     }
     auto& nic_rx = nic_rx_free_[static_cast<std::size_t>(dst_node)];
     if (contended()) nic_rx = std::max(nic_rx, delivery);
-    auto* pending = pending_recvs_.find(key);
-    auto* posted = pending_irecvs_.find(key);
-    if (pending != nullptr && !pending->empty()) {
-      const PendingRecv pr = pending->front();
-      pending->pop_front();
-      advance(pr.rank, std::max(pr.ready, delivery) + recv_overhead(pr.rank));
-    } else if (posted != nullptr && !posted->empty()) {
-      const int recv_rank = posted->front();
-      posted->pop_front();
-      resolve_request(recv_rank, delivery + recv_overhead(recv_rank));
-    } else {
-      arrivals_[key].push_back(Arrival{delivery});
-    }
+    deliver_eager(MsgKey{p.src_rank, dst, p.tag}, delivery);
   }
 
   void process_rts(const Proto& p, SimTime now) {
-    const int dst = p.dst_rank;
-    const std::uint64_t key = msg_key(p.src_rank, dst, p.tag);
+    const MsgKey key{p.src_rank, p.dst_rank, p.tag};
     const PendingSend ps{p.src_rank, p.ready, p.bytes, p.tag, p.tx_est};
-    auto* pending = pending_recvs_.find(key);
-    if (pending != nullptr && !pending->empty()) {
-      const PendingRecv pr = pending->front();
-      pending->pop_front();
+    PendingRecv pr;
+    if (pending_recvs_.take(key, &pr)) {
       const SimTime end =
           rendezvous_match(ps, pr.rank, now, std::max(ps.ready, pr.ready));
       advance(pr.rank, end);
       return;
     }
-    auto* posted = pending_irecvs_.find(key);
-    if (posted != nullptr && !posted->empty()) {
-      const int recv_rank = posted->front();
-      posted->pop_front();
+    int recv_rank = -1;
+    if (pending_irecvs_.take(key, &recv_rank)) {
       const SimTime end = rendezvous_match(ps, recv_rank, now, ps.ready);
       resolve_request(recv_rank, end + recv_overhead(recv_rank));
       return;
     }
-    pending_sends_[key].push_back(ps);
+    pending_sends_.push(key, ps);
   }
 
   SimTime rendezvous_match(const PendingSend& ps, int recv_rank,
@@ -598,10 +550,10 @@ class Evaluator {
   std::vector<SimTime> nic_tx_free_;
   std::vector<SimTime> nic_rx_free_;
   std::vector<SimTime> port_free_;
-  flat_map<std::uint64_t, RingQueue<PendingSend>> pending_sends_;
-  flat_map<std::uint64_t, RingQueue<PendingRecv>> pending_recvs_;
-  flat_map<std::uint64_t, RingQueue<int>> pending_irecvs_;
-  flat_map<std::uint64_t, RingQueue<Arrival>> arrivals_;
+  MatchTable<PendingSend> pending_sends_;
+  MatchTable<PendingRecv> pending_recvs_;
+  MatchTable<int> pending_irecvs_;
+  MatchTable<Arrival> arrivals_;
 };
 
 }  // namespace

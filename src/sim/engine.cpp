@@ -131,13 +131,6 @@ Engine::Engine(Placement placement, const CostModel& cost_model,
   SOC_CHECK(config_.threads >= 0, "threads must be >= 0");
 }
 
-Engine::MsgKey Engine::msg_key(int src, int dst, int tag) {
-  // 21 bits each is far beyond any simulated cluster; tag is workload-local.
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src)) << 42) |
-         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst)) << 21) |
-         static_cast<std::uint64_t>(static_cast<std::uint32_t>(tag) & 0x1FFFFF);
-}
-
 std::uint64_t Engine::wake_key(int rank) {
   // Class bit set: wake-ups sort after protocol messages at equal times
   // (a proto can schedule a same-time wake, never the reverse).
@@ -376,6 +369,22 @@ RunStats Engine::run(OpSource& source) {
       }
       throw Error(os.str());
     }
+  }
+  // Matched keys leave their tables, so with every rank done any entry
+  // left behind is an endpoint nothing will ever match: an eager send or
+  // isend nobody received, or an irecv posted with no later kWaitAll.
+  // (A parked send or recv blocks its rank, which the loop above reports.)
+  const auto check_drained = [](const auto& table, const char* kind) {
+    if (table.empty()) return;
+    const MsgKey& k = table.any_key();
+    std::ostringstream os;
+    os << "unmatched message at end of run: " << kind << " src=" << k.src
+       << " dst=" << k.dst << " tag=" << k.tag;
+    throw Error(os.str());
+  };
+  for (const Shard& sh : shards_) {
+    check_drained(sh.arrivals, "send never received");
+    check_drained(sh.pending_irecvs, "irecv never matched");
   }
 
   for (std::size_t r = 0; r < n; ++r) {
@@ -975,7 +984,7 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
             "invalid send peer");
   auto& st = states_[static_cast<std::size_t>(rank)];
   auto& rs = stats_.ranks[static_cast<std::size_t>(rank)];
-  const MsgKey key = msg_key(rank, op.peer, op.tag);
+  const MsgKey key{rank, op.peer, op.tag};
 
   if (use_protocol(rank, op.peer)) {
     if (op.bytes <= config_.eager_threshold) {
@@ -1011,32 +1020,10 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
   }
 
   if (op.bytes <= config_.eager_threshold) {
-    Shard& sh = shard_of(rank);
     const SimTime arrival = launch_eager(rank, op.peer, now, op.bytes, op.tag);
     const SimTime overhead = cost_.send_overhead(rank);
     rs.msg_overhead += overhead;
-
-    auto* pending = sh.pending_recvs.find(key);
-    auto* posted = sh.pending_irecvs.find(key);
-    if (pending != nullptr && !pending->empty()) {
-      const PendingRecv pr = pending->front();
-      pending->pop_front();
-      commit_pending(rank, 0, -1, /*park=*/false);
-      auto& recv_rs = stats_.ranks[static_cast<std::size_t>(pr.rank)];
-      const SimTime complete =
-          std::max(pr.ready, arrival) + cost_.recv_overhead(pr.rank);
-      recv_rs.recv_blocked += complete - pr.ready;
-      advance(pr.rank);
-      wake(pr.rank, complete);
-    } else if (posted != nullptr && !posted->empty()) {
-      const int recv_rank = posted->front();
-      posted->pop_front();
-      commit_pending(rank, 0, -1, /*park=*/false);
-      resolve_request(recv_rank, arrival + cost_.recv_overhead(recv_rank));
-    } else {
-      sh.arrivals[key].push_back(Arrival{arrival, op.bytes});
-    }
-
+    deliver_eager(key, arrival, op.bytes);
     advance(rank);
     wake(rank, now + overhead);
     return;
@@ -1044,18 +1031,14 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
 
   // Rendezvous: need a posted receive (blocking or non-blocking).
   Shard& sh = shard_of(rank);
-  auto* pending = sh.pending_recvs.find(key);
-  if (pending != nullptr && !pending->empty()) {
-    const PendingRecv pr = pending->front();
-    pending->pop_front();
+  PendingRecv pr{};
+  if (sh.pending_recvs.take(key, &pr)) {
     commit_pending(rank, 0, -1, /*park=*/false);
     complete_rendezvous(rank, now, pr.rank, pr.ready, op.bytes, op.tag);
     return;
   }
-  auto* posted = sh.pending_irecvs.find(key);
-  if (posted != nullptr && !posted->empty()) {
-    const int recv_rank = posted->front();
-    posted->pop_front();
+  int recv_rank = -1;
+  if (sh.pending_irecvs.take(key, &recv_rank)) {
     commit_pending(rank, 0, -1, /*park=*/false);
     const SimTime end = timed_transfer(rank, recv_rank, now, op.bytes, op.tag);
     stats_.ranks[static_cast<std::size_t>(rank)].send_blocked += end - now;
@@ -1064,8 +1047,7 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
     resolve_request(recv_rank, end + cost_.recv_overhead(recv_rank));
     return;
   }
-  sh.pending_sends[key].push_back(
-      PendingSend{rank, now, op.bytes, st.phase, 0});
+  sh.pending_sends.push(key, PendingSend{rank, now, op.bytes, st.phase, 0});
   commit_pending(rank, 1, 0, /*park=*/true);
   st.blocked = true;
 }
@@ -1075,14 +1057,12 @@ void Engine::start_recv(int rank, SimTime now, const Op& op) {
             "invalid recv peer");
   auto& st = states_[static_cast<std::size_t>(rank)];
   auto& rs = stats_.ranks[static_cast<std::size_t>(rank)];
-  const MsgKey key = msg_key(op.peer, rank, op.tag);
+  const MsgKey key{op.peer, rank, op.tag};
   Shard& sh = shard_of(rank);
 
   // Eager message already delivered?
-  auto* arrived = sh.arrivals.find(key);
-  if (arrived != nullptr && !arrived->empty()) {
-    const Arrival a = arrived->front();
-    arrived->pop_front();
+  Arrival a{};
+  if (sh.arrivals.take(key, &a)) {
     const SimTime complete = std::max(now, a.time) + cost_.recv_overhead(rank);
     rs.recv_blocked += complete - now;
     advance(rank);
@@ -1091,10 +1071,8 @@ void Engine::start_recv(int rank, SimTime now, const Op& op) {
   }
 
   // Rendezvous partner already waiting (parked sender, or its RTS)?
-  auto* pending = sh.pending_sends.find(key);
-  if (pending != nullptr && !pending->empty()) {
-    const PendingSend ps = pending->front();
-    pending->pop_front();
+  PendingSend ps{};
+  if (sh.pending_sends.take(key, &ps)) {
     commit_pending(rank, -1, 0, /*park=*/false);
     if (use_protocol(op.peer, rank)) {
       const SimTime end =
@@ -1107,7 +1085,7 @@ void Engine::start_recv(int rank, SimTime now, const Op& op) {
     }
     return;
   }
-  sh.pending_recvs[key].push_back(PendingRecv{rank, now, st.phase});
+  sh.pending_recvs.push(key, PendingRecv{rank, now, st.phase});
   commit_pending(rank, 0, 1, /*park=*/true);
   st.blocked = true;
 }
@@ -1117,7 +1095,6 @@ void Engine::start_isend(int rank, SimTime now, const Op& op) {
             "invalid isend peer");
   auto& st = states_[static_cast<std::size_t>(rank)];
   auto& rs = stats_.ranks[static_cast<std::size_t>(rank)];
-  const MsgKey key = msg_key(rank, op.peer, op.tag);
 
   // Buffered semantics: the transfer launches now; the sender only pays
   // the posting overhead and its request completes locally.
@@ -1131,58 +1108,52 @@ void Engine::start_isend(int rank, SimTime now, const Op& op) {
     return;
   }
 
-  Shard& sh = shard_of(rank);
   const SimTime arrival = launch_eager(rank, op.peer, now, op.bytes, op.tag);
   const SimTime overhead = cost_.send_overhead(rank);
   rs.msg_overhead += overhead;
   st.requests_complete = std::max(st.requests_complete, now + overhead);
-
-  auto* pending = sh.pending_recvs.find(key);
-  auto* posted = sh.pending_irecvs.find(key);
-  if (pending != nullptr && !pending->empty()) {
-    const PendingRecv pr = pending->front();
-    pending->pop_front();
-    commit_pending(rank, 0, -1, /*park=*/false);
-    auto& recv_rs = stats_.ranks[static_cast<std::size_t>(pr.rank)];
-    const SimTime complete =
-        std::max(pr.ready, arrival) + cost_.recv_overhead(pr.rank);
-    recv_rs.recv_blocked += complete - pr.ready;
-    advance(pr.rank);
-    wake(pr.rank, complete);
-  } else if (posted != nullptr && !posted->empty()) {
-    const int recv_rank = posted->front();
-    posted->pop_front();
-    commit_pending(rank, 0, -1, /*park=*/false);
-    resolve_request(recv_rank, arrival + cost_.recv_overhead(recv_rank));
-  } else {
-    sh.arrivals[key].push_back(Arrival{arrival, op.bytes});
-  }
-
+  deliver_eager(MsgKey{rank, op.peer, op.tag}, arrival, op.bytes);
   advance(rank);
   wake(rank, now + overhead);
+}
+
+void Engine::deliver_eager(const MsgKey& key, SimTime arrival, Bytes bytes) {
+  Shard& sh = shard_of(key.dst);
+  PendingRecv pr{};
+  int recv_rank = -1;
+  if (sh.pending_recvs.take(key, &pr)) {
+    commit_pending(key.dst, 0, -1, /*park=*/false);
+    const SimTime complete =
+        std::max(pr.ready, arrival) + cost_.recv_overhead(pr.rank);
+    stats_.ranks[static_cast<std::size_t>(pr.rank)].recv_blocked +=
+        complete - pr.ready;
+    advance(pr.rank);
+    wake(pr.rank, complete);
+  } else if (sh.pending_irecvs.take(key, &recv_rank)) {
+    commit_pending(key.dst, 0, -1, /*park=*/false);
+    resolve_request(recv_rank, arrival + cost_.recv_overhead(recv_rank));
+  } else {
+    sh.arrivals.push(key, Arrival{arrival, bytes});
+  }
 }
 
 void Engine::start_irecv(int rank, SimTime now, const Op& op) {
   SOC_CHECK(op.peer >= 0 && op.peer < placement_.ranks && op.peer != rank,
             "invalid irecv peer");
   auto& st = states_[static_cast<std::size_t>(rank)];
-  const MsgKey key = msg_key(op.peer, rank, op.tag);
+  const MsgKey key{op.peer, rank, op.tag};
   Shard& sh = shard_of(rank);
 
   // Already-arrived (eager/isend) message?
-  auto* arrived = sh.arrivals.find(key);
-  if (arrived != nullptr && !arrived->empty()) {
-    const Arrival a = arrived->front();
-    arrived->pop_front();
+  Arrival a{};
+  PendingSend ps{};
+  if (sh.arrivals.take(key, &a)) {
     st.requests_complete =
         std::max(st.requests_complete,
                  std::max(now, a.time) + cost_.recv_overhead(rank));
   } else {
     // A blocking sender already parked in rendezvous (or its RTS landed)?
-    auto* pending = sh.pending_sends.find(key);
-    if (pending != nullptr && !pending->empty()) {
-      const PendingSend ps = pending->front();
-      pending->pop_front();
+    if (sh.pending_sends.take(key, &ps)) {
       commit_pending(rank, -1, 0, /*park=*/false);
       if (use_protocol(op.peer, rank)) {
         const SimTime end = rendezvous_match(ps, rank, now,
@@ -1202,7 +1173,7 @@ void Engine::start_irecv(int rank, SimTime now, const Op& op) {
       }
     } else {
       ++st.unresolved_requests;
-      sh.pending_irecvs[key].push_back(rank);
+      sh.pending_irecvs.push(key, rank);
       commit_pending(rank, 0, 1, /*park=*/true);
     }
   }
@@ -1342,8 +1313,6 @@ void Engine::launch_eager_remote(int src_rank, int dst_rank, SimTime now,
 void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
   const int dst = p.dst_rank;
   const int dst_node = placement_.node_of[static_cast<std::size_t>(dst)];
-  const MsgKey key = msg_key(p.src_rank, dst, p.tag);
-  Shard& sh = shard_of(dst);
 
   // Switch output-port queueing at the destination shifts delivery (not
   // the nominal wire end, which cost tables derive transfer times from).
@@ -1388,39 +1357,18 @@ void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
                 p.start - p.requested, fabric_wait, p.bytes);
   }
 
-  auto* pending = sh.pending_recvs.find(key);
-  auto* posted = sh.pending_irecvs.find(key);
-  if (pending != nullptr && !pending->empty()) {
-    const PendingRecv pr = pending->front();
-    pending->pop_front();
-    commit_pending(dst, 0, -1, /*park=*/false);
-    const SimTime complete =
-        std::max(pr.ready, delivery) + cost_.recv_overhead(pr.rank);
-    stats_.ranks[static_cast<std::size_t>(pr.rank)].recv_blocked +=
-        complete - pr.ready;
-    advance(pr.rank);
-    wake(pr.rank, complete);
-  } else if (posted != nullptr && !posted->empty()) {
-    const int recv_rank = posted->front();
-    posted->pop_front();
-    commit_pending(dst, 0, -1, /*park=*/false);
-    resolve_request(recv_rank, delivery + cost_.recv_overhead(recv_rank));
-  } else {
-    sh.arrivals[key].push_back(Arrival{delivery, p.bytes});
-  }
+  deliver_eager(MsgKey{p.src_rank, dst, p.tag}, delivery, p.bytes);
   (void)now;
 }
 
 void Engine::process_rts(const ProtoMsg& p, SimTime now) {
   const int dst = p.dst_rank;
-  const MsgKey key = msg_key(p.src_rank, dst, p.tag);
+  const MsgKey key{p.src_rank, dst, p.tag};
   Shard& sh = shard_of(dst);
   const PendingSend ps{p.src_rank, p.requested, p.bytes, p.phase, p.tx_est};
 
-  auto* pending = sh.pending_recvs.find(key);
-  if (pending != nullptr && !pending->empty()) {
-    const PendingRecv pr = pending->front();
-    pending->pop_front();
+  PendingRecv pr{};
+  if (sh.pending_recvs.take(key, &pr)) {
     commit_pending(dst, 0, -1, /*park=*/false);
     const SimTime end =
         rendezvous_match(ps, pr.rank, now, std::max(ps.ready, pr.ready), p.tag);
@@ -1430,10 +1378,8 @@ void Engine::process_rts(const ProtoMsg& p, SimTime now) {
     wake(pr.rank, end);
     return;
   }
-  auto* posted = sh.pending_irecvs.find(key);
-  if (posted != nullptr && !posted->empty()) {
-    const int recv_rank = posted->front();
-    posted->pop_front();
+  int recv_rank = -1;
+  if (sh.pending_irecvs.take(key, &recv_rank)) {
     commit_pending(dst, 0, -1, /*park=*/false);
     const SimTime end = rendezvous_match(ps, recv_rank, now, ps.ready, p.tag);
     resolve_request(recv_rank, end + cost_.recv_overhead(recv_rank));
@@ -1441,7 +1387,7 @@ void Engine::process_rts(const ProtoMsg& p, SimTime now) {
   }
   // No receive posted yet: park the RTS at the receiver; the matching
   // recv/irecv dispatch picks it out of pending_sends.
-  sh.pending_sends[key].push_back(ps);
+  sh.pending_sends.push(key, ps);
   commit_pending(dst, 1, 0, /*park=*/true);
 }
 

@@ -30,8 +30,8 @@
 #include <memory>
 #include <vector>
 
-#include "common/flat_map.h"
 #include "common/hash.h"
+#include "common/match_table.h"
 #include "common/ring_queue.h"
 #include "sim/cost_model.h"
 #include "sim/event_queue.h"
@@ -195,11 +195,14 @@ class Engine {
          EngineConfig config = {}, Scenario scenario = {});
 
   /// Pulls every rank's op stream to completion and returns the
-  /// collected stats.  Throws soc::Error on deadlock (unmatched
-  /// send/recv) or misuse.  The source is single-use: the run consumes
-  /// it.  With shards > 1 and threads > 1, OpSource::next must tolerate
-  /// concurrent calls for *distinct* ranks (all in-tree sources keep
-  /// per-rank state element-disjoint, which suffices).
+  /// collected stats.  Throws soc::Error on deadlock (a rank blocked on
+  /// an unmatched send/recv), on a message endpoint still unmatched when
+  /// every rank has finished (an eager send or isend nobody received, an
+  /// irecv no send matched), or on misuse.  The source is single-use:
+  /// the run consumes it.  With shards > 1 and threads > 1,
+  /// OpSource::next must tolerate concurrent calls for *distinct* ranks
+  /// (all in-tree sources keep per-rank state element-disjoint, which
+  /// suffices).
   RunStats run(OpSource& source);
 
   /// Replays pre-built programs (wraps them in a ProgramSource).
@@ -252,10 +255,6 @@ class Engine {
     SimTime time;     ///< Delivery time (nominal arrival + port queueing).
     Bytes bytes;
   };
-
-  using MsgKey = std::uint64_t;  ///< (src, dst, tag) packed.
-
-  static MsgKey msg_key(int src, int dst, int tag);
 
   /// Cross-shard protocol messages.  Timestamps are always at least one
   /// cross-node latency past the emission time — the conservative-window
@@ -319,10 +318,10 @@ class Engine {
     KeyedEventQueue queue;                             // SOC_SHARD_LOCAL
     std::vector<ProtoMsg> proto_pool;                  // SOC_SHARD_LOCAL
     std::vector<std::int32_t> proto_free;              // SOC_SHARD_LOCAL
-    flat_map<MsgKey, RingQueue<PendingSend>> pending_sends;   // SOC_SHARD_LOCAL
-    flat_map<MsgKey, RingQueue<PendingRecv>> pending_recvs;   // SOC_SHARD_LOCAL
-    flat_map<MsgKey, RingQueue<int>> pending_irecvs;   // SOC_SHARD_LOCAL
-    flat_map<MsgKey, RingQueue<Arrival>> arrivals;     // SOC_SHARD_LOCAL
+    MatchTable<PendingSend> pending_sends;             // SOC_SHARD_LOCAL
+    MatchTable<PendingRecv> pending_recvs;             // SOC_SHARD_LOCAL
+    MatchTable<int> pending_irecvs;                    // SOC_SHARD_LOCAL
+    MatchTable<Arrival> arrivals;                      // SOC_SHARD_LOCAL
     std::vector<CommitRec> commits;                    // SOC_SHARD_LOCAL
     std::vector<RingQueue<ProtoMsg>> outbox;           // SOC_SHARD_LOCAL
     SimTime ev_time = 0;                               // SOC_SHARD_LOCAL
@@ -396,6 +395,12 @@ class Engine {
   /// Instant-path eager send; returns its arrival time at the receiver.
   SimTime launch_eager(int src_rank, int dst_rank, SimTime now, Bytes bytes,
                        int tag);
+  /// An eager payload for `key` reached its receiver at `arrival`
+  /// (instant path, or a landed kArrival): completes a parked recv,
+  /// resolves a posted irecv, or waits as an arrival for its receive.
+  /// Runs on the receiver's shard, which on the instant path is also the
+  /// sender's.
+  void deliver_eager(const MsgKey& key, SimTime arrival, Bytes bytes);
 
   /// Cross-node eager send: books the sender side (NIC-TX, stats, span)
   /// and emits the kArrival protocol message toward the receiver's shard.

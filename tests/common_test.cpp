@@ -1,10 +1,15 @@
 // Tests for common/: units, deterministic RNG, error macros, tables.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "common/error.h"
 #include "common/flat_map.h"
+#include "common/match_table.h"
 #include "common/ring_queue.h"
 #include "common/rng.h"
 #include "common/table.h"
@@ -181,6 +186,126 @@ TEST(FlatMap, ClearKeepsNothingButStaysUsable) {
   m[5] = 50;
   ASSERT_NE(m.find(5), nullptr);
   EXPECT_EQ(*m.find(5), 50);
+}
+
+// Every key hashes to the last slot, so every probe run starts at the end
+// of the slot table and wraps to its front: backward-shift deletion sees
+// the longest clusters and the wrap-around case on every erase.
+struct WrappingHash {
+  std::uint64_t operator()(int) const { return ~std::uint64_t{0}; }
+};
+
+TEST(FlatMap, RandomInsertFindEraseMatchesStdMap) {
+  flat_map<int, int, WrappingHash> m;
+  std::map<int, int> ref;
+  Rng rng(2024);
+  for (int step = 0; step < 20000; ++step) {
+    const int key = static_cast<int>(rng.next_below(48));
+    switch (rng.next_below(3)) {
+      case 0:
+        m[key] = step;
+        ref[key] = step;
+        break;
+      case 1: {
+        const int* found = m.find(key);
+        const auto it = ref.find(key);
+        ASSERT_EQ(found != nullptr, it != ref.end()) << "step " << step;
+        if (found != nullptr) {
+          EXPECT_EQ(*found, it->second);
+        }
+        break;
+      }
+      default:
+        ASSERT_EQ(m.erase(key), ref.erase(key) == 1) << "step " << step;
+        break;
+    }
+    ASSERT_EQ(m.size(), ref.size());
+  }
+  std::map<int, int> walked(m.begin(), m.end());
+  EXPECT_EQ(walked, ref);
+  for (const auto& [key, value] : ref) {
+    ASSERT_NE(m.find(key), nullptr) << key;
+    EXPECT_EQ(*m.find(key), value);
+  }
+}
+
+TEST(FlatMap, EraseAbsentKeyAndReinsert) {
+  flat_map<int, int> m;
+  EXPECT_FALSE(m.erase(1));  // no slot table yet
+  m[1] = 10;
+  m[2] = 20;
+  EXPECT_FALSE(m.erase(3));
+  EXPECT_EQ(m.size(), 2u);
+  EXPECT_TRUE(m.erase(1));
+  EXPECT_FALSE(m.erase(1));
+  EXPECT_EQ(m.find(1), nullptr);
+  m[1] = 11;
+  ASSERT_NE(m.find(1), nullptr);
+  EXPECT_EQ(*m.find(1), 11);
+  ASSERT_NE(m.find(2), nullptr);
+  EXPECT_EQ(*m.find(2), 20);
+  EXPECT_EQ(m.size(), 2u);
+}
+
+TEST(FlatMap, EraseMovesLastEntryIntoTheFreedIndex) {
+  flat_map<int, int> m;
+  for (int k = 1; k <= 4; ++k) m[k] = k * 10;
+  EXPECT_TRUE(m.erase(2));
+  std::vector<int> order;
+  for (const auto& [key, value] : m) order.push_back(key);
+  EXPECT_EQ(order, (std::vector<int>{1, 4, 3}));
+}
+
+TEST(MatchTable, FifoPerExactKey) {
+  MatchTable<int> t;
+  const MsgKey a{0, 1, 5};
+  const MsgKey wide{0, 1, 5 + (1 << 21)};  // same low 21 tag bits as `a`
+  t.push(a, 1);
+  t.push(wide, 2);
+  t.push(a, 3);
+  EXPECT_EQ(t.size(), 2u);
+  int v = 0;
+  ASSERT_TRUE(t.take(a, &v));
+  EXPECT_EQ(v, 1);
+  ASSERT_TRUE(t.take(a, &v));
+  EXPECT_EQ(v, 3);
+  EXPECT_FALSE(t.take(a, &v));
+  EXPECT_EQ(t.size(), 1u);  // `a` drained and left the table
+  EXPECT_FALSE(t.take(MsgKey{0, 1, -1}, &v));
+  ASSERT_TRUE(t.take(wide, &v));
+  EXPECT_EQ(v, 2);
+  EXPECT_TRUE(t.empty());
+}
+
+TEST(MatchTable, SizeCountsKeysWithQueuedValues) {
+  MatchTable<int> t;
+  std::map<std::tuple<int, int, int>, std::deque<int>> ref;
+  const auto live_keys = [&] {
+    std::size_t n = 0;
+    for (const auto& [key, q] : ref) n += q.empty() ? 0 : 1;
+    return n;
+  };
+  Rng rng(77);
+  for (int step = 0; step < 20000; ++step) {
+    // Tags t and t + 2^21, and -1 next to 2^21 - 1, must stay apart.
+    const int tags[] = {0, 1, 1 << 21, (1 << 21) + 1, -1, (1 << 21) - 1};
+    const MsgKey key{static_cast<int>(rng.next_below(4)),
+                     static_cast<int>(rng.next_below(4)),
+                     tags[rng.next_below(6)]};
+    auto& q = ref[{key.src, key.dst, key.tag}];
+    if (rng.next_bool(0.5)) {
+      t.push(key, step);
+      q.push_back(step);
+    } else {
+      int v = -1;
+      ASSERT_EQ(t.take(key, &v), !q.empty()) << "step " << step;
+      if (!q.empty()) {
+        EXPECT_EQ(v, q.front());
+        q.pop_front();
+      }
+    }
+    ASSERT_EQ(t.size(), live_keys()) << "step " << step;
+  }
 }
 
 TEST(RingQueue, FifoThroughInlineAndSpill) {

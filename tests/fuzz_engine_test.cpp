@@ -1,7 +1,8 @@
 // Property / fuzz tests for the replay engine: random (but well-formed)
 // communication programs must execute to completion with conserved
-// traffic, deterministic results, and sane monotonicities.  Also tests
-// the parallel_for utility the sweep benches use.
+// traffic, deterministic results, and sane monotonicities, and the
+// profiler and what-if evaluator must match their messages exactly as the
+// engine did.  Also tests the parallel_for utility the sweep benches use.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +11,8 @@
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "prof/profile.h"
+#include "prof/profiler.h"
 #include "sim/engine.h"
 
 namespace soc {
@@ -78,7 +81,102 @@ std::vector<sim::Program> random_programs(std::uint64_t seed, int ranks) {
   return programs;
 }
 
+// Adds what random_programs leaves out: non-blocking exchanges closed by
+// a kWaitAll, and a three-tag pool, so one channel carries the same tag
+// many times, in both protocols.  Each iteration runs a blocking stage
+// (lower rank sends first, as above) and then a non-blocking stage in
+// which every rank posts its isends and irecvs before one kWaitAll, so
+// every endpoint is matched and no schedule can deadlock.
+std::vector<sim::Program> mixed_programs(std::uint64_t seed, int ranks) {
+  Rng rng(seed);
+  std::vector<sim::Program> programs(static_cast<std::size_t>(ranks));
+  const auto prog = [&](int r) -> sim::Program& {
+    return programs[static_cast<std::size_t>(r)];
+  };
+  const auto pick_pair = [&](int* a, int* b) {
+    *a = static_cast<int>(rng.next_below(static_cast<unsigned>(ranks)));
+    *b = static_cast<int>(rng.next_below(static_cast<unsigned>(ranks)));
+    return *a != *b;
+  };
+  const auto tag = [&] { return static_cast<int>(rng.next_below(3)); };
+  // Straddles the 8 KiB default eager threshold.
+  const auto size = [&] {
+    return 64 + static_cast<Bytes>(rng.next_below(32 * kKiB));
+  };
+  const int iterations = 3 + static_cast<int>(rng.next_below(5));
+  for (int it = 0; it < iterations; ++it) {
+    for (int r = 0; r < ranks; ++r) {
+      prog(r).push_back(sim::phase_op(it));
+      prog(r).push_back(sim::cpu_op(
+          1e3 + static_cast<double>(rng.next_below(100'000)), 10, 64, 0));
+    }
+    const int exchanges = static_cast<int>(rng.next_below(4));
+    for (int e = 0; e < exchanges; ++e) {
+      int a = 0;
+      int b = 0;
+      if (!pick_pair(&a, &b)) continue;
+      const int lo = std::min(a, b);
+      const int hi = std::max(a, b);
+      const Bytes bytes = size();
+      const int t = tag();
+      prog(lo).push_back(sim::send_op(hi, bytes, t));
+      prog(hi).push_back(sim::recv_op(lo, bytes, t));
+    }
+    std::vector<sim::Program> isends(static_cast<std::size_t>(ranks));
+    std::vector<sim::Program> irecvs(static_cast<std::size_t>(ranks));
+    const int posts = static_cast<int>(rng.next_below(6));
+    for (int e = 0; e < posts; ++e) {
+      int src = 0;
+      int dst = 0;
+      if (!pick_pair(&src, &dst)) continue;
+      const Bytes bytes = size();
+      const int t = tag();
+      isends[static_cast<std::size_t>(src)].push_back(
+          sim::isend_op(dst, bytes, t));
+      irecvs[static_cast<std::size_t>(dst)].push_back(
+          sim::irecv_op(src, bytes, t));
+    }
+    for (int r = 0; r < ranks; ++r) {
+      const auto& out = isends[static_cast<std::size_t>(r)];
+      const auto& in = irecvs[static_cast<std::size_t>(r)];
+      if (out.empty() && in.empty()) continue;
+      prog(r).insert(prog(r).end(), out.begin(), out.end());
+      prog(r).insert(prog(r).end(), in.begin(), in.end());
+      prog(r).push_back(sim::wait_all_op());
+    }
+  }
+  return programs;
+}
+
 class FuzzSeeds : public ::testing::TestWithParam<int> {};
+
+// The engine, the profiler's matching pass and the what-if evaluator all
+// match messages; prof::analyze asserts that re-timing the unmodified
+// trace reproduces the recorded makespan, so any disagreement among the
+// three throws.  Two or four ranks per node mix intra- and cross-node
+// pairs, and a sharded replay must commit the identical event stream.
+TEST_P(FuzzSeeds, MixedProgramsProfileAndReplayExactly) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const int ranks = 8;
+  const int nodes = seed % 2 == 0 ? 4 : 2;
+  const auto programs = mixed_programs(seed * 7919 + 5, ranks);
+  FuzzCost cost(1e9);
+  const auto placement = sim::Placement::block(ranks, nodes);
+
+  prof::Profiler profiler;
+  sim::Engine engine(placement, cost);
+  engine.set_observer(&profiler);
+  const sim::RunStats stats = engine.run(programs);
+  const prof::Profile profile = prof::analyze(profiler.trace());
+  EXPECT_TRUE(profile.evaluator_exact);
+  EXPECT_EQ(profile.measured_eval, stats.makespan);
+
+  sim::EngineConfig sharded;
+  sharded.shards = nodes;
+  sharded.threads = 1;
+  sim::Engine windowed(placement, cost, sharded);
+  EXPECT_EQ(windowed.run(programs).event_checksum, stats.event_checksum);
+}
 
 TEST_P(FuzzSeeds, RandomProgramsCompleteWithConservedTraffic) {
   const auto seed = static_cast<std::uint64_t>(GetParam());

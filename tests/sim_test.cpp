@@ -3,6 +3,9 @@
 // scenarios, accounting, determinism, failure modes).
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/error.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
@@ -286,6 +289,73 @@ TEST(Engine, MismatchedTagDeadlocks) {
   programs[0] = {send_op(1, 1'000'000, 7)};
   programs[1] = {recv_op(0, 1'000'000, 8)};
   EXPECT_THROW(engine.run(programs), Error);
+}
+
+// Endpoints left unmatched when every rank has finished fail the run
+// instead of returning normal stats, on the instant path (one node) and
+// the protocol path (two nodes) alike.
+TEST(Engine, UnreceivedSendFailsTheRun) {
+  FixedCostModel cost;
+  for (const int nodes : {1, 2}) {
+    Engine engine(Placement::block(2, nodes), cost);
+    std::vector<Program> programs(2);
+    programs[0] = {send_op(1, 100, 7)};
+    try {
+      engine.run(programs);
+      ADD_FAILURE() << "lone eager send did not fail the run";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("send never received src=0 dst=1 tag=7"),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+TEST(Engine, IrecvWithoutWaitAllOrSendFailsTheRun) {
+  FixedCostModel cost;
+  for (const int nodes : {1, 2}) {
+    Engine engine(Placement::block(2, nodes), cost);
+    std::vector<Program> programs(2);
+    programs[1] = {irecv_op(0, 100, 7)};
+    try {
+      engine.run(programs);
+      ADD_FAILURE() << "unmatched irecv did not fail the run";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("irecv never matched src=0 dst=1 tag=7"),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
+// Tags match exactly: t and t + 2^21, or -1 and 2^21 - 1, are as distinct
+// as 6 and 5.  Rank 1 receives the second message first, so a receive
+// that took the other tag's message would finish 10 ms early.
+TEST(Engine, CrossedTagsMatchExactly) {
+  FixedCostModel cost;
+  for (const int nodes : {1, 2}) {
+    const auto run = [&](int first_tag, int second_tag) {
+      Engine engine(Placement::block(2, nodes), cost);
+      std::vector<Program> programs(2);
+      programs[0] = {isend_op(1, 1024, first_tag), cpu_op(1, 1, 0, 0),
+                     isend_op(1, 1024, second_tag), wait_all_op()};
+      programs[1] = {recv_op(0, 1024, second_tag), cpu_op(1, 1, 0, 0),
+                     recv_op(0, 1024, first_tag)};
+      return engine.run(programs);
+    };
+    const RunStats plain = run(6, 5);
+    EXPECT_GE(plain.ranks[1].finish_time, 2 * cost.cpu_time);
+    for (const auto& [first, second] :
+         {std::pair{5 + (1 << 21), 5}, std::pair{-1, (1 << 21) - 1}}) {
+      const RunStats crossed = run(first, second);
+      EXPECT_EQ(crossed.ranks[1].finish_time, plain.ranks[1].finish_time)
+          << "tags " << first << ", " << second << " on " << nodes
+          << " node(s)";
+      EXPECT_EQ(crossed.event_checksum, plain.event_checksum);
+    }
+  }
 }
 
 TEST(Engine, SelfMessageRejected) {

@@ -20,6 +20,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -286,15 +287,96 @@ TEST(Telemetry, BaselineDiffGatesSpeedup) {
   sharded.events_per_second = 1500.0;
   sharded.speedup_vs_baseline = 1.5;
   report.samples = {serial, sharded};
+  report.hardware_concurrency = 4;
 
-  std::vector<cluster::PerfSample> baseline = report.samples;
-  baseline[1].speedup_vs_baseline = 3.0;  // The committed run scaled 2x better.
+  cluster::PerfReport baseline = report;
+  baseline.samples[1].speedup_vs_baseline = 3.0;  // The committed run scaled 2x better.
   const std::string strict =
-      cluster::diff_perf_baseline(report, baseline, 0.01, 0.9);
+      cluster::diff_perf_baseline(report, baseline, 0.01, 0.9).failures;
   EXPECT_NE(strict.find("speedup regressed"), std::string::npos) << strict;
-  const std::string loose =
+  const cluster::PerfDiff loose =
       cluster::diff_perf_baseline(report, baseline, 0.01, 0.4);
-  EXPECT_EQ(loose, "");
+  EXPECT_EQ(loose.failures, "");
+  EXPECT_EQ(loose.notes, "");
+}
+
+// A sharded row recorded on another core count (or on an unknown one) is
+// not comparable: its events/s and speedup gates are skipped with a note,
+// while the exact event/checksum gate and the serial rows' events/s floor
+// still apply.
+TEST(Telemetry, BaselineDiffSkipsShardedGatesAcrossCoreCounts) {
+  cluster::PerfReport report;
+  cluster::PerfSample serial;
+  serial.name = "fig5/x";
+  serial.events = 100;
+  serial.checksum = 7;
+  serial.events_per_second = 1000.0;
+  cluster::PerfSample sharded = serial;
+  sharded.name = "fig5/x/4shards";
+  sharded.shards = 4;
+  sharded.baseline = "fig5/x";
+  sharded.events_per_second = 25.0;
+  sharded.speedup_vs_baseline = 0.025;
+  report.samples = {serial, sharded};
+  report.hardware_concurrency = 4;
+
+  for (const unsigned recorded : {1u, 0u}) {
+    cluster::PerfReport baseline = report;
+    baseline.hardware_concurrency = recorded;
+    baseline.samples[1].events_per_second = 960.0;
+    baseline.samples[1].speedup_vs_baseline = 0.96;
+    const cluster::PerfDiff diff =
+        cluster::diff_perf_baseline(report, baseline, 0.25, 0.5);
+    EXPECT_EQ(diff.failures, "");
+    EXPECT_NE(diff.notes.find(
+                  "fig5/x/4shards events/s and speedup gates skipped"),
+              std::string::npos)
+        << diff.notes;
+
+    baseline.samples[0].events_per_second = 8000.0;
+    baseline.samples[1].checksum = 8;
+    const std::string failures =
+        cluster::diff_perf_baseline(report, baseline, 0.25, 0.5).failures;
+    EXPECT_NE(failures.find("fig5/x throughput regressed"), std::string::npos)
+        << failures;
+    EXPECT_NE(failures.find("fig5/x/4shards committed stream changed"),
+              std::string::npos)
+        << failures;
+  }
+
+  // On the baseline's own core count every gate applies.
+  cluster::PerfReport same = report;
+  same.samples[1].events_per_second = 960.0;
+  same.samples[1].speedup_vs_baseline = 0.96;
+  const std::string failures =
+      cluster::diff_perf_baseline(report, same, 0.25, 0.5).failures;
+  EXPECT_NE(failures.find("fig5/x/4shards throughput regressed"),
+            std::string::npos)
+      << failures;
+  EXPECT_NE(failures.find("fig5/x/4shards speedup regressed"),
+            std::string::npos)
+      << failures;
+}
+
+// The report records its host's hardware_concurrency, and the baseline
+// loader reads it back.
+TEST(Telemetry, PerfReportRoundTripsHardwareConcurrency) {
+  cluster::PerfReport report;
+  cluster::PerfSample s;
+  s.name = "fig5/x";
+  s.events = 100;
+  s.checksum = 7;
+  s.events_per_second = 1000.0;
+  report.samples = {s};
+  report.hardware_concurrency = 6;
+  const std::string path =
+      ::testing::TempDir() + "perf_report_round_trip.json";
+  cluster::write_perf_report(path, report);
+  const cluster::PerfReport loaded = cluster::load_perf_baseline(path);
+  EXPECT_EQ(loaded.hardware_concurrency, 6u);
+  ASSERT_EQ(loaded.samples.size(), 1u);
+  EXPECT_EQ(loaded.samples[0].checksum, 7u);
+  std::remove(path.c_str());
 }
 
 }  // namespace

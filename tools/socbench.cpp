@@ -831,10 +831,11 @@ int cmd_perf(const ArgParser& args) {
     const double tolerance = args.get_double("--baseline-tolerance");
     const double speedup_tolerance = args.get_double("--speedup-tolerance");
     const auto baseline = cluster::load_perf_baseline(args.get("--baseline"));
-    const std::string failures = cluster::diff_perf_baseline(
+    const cluster::PerfDiff diff = cluster::diff_perf_baseline(
         report, baseline, tolerance, speedup_tolerance);
-    if (!failures.empty()) {
-      std::fprintf(stderr, "%s", failures.c_str());
+    std::printf("%s", diff.notes.c_str());
+    if (!diff.failures.empty()) {
+      std::fprintf(stderr, "%s", diff.failures.c_str());
       return 1;
     }
     std::printf("baseline check passed vs %s (tolerance %.2f, speedup "
