@@ -79,19 +79,13 @@ RunResult run(const RunRequest& request, const workloads::Workload& workload,
   // The cluster model is memoizable (pure tables after construction), so
   // repeated op shapes hit a cache instead of re-deriving durations.
   // Subclasses that override costs rank-dependently opt out via
-  // memoizable() and are used directly.  A sharded engine queries the
-  // cost model from worker threads, so the memo locks its cache then.
-  sim::EngineConfig engine_cfg =
-      engine_config(request.config, request.options);
-  if (request.engine_telemetry != nullptr) {
-    engine_cfg.telemetry = request.engine_telemetry;
-  }
-  const sim::MemoCostModel memo(cost, /*thread_safe=*/engine_cfg.shards > 1);
+  // memoizable() and are used directly.
+  const sim::MemoCostModel memo(cost);
   const sim::CostModel& effective =
       cost.memoizable() ? static_cast<const sim::CostModel&>(memo) : cost;
   sim::Engine engine(
       sim::Placement::block(request.config.ranks, request.config.nodes),
-      effective, engine_cfg);
+      effective, engine_config(request.config, request.options));
 
   // Per-run observability: the request's own metrics/profile sinks
   // compose with any caller-attached observer, so sweep runs never share

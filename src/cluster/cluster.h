@@ -114,13 +114,6 @@ struct RunRequest {
   /// profiling like the sinks above); feed it to prof::retime() for
   /// DVFS / power-cap what-ifs without re-running.
   prof::RunTrace* run_trace = nullptr;
-
-  /// Engine self-telemetry sink (non-owning; must outlive the run).
-  /// When set it is attached via EngineConfig::telemetry and filled with
-  /// the engine's own counters and wall-clock timings (sim/telemetry.h);
-  /// render with obs/engine_telemetry.h or feed prof::explain_scaling.
-  /// Never changes the committed event stream or the metered result.
-  sim::EngineTelemetry* engine_telemetry = nullptr;
 };
 
 /// Validates a cluster shape; throws soc::Error on a bad one.  Shared by

@@ -17,8 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "prof/selfprof.h"
-
 namespace soc::cluster {
 
 /// One engine-only replay target (mirrors the fig5/fig6 bench shapes).
@@ -28,22 +26,10 @@ struct PerfCase {
   int nodes = 16;
   int ranks = 16;
   bool ideal_network = false;
-  /// Engine shard count (EngineConfig::shards); 1 = serial.  Sharded
-  /// cases exercise the rank-partitioned parallel engine; their event
-  /// checksum must equal the serial case's.
-  int shards = 1;
-  /// Name of the case this one is a speedup of (typically the serial row
-  /// for the same shape); empty = no speedup reported.
-  std::string baseline;
 };
 
 struct PerfConfig {
   int reps = 5;  ///< Timed repetitions per case (one warm-up rep extra).
-  /// Run one extra telemetry-attached repetition per case (outside the
-  /// timed region, so the throughput numbers are unaffected) and attach
-  /// a zero-residual scaling-loss decomposition (prof::explain_scaling)
-  /// to every sample that names a baseline.
-  bool explain_scaling = false;
 };
 
 /// Measurement for one case, aggregated over the timed repetitions.
@@ -52,21 +38,11 @@ struct PerfSample {
   std::uint64_t events = 0;    ///< Committed events per repetition.
   std::uint64_t checksum = 0;  ///< RunStats::event_checksum (rep-invariant).
   int reps = 0;
-  int shards = 1;
   double wall_seconds = 0.0;       ///< Total over the timed reps.
   double events_per_second = 0.0;
   double allocs_per_event = 0.0;   ///< 0 unless soc_alloc_hooks is linked.
   std::uint64_t memo_hits = 0;     ///< Cost-model cache hits (all reps).
   std::uint64_t memo_misses = 0;
-  std::string baseline;  ///< PerfCase::baseline (empty = no speedup row).
-  /// events_per_second of this sample over the named baseline sample's
-  /// (0 when `baseline` is empty).  > 1 means this configuration is
-  /// faster; the sharded rows report their parallel speedup here.
-  double speedup_vs_baseline = 0.0;
-  /// Scaling-loss decomposition vs the named baseline, filled only when
-  /// PerfConfig::explain_scaling is set and `baseline` is non-empty.
-  bool has_scaling = false;
-  prof::ScalingDecomposition scaling;
 };
 
 struct PerfReport {
@@ -76,16 +52,8 @@ struct PerfReport {
   double events_per_second = 0.0;   ///< Aggregate throughput.
   bool alloc_counter_live = false;  ///< soc_alloc_hooks linked into binary.
   /// std::thread::hardware_concurrency() of the measuring host (0 =
-  /// unknown, e.g. a baseline written before the field existed).  Sharded
-  /// rows' throughput depends on it, so they compare only between equal
-  /// values.
+  /// unknown, e.g. a baseline written before the field existed).
   unsigned hardware_concurrency = 0;
-};
-
-/// Outcome of diff_perf_baseline.
-struct PerfDiff {
-  std::string failures;  ///< Newline-terminated; empty = the gate passed.
-  std::string notes;     ///< Newline-terminated gates skipped, with why.
 };
 
 /// The fig5/fig6 replay shapes at 16 nodes (the scalability benches'
@@ -106,23 +74,18 @@ void write_perf_report(const std::string& path, const PerfReport& report);
 
 /// Reads a perf_report_json document (the committed BENCH_engine.json
 /// baseline) back.  Only the comparison fields are recovered: the
-/// report's hardware_concurrency and, per sample, name, events, checksum,
-/// events_per_second, shards, baseline and speedup_vs_baseline.
+/// report's hardware_concurrency and, per sample, name, events, checksum
+/// and events_per_second.
 PerfReport load_perf_baseline(const std::string& path);
 
 /// Compares a fresh report against a committed baseline: cases present in
 /// both must agree exactly on events and checksum (simulation
 /// determinism is machine-independent) and may not drop below
 /// `tolerance` x the baseline's events/s (wall-clock is machine-dependent,
-/// so the throughput gate is deliberately loose).  Sharded speedup rows
-/// additionally may not drop below `speedup_tolerance` x the baseline's
-/// speedup_vs_baseline.  A sharded row's events/s and speedup are
-/// compared only when both reports ran with the same known
-/// hardware_concurrency: measured on another core count they say
-/// nothing about this one, so those two gates are skipped with a note.
-/// At least one case must match by name.
-PerfDiff diff_perf_baseline(const PerfReport& report,
-                            const PerfReport& baseline, double tolerance,
-                            double speedup_tolerance);
+/// so the throughput gate is deliberately loose).  At least one case must
+/// match by name.  Returns the failures, one newline-terminated line
+/// each; empty means the gate passed.
+std::string diff_perf_baseline(const PerfReport& report,
+                               const PerfReport& baseline, double tolerance);
 
 }  // namespace soc::cluster

@@ -2,9 +2,32 @@
 
 #include <sstream>
 
-#include "common/error.h"
-
 namespace soc {
+
+namespace {
+
+// Whole-string numeric parses: "8x" or "" is a mistake, not 8 or 0.
+bool parse_int(const std::string& text, int* out) {
+  try {
+    std::size_t used = 0;
+    *out = std::stoi(text, &used);
+    return used == text.size();
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+bool parse_double(const std::string& text, double* out) {
+  try {
+    std::size_t used = 0;
+    *out = std::stod(text, &used);
+    return used == text.size();
+  } catch (const std::exception&) {
+    return false;
+  }
+}
+
+}  // namespace
 
 void ArgParser::add_flag(const std::string& name, const std::string& help,
                          const std::string& default_value) {
@@ -34,18 +57,19 @@ void ArgParser::parse(int argc, const char* const* argv, int start) {
       inline_value = arg.substr(eq + 1);
     }
     auto it = flags_.find(name);
-    SOC_CHECK(it != flags_.end(), "unknown flag: " + name);
+    if (it == flags_.end()) throw UsageError("unknown flag: " + name);
     Flag& flag = it->second;
     flag.given = true;
     if (flag.is_bool) {
-      SOC_CHECK(!inline_value.has_value() || *inline_value == "true" ||
-                    *inline_value == "false",
-                "boolean flag " + name + " takes no value");
+      if (inline_value.has_value() && *inline_value != "true" &&
+          *inline_value != "false") {
+        throw UsageError("boolean flag " + name + " takes no value");
+      }
       flag.value = inline_value.value_or("true");
     } else if (inline_value.has_value()) {
       flag.value = *inline_value;
     } else {
-      SOC_CHECK(i + 1 < argc, "flag " + name + " needs a value");
+      if (i + 1 >= argc) throw UsageError("flag " + name + " needs a value");
       flag.value = argv[++i];
     }
   }
@@ -59,20 +83,20 @@ const std::string& ArgParser::get(const std::string& name) const {
 
 int ArgParser::get_int(const std::string& name) const {
   const std::string& v = get(name);
-  try {
-    return std::stoi(v);
-  } catch (const std::exception&) {
-    throw Error("flag " + name + " expects an integer, got '" + v + "'");
+  int out = 0;
+  if (!parse_int(v, &out)) {
+    throw UsageError("flag " + name + " expects an integer, got '" + v + "'");
   }
+  return out;
 }
 
 double ArgParser::get_double(const std::string& name) const {
   const std::string& v = get(name);
-  try {
-    return std::stod(v);
-  } catch (const std::exception&) {
-    throw Error("flag " + name + " expects a number, got '" + v + "'");
+  double out = 0.0;
+  if (!parse_double(v, &out)) {
+    throw UsageError("flag " + name + " expects a number, got '" + v + "'");
   }
+  return out;
 }
 
 bool ArgParser::get_bool(const std::string& name) const {
@@ -105,13 +129,13 @@ std::vector<int> parse_int_list(const std::string& csv) {
   std::istringstream is(csv);
   std::string item;
   while (std::getline(is, item, ',')) {
-    try {
-      out.push_back(std::stoi(item));
-    } catch (const std::exception&) {
-      throw Error("bad integer in list: '" + item + "'");
+    int v = 0;
+    if (!parse_int(item, &v)) {
+      throw UsageError("bad integer in list: '" + item + "'");
     }
+    out.push_back(v);
   }
-  SOC_CHECK(!out.empty(), "empty integer list");
+  if (out.empty()) throw UsageError("empty integer list");
   return out;
 }
 
@@ -120,10 +144,10 @@ std::vector<std::string> parse_string_list(const std::string& csv) {
   std::istringstream is(csv);
   std::string item;
   while (std::getline(is, item, ',')) {
-    SOC_CHECK(!item.empty(), "empty entry in list: '" + csv + "'");
+    if (item.empty()) throw UsageError("empty entry in list: '" + csv + "'");
     out.push_back(item);
   }
-  SOC_CHECK(!out.empty(), "empty string list");
+  if (out.empty()) throw UsageError("empty string list");
   return out;
 }
 
@@ -132,13 +156,13 @@ std::vector<double> parse_double_list(const std::string& csv) {
   std::istringstream is(csv);
   std::string item;
   while (std::getline(is, item, ',')) {
-    try {
-      out.push_back(std::stod(item));
-    } catch (const std::exception&) {
-      throw Error("bad number in list: '" + item + "'");
+    double v = 0.0;
+    if (!parse_double(item, &v)) {
+      throw UsageError("bad number in list: '" + item + "'");
     }
+    out.push_back(v);
   }
-  SOC_CHECK(!out.empty(), "empty number list");
+  if (out.empty()) throw UsageError("empty number list");
   return out;
 }
 

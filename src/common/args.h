@@ -2,7 +2,9 @@
 //
 // Supports `--flag value`, `--flag=value`, and boolean `--flag` forms,
 // plus positional arguments.  Unknown flags are an error (typos should
-// not be silently ignored on a measurement tool).
+// not be silently ignored on a measurement tool).  Every command-line
+// mistake throws UsageError, which the tools report as a one-line usage
+// message rather than an internal failure.
 #pragma once
 
 #include <map>
@@ -10,7 +12,15 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
+
 namespace soc {
+
+/// A command-line mistake: the message is meant for the user as is.
+class UsageError : public Error {
+ public:
+  using Error::Error;
+};
 
 class ArgParser {
  public:
@@ -20,12 +30,13 @@ class ArgParser {
   /// Declares a boolean flag (present/absent).
   void add_bool(const std::string& name, const std::string& help);
 
-  /// Parses argv[start..); throws soc::Error on unknown or malformed
+  /// Parses argv[start..); throws UsageError on unknown or malformed
   /// flags.
   void parse(int argc, const char* const* argv, int start = 1);
 
   /// Value of a declared flag (default if not given on the command line).
   const std::string& get(const std::string& name) const;
+  /// Numeric value; throws UsageError unless the whole value parses.
   int get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_bool(const std::string& name) const;
@@ -49,13 +60,15 @@ class ArgParser {
   std::vector<std::string> positional_;
 };
 
-/// Splits "2,4,8,16" into integers; throws on malformed entries.
+/// Splits "2,4,8,16" into integers; throws UsageError on malformed
+/// entries.
 std::vector<int> parse_int_list(const std::string& csv);
 
-/// Splits "0.6,0.8,1.0" into doubles; throws on malformed entries.
+/// Splits "0.6,0.8,1.0" into doubles; throws UsageError on malformed
+/// entries.
 std::vector<double> parse_double_list(const std::string& csv);
 
-/// Splits "hpl,jacobi" into strings; throws on empty entries.
+/// Splits "hpl,jacobi" into strings; throws UsageError on empty entries.
 std::vector<std::string> parse_string_list(const std::string& csv);
 
 }  // namespace soc

@@ -7,11 +7,8 @@
 // and a task body, and joins before returning.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <mutex>
 
 namespace soc {
 
@@ -26,38 +23,5 @@ unsigned effective_threads(unsigned threads, std::size_t count);
 /// task throws, one of the exceptions is rethrown after the join.
 void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn,
                   unsigned threads = 0);
-
-/// Reusable cyclic barrier: `parties` threads call arrive_and_wait() and
-/// all block until the last one arrives, then the barrier resets for the
-/// next cycle.  Arrival publishes everything the thread wrote before the
-/// call to every thread that leaves the barrier (the mutex gives the
-/// happens-before edge), which is exactly the discipline the engine's
-/// shard mailboxes rely on: a mailbox is written only before a barrier
-/// and drained only after it, so it needs no synchronization of its own.
-class Barrier {
- public:
-  explicit Barrier(int parties) : parties_(parties) {}
-  Barrier(const Barrier&) = delete;
-  Barrier& operator=(const Barrier&) = delete;
-
-  void arrive_and_wait() {
-    std::unique_lock<std::mutex> lock(m_);
-    const std::uint64_t cycle = cycle_;
-    if (++arrived_ == parties_) {
-      arrived_ = 0;
-      ++cycle_;
-      cv_.notify_all();
-      return;
-    }
-    cv_.wait(lock, [&] { return cycle_ != cycle; });
-  }
-
- private:
-  std::mutex m_;                // SOC_SHARED(barrier-internal)
-  std::condition_variable cv_;  // SOC_SHARED(m_)
-  int parties_;
-  int arrived_ = 0;             // SOC_SHARED(m_)
-  std::uint64_t cycle_ = 0;     // SOC_SHARED(m_)
-};
 
 }  // namespace soc

@@ -8,6 +8,10 @@
 
 namespace soc::obs {
 
+namespace {
+
+/// Renders integer nanoseconds as fixed-point microseconds ("12.345").
+/// Integer math end to end, so the rendering is platform-independent.
 std::string trace_micros(std::int64_t ns) {
   const auto frac = static_cast<int>(ns % 1000);
   std::string out = std::to_string(ns / 1000);
@@ -18,6 +22,8 @@ std::string trace_micros(std::int64_t ns) {
   return out;
 }
 
+/// Emits one Chrome `M` metadata event naming a process (tid < 0) or a
+/// thread row.
 void trace_meta_event(JsonWriter& w, const char* name, int pid, int tid,
                       const std::string& arg_name) {
   w.begin_object();
@@ -32,6 +38,8 @@ void trace_meta_event(JsonWriter& w, const char* name, int pid, int tid,
   w.end_object();
   w.newline();
 }
+
+}  // namespace
 
 void ChromeTraceRecorder::on_run_begin(const sim::Placement& placement,
                                        const sim::EngineConfig& /*config*/) {

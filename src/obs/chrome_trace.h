@@ -29,17 +29,6 @@ namespace soc::obs {
 /// tid offset for resource lanes, keeping them clear of real rank ids.
 inline constexpr int kLaneTidBase = 1000000;
 
-/// Renders integer nanoseconds as fixed-point microseconds ("12.345").
-/// Integer math end to end, so the rendering is platform-independent.
-/// Shared by the sim-time exporter below and the engine's wall-clock
-/// trace (obs/engine_telemetry.h).
-std::string trace_micros(std::int64_t ns);
-
-/// Emits one Chrome `M` metadata event naming a process (tid < 0) or a
-/// thread row.
-void trace_meta_event(JsonWriter& w, const char* name, int pid, int tid,
-                      const std::string& arg_name);
-
 /// EngineObserver that buffers spans and renders the trace JSON.
 /// Reusable across runs: each on_run_begin drops prior spans.
 class ChromeTraceRecorder : public sim::EngineObserver {

@@ -8,13 +8,12 @@
 // MessageRecord plus the matching edge to the partner op.
 //
 // The reconstruction replays the engine's message-matching state machine
-// over the merged dispatch/message commit stream (eager vs rendezvous,
+// over the dispatch/message commit stream (eager vs rendezvous,
 // arrivals before parked senders, FIFO per (src, dst, tag) key), so every
 // annotation is exact, not heuristic: downstream passes assert that
 // reconstructed completion times tile the run with zero residual.
 // Everything here is derived from the deterministic committed event
-// stream — identical at any engine shard count — so equal configurations
-// produce byte-identical traces.
+// stream, so equal configurations produce byte-identical traces.
 #pragma once
 
 #include <cstdint>

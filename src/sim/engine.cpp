@@ -1,15 +1,10 @@
 #include "sim/engine.h"
 
 #include <algorithm>
-// Wall-clock telemetry is the one legitimately nondeterministic output
-// here; it never feeds back into simulated state (sim/telemetry.h).
-#include <chrono>  // soclint: allow(banned-nondeterminism)
 #include <cmath>
 #include <sstream>
-#include <thread>
 
 #include "common/error.h"
-#include "common/parallel.h"
 
 namespace soc::sim {
 
@@ -23,74 +18,6 @@ const char* lane_name(Lane lane) {
     case Lane::kCount: break;
   }
   return "?";
-}
-
-const char* engine_span_kind_name(EngineSpan::Kind kind) {
-  switch (kind) {
-    case EngineSpan::kStep: return "step";
-    case EngineSpan::kBarrier: return "barrier";
-    case EngineSpan::kDrain: return "drain";
-    case EngineSpan::kMerge: return "merge";
-  }
-  return "?";
-}
-
-std::uint64_t Engine::tel_now_ns() const {
-  using Clock = std::chrono::steady_clock;  // soclint: allow(banned-nondeterminism)
-  const auto since_epoch = Clock::now().time_since_epoch();
-  return static_cast<std::uint64_t>(
-             std::chrono::duration_cast<std::chrono::nanoseconds>(since_epoch)
-                 .count()) -
-         tel_t0_ns_;
-}
-
-void Engine::tel_span(std::vector<EngineSpan>& out, std::uint64_t* dropped,
-                      EngineSpan::Kind kind, int lane, std::uint64_t window,
-                      std::uint64_t begin_ns, std::uint64_t end_ns) const {
-  if (out.size() >= tel_->max_spans_per_lane) {
-    ++*dropped;
-    return;
-  }
-  EngineSpan s;
-  s.kind = kind;
-  s.lane = lane;
-  s.window = window;
-  s.begin_ns = begin_ns;
-  s.end_ns = end_ns;
-  out.push_back(s);
-}
-
-void Engine::tel_finalize() {
-  tel_->shards = nshards_;
-  tel_->workers = nshards_ > 1 ? nthreads_ : 1;
-  tel_->windowed = nshards_ > 1;
-  tel_->lookahead = lookahead_;
-  tel_->events_committed = stats_.events_committed;
-  tel_->shard.assign(shards_.size(), ShardCounters{});
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    tel_->shard[s] = shards_[s].counters;
-    if (tel_->shard[s].mailbox_sent.empty()) {
-      tel_->shard[s].mailbox_sent.assign(shards_.size(), 0);
-    }
-  }
-  // The inline windowed path is its own single worker: the coordinator's
-  // step time is that worker's busy time.
-  if (tel_->windowed && tel_->worker_busy_ns.empty()) {
-    tel_->worker_busy_ns.assign(1, tel_->busy_max_ns);
-  }
-  tel_->worker_barrier_ns = tel_worker_barrier_;
-  tel_->spans = tel_coord_spans_;
-  for (std::size_t w = 0; w < tel_worker_spans_.size(); ++w) {
-    tel_->spans.insert(tel_->spans.end(), tel_worker_spans_[w].begin(),
-                       tel_worker_spans_[w].end());
-    tel_->spans_dropped += tel_worker_drops_[w];
-  }
-  tel_window_busy_.clear();
-  tel_worker_spans_.clear();
-  tel_worker_barrier_.clear();
-  tel_worker_drops_.clear();
-  tel_coord_spans_.clear();
-  tel_->wall_total_ns = tel_now_ns();
 }
 
 // Default observer callbacks are no-ops so implementations override only
@@ -127,8 +54,6 @@ Engine::Engine(Placement placement, const CostModel& cost_model,
                 static_cast<int>(scenario_.compute_scale.size()) ==
                     placement_.ranks,
             "compute_scale size mismatch");
-  SOC_CHECK(config_.shards >= 1, "shards must be >= 1");
-  SOC_CHECK(config_.threads >= 0, "threads must be >= 0");
 }
 
 std::uint64_t Engine::wake_key(int rank) {
@@ -140,8 +65,7 @@ std::uint64_t Engine::wake_key(int rank) {
 
 std::uint64_t Engine::next_proto_key(int emitter_rank, int dst_rank) {
   // Class bit clear; (emitter, per-emitter seq) makes the key unique among
-  // all coexisting events, and the emitter's shard owns the counter so
-  // assignment order is shard-deterministic.
+  // all coexisting events.
   const std::uint32_t seq =
       proto_seq_[static_cast<std::size_t>(emitter_rank)]++;
   return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst_rank))
@@ -151,27 +75,10 @@ std::uint64_t Engine::next_proto_key(int emitter_rank, int dst_rank) {
          seq;
 }
 
-Engine::Shard& Engine::shard_of(int rank) {
-  return shards_[static_cast<std::size_t>(
-      shard_of_rank_[static_cast<std::size_t>(rank)])];
-}
-
 bool Engine::use_protocol(int src_rank, int dst_rank) const {
   return protocol_ &&
          placement_.node_of[static_cast<std::size_t>(src_rank)] !=
              placement_.node_of[static_cast<std::size_t>(dst_rank)];
-}
-
-SimTime Engine::min_cross_node_latency() const {
-  SimTime best = -1;
-  for (int a = 0; a < placement_.nodes; ++a) {
-    for (int b = 0; b < placement_.nodes; ++b) {
-      if (a == b) continue;
-      const SimTime l = cost_.message_latency(a, b);
-      if (best < 0 || l < best) best = l;
-    }
-  }
-  return best < 0 ? 0 : best;
 }
 
 double Engine::compute_scale_for(int rank) const {
@@ -241,59 +148,12 @@ RunStats Engine::run(OpSource& source) {
   const std::size_t nodes = static_cast<std::size_t>(placement_.nodes);
   source_ = &source;
 
-  // Self-telemetry attaches for exactly one run; with no sink every
-  // instrumentation site below is a single `tel_ != nullptr` test.
-  tel_ = config_.telemetry;
-  if (tel_ != nullptr) {
-    tel_->reset();
-    tel_t0_ns_ = 0;
-    tel_t0_ns_ = tel_now_ns();
-    tel_coord_spans_.clear();
-    tel_worker_spans_.clear();
-    tel_worker_barrier_.clear();
-    tel_worker_drops_.clear();
-  }
-
-  // -- Partitioning.  Cross-node pairs communicate through timestamped
-  //    protocol messages whenever the network is real; the conservative
-  //    lookahead is the minimum cross-node latency, and sharding is only
-  //    sound when it is positive (a zero lookahead admits same-instant
-  //    cross-shard effects, so the run collapses to one shard).
+  // Cross-node pairs communicate through timestamped protocol messages
+  // whenever the network is real.
   protocol_ = !scenario_.ideal_network && placement_.nodes > 1;
-  lookahead_ = protocol_ ? min_cross_node_latency() : 0;
-  nshards_ = 1;
-  if (lookahead_ > 0 && config_.shards > 1) {
-    nshards_ = std::min(config_.shards, placement_.nodes);
-  }
   if (protocol_) {
     SOC_CHECK(placement_.ranks < (1 << 15),
               "protocol event keys support < 32768 ranks");
-  }
-  if (nshards_ <= 1) {
-    nthreads_ = 1;
-  } else if (config_.threads == 0) {
-    nthreads_ = static_cast<int>(
-        effective_threads(0, static_cast<std::size_t>(nshards_)));
-  } else {
-    // Explicit thread counts are honored even above the hardware
-    // concurrency so the window/barrier machinery is exercisable on any
-    // host; extra threads just time-slice.
-    nthreads_ = std::min(config_.threads, nshards_);
-  }
-  config_.lookahead = lookahead_;
-
-  // Nodes partition into contiguous shard blocks; a rank lives on its
-  // node's shard, so intra-node messaging is always shard-local.
-  shard_of_node_.assign(nodes, 0);
-  for (std::size_t node = 0; node < nodes; ++node) {
-    shard_of_node_[node] = static_cast<int>(node * static_cast<std::size_t>(
-                                                       nshards_) /
-                                            nodes);
-  }
-  shard_of_rank_.assign(n, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    shard_of_rank_[r] =
-        shard_of_node_[static_cast<std::size_t>(placement_.node_of[r])];
   }
 
   states_.assign(n, RankState{});
@@ -308,40 +168,24 @@ RunStats Engine::run(OpSource& source) {
   port_free_.assign(nodes, 0);
   proto_seq_.assign(n, 0);
 
-  // Reservations only: committed events are identical for any hint value
-  // (determinism_test pins this with a checksum-equality case).
-  const std::size_t reserve =
-      config_.queue_reserve > 0
-          ? static_cast<std::size_t>(config_.queue_reserve)
-          : 2 * n + 16;
-  shards_.resize(static_cast<std::size_t>(nshards_));
-  for (auto& sh : shards_) {
-    sh.queue.clear();
-    sh.queue.reserve(reserve);
-    sh.proto_pool.clear();
-    sh.proto_free.clear();
-    sh.pending_sends.clear();
-    sh.pending_recvs.clear();
-    sh.pending_irecvs.clear();
-    sh.arrivals.clear();
-    sh.pending_sends.reserve(reserve);
-    sh.pending_recvs.reserve(reserve);
-    sh.pending_irecvs.reserve(reserve);
-    sh.arrivals.reserve(reserve);
-    sh.commits.clear();
-    sh.outbox.resize(static_cast<std::size_t>(nshards_));
-    for (auto& box : sh.outbox) {
-      while (!box.empty()) box.pop_front();
-    }
-    sh.ev_time = 0;
-    sh.ev_key = 0;
-    sh.counters = ShardCounters{};
-    if (tel_ != nullptr) {
-      sh.counters.mailbox_sent.assign(static_cast<std::size_t>(nshards_), 0);
-    }
-  }
+  // Reservations only: committed events are identical for any capacity.
+  const std::size_t reserve = 2 * n + 16;
+  queue_.clear();
+  queue_.reserve(reserve);
+  proto_pool_.clear();
+  proto_free_.clear();
+  pending_sends_.clear();
+  pending_recvs_.clear();
+  pending_irecvs_.clear();
+  arrivals_.clear();
+  pending_sends_.reserve(reserve);
+  pending_recvs_.reserve(reserve);
+  pending_irecvs_.reserve(reserve);
+  arrivals_.reserve(reserve);
+  commits_.clear();
+  ev_time_ = 0;
+  ev_key_ = 0;
   audit_ = Fnv1a{};
-  merged_.clear();
   pending_send_depth_ = 0;
   pending_recv_depth_ = 0;
   if (observer_ != nullptr) observer_->on_run_begin(placement_, config_);
@@ -349,11 +193,21 @@ RunStats Engine::run(OpSource& source) {
   const SimTime horizon = from_seconds(config_.max_sim_seconds);
   for (std::size_t r = 0; r < n; ++r) wake(static_cast<int>(r), 0);
 
-  if (nshards_ <= 1) {
-    run_serial(horizon);
-  } else {
-    run_windowed(horizon);
+  // Commit records flush in canonical (time, key) order once per
+  // completed timestamp: an event can still push another event at its own
+  // time with a smaller key, so a timestamp is only complete when the
+  // queue moves past it.
+  SimTime flushed = 0;
+  while (!queue_.empty()) {
+    if (queue_.top().time != flushed) {
+      replay_commits();
+      flushed = queue_.top().time;
+    }
+    const KeyedEvent e = queue_.pop();
+    SOC_CHECK(e.time <= horizon, "simulation exceeded max_sim_seconds");
+    process_event(e);
   }
+  replay_commits();
   source_ = nullptr;
 
   // Every rank must have drained its stream; otherwise communication
@@ -382,10 +236,8 @@ RunStats Engine::run(OpSource& source) {
        << " dst=" << k.dst << " tag=" << k.tag;
     throw Error(os.str());
   };
-  for (const Shard& sh : shards_) {
-    check_drained(sh.arrivals, "send never received");
-    check_drained(sh.pending_irecvs, "irecv never matched");
-  }
+  check_drained(arrivals_, "send never received");
+  check_drained(pending_irecvs_, "irecv never matched");
 
   for (std::size_t r = 0; r < n; ++r) {
     const RankStats& rs = stats_.ranks[r];
@@ -398,276 +250,32 @@ RunStats Engine::run(OpSource& source) {
   }
   stats_.event_checksum = audit_.value();
   if (observer_ != nullptr) observer_->on_run_end(stats_);
-  if (tel_ != nullptr) {
-    tel_finalize();
-    tel_ = nullptr;
-  }
   return stats_;
 }
 
-void Engine::run_serial(SimTime horizon) {
-  // One shard, no windows.  Commit records still buffer and flush in
-  // canonical (time, key) order — per completed timestamp, which is
-  // exactly the order the windowed merge produces (late same-time
-  // insertions land before the flush, so sorting the batch is enough).
-  Shard& sh = shards_[0];
-  SimTime flushed = 0;
-  while (!sh.queue.empty()) {
-    if (sh.queue.top().time != flushed) {
-      replay_commits(sh.commits);
-      flushed = sh.queue.top().time;
-    }
-    const KeyedEvent e = sh.queue.pop();
-    SOC_CHECK(e.time <= horizon, "simulation exceeded max_sim_seconds");
-    process_event(sh, e);
-  }
-  replay_commits(sh.commits);
-}
-
-void Engine::step_shard(Shard& sh, SimTime window_end, SimTime horizon) {
-  if (tel_ != nullptr) {
-    ++sh.counters.windows_stepped;
-    if (sh.queue.empty() || sh.queue.top().time >= window_end) {
-      ++sh.counters.empty_windows;
-    }
-  }
-  while (!sh.queue.empty() && sh.queue.top().time < window_end) {
-    const KeyedEvent e = sh.queue.pop();
-    SOC_CHECK(e.time <= horizon, "simulation exceeded max_sim_seconds");
-    process_event(sh, e);
-  }
-}
-
-void Engine::run_windowed(SimTime horizon) {
-  // Conservative window loop: every shard may execute all events with
-  // time < H + lookahead, because anything another shard can still send
-  // it is timestamped >= its emission time + lookahead >= H + lookahead.
-  // Between windows the coordinator (this thread) drains the mailboxes,
-  // merges the per-shard commit buffers into the canonical stream, and
-  // advances H to the earliest remaining event.
-  SimTime window_end = 0;
-  SimTime h = 0;  // Every rank starts queued at t = 0.
-
-  const auto finish_window = [&]() {
-    drain_outboxes();
-    for (auto& sh : shards_) {
-      merged_.insert(merged_.end(), sh.commits.begin(), sh.commits.end());
-      sh.commits.clear();
-    }
-    replay_commits(merged_);
-  };
-  const auto next_horizon = [&](SimTime* out) {
-    bool any = false;
-    SimTime next = 0;
-    for (const auto& sh : shards_) {
-      if (sh.queue.empty()) continue;
-      const SimTime t = sh.queue.top().time;
-      if (!any || t < next) next = t;
-      any = true;
-    }
-    if (any) *out = next;
-    return any;
-  };
-
-  if (nthreads_ <= 1) {
-    // The coordinator steps every shard itself; for telemetry it is the
-    // run's single worker (busy == step wall, so the decomposition's
-    // imbalance and barrier terms are zero by construction).
-    for (;;) {
-      window_end = h + lookahead_;
-      if (tel_ == nullptr) {
-        for (auto& sh : shards_) step_shard(sh, window_end, horizon);
-      } else {
-        const std::uint64_t b0 = tel_now_ns();
-        for (auto& sh : shards_) step_shard(sh, window_end, horizon);
-        const std::uint64_t b1 = tel_now_ns();
-        tel_->step_wall_ns += b1 - b0;
-        tel_->busy_max_ns += b1 - b0;
-        tel_->busy_sum_ns += b1 - b0;
-        tel_span(tel_coord_spans_, &tel_->spans_dropped, EngineSpan::kStep,
-                 0, tel_->windows, b0, b1);
-      }
-      finish_window();
-      if (tel_ != nullptr) ++tel_->windows;
-      if (!next_horizon(&h)) return;
-      SOC_CHECK(h >= window_end, "conservative lookahead violated");
-    }
-  }
-
-  // Persistent worker pool; two barrier cycles per window.  The
-  // coordinator writes window_end / stop strictly before the start
-  // barrier and reads shard state strictly after the end barrier, so the
-  // barrier's happens-before is the only synchronization the shard state
-  // (and the mailboxes) needs.
-  Barrier start_bar(nthreads_ + 1);
-  Barrier end_bar(nthreads_ + 1);
-  bool stop = false;  // SOC_SHARED(start_bar)
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(nthreads_));  // SOC_SHARED(end_bar)
-  if (tel_ != nullptr) {
-    // Worker-slot scratch: each worker writes only its own element
-    // between the barriers; the coordinator reads strictly after the end
-    // barrier (the same happens-before the shard state relies on).
-    tel_window_busy_.assign(static_cast<std::size_t>(nthreads_), 0);
-    tel_worker_spans_.assign(static_cast<std::size_t>(nthreads_), {});
-    tel_worker_barrier_.assign(static_cast<std::size_t>(nthreads_), 0);
-    tel_worker_drops_.assign(static_cast<std::size_t>(nthreads_), 0);
-    tel_->worker_busy_ns.assign(static_cast<std::size_t>(nthreads_), 0);
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(nthreads_));
-  for (int t = 0; t < nthreads_; ++t) {
-    pool.emplace_back([this, t, &start_bar, &end_bar, &stop, &errors,
-                       &window_end, horizon] {
-      const std::size_t slot = static_cast<std::size_t>(t);
-      std::uint64_t window = 0;
-      for (;;) {
-        const std::uint64_t b0 = tel_ != nullptr ? tel_now_ns() : 0;
-        start_bar.arrive_and_wait();
-        if (stop) return;
-        const std::uint64_t b1 = tel_ != nullptr ? tel_now_ns() : 0;
-        try {
-          for (int s = t; s < nshards_; s += nthreads_) {
-            step_shard(shards_[static_cast<std::size_t>(s)], window_end,
-                       horizon);
-          }
-        } catch (...) {
-          errors[static_cast<std::size_t>(t)] = std::current_exception();
-        }
-        if (tel_ != nullptr) {
-          const std::uint64_t b2 = tel_now_ns();
-          tel_window_busy_[slot] = b2 - b1;
-          tel_worker_barrier_[slot] += b1 - b0;
-          tel_span(tel_worker_spans_[slot], &tel_worker_drops_[slot],
-                   EngineSpan::kBarrier, 1 + t, window, b0, b1);
-          tel_span(tel_worker_spans_[slot], &tel_worker_drops_[slot],
-                   EngineSpan::kStep, 1 + t, window, b1, b2);
-        }
-        end_bar.arrive_and_wait();
-        ++window;
-      }
-    });
-  }
-
-  std::exception_ptr failure;
-  for (;;) {
-    window_end = h + lookahead_;
-    const std::uint64_t w0 = tel_ != nullptr ? tel_now_ns() : 0;
-    start_bar.arrive_and_wait();
-    end_bar.arrive_and_wait();
-    if (tel_ != nullptr) {
-      // step_wall (coordinator wait from release to last finisher)
-      // brackets every worker's busy span, so busy_max <= step_wall per
-      // window — the inequality the decomposition's barrier term needs.
-      const std::uint64_t w1 = tel_now_ns();
-      tel_->step_wall_ns += w1 - w0;
-      std::uint64_t wmax = 0;
-      std::uint64_t wsum = 0;
-      for (int t = 0; t < nthreads_; ++t) {
-        const std::uint64_t busy = tel_window_busy_[static_cast<std::size_t>(t)];
-        wsum += busy;
-        if (busy > wmax) wmax = busy;
-        tel_->worker_busy_ns[static_cast<std::size_t>(t)] += busy;
-      }
-      tel_->busy_max_ns += wmax;
-      tel_->busy_sum_ns += wsum;
-      tel_span(tel_coord_spans_, &tel_->spans_dropped, EngineSpan::kBarrier,
-               0, tel_->windows, w0, w1);
-    }
-    for (auto& err : errors) {
-      if (err && !failure) failure = err;
-      err = nullptr;
-    }
-    if (failure) break;
-    finish_window();
-    if (tel_ != nullptr) ++tel_->windows;
-    if (!next_horizon(&h)) break;
-    SOC_CHECK(h >= window_end, "conservative lookahead violated");
-  }
-  stop = true;
-  start_bar.arrive_and_wait();
-  for (auto& th : pool) th.join();
-  if (failure) std::rethrow_exception(failure);
-}
-
-void Engine::drain_outboxes() {
-  const std::uint64_t t0 = tel_ != nullptr ? tel_now_ns() : 0;
-  for (int ts = 0; ts < nshards_; ++ts) {
-    Shard& dst = shards_[static_cast<std::size_t>(ts)];
-    for (int fs = 0; fs < nshards_; ++fs) {
-      auto& box = shards_[static_cast<std::size_t>(fs)]
-                      .outbox[static_cast<std::size_t>(ts)];
-      while (!box.empty()) {
-        enqueue_proto(dst, box.front());
-        box.pop_front();
-      }
-    }
-  }
-  if (tel_ != nullptr) {
-    const std::uint64_t t1 = tel_now_ns();
-    tel_->drain_wall_ns += t1 - t0;
-    tel_span(tel_coord_spans_, &tel_->spans_dropped, EngineSpan::kDrain, 0,
-             tel_->windows, t0, t1);
-  }
-}
-
-void Engine::enqueue_proto(Shard& dst, const ProtoMsg& p) {
+void Engine::send_proto(const ProtoMsg& p) {
   std::int32_t slot;
-  if (!dst.proto_free.empty()) {
-    slot = dst.proto_free.back();
-    dst.proto_free.pop_back();
-    dst.proto_pool[static_cast<std::size_t>(slot)] = p;
+  if (!proto_free_.empty()) {
+    slot = proto_free_.back();
+    proto_free_.pop_back();
+    proto_pool_[static_cast<std::size_t>(slot)] = p;
   } else {
-    slot = static_cast<std::int32_t>(dst.proto_pool.size());
-    dst.proto_pool.push_back(p);
+    slot = static_cast<std::int32_t>(proto_pool_.size());
+    proto_pool_.push_back(p);
   }
-  // Negative payload marks a proto; the slot survives until the event
-  // pops (protos routinely outlive many windows).
-  dst.queue.push(p.time, p.key, -(slot + 1));
-  if (tel_ != nullptr && dst.queue.size() > dst.counters.queue_high_water) {
-    dst.counters.queue_high_water = dst.queue.size();
-  }
+  // Negative payload marks a proto; the slot lives until the event pops.
+  queue_.push(p.time, p.key, -(slot + 1));
 }
 
-void Engine::send_proto(int emitter_rank, int target_rank, const ProtoMsg& p) {
-  const int fs = shard_of_rank_[static_cast<std::size_t>(emitter_rank)];
-  const int ts = shard_of_rank_[static_cast<std::size_t>(target_rank)];
-  if (tel_ != nullptr) {
-    // Emission counters belong to the emitter's shard (the one executing
-    // this call).  The per-kind totals are shard-count-invariant: whether
-    // a pair uses the protocol depends only on node placement, never on
-    // the partition.
-    ShardCounters& c = shards_[static_cast<std::size_t>(fs)].counters;
-    switch (p.kind) {
-      case ProtoKind::kArrival: ++c.protos_arrival; break;
-      case ProtoKind::kRts: ++c.protos_rts; break;
-      case ProtoKind::kCts: ++c.protos_cts; break;
-    }
-    if (fs != ts) {
-      ++c.cross_shard_sent;
-      ++c.mailbox_sent[static_cast<std::size_t>(ts)];
-    }
-  }
-  if (fs == ts) {
-    enqueue_proto(shards_[static_cast<std::size_t>(fs)], p);
-  } else {
-    shards_[static_cast<std::size_t>(fs)]
-        .outbox[static_cast<std::size_t>(ts)]
-        .push_back(p);
-  }
-}
-
-void Engine::process_event(Shard& sh, const KeyedEvent& e) {
+void Engine::process_event(const KeyedEvent& e) {
   // Commit records emitted while this event executes inherit its
-  // canonical (time, key) — that is what lets the coordinator restore
-  // the global total order from per-shard buffers.
-  sh.ev_time = e.time;
-  sh.ev_key = e.key;
-  if (tel_ != nullptr) ++sh.counters.events_processed;
+  // canonical (time, key), which is what replay_commits sorts on.
+  ev_time_ = e.time;
+  ev_key_ = e.key;
   if (e.payload < 0) {
     const std::int32_t slot = -(e.payload + 1);
-    const ProtoMsg p = sh.proto_pool[static_cast<std::size_t>(slot)];
-    sh.proto_free.push_back(slot);
+    const ProtoMsg p = proto_pool_[static_cast<std::size_t>(slot)];
+    proto_free_.push_back(slot);
     switch (p.kind) {
       case ProtoKind::kArrival: process_arrival(p, e.time); return;
       case ProtoKind::kRts: process_rts(p, e.time); return;
@@ -678,14 +286,13 @@ void Engine::process_event(Shard& sh, const KeyedEvent& e) {
   execute_next(e.payload, e.time);
 }
 
-void Engine::replay_commits(std::vector<CommitRec>& recs) {
-  const std::uint64_t t0 = tel_ != nullptr ? tel_now_ns() : 0;
-  std::stable_sort(recs.begin(), recs.end(),
+void Engine::replay_commits() {
+  std::stable_sort(commits_.begin(), commits_.end(),
                    [](const CommitRec& a, const CommitRec& b) {
                      if (a.time != b.time) return a.time < b.time;
                      return a.key < b.key;
                    });
-  for (const CommitRec& rec : recs) {
+  for (const CommitRec& rec : commits_) {
     switch (rec.type) {
       case CommitType::kDispatch: {
         const DispatchRecord& d = rec.u.dispatch;
@@ -717,22 +324,14 @@ void Engine::replay_commits(std::vector<CommitRec>& recs) {
         break;
     }
   }
-  if (tel_ != nullptr) {
-    tel_->commit_records += recs.size();
-    const std::uint64_t t1 = tel_now_ns();
-    tel_->merge_wall_ns += t1 - t0;
-    tel_span(tel_coord_spans_, &tel_->spans_dropped, EngineSpan::kMerge, 0,
-             tel_->windows, t0, t1);
-  }
-  recs.clear();
+  commits_.clear();
 }
 
 void Engine::commit_dispatch(int rank, SimTime now, std::uint8_t kind,
                              Bytes bytes, int peer, int tag) {
-  Shard& sh = shard_of(rank);
   CommitRec rec;
-  rec.time = sh.ev_time;
-  rec.key = sh.ev_key;
+  rec.time = ev_time_;
+  rec.key = ev_key_;
   rec.type = CommitType::kDispatch;
   DispatchRecord& d = rec.u.dispatch;
   d.time = now;
@@ -744,17 +343,16 @@ void Engine::commit_dispatch(int rank, SimTime now, std::uint8_t kind,
   d.pc = static_cast<std::int32_t>(states_[static_cast<std::size_t>(rank)].pc);
   d.peer = peer;
   d.tag = tag;
-  sh.commits.push_back(rec);
+  commits_.push_back(rec);
 }
 
 void Engine::commit_span(Lane lane, int rank, int node, std::uint8_t kind,
                          SimTime start, SimTime end, SimTime queue_wait,
                          SimTime fabric_wait, Bytes bytes) {
   if (observer_ == nullptr) return;
-  Shard& sh = shard_of(rank);
   CommitRec rec;
-  rec.time = sh.ev_time;
-  rec.key = sh.ev_key;
+  rec.time = ev_time_;
+  rec.key = ev_key_;
   rec.type = CommitType::kSpan;
   SpanRecord& span = rec.u.span;
   span.lane = lane;
@@ -767,32 +365,28 @@ void Engine::commit_span(Lane lane, int rank, int node, std::uint8_t kind,
   span.queue_wait = queue_wait;
   span.fabric_wait = fabric_wait;
   span.bytes = bytes;
-  sh.commits.push_back(rec);
+  commits_.push_back(rec);
 }
 
 void Engine::commit_message(const MessageRecord& message) {
   if (observer_ == nullptr) return;
-  // The receive side commits the transfer, so the record belongs to the
-  // receiver's shard (same shard as the emitting event).
-  Shard& sh = shard_of(message.dst_rank);
   CommitRec rec;
-  rec.time = sh.ev_time;
-  rec.key = sh.ev_key;
+  rec.time = ev_time_;
+  rec.key = ev_key_;
   rec.type = CommitType::kMessage;
   rec.u.message = message;
-  sh.commits.push_back(rec);
+  commits_.push_back(rec);
 }
 
-void Engine::commit_pending(int rank, int dsends, int drecvs, bool park) {
+void Engine::commit_pending(int dsends, int drecvs, bool park) {
   if (observer_ == nullptr) return;
-  Shard& sh = shard_of(rank);
   CommitRec rec;
-  rec.time = sh.ev_time;
-  rec.key = sh.ev_key;
+  rec.time = ev_time_;
+  rec.key = ev_key_;
   rec.type = park ? CommitType::kPendingPark : CommitType::kPendingMatch;
   rec.u.pending.sends = dsends;
   rec.u.pending.recvs = drecvs;
-  sh.commits.push_back(rec);
+  commits_.push_back(rec);
 }
 
 void Engine::advance(int rank) {
@@ -802,14 +396,7 @@ void Engine::advance(int rank) {
 }
 
 void Engine::wake(int rank, SimTime time) {
-  Shard& sh = shard_of(rank);
-  sh.queue.push(time, wake_key(rank), rank);
-  if (tel_ != nullptr) {
-    ++sh.counters.wakes;
-    if (sh.queue.size() > sh.counters.queue_high_water) {
-      sh.counters.queue_high_water = sh.queue.size();
-    }
-  }
+  queue_.push(time, wake_key(rank), rank);
 }
 
 void Engine::execute_next(int rank, SimTime now) {
@@ -827,7 +414,6 @@ void Engine::execute_next(int rank, SimTime now) {
         break;
       }
       st.have_current = true;
-      if (tel_ != nullptr) ++shard_of(rank).counters.ops_fetched;
     }
     const Op& op = st.current;
     // Every dispatch — including re-dispatch of a parked op after a
@@ -999,7 +585,7 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
       return;
     }
     // Rendezvous: park and announce with an RTS that reaches the
-    // receiver's shard one wire latency from now.  The matching receive
+    // receiver one wire latency from now.  The matching receive
     // computes the transfer there and unblocks us with a kCts.
     const int src_node = placement_.node_of[static_cast<std::size_t>(rank)];
     const int dst_node = placement_.node_of[static_cast<std::size_t>(op.peer)];
@@ -1014,7 +600,7 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
     p.tx_est = nic_tx_free_[static_cast<std::size_t>(src_node)];
     p.time = now + cost_.message_latency(src_node, dst_node);
     p.key = next_proto_key(rank, op.peer);
-    send_proto(rank, op.peer, p);
+    send_proto(p);
     st.blocked = true;
     return;
   }
@@ -1030,16 +616,15 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
   }
 
   // Rendezvous: need a posted receive (blocking or non-blocking).
-  Shard& sh = shard_of(rank);
   PendingRecv pr{};
-  if (sh.pending_recvs.take(key, &pr)) {
-    commit_pending(rank, 0, -1, /*park=*/false);
+  if (pending_recvs_.take(key, &pr)) {
+    commit_pending(0, -1, /*park=*/false);
     complete_rendezvous(rank, now, pr.rank, pr.ready, op.bytes, op.tag);
     return;
   }
   int recv_rank = -1;
-  if (sh.pending_irecvs.take(key, &recv_rank)) {
-    commit_pending(rank, 0, -1, /*park=*/false);
+  if (pending_irecvs_.take(key, &recv_rank)) {
+    commit_pending(0, -1, /*park=*/false);
     const SimTime end = timed_transfer(rank, recv_rank, now, op.bytes, op.tag);
     stats_.ranks[static_cast<std::size_t>(rank)].send_blocked += end - now;
     advance(rank);
@@ -1047,8 +632,8 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
     resolve_request(recv_rank, end + cost_.recv_overhead(recv_rank));
     return;
   }
-  sh.pending_sends.push(key, PendingSend{rank, now, op.bytes, st.phase, 0});
-  commit_pending(rank, 1, 0, /*park=*/true);
+  pending_sends_.push(key, PendingSend{rank, now, op.bytes, st.phase, 0});
+  commit_pending(1, 0, /*park=*/true);
   st.blocked = true;
 }
 
@@ -1058,11 +643,10 @@ void Engine::start_recv(int rank, SimTime now, const Op& op) {
   auto& st = states_[static_cast<std::size_t>(rank)];
   auto& rs = stats_.ranks[static_cast<std::size_t>(rank)];
   const MsgKey key{op.peer, rank, op.tag};
-  Shard& sh = shard_of(rank);
 
   // Eager message already delivered?
   Arrival a{};
-  if (sh.arrivals.take(key, &a)) {
+  if (arrivals_.take(key, &a)) {
     const SimTime complete = std::max(now, a.time) + cost_.recv_overhead(rank);
     rs.recv_blocked += complete - now;
     advance(rank);
@@ -1072,8 +656,8 @@ void Engine::start_recv(int rank, SimTime now, const Op& op) {
 
   // Rendezvous partner already waiting (parked sender, or its RTS)?
   PendingSend ps{};
-  if (sh.pending_sends.take(key, &ps)) {
-    commit_pending(rank, -1, 0, /*park=*/false);
+  if (pending_sends_.take(key, &ps)) {
+    commit_pending(-1, 0, /*park=*/false);
     if (use_protocol(op.peer, rank)) {
       const SimTime end =
           rendezvous_match(ps, rank, now, std::max(ps.ready, now), op.tag);
@@ -1085,8 +669,8 @@ void Engine::start_recv(int rank, SimTime now, const Op& op) {
     }
     return;
   }
-  sh.pending_recvs.push(key, PendingRecv{rank, now, st.phase});
-  commit_pending(rank, 0, 1, /*park=*/true);
+  pending_recvs_.push(key, PendingRecv{rank, now, st.phase});
+  commit_pending(0, 1, /*park=*/true);
   st.blocked = true;
 }
 
@@ -1118,22 +702,21 @@ void Engine::start_isend(int rank, SimTime now, const Op& op) {
 }
 
 void Engine::deliver_eager(const MsgKey& key, SimTime arrival, Bytes bytes) {
-  Shard& sh = shard_of(key.dst);
   PendingRecv pr{};
   int recv_rank = -1;
-  if (sh.pending_recvs.take(key, &pr)) {
-    commit_pending(key.dst, 0, -1, /*park=*/false);
+  if (pending_recvs_.take(key, &pr)) {
+    commit_pending(0, -1, /*park=*/false);
     const SimTime complete =
         std::max(pr.ready, arrival) + cost_.recv_overhead(pr.rank);
     stats_.ranks[static_cast<std::size_t>(pr.rank)].recv_blocked +=
         complete - pr.ready;
     advance(pr.rank);
     wake(pr.rank, complete);
-  } else if (sh.pending_irecvs.take(key, &recv_rank)) {
-    commit_pending(key.dst, 0, -1, /*park=*/false);
+  } else if (pending_irecvs_.take(key, &recv_rank)) {
+    commit_pending(0, -1, /*park=*/false);
     resolve_request(recv_rank, arrival + cost_.recv_overhead(recv_rank));
   } else {
-    sh.arrivals.push(key, Arrival{arrival, bytes});
+    arrivals_.push(key, Arrival{arrival, bytes});
   }
 }
 
@@ -1142,19 +725,18 @@ void Engine::start_irecv(int rank, SimTime now, const Op& op) {
             "invalid irecv peer");
   auto& st = states_[static_cast<std::size_t>(rank)];
   const MsgKey key{op.peer, rank, op.tag};
-  Shard& sh = shard_of(rank);
 
   // Already-arrived (eager/isend) message?
   Arrival a{};
   PendingSend ps{};
-  if (sh.arrivals.take(key, &a)) {
+  if (arrivals_.take(key, &a)) {
     st.requests_complete =
         std::max(st.requests_complete,
                  std::max(now, a.time) + cost_.recv_overhead(rank));
   } else {
     // A blocking sender already parked in rendezvous (or its RTS landed)?
-    if (sh.pending_sends.take(key, &ps)) {
-      commit_pending(rank, -1, 0, /*park=*/false);
+    if (pending_sends_.take(key, &ps)) {
+      commit_pending(-1, 0, /*park=*/false);
       if (use_protocol(op.peer, rank)) {
         const SimTime end = rendezvous_match(ps, rank, now,
                                              std::max(ps.ready, now), op.tag);
@@ -1173,8 +755,8 @@ void Engine::start_irecv(int rank, SimTime now, const Op& op) {
       }
     } else {
       ++st.unresolved_requests;
-      sh.pending_irecvs.push(key, rank);
-      commit_pending(rank, 0, 1, /*park=*/true);
+      pending_irecvs_.push(key, rank);
+      commit_pending(0, 1, /*park=*/true);
     }
   }
 
@@ -1307,7 +889,7 @@ void Engine::launch_eager_remote(int src_rank, int dst_rank, SimTime now,
   p.latency = latency;
   p.time = arrival;
   p.key = next_proto_key(src_rank, dst_rank);
-  send_proto(src_rank, dst_rank, p);
+  send_proto(p);
 }
 
 void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
@@ -1364,12 +946,11 @@ void Engine::process_arrival(const ProtoMsg& p, SimTime now) {
 void Engine::process_rts(const ProtoMsg& p, SimTime now) {
   const int dst = p.dst_rank;
   const MsgKey key{p.src_rank, dst, p.tag};
-  Shard& sh = shard_of(dst);
   const PendingSend ps{p.src_rank, p.requested, p.bytes, p.phase, p.tx_est};
 
   PendingRecv pr{};
-  if (sh.pending_recvs.take(key, &pr)) {
-    commit_pending(dst, 0, -1, /*park=*/false);
+  if (pending_recvs_.take(key, &pr)) {
+    commit_pending(0, -1, /*park=*/false);
     const SimTime end =
         rendezvous_match(ps, pr.rank, now, std::max(ps.ready, pr.ready), p.tag);
     stats_.ranks[static_cast<std::size_t>(pr.rank)].recv_blocked +=
@@ -1379,16 +960,16 @@ void Engine::process_rts(const ProtoMsg& p, SimTime now) {
     return;
   }
   int recv_rank = -1;
-  if (sh.pending_irecvs.take(key, &recv_rank)) {
-    commit_pending(dst, 0, -1, /*park=*/false);
+  if (pending_irecvs_.take(key, &recv_rank)) {
+    commit_pending(0, -1, /*park=*/false);
     const SimTime end = rendezvous_match(ps, recv_rank, now, ps.ready, p.tag);
     resolve_request(recv_rank, end + cost_.recv_overhead(recv_rank));
     return;
   }
   // No receive posted yet: park the RTS at the receiver; the matching
   // recv/irecv dispatch picks it out of pending_sends.
-  sh.pending_sends.push(key, ps);
-  commit_pending(dst, 1, 0, /*park=*/true);
+  pending_sends_.push(key, ps);
+  commit_pending(1, 0, /*park=*/true);
 }
 
 SimTime Engine::rendezvous_match(const PendingSend& ps, int recv_rank,
@@ -1400,7 +981,7 @@ SimTime Engine::rendezvous_match(const PendingSend& ps, int recv_rank,
   // The wire can start once both endpoints agreed (start_base), the
   // sender's NIC looks free (the tx_est estimate the RTS carried), and
   // the receiver's NIC is free.  Receiver-side state is authoritative;
-  // sender-side TX contention is best-effort by design (DESIGN.md §16).
+  // sender-side TX contention is best-effort by design (DESIGN.md §6).
   SimTime start = std::max({start_base, ps.tx_est,
                             nic_rx_free_[static_cast<std::size_t>(dst_node)]});
   SimTime fabric_wait = 0;
@@ -1418,8 +999,7 @@ SimTime Engine::rendezvous_match(const PendingSend& ps, int recv_rank,
   const SimTime end = start + latency + xfer;
   nic_rx_free_[static_cast<std::size_t>(dst_node)] = end;
   // The CTS travels back one forward latency from the match; when the
-  // transfer itself is longer it simply rides its tail.  The floor keeps
-  // the conservative-window invariant (cts >= match_time + lookahead).
+  // transfer itself is longer it simply rides its tail.
   const SimTime cts = std::max(end, match_time + latency);
 
   // Receiver-side accounting; the sender side books when kCts lands.
@@ -1465,7 +1045,7 @@ SimTime Engine::rendezvous_match(const PendingSend& ps, int recv_rank,
   cp.fabric_wait = fabric_wait;
   cp.time = cts;
   cp.key = next_proto_key(recv_rank, ps.rank);
-  send_proto(recv_rank, ps.rank, cp);
+  send_proto(cp);
   return end;
 }
 

@@ -2,23 +2,17 @@
 //
 // Pulls one op stream per rank from an OpSource (or replays pre-built
 // Programs through the ProgramSource adapter) against a CostModel,
-// resolving resource contention (per-node GPU, copy engine, NIC) and
-// blocking message semantics.
+// resolving resource contention (per-node GPU, copy engine, NIC, switch
+// port) and blocking message semantics.
 //
-// Event ordering is deterministic and *partition-invariant*: events are
-// totally ordered by (time, key) where the key is intrinsic to the event
-// (protocol class, endpoint ranks, per-rank sequence) rather than derived
-// from push order.  One run can therefore be sharded across
-// EngineConfig::shards event queues — nodes partition into shards, each
-// shard owns its ranks' state and pending tables, and shards synchronize
-// with conservative (YAWNS/CMB-style) lookahead windows derived from the
-// minimum cross-node message latency in the cost model.  Cross-node
-// traffic travels as timestamped protocol messages (eager arrival,
-// rendezvous RTS/CTS) whose timestamps are at least one latency in the
-// future, so every event a shard can receive from another shard lands
-// beyond the current window.  The committed event stream, the
-// determinism digest, and every derived artifact are byte-identical at
-// any shard count (and any thread count).  See DESIGN.md §16.
+// One serial loop pops a KeyedEventQueue.  Events are totally ordered by
+// (time, key) where the key is intrinsic to the event (protocol class,
+// endpoint ranks, per-rank sequence) rather than derived from push order.
+// Cross-node traffic on a real network travels as timestamped protocol
+// messages (eager arrival, rendezvous RTS/CTS), and the committed records
+// of each timestamp are sorted by (time, key) before they reach the
+// determinism digest and the observer.  All of this is simulated
+// semantics: RunStats::event_checksum pins it.  See DESIGN.md §6.
 //
 // Scenario knobs implement the DIMEMAS-style what-if replays of the
 // paper's scalability methodology: `ideal_network` zeroes latency and
@@ -32,13 +26,11 @@
 
 #include "common/hash.h"
 #include "common/match_table.h"
-#include "common/ring_queue.h"
 #include "sim/cost_model.h"
 #include "sim/event_queue.h"
 #include "sim/op.h"
 #include "sim/op_stream.h"
 #include "sim/stats.h"
-#include "sim/telemetry.h"
 
 namespace soc::sim {
 
@@ -127,15 +119,14 @@ struct EngineConfig;
 /// Attach with Engine::set_observer before run().  Every callback fires in
 /// the engine's deterministic total (time, key) commit order, so anything
 /// an observer derives inherits the determinism promise (equal
-/// configurations produce equal observations at any shard/thread count).
+/// configurations produce equal observations).
 /// When no observer is attached the engine skips span/message/pending
 /// buffering entirely — src/obs/ builds the metrics registry and
 /// Chrome-trace exporter on top of this interface.
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;
-  /// A run is starting; `placement` maps ranks to nodes.  `config` carries
-  /// the resolved lookahead window (EngineConfig::lookahead).
+  /// A run is starting; `placement` maps ranks to nodes.
   virtual void on_run_begin(const Placement& placement,
                             const EngineConfig& config);
   /// One committed dispatch (the determinism-digest stream).
@@ -165,28 +156,6 @@ struct EngineConfig {
   double bisection_bandwidth = 0.0;
   /// Safety valve: abort if simulated time exceeds this many seconds.
   double max_sim_seconds = 3.0e6;
-  /// Allocation hint for the event queue and pending-message tables
-  /// (0 = derive from the rank count).  Purely a reservation: committed
-  /// events and all derived artifacts are identical for any value.
-  int queue_reserve = 0;
-  /// Event-queue partitions for one run (clamped to the node count;
-  /// collapses to 1 when the lookahead is zero — single node, ideal
-  /// network, or a cost model with zero cross-node latency).  Committed
-  /// events and all derived artifacts are byte-identical for any value.
-  int shards = 1;
-  /// Worker threads stepping the shards (0 = one per shard up to the
-  /// hardware concurrency; values above the core count are honored so
-  /// the pool is exercisable anywhere).  Never affects results.
-  int threads = 0;
-  /// Resolved conservative lookahead window in ns.  Output only: run()
-  /// fills it before on_run_begin; the value set by callers is ignored.
-  SimTime lookahead = 0;
-  /// Engine self-instrumentation sink (non-owning; must outlive the
-  /// run).  nullptr = detached: every instrumentation site reduces to
-  /// one pointer test and the run allocates nothing extra.  Telemetry
-  /// never feeds back into simulated state, so attaching it cannot
-  /// change the committed event stream.  See sim/telemetry.h.
-  EngineTelemetry* telemetry = nullptr;
 };
 
 class Engine {
@@ -199,10 +168,7 @@ class Engine {
   /// an unmatched send/recv), on a message endpoint still unmatched when
   /// every rank has finished (an eager send or isend nobody received, an
   /// irecv no send matched), or on misuse.  The source is single-use:
-  /// the run consumes it.  With shards > 1 and threads > 1,
-  /// OpSource::next must tolerate concurrent calls for *distinct* ranks
-  /// (all in-tree sources keep per-rank state element-disjoint, which
-  /// suffices).
+  /// the run consumes it.
   RunStats run(OpSource& source);
 
   /// Replays pre-built programs (wraps them in a ProgramSource).
@@ -235,8 +201,8 @@ class Engine {
   };
 
   // A posted-but-unmatched message endpoint.  For cross-node rendezvous
-  // the entry is the parked RTS at the *receiver's* shard, carrying the
-  // sender-side facts the transfer math needs.
+  // the entry is the RTS parked at the receiver, carrying the sender-side
+  // facts the transfer math needs.
   struct PendingSend {
     int rank;
     SimTime ready;    ///< When the sender reached the send.
@@ -256,9 +222,8 @@ class Engine {
     Bytes bytes;
   };
 
-  /// Cross-shard protocol messages.  Timestamps are always at least one
-  /// cross-node latency past the emission time — the conservative-window
-  /// safety invariant.
+  /// Cross-node protocol messages.  A message lives in proto_pool_ from
+  /// emission until its event pops.
   enum class ProtoKind : std::uint8_t {
     kArrival = 0,  ///< Eager payload lands at the receiver NIC.
     kRts,          ///< Rendezvous request-to-send (sender parks).
@@ -281,10 +246,10 @@ class Engine {
     std::uint64_t key = 0;   ///< Event key (assigned at emission).
   };
 
-  /// One buffered observer/auditor record.  Shards append records in
-  /// processing order; the coordinator stable-sorts by (time, key) —
-  /// which groups them back into whole events in the canonical order —
-  /// and replays them through the digest and the observer.
+  /// One buffered observer/auditor record, stamped with the (time, key)
+  /// of the event that emitted it.  Once a timestamp is complete the
+  /// buffer is stable-sorted by (time, key), which puts whole events in
+  /// the canonical order, and replayed through the digest and observer.
   enum class CommitType : std::uint8_t {
     kDispatch,
     kSpan,
@@ -309,50 +274,21 @@ class Engine {
     } u;
   };
 
-  /// Everything one event-queue partition owns.  During a window only
-  /// the owning worker touches a shard; between the window barriers only
-  /// the coordinator does (the barrier provides the happens-before), so
-  /// none of it needs locks — which is exactly what SOC_SHARD_LOCAL
-  /// documents and tools/soclint enforces.
-  struct Shard {
-    KeyedEventQueue queue;                             // SOC_SHARD_LOCAL
-    std::vector<ProtoMsg> proto_pool;                  // SOC_SHARD_LOCAL
-    std::vector<std::int32_t> proto_free;              // SOC_SHARD_LOCAL
-    MatchTable<PendingSend> pending_sends;             // SOC_SHARD_LOCAL
-    MatchTable<PendingRecv> pending_recvs;             // SOC_SHARD_LOCAL
-    MatchTable<int> pending_irecvs;                    // SOC_SHARD_LOCAL
-    MatchTable<Arrival> arrivals;                      // SOC_SHARD_LOCAL
-    std::vector<CommitRec> commits;                    // SOC_SHARD_LOCAL
-    std::vector<RingQueue<ProtoMsg>> outbox;           // SOC_SHARD_LOCAL
-    SimTime ev_time = 0;                               // SOC_SHARD_LOCAL
-    std::uint64_t ev_key = 0;                          // SOC_SHARD_LOCAL
-    /// Telemetry counters (updated only when telemetry is attached).
-    ShardCounters counters;                            // SOC_SHARD_LOCAL
-  };
-
   // --- event keys: (class:1)(dst:15)(emitter:15)(seq:32).  Class 0 =
   //     protocol message (sorts before wakes at equal times: protos spawn
   //     same-time wakes, never the reverse), class 1 = rank wake-up.
   static std::uint64_t wake_key(int rank);
   std::uint64_t next_proto_key(int emitter_rank, int dst_rank);
 
-  Shard& shard_of(int rank);
+  /// Queues a protocol message as an event at p.time.
+  void send_proto(const ProtoMsg& p);
+  /// Stable-sorts commits_ into the canonical (time, key) order and
+  /// replays it through the audit digest, the pending-depth
+  /// reconstruction, and the observer.  Clears the buffer (keeping
+  /// capacity).
+  void replay_commits();
 
-  void run_serial(SimTime horizon);
-  void run_windowed(SimTime horizon);
-  void step_shard(Shard& sh, SimTime window_end, SimTime horizon);
-  void drain_outboxes();
-  void enqueue_proto(Shard& dst, const ProtoMsg& p);
-  /// Routes a protocol message: same shard goes straight into the queue,
-  /// cross-shard rides the emitter's per-pair mailbox until the next
-  /// window boundary.
-  void send_proto(int emitter_rank, int target_rank, const ProtoMsg& p);
-  /// Stable-sorts `recs` into the canonical (time, key) order and replays
-  /// them through the audit digest, the pending-depth reconstruction, and
-  /// the observer.  Clears the buffer (keeping capacity).
-  void replay_commits(std::vector<CommitRec>& recs);
-
-  void process_event(Shard& sh, const KeyedEvent& e);
+  void process_event(const KeyedEvent& e);
   void process_arrival(const ProtoMsg& p, SimTime now);
   void process_rts(const ProtoMsg& p, SimTime now);
   void process_cts(const ProtoMsg& p, SimTime now);
@@ -363,7 +299,7 @@ class Engine {
   /// used to advance a rank's pc — including cross-rank wake paths —
   /// must go through here, or the stream cursor desynchronizes.
   void advance(int rank);
-  /// Schedules the rank's next dispatch (its own shard's queue).
+  /// Schedules the rank's next dispatch.
   void wake(int rank, SimTime time);
   void start_compute(int rank, SimTime now, const Op& op);
   void start_delay(int rank, SimTime now, const Op& op);
@@ -377,7 +313,7 @@ class Engine {
 
   /// True when (src, dst) crosses nodes on a real network — the pair
   /// communicates through timestamped protocol messages instead of the
-  /// instant same-shard fast path.
+  /// instant path.
   bool use_protocol(int src_rank, int dst_rank) const;
 
   /// Instant-path transfer (same node, or ideal network): applies no NIC
@@ -398,12 +334,10 @@ class Engine {
   /// An eager payload for `key` reached its receiver at `arrival`
   /// (instant path, or a landed kArrival): completes a parked recv,
   /// resolves a posted irecv, or waits as an arrival for its receive.
-  /// Runs on the receiver's shard, which on the instant path is also the
-  /// sender's.
   void deliver_eager(const MsgKey& key, SimTime arrival, Bytes bytes);
 
   /// Cross-node eager send: books the sender side (NIC-TX, stats, span)
-  /// and emits the kArrival protocol message toward the receiver's shard.
+  /// and emits the kArrival protocol message toward the receiver.
   void launch_eager_remote(int src_rank, int dst_rank, SimTime now,
                            Bytes bytes, int tag);
   /// Cross-node rendezvous transfer, computed receiver-side when the RTS
@@ -435,71 +369,37 @@ class Engine {
   void commit_message(const MessageRecord& message);
   /// Buffers a pending-depth delta; `park` deltas fire on_pending during
   /// the canonical replay, match deltas adjust silently.
-  void commit_pending(int rank, int dsends, int drecvs, bool park);
-
-  /// Minimum cost-model latency over all ordered cross-node pairs — the
-  /// conservative lookahead (every protocol timestamp is at least this
-  /// far in the future).
-  SimTime min_cross_node_latency() const;
-
-  // --- self-telemetry plumbing (all no-ops when tel_ is null) ---
-  /// Monotonic wall-clock nanoseconds since run() started.
-  std::uint64_t tel_now_ns() const;
-  /// Appends a wall-clock span to `out`, honoring the per-lane cap;
-  /// overflow increments `*dropped` instead of growing the vector.
-  void tel_span(std::vector<EngineSpan>& out, std::uint64_t* dropped,
-                EngineSpan::Kind kind, int lane, std::uint64_t window,
-                std::uint64_t begin_ns, std::uint64_t end_ns) const;
-  /// Folds per-shard counters, per-worker scratch, and span lanes into
-  /// the attached sink at the end of run().
-  void tel_finalize();
+  void commit_pending(int dsends, int drecvs, bool park);
 
   Placement placement_;
   const CostModel& cost_;
   EngineConfig config_;
   Scenario scenario_;
 
-  // --- run partitioning: computed once per run(), read-only during
-  //     windows ---
-  bool protocol_ = false;       ///< Cross-node pairs use protocol messages.
-  int nshards_ = 1;
-  int nthreads_ = 1;
-  SimTime lookahead_ = 0;
-  std::vector<int> shard_of_node_;
-  std::vector<int> shard_of_rank_;
+  bool protocol_ = false;  ///< Cross-node pairs use protocol messages.
 
-  // --- simulation state, partitioned by rank/node: element r (or node n)
-  //     belongs to that rank's/node's shard and is touched only by the
-  //     owning worker between barriers ---
-  std::vector<RankState> states_;     // SOC_SHARD_LOCAL(rank partition)
-  std::vector<SimTime> gpu_free_;     // SOC_SHARD_LOCAL(node partition)
-  std::vector<SimTime> copy_free_;    // SOC_SHARD_LOCAL(node partition)
-  std::vector<SimTime> nic_tx_free_;  // SOC_SHARD_LOCAL(node partition)
-  std::vector<SimTime> nic_rx_free_;  // SOC_SHARD_LOCAL(node partition)
-  std::vector<SimTime> port_free_;    // SOC_SHARD_LOCAL(node partition)
-  std::vector<std::uint32_t> proto_seq_;  // SOC_SHARD_LOCAL(rank partition)
-  std::vector<Shard> shards_;
+  // --- simulation state (reset by every run()) ---
+  std::vector<RankState> states_;
+  std::vector<SimTime> gpu_free_;     ///< Per node.
+  std::vector<SimTime> copy_free_;    ///< Per node.
+  std::vector<SimTime> nic_tx_free_;  ///< Per node.
+  std::vector<SimTime> nic_rx_free_;  ///< Per node.
+  std::vector<SimTime> port_free_;    ///< Per node (switch output port).
+  std::vector<std::uint32_t> proto_seq_;  ///< Per emitting rank.
+  KeyedEventQueue queue_;
+  std::vector<ProtoMsg> proto_pool_;
+  std::vector<std::int32_t> proto_free_;  ///< Recycled proto_pool_ slots.
+  MatchTable<PendingSend> pending_sends_;
+  MatchTable<PendingRecv> pending_recvs_;
+  MatchTable<int> pending_irecvs_;
+  MatchTable<Arrival> arrivals_;
+  RunStats stats_;
 
-  // RunStats: the per-rank / per-node vectors inside are partitioned like
-  // the state above (each element written only by its owning shard); the
-  // scalar aggregates are coordinator-only.
-  RunStats stats_;                    // SOC_SHARD_LOCAL(rank/node partition)
-
-  // --- self-telemetry (attached for one run; null = detached).  The
-  //     worker-indexed scratch is written by each pool worker during a
-  //     window and read by the coordinator between barriers, exactly the
-  //     shard-state discipline (the window barriers order the accesses).
-  EngineTelemetry* tel_ = nullptr;
-  std::uint64_t tel_t0_ns_ = 0;  ///< run() start on the monotonic clock.
-  std::vector<std::uint64_t> tel_window_busy_;   // SOC_SHARD_LOCAL(worker slot)
-  std::vector<std::vector<EngineSpan>> tel_worker_spans_;  // SOC_SHARD_LOCAL(worker slot)
-  std::vector<std::uint64_t> tel_worker_barrier_;  // SOC_SHARD_LOCAL(worker slot)
-  std::vector<std::uint64_t> tel_worker_drops_;    // SOC_SHARD_LOCAL(worker slot)
-  std::vector<EngineSpan> tel_coord_spans_;  ///< Coordinator lane spans.
-
-  // --- coordinator state: caller thread only, between barriers ---
+  // --- commit stream ---
+  std::vector<CommitRec> commits_;  ///< Records of the open timestamp.
+  SimTime ev_time_ = 0;             ///< (time, key) of the event being
+  std::uint64_t ev_key_ = 0;        ///< processed; stamps its records.
   Fnv1a audit_;  ///< Running digest of the committed event stream.
-  std::vector<CommitRec> merged_;  ///< Window-merge scratch.
   EngineObserver* observer_ = nullptr;  ///< Non-owning; nullptr = detached.
   int pending_send_depth_ = 0;  ///< Parked rendezvous senders.
   int pending_recv_depth_ = 0;  ///< Parked blocking recvs + posted irecvs.

@@ -4,78 +4,6 @@
 
 namespace soc::sim {
 
-void EventQueue::reserve(std::size_t n) {
-  heap_.reserve(n);
-  now_.reserve(n);
-}
-
-void EventQueue::push(SimTime time, int payload) {
-  SOC_CHECK(time >= 0, "event scheduled at negative time");
-  const Event e{time, next_seq_++, payload};
-  // The ring may only ever hold a single time value: events at the time
-  // of the last pop.  (The front-time check matters when an event was
-  // pushed below last_pop_time_ and popped, rewinding last_pop_time_
-  // while the ring still holds events at the older, later time.)
-  if (time == last_pop_time_ &&
-      (now_.empty() || now_.front().time == time)) {
-    now_.push_back(e);
-    return;
-  }
-  heap_.push_back(e);
-  sift_up(heap_.size() - 1);
-}
-
-Event EventQueue::pop() {
-  SOC_CHECK(!empty(), "pop from empty event queue");
-  // Merge point: the ring front and the heap top are each the earliest
-  // (time, seq) of their half, so one comparison restores the total order.
-  const bool from_now =
-      !now_.empty() && (heap_.empty() || earlier(now_.front(), heap_.front()));
-  Event e;
-  if (from_now) {
-    e = now_.front();
-    now_.pop_front();
-  } else {
-    e = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-  }
-  last_pop_time_ = e.time;
-  return e;
-}
-
-SimTime EventQueue::next_time() const {
-  SOC_CHECK(!empty(), "next_time on empty event queue");
-  if (now_.empty()) return heap_.front().time;
-  if (heap_.empty()) return now_.front().time;
-  return earlier(now_.front(), heap_.front()) ? now_.front().time
-                                              : heap_.front().time;
-}
-
-void EventQueue::sift_up(std::size_t i) {
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!earlier(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-}
-
-void EventQueue::sift_down(std::size_t i) {
-  const std::size_t n = heap_.size();
-  while (true) {
-    const std::size_t left = 2 * i + 1;
-    const std::size_t right = left + 1;
-    std::size_t smallest = i;
-    if (left < n && earlier(heap_[left], heap_[smallest])) smallest = left;
-    if (right < n && earlier(heap_[right], heap_[smallest])) smallest = right;
-    if (smallest == i) return;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
-  }
-}
-
 void KeyedEventQueue::push(SimTime time, std::uint64_t key,
                            std::int32_t payload) {
   SOC_CHECK(time >= 0, "event scheduled at negative time");

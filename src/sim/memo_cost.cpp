@@ -16,25 +16,6 @@ std::uint64_t pack_path(int src_node, int dst_node) {
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst_node));
 }
 
-// Scoped lock that engages only when the memo is shared by the sharded
-// engine's worker pool (nullptr = single-thread mode, no locking).
-// Conditional acquisition is outside what the static analysis can model,
-// so both special members opt out of it.
-class OptionalLock {
- public:
-  explicit OptionalLock(Mutex* m) SOC_NO_THREAD_SAFETY_ANALYSIS : m_(m) {
-    if (m_ != nullptr) m_->lock();
-  }
-  ~OptionalLock() SOC_NO_THREAD_SAFETY_ANALYSIS {
-    if (m_ != nullptr) m_->unlock();
-  }
-  OptionalLock(const OptionalLock&) = delete;
-  OptionalLock& operator=(const OptionalLock&) = delete;
-
- private:
-  Mutex* m_;
-};
-
 }  // namespace
 
 std::uint64_t MemoCostModel::CpuKeyHash::operator()(const CpuKey& k) const {
@@ -69,11 +50,9 @@ std::uint64_t MemoCostModel::TransferKeyHash::operator()(
   return Fnv1a{}.mix_u64(k.path).mix_i64(k.bytes).value();
 }
 
-MemoCostModel::MemoCostModel(const CostModel& base, bool thread_safe)
-    : base_(base), thread_safe_(thread_safe) {}
+MemoCostModel::MemoCostModel(const CostModel& base) : base_(base) {}
 
 SimTime MemoCostModel::cpu_compute_time(int rank, const Op& op) const {
-  const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
   const CpuKey key{double_bits(op.instructions), double_bits(op.flops),
                    op.dram_bytes, op.profile};
   Slot& slot = cpu_[key];
@@ -88,7 +67,6 @@ SimTime MemoCostModel::cpu_compute_time(int rank, const Op& op) const {
 }
 
 SimTime MemoCostModel::gpu_kernel_time(int rank, const Op& op) const {
-  const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
   const GpuKey key{double_bits(op.flops), double_bits(op.parallelism),
                    op.dram_bytes, static_cast<std::uint8_t>(op.mem_model),
                    op.double_precision};
@@ -104,7 +82,6 @@ SimTime MemoCostModel::gpu_kernel_time(int rank, const Op& op) const {
 }
 
 SimTime MemoCostModel::copy_time(int rank, const Op& op) const {
-  const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
   const CopyKey key{op.bytes, static_cast<std::uint8_t>(op.kind),
                     static_cast<std::uint8_t>(op.mem_model)};
   Slot& slot = copy_[key];
@@ -119,7 +96,6 @@ SimTime MemoCostModel::copy_time(int rank, const Op& op) const {
 }
 
 SimTime MemoCostModel::message_latency(int src_node, int dst_node) const {
-  const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
   Slot& slot = latency_[pack_path(src_node, dst_node)];
   if (!slot.known) {
     slot.value = base_.message_latency(src_node, dst_node);
@@ -133,7 +109,6 @@ SimTime MemoCostModel::message_latency(int src_node, int dst_node) const {
 
 SimTime MemoCostModel::message_transfer_time(int src_node, int dst_node,
                                              Bytes bytes) const {
-  const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
   const TransferKey key{pack_path(src_node, dst_node), bytes};
   Slot& slot = transfer_[key];
   if (!slot.known) {
@@ -163,12 +138,10 @@ SimTime MemoCostModel::overhead_for(
 }
 
 SimTime MemoCostModel::send_overhead(int rank) const {
-  const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
   return overhead_for(rank, send_overhead_, &CostModel::send_overhead);
 }
 
 SimTime MemoCostModel::recv_overhead(int rank) const {
-  const OptionalLock lock(thread_safe_ ? &mu_ : nullptr);
   return overhead_for(rank, recv_overhead_, &CostModel::recv_overhead);
 }
 

@@ -18,23 +18,17 @@
 #include <vector>
 
 #include "common/flat_map.h"
-#include "common/thread_safety.h"
 #include "sim/cost_model.h"
 
 namespace soc::sim {
 
 /// Caches evaluations of a memoizable CostModel for the duration of one
 /// or more runs over fixed programs.  The wrapper holds a non-owning
-/// reference; keep the base model alive for the wrapper's lifetime.
-///
-/// By default an instance belongs to one thread.  Pass `thread_safe` when
-/// the wrapper is shared by the sharded engine's worker pool: every cache
-/// access then serializes on an internal mutex (the cached *values* are
-/// identical either way — a lost race costs one redundant base
-/// evaluation, never a wrong result).
+/// reference; keep the base model alive for the wrapper's lifetime.  An
+/// instance belongs to one thread (one engine run at a time).
 class MemoCostModel : public CostModel {
  public:
-  explicit MemoCostModel(const CostModel& base, bool thread_safe = false);
+  explicit MemoCostModel(const CostModel& base);
 
   SimTime cpu_compute_time(int rank, const Op& op) const override;
   SimTime gpu_kernel_time(int rank, const Op& op) const override;
@@ -108,22 +102,16 @@ class MemoCostModel : public CostModel {
 
   const CostModel& base_;
   // The evaluation caches are mutable so the const CostModel interface
-  // can memoize through them.  Without `thread_safe` an instance belongs
-  // to one thread; with it, every method serializes on mu_ (the guard is
-  // conditional, so the members carry comments rather than
-  // SOC_GUARDED_BY — the static analysis cannot express "guarded when
-  // shared").
-  const bool thread_safe_;
-  mutable Mutex mu_;                                     // SOC_SHARED(mu_)
-  mutable flat_map<CpuKey, Slot, CpuKeyHash> cpu_;       // SOC_SHARED(mu_ when thread_safe)
-  mutable flat_map<GpuKey, Slot, GpuKeyHash> gpu_;       // SOC_SHARED(mu_ when thread_safe)
-  mutable flat_map<CopyKey, Slot, CopyKeyHash> copy_;    // SOC_SHARED(mu_ when thread_safe)
-  mutable flat_map<std::uint64_t, Slot> latency_;        // SOC_SHARED(mu_ when thread_safe)
-  mutable flat_map<TransferKey, Slot, TransferKeyHash> transfer_;  // SOC_SHARED(mu_ when thread_safe)
-  mutable std::vector<Slot> send_overhead_;  ///< Indexed by rank.  SOC_SHARED(mu_ when thread_safe)
-  mutable std::vector<Slot> recv_overhead_;  // SOC_SHARED(mu_ when thread_safe)
-  mutable std::uint64_t hits_ = 0;           // SOC_SHARED(mu_ when thread_safe)
-  mutable std::uint64_t misses_ = 0;         // SOC_SHARED(mu_ when thread_safe)
+  // can memoize through them; an instance is confined to one thread.
+  mutable flat_map<CpuKey, Slot, CpuKeyHash> cpu_;       // SOC_SHARED(single-thread)
+  mutable flat_map<GpuKey, Slot, GpuKeyHash> gpu_;       // SOC_SHARED(single-thread)
+  mutable flat_map<CopyKey, Slot, CopyKeyHash> copy_;    // SOC_SHARED(single-thread)
+  mutable flat_map<std::uint64_t, Slot> latency_;        // SOC_SHARED(single-thread)
+  mutable flat_map<TransferKey, Slot, TransferKeyHash> transfer_;  // SOC_SHARED(single-thread)
+  mutable std::vector<Slot> send_overhead_;  ///< Indexed by rank.  SOC_SHARED(single-thread)
+  mutable std::vector<Slot> recv_overhead_;  // SOC_SHARED(single-thread)
+  mutable std::uint64_t hits_ = 0;           // SOC_SHARED(single-thread)
+  mutable std::uint64_t misses_ = 0;         // SOC_SHARED(single-thread)
 };
 
 }  // namespace soc::sim

@@ -56,7 +56,7 @@ ScenarioRuns replay_scenarios(const sim::Placement& placement,
   // what-if replays.  (Ideal network bypasses the cost model inside the
   // engine and ideal balance rescales durations after evaluation, so the
   // cached values are identical across scenarios.)
-  const sim::MemoCostModel memo(cost, /*thread_safe=*/config.shards > 1);
+  const sim::MemoCostModel memo(cost);
   const sim::CostModel& effective =
       cost.memoizable() ? static_cast<const sim::CostModel&>(memo) : cost;
   ScenarioRuns runs;
@@ -71,7 +71,7 @@ ScenarioRuns replay_scenarios(const sim::Placement& placement,
 ScenarioRuns replay_scenarios(const sim::Placement& placement,
                               const sim::CostModel& cost, sim::OpSource& source,
                               const sim::EngineConfig& config) {
-  const sim::MemoCostModel memo(cost, /*thread_safe=*/config.shards > 1);
+  const sim::MemoCostModel memo(cost);
   const sim::CostModel& effective =
       cost.memoizable() ? static_cast<const sim::CostModel&>(memo) : cost;
   ScenarioRuns runs;

@@ -30,7 +30,20 @@ arch::WorkloadProfile NpbWorkload::cpu_profile() const {
 std::vector<sim::Program> NpbWorkload::build(const BuildContext& ctx) const {
   validate(ctx);
   const int p = ctx.ranks;
-  const bool pow2 = std::has_single_bit(static_cast<unsigned>(p));
+  // bt/sp, cg and mg pair rank r with r ^ 2^k, which covers every rank
+  // only at a power-of-two count; at any other count the model would
+  // silently drop their point-to-point traffic.  The all-to-all (ft, is)
+  // and pipeline (lu) patterns exchange at any count, and ep has none.
+  const bool xor_partners = spec_.pattern == NpbPattern::kNeighbors ||
+                            spec_.pattern == NpbPattern::kSparse ||
+                            spec_.pattern == NpbPattern::kMultigrid;
+  const auto count = static_cast<unsigned>(p);
+  if (xor_partners && !std::has_single_bit(count)) {
+    throw Error(spec_.tag + " needs a power-of-two rank count, got " +
+                std::to_string(p) + " (nearest valid: " +
+                std::to_string(std::bit_floor(count)) + " or " +
+                std::to_string(std::bit_ceil(count)) + ")");
+  }
   msg::ProgramSet ps(p);
 
   // Strong scaling from the 32-rank calibration point.
@@ -104,7 +117,7 @@ std::vector<sim::Program> NpbWorkload::build(const BuildContext& ctx) const {
       case NpbPattern::kNeighbors:
         // Three face exchanges per step (multipartition x/y/z sweeps).
         for (int shift : {1, 2, 4}) {
-          if (!pow2 || shift >= p) continue;
+          if (shift >= p) continue;
           for (int r = 0; r < p; ++r) {
             const int partner = r ^ shift;
             if (r < partner && partner < p) ps.exchange(r, partner, face);
@@ -113,7 +126,7 @@ std::vector<sim::Program> NpbWorkload::build(const BuildContext& ctx) const {
         break;
       case NpbPattern::kSparse:
         // Segment exchanges along a hypercube + two dot reductions.
-        for (int shift = 1; shift < p && pow2; shift <<= 1) {
+        for (int shift = 1; shift < p; shift <<= 1) {
           for (int r = 0; r < p; ++r) {
             const int partner = r ^ shift;
             if (r < partner) ps.exchange(r, partner, face);
@@ -133,12 +146,11 @@ std::vector<sim::Program> NpbWorkload::build(const BuildContext& ctx) const {
         // Halos at every level, sizes halving; coarse-grid reduction.
         Bytes level_face = face;
         for (int level = 0; level < 8 && level_face >= 64; ++level) {
-          const int shift = pow2 ? (1 << (level % std::bit_width(
-                                              static_cast<unsigned>(p - 1))))
-                                 : 1;
+          const int shift =
+              1 << (level % std::bit_width(static_cast<unsigned>(p - 1)));
           for (int r = 0; r < p; ++r) {
             const int partner = r ^ shift;
-            if (pow2 && r < partner && partner < p) {
+            if (r < partner && partner < p) {
               ps.exchange(r, partner, level_face);
             }
           }

@@ -1,6 +1,5 @@
 #include "workloads/op_stream.h"
 
-#include <mutex>
 #include <utility>
 
 #include "common/error.h"
@@ -28,22 +27,16 @@ ProgramWalkStream::ProgramWalkStream(std::vector<sim::Program> programs)
 
 int ProgramWalkStream::ranks() const { return ranks_; }
 
-void ProgramWalkStream::ensure_built() {
-  // Engine worker threads may pull concurrently for distinct ranks (the
-  // OpSource contract); the lazy build is the one shared step, so it
-  // must publish programs_/cursor_ exactly once.
-  std::call_once(build_once_, [this] {
-    if (built_) return;  // constructed from pre-built programs
-    programs_ = workload_->build(ctx_);
-    SOC_CHECK(static_cast<int>(programs_.size()) == ranks_,
-              "workload built a program count != ctx.ranks");
-    cursor_.assign(programs_.size(), 0);
-    built_ = true;
-  });
+void ProgramWalkStream::build() {
+  programs_ = workload_->build(ctx_);
+  SOC_CHECK(static_cast<int>(programs_.size()) == ranks_,
+            "workload built a program count != ctx.ranks");
+  cursor_.assign(programs_.size(), 0);
+  built_ = true;
 }
 
 sim::Op ProgramWalkStream::get_next(int rank, SimTime /*now*/) {
-  ensure_built();
+  if (!built_) build();
   const std::size_t r = static_cast<std::size_t>(rank);
   SOC_CHECK(r < programs_.size(), "ProgramWalkStream: rank out of range");
   if (cursor_[r] >= programs_[r].size()) return sim::end_op();

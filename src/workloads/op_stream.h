@@ -14,7 +14,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sim/op.h"
@@ -50,11 +49,10 @@ class ProgramWalkStream final : public OpStream {
   sim::Op get_next(int rank, SimTime now) override;
 
  private:
-  void ensure_built();
+  void build();
 
   const Workload* workload_ = nullptr;
   BuildContext ctx_;
-  std::once_flag build_once_;  // SOC_SHARED(build_once_) — publishes the build
   bool built_ = false;
   std::vector<sim::Program> programs_;
   std::vector<std::size_t> cursor_;

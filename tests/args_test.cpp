@@ -89,6 +89,21 @@ TEST(Args, UsageMentionsEveryFlag) {
   EXPECT_NE(u.find("default: 8"), std::string::npos);
 }
 
+// Command-line mistakes are UsageErrors (the tools' exit-2 path), and a
+// number must parse whole: "8x" is not 8.
+TEST(Args, MistakesAreUsageErrors) {
+  ArgParser p = make_parser();
+  EXPECT_THROW(parse(p, {"--bogus"}), UsageError);
+  EXPECT_THROW(parse(p, {"--nodes"}), UsageError);
+  EXPECT_THROW(parse(p, {"--verbose=maybe"}), UsageError);
+  parse(p, {"--nodes", "8x"});
+  EXPECT_THROW(p.get_int("--nodes"), UsageError);
+  EXPECT_THROW(p.get_double("--nodes"), UsageError);
+  EXPECT_THROW(parse_int_list("2,4x"), UsageError);
+  EXPECT_THROW(parse_double_list("0.5,fast"), UsageError);
+  EXPECT_THROW(parse_string_list("hpl,,cg"), UsageError);
+}
+
 TEST(Args, IntListParsing) {
   const auto v = parse_int_list("2,4,8,16");
   ASSERT_EQ(v.size(), 4u);

@@ -1,9 +1,14 @@
 // Tests for systems/ and cluster/: machine configurations, the composed
-// cost model, and end-to-end Cluster runs.
+// cost model, end-to-end Cluster runs, and the perf harness's baseline
+// gate.
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <string>
 
 #include "cluster/cluster.h"
 #include "cluster/cost_model.h"
+#include "cluster/perf.h"
 #include "common/error.h"
 #include "net/network.h"
 #include "systems/machines.h"
@@ -189,6 +194,72 @@ TEST(Cluster, CaviumRunsNpbSingleNode) {
   const auto result = cavium.run(*workloads::make_workload("mg"), quick());
   EXPECT_GT(result.seconds, 0.0);
   EXPECT_EQ(result.stats.total_net_bytes, 0);  // everything intra-node
+}
+
+cluster::PerfReport one_sample_report() {
+  cluster::PerfSample s;
+  s.name = "fig5/x";
+  s.events = 100;
+  s.checksum = 7;
+  s.events_per_second = 1000.0;
+  cluster::PerfReport report;
+  report.samples = {s};
+  report.hardware_concurrency = 4;
+  return report;
+}
+
+// The committed baseline pins each case's stream exactly: any change to
+// the event count or checksum fails, whatever the throughput.
+TEST(PerfBaseline, ChangedChecksumFails) {
+  const cluster::PerfReport report = one_sample_report();
+  EXPECT_EQ(cluster::diff_perf_baseline(report, report, 0.25), "");
+  cluster::PerfReport baseline = report;
+  baseline.samples[0].checksum = 8;
+  const std::string failures =
+      cluster::diff_perf_baseline(report, baseline, 0.25);
+  EXPECT_NE(failures.find("fig5/x committed stream changed"),
+            std::string::npos)
+      << failures;
+  baseline = report;
+  baseline.samples[0].events = 101;
+  EXPECT_NE(cluster::diff_perf_baseline(report, baseline, 0.25), "");
+}
+
+// Throughput may drop to `tolerance` x the baseline's events/s, no
+// further; a baseline sharing no case name with the run also fails.
+TEST(PerfBaseline, ThroughputBelowFloorFails) {
+  const cluster::PerfReport report = one_sample_report();
+  cluster::PerfReport baseline = report;
+  baseline.samples[0].events_per_second = 3900.0;
+  EXPECT_EQ(cluster::diff_perf_baseline(report, baseline, 0.25), "");
+  baseline.samples[0].events_per_second = 8000.0;
+  const std::string failures =
+      cluster::diff_perf_baseline(report, baseline, 0.25);
+  EXPECT_NE(failures.find("fig5/x throughput regressed"), std::string::npos)
+      << failures;
+  baseline = report;
+  baseline.samples[0].name = "fig6/y";
+  EXPECT_NE(cluster::diff_perf_baseline(report, baseline, 0.25)
+                .find("no case names in common"),
+            std::string::npos);
+}
+
+// The report records its host's hardware_concurrency, and the baseline
+// loader reads it back with every gated field.
+TEST(PerfBaseline, ReportRoundTripsHardwareConcurrency) {
+  cluster::PerfReport report = one_sample_report();
+  report.hardware_concurrency = 6;
+  const std::string path =
+      ::testing::TempDir() + "perf_report_round_trip.json";
+  cluster::write_perf_report(path, report);
+  const cluster::PerfReport loaded = cluster::load_perf_baseline(path);
+  EXPECT_EQ(loaded.hardware_concurrency, 6u);
+  ASSERT_EQ(loaded.samples.size(), 1u);
+  EXPECT_EQ(loaded.samples[0].name, "fig5/x");
+  EXPECT_EQ(loaded.samples[0].events, 100u);
+  EXPECT_EQ(loaded.samples[0].checksum, 7u);
+  EXPECT_DOUBLE_EQ(loaded.samples[0].events_per_second, 1000.0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -89,28 +89,6 @@ TEST(Determinism, ParallelForReplaysMatchSerial) {
   }
 }
 
-// queue_reserve is a pure capacity hint: whatever the starting geometry
-// of the event queue and pending tables (tiny → repeated growth, huge →
-// never grows), the committed event stream must be bit-identical.
-TEST(Determinism, QueueReserveDoesNotAffectChecksum) {
-  for (const char* name : kAuditWorkloads) {
-    const auto w = workloads::make_workload(name);
-    const auto cl = make_cluster(*w, 4);
-    const auto baseline = cl.run(*w, quick());
-    for (const int reserve : {1, 4096}) {
-      auto options = quick();
-      options.engine.queue_reserve = reserve;
-      const auto r = cl.run(*w, options);
-      EXPECT_EQ(r.stats.event_checksum, baseline.stats.event_checksum)
-          << name << " reserve=" << reserve;
-      EXPECT_EQ(r.stats.events_committed, baseline.stats.events_committed)
-          << name << " reserve=" << reserve;
-      EXPECT_EQ(r.stats.makespan, baseline.stats.makespan)
-          << name << " reserve=" << reserve;
-    }
-  }
-}
-
 // The metrics registry derives everything from the committed event stream,
 // so it must inherit the engine's replay promise: registries from serial
 // and parallel_for replays of one configuration compare equal, member by

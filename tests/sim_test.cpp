@@ -3,6 +3,9 @@
 // scenarios, accounting, determinism, failure modes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -37,102 +40,113 @@ class FixedCostModel : public CostModel {
   SimTime recv_overhead(int) const override { return overhead; }
 };
 
-TEST(EventQueue, OrdersByTime) {
-  EventQueue q;
-  q.push(30, 3);
-  q.push(10, 1);
-  q.push(20, 2);
+TEST(KeyedEventQueue, OrdersByTime) {
+  KeyedEventQueue q;
+  q.push(30, 0, 3);
+  q.push(10, 0, 1);
+  q.push(20, 0, 2);
   EXPECT_EQ(q.pop().payload, 1);
   EXPECT_EQ(q.pop().payload, 2);
   EXPECT_EQ(q.pop().payload, 3);
-}
-
-TEST(EventQueue, TiesBreakByInsertionOrder) {
-  EventQueue q;
-  q.push(5, 10);
-  q.push(5, 20);
-  q.push(5, 30);
-  EXPECT_EQ(q.pop().payload, 10);
-  EXPECT_EQ(q.pop().payload, 20);
-  EXPECT_EQ(q.pop().payload, 30);
-}
-
-TEST(EventQueue, PopEmptyThrows) {
-  EventQueue q;
-  EXPECT_THROW(q.pop(), Error);
-  EXPECT_THROW(q.next_time(), Error);
-}
-
-TEST(EventQueue, NegativeTimeRejected) {
-  EventQueue q;
-  EXPECT_THROW(q.push(-1, 0), Error);
-}
-
-// Pushes at the time just popped take the same-time fast path (the ring
-// buffer that bypasses the heap); FIFO order must hold across the
-// boundary between heap-resident and ring-resident events.
-TEST(EventQueue, EqualTimeFifoSurvivesPopThenPush) {
-  EventQueue q;
-  q.push(5, 1);
-  q.push(5, 2);
-  q.push(9, 99);
-  EXPECT_EQ(q.pop().payload, 1);
-  q.push(5, 3);  // same time as the pop just served
-  q.push(5, 4);
-  q.push(5, 5);
-  EXPECT_EQ(q.pop().payload, 2);
-  EXPECT_EQ(q.pop().payload, 3);
-  EXPECT_EQ(q.pop().payload, 4);
-  EXPECT_EQ(q.pop().payload, 5);
-  EXPECT_EQ(q.pop().payload, 99);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, InterleavedPushPopKeepsGlobalOrder) {
-  EventQueue q;
-  q.push(10, 1);
-  q.push(30, 3);
+// Equal times break on the key, never on push order: every permutation of
+// the same three pushes pops identically.
+TEST(KeyedEventQueue, TiesBreakByKeyWhateverThePushOrder) {
+  int order[] = {0, 1, 2};
+  do {
+    KeyedEventQueue q;
+    for (const int i : order) {
+      q.push(5, static_cast<std::uint64_t>(10 * (i + 1)), i);
+    }
+    EXPECT_EQ(q.top().key, 10u);
+    EXPECT_EQ(q.pop().payload, 0);
+    EXPECT_EQ(q.pop().payload, 1);
+    EXPECT_EQ(q.pop().payload, 2);
+  } while (std::next_permutation(std::begin(order), std::end(order)));
+}
+
+TEST(KeyedEventQueue, InterleavedPushPopKeepsGlobalOrder) {
+  KeyedEventQueue q;
+  q.push(10, 1, 1);
+  q.push(30, 1, 3);
   EXPECT_EQ(q.pop().payload, 1);
-  q.push(20, 2);  // earlier than the heap top pushed before the pop
-  q.push(10, 9);  // equal to the last popped time: ring path
+  q.push(20, 1, 2);  // earlier than the top pushed before the pop
+  q.push(10, 0, 9);  // equal to the last popped time, smaller key
   EXPECT_EQ(q.pop().payload, 9);
   EXPECT_EQ(q.pop().payload, 2);
-  q.push(25, 4);
+  q.push(25, 1, 4);
+  EXPECT_EQ(q.top().time, 25);
   EXPECT_EQ(q.pop().payload, 4);
   EXPECT_EQ(q.pop().payload, 3);
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, NextTimeTracksPartialDrain) {
-  EventQueue q;
-  q.push(7, 1);
-  q.push(7, 2);
-  q.push(12, 3);
-  EXPECT_EQ(q.next_time(), 7);
-  q.pop();
-  EXPECT_EQ(q.next_time(), 7);  // second equal-time event still queued
-  q.pop();
-  EXPECT_EQ(q.next_time(), 12);
-  q.pop();
-  EXPECT_THROW(q.next_time(), Error);
+// A push at the time just popped (a same-time wake-up) still sorts by key
+// among the events already queued at that time.
+TEST(KeyedEventQueue, EqualTimePushAfterPopOrdersByKey) {
+  KeyedEventQueue q;
+  q.push(5, 1, 1);
+  q.push(5, 4, 4);
+  q.push(9, 0, 99);
+  EXPECT_EQ(q.pop().payload, 1);
+  q.push(5, 5, 5);
+  q.push(5, 2, 2);
+  q.push(5, 3, 3);
+  for (const int expected : {2, 3, 4, 5, 99}) {
+    EXPECT_EQ(q.pop().payload, expected);
+  }
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, ReserveDoesNotChangeOrder) {
-  EventQueue small;
-  EventQueue big;
+TEST(KeyedEventQueue, TopTracksPartialDrain) {
+  KeyedEventQueue q;
+  q.push(7, 2, 2);
+  q.push(12, 0, 3);
+  q.push(7, 1, 1);
+  EXPECT_EQ(q.top().time, 7);
+  EXPECT_EQ(q.top().key, 1u);
+  q.pop();
+  EXPECT_EQ(q.top().time, 7);  // second equal-time event still queued
+  EXPECT_EQ(q.top().key, 2u);
+  q.pop();
+  EXPECT_EQ(q.top().time, 12);
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(KeyedEventQueue, ReserveDoesNotChangeOrder) {
+  KeyedEventQueue small;
+  KeyedEventQueue big;
   big.reserve(1024);
   for (int i = 0; i < 64; ++i) {
     const SimTime t = (i * 7) % 13;
-    small.push(t, i);
-    big.push(t, i);
+    const auto key = static_cast<std::uint64_t>((i * 5) % 64);
+    small.push(t, key, i);
+    big.push(t, key, i);
   }
   while (!small.empty()) {
-    const Event a = small.pop();
-    const Event b = big.pop();
+    const KeyedEvent a = small.pop();
+    const KeyedEvent b = big.pop();
     EXPECT_EQ(a.time, b.time);
+    EXPECT_EQ(a.key, b.key);
     EXPECT_EQ(a.payload, b.payload);
   }
   EXPECT_TRUE(big.empty());
+}
+
+TEST(KeyedEventQueue, PopEmptyThrows) {
+  KeyedEventQueue q;
+  EXPECT_THROW(q.pop(), Error);
+  q.push(1, 0, 0);
+  q.pop();
+  EXPECT_THROW(q.pop(), Error);
+}
+
+TEST(KeyedEventQueue, NegativeTimeRejected) {
+  KeyedEventQueue q;
+  EXPECT_THROW(q.push(-1, 0, 0), Error);
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(Placement, BlockAssignsContiguously) {

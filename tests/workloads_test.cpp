@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "common/error.h"
 #include "sim/engine.h"
@@ -286,6 +287,38 @@ TEST(NpbSpecs, PatternsMatchBenchmarks) {
   EXPECT_EQ(npb_cg_spec().pattern, NpbPattern::kSparse);
   EXPECT_EQ(npb_bt_spec().pattern, NpbPattern::kNeighbors);
   EXPECT_EQ(npb_sp_spec().pattern, NpbPattern::kNeighbors);
+}
+
+// bt, sp, cg and mg exchange with XOR partners, which exist for every rank
+// only at power-of-two counts: any other count fails before generating an
+// op, naming the workload, the count and the nearest valid counts.  The
+// all-to-all, pipeline and reduction-only codes accept any count and
+// still move data between nodes.
+TEST(NpbSpecs, XorPartnerCodesRejectNonPowerOfTwoRanks) {
+  BuildContext ctx;
+  ctx.nodes = 3;
+  ctx.ranks = 6;
+  ctx.size_scale = 0.02;
+  for (const char* name : {"bt", "cg", "mg", "sp"}) {
+    const auto w = make_workload(name);
+    try {
+      (void)w->build(ctx);
+      ADD_FAILURE() << name << " built 6 ranks";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_EQ(what, std::string(name) +
+                          " needs a power-of-two rank count, got 6 (nearest "
+                          "valid: 4 or 8)");
+    }
+  }
+  UnitCostModel cost;
+  for (const char* name : {"ep", "ft", "is", "lu"}) {
+    const auto w = make_workload(name);
+    const auto programs = w->build(ctx);
+    sim::Engine engine(sim::Placement::block(ctx.ranks, ctx.nodes), cost);
+    const sim::RunStats stats = engine.run(programs);
+    EXPECT_GT(stats.total_net_bytes, 0) << name;
+  }
 }
 
 TEST(NpbSpecs, ImbalanceLargestForCgAndLu) {

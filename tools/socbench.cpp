@@ -16,13 +16,6 @@
 //       Observability artifacts on demand: --metrics prints the run's
 //       metrics registry, --chrome-trace writes a Perfetto-loadable
 //       trace, --report-json a canonical machine-readable run report.
-//       Engine self-telemetry on demand: --engine-telemetry writes the
-//       full soccluster-engine-telemetry/v1 artifact (deterministic
-//       counters + per-shard detail + wall-clock timings),
-//       --engine-counters just its byte-comparable counter section, and
-//       --engine-trace a Chrome trace of the engine's own wall-clock
-//       execution (coordinator + worker lanes).  replay takes the same
-//       three flags.
 //   socbench sweep --workload hpl --nodes 2,4,8,16 --nic both
 //                  [--sweep-threads N] [--progress] [--report-json s.json]
 //       Cluster-size sweep, one row per (size, NIC).  `--workload all`
@@ -65,21 +58,23 @@
 //       and under parallel_for; all event checksums must be bit-identical.
 //       `--workload all` audits every registered workload.
 //   socbench perf [--quick] [--reps 5] [--report-json BENCH_engine.json]
-//                 [--explain-scaling] [--baseline BENCH_engine.json]
+//                 [--baseline BENCH_engine.json]
 //       Engine-only replay throughput over the fig5/fig6 shapes:
 //       events/sec, allocations per event, cost-model cache hit rate, and
 //       one stable `checksum config=... events=... value=...` line per
 //       case (CI diffs these between -O2 and sanitizer builds).
-//       --explain-scaling adds one telemetry-attached repetition per case
-//       (outside the timed region) and decomposes each sharded row's
-//       serial-vs-sharded core-seconds gap into imbalance / barrier /
-//       mailbox+merge / serial-residual terms that sum to the measured
-//       gap exactly.  --baseline additionally gates sharded rows'
-//       speedup_vs_baseline at --speedup-tolerance.
+//       --baseline fails on a changed checksum or event count, or on
+//       events/s below --baseline-tolerance x the baseline's.
+//
+// A usage mistake (unknown flag, command or workload, malformed number,
+// bad cluster shape) prints `socbench: <reason>` and exits 2; --help
+// prints the usage and exits 0; any other failure exits 1.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -94,14 +89,11 @@
 #include "core/extended_roofline.h"
 #include "net/network.h"
 #include "obs/chrome_trace.h"
-#include "obs/engine_telemetry.h"
 #include "obs/observers.h"
 #include "prof/critical_path.h"
 #include "prof/energy.h"
 #include "prof/profile.h"
-#include "prof/selfprof.h"
 #include "sim/memo_cost.h"
-#include "sim/telemetry.h"
 #include "sweep/frontier.h"
 #include "sweep/grid.h"
 #include "sweep/sweep.h"
@@ -118,18 +110,87 @@ using namespace soc;
 net::NicKind parse_nic(const std::string& s) {
   if (s == "1g") return net::NicKind::kGigabit;
   if (s == "10g") return net::NicKind::kTenGigabit;
-  throw Error("unknown NIC '" + s + "' (use 1g or 10g)");
+  throw UsageError("unknown NIC '" + s + "' (use 1g or 10g)");
 }
 
 sim::MemModel parse_mem_model(const std::string& s) {
   if (s == "hd") return sim::MemModel::kHostDevice;
   if (s == "zc") return sim::MemModel::kZeroCopy;
   if (s == "um") return sim::MemModel::kUnified;
-  throw Error("unknown memory model '" + s + "' (use hd, zc, or um)");
+  throw UsageError("unknown memory model '" + s + "' (use hd, zc, or um)");
 }
 
-int natural_ranks(const workloads::Workload& w, int nodes) {
-  return sweep::natural_ranks(w, nodes);
+/// Registered workload tags, comma-separated.
+std::string workload_tags() {
+  std::string tags;
+  for (const std::string& name : workloads::list()) {
+    if (!tags.empty()) tags += ", ";
+    tags += name;
+  }
+  return tags;
+}
+
+/// Rejects a workload tag the registry does not know.
+void check_workload(const std::string& name) {
+  const auto& tags = workloads::list();
+  if (std::find(tags.begin(), tags.end(), name) == tags.end()) {
+    throw UsageError("unknown workload '" + name + "' (use one of " +
+                     workload_tags() + ")");
+  }
+}
+
+/// The --workload of commands that cover several workloads: "all", one
+/// tag, or (with `csv`) a comma-separated list of tags.
+std::vector<std::string> workload_list(const ArgParser& args, bool csv) {
+  const std::string& arg = args.get("--workload");
+  if (arg == "all") return workloads::list();
+  std::vector<std::string> names =
+      csv ? parse_string_list(arg) : std::vector<std::string>{arg};
+  for (const std::string& name : names) check_workload(name);
+  return names;
+}
+
+std::unique_ptr<workloads::Workload> workload_from(const ArgParser& args) {
+  const std::string& name = args.get("--workload");
+  check_workload(name);
+  return workloads::make_workload(name);
+}
+
+int positive(int value, const std::string& flag) {
+  if (value <= 0) {
+    throw UsageError(flag + " must be positive, got " + std::to_string(value));
+  }
+  return value;
+}
+
+/// Cluster shape from --nodes and --ranks; without --ranks, the
+/// workload's natural rank count.
+struct Shape {
+  int nodes = 0;
+  int ranks = 0;
+};
+
+Shape shape_from(const ArgParser& args, const workloads::Workload& w) {
+  Shape shape;
+  shape.nodes = positive(args.get_int("--nodes"), "--nodes");
+  if (!args.given("--ranks")) {
+    shape.ranks = sweep::natural_ranks(w, shape.nodes);
+    return shape;
+  }
+  shape.ranks = positive(args.get_int("--ranks"), "--ranks");
+  if (shape.ranks % shape.nodes != 0) {
+    throw UsageError("--ranks " + std::to_string(shape.ranks) +
+                     " is not a multiple of --nodes " +
+                     std::to_string(shape.nodes));
+  }
+  return shape;
+}
+
+/// The --nodes CSV list of sweep-style commands.
+std::vector<int> node_list(const ArgParser& args) {
+  std::vector<int> nodes = parse_int_list(args.get("--nodes"));
+  for (const int n : nodes) positive(n, "--nodes");
+  return nodes;
 }
 
 void print_result(const cluster::RunResult& r, const systems::NodeConfig& node,
@@ -184,63 +245,12 @@ int cmd_list() {
   return 0;
 }
 
-/// Parallel-engine knobs shared by run and replay: --engine-threads N
-/// shards the event queues across N workers (committed stream stays
-/// bit-identical to serial); --engine-shards overrides the partition
-/// count independently of the worker count.
-sim::EngineConfig engine_from(const ArgParser& args) {
-  sim::EngineConfig engine;
-  if (args.given("--engine-threads")) {
-    const int t = args.get_int("--engine-threads");
-    SOC_CHECK(t >= 1, "--engine-threads must be >= 1");
-    engine.threads = t;
-    engine.shards = t;
-  }
-  if (args.given("--engine-shards")) {
-    const int s = args.get_int("--engine-shards");
-    SOC_CHECK(s >= 1, "--engine-shards must be >= 1");
-    engine.shards = s;
-  }
-  return engine;
-}
-
 cluster::RunOptions options_from(const ArgParser& args) {
   cluster::RunOptions options;
   options.size_scale = args.get_double("--scale");
   options.mem_model = parse_mem_model(args.get("--mem-model"));
   options.gpu_work_fraction = args.get_double("--gpu-fraction");
-  options.engine = engine_from(args);
   return options;
-}
-
-/// True when any --engine-telemetry / --engine-counters / --engine-trace
-/// flag asks for the engine's self-telemetry (run and replay).
-bool want_engine_telemetry(const ArgParser& args) {
-  return args.given("--engine-telemetry") || args.given("--engine-counters") ||
-         args.given("--engine-trace");
-}
-
-/// Writes whichever of the three self-telemetry artifacts the flags name.
-void write_engine_telemetry(const ArgParser& args,
-                            const sim::EngineTelemetry& telemetry) {
-  if (args.given("--engine-telemetry")) {
-    prof::write_text(args.get("--engine-telemetry"),
-                     obs::engine_telemetry_json(telemetry));
-    std::printf("wrote engine telemetry to %s\n",
-                args.get("--engine-telemetry").c_str());
-  }
-  if (args.given("--engine-counters")) {
-    prof::write_text(args.get("--engine-counters"),
-                     obs::engine_counters_json(telemetry));
-    std::printf("wrote engine counters to %s\n",
-                args.get("--engine-counters").c_str());
-  }
-  if (args.given("--engine-trace")) {
-    prof::write_text(args.get("--engine-trace"),
-                     obs::engine_wallclock_trace_json(telemetry));
-    std::printf("wrote engine wall-clock trace to %s\n",
-                args.get("--engine-trace").c_str());
-  }
 }
 
 /// Scenario decorators from the --fault / --noise / --checkpoint flags;
@@ -255,12 +265,10 @@ workloads::ScenarioConfig scenario_from(const ArgParser& args) {
 // stream (RunStats::event_checksum).  Returns true when they do.
 bool audit_workload(const std::string& name, const ArgParser& args) {
   const auto workload = workloads::make_workload(name);
-  const int nodes = args.get_int("--nodes");
-  const int ranks = args.given("--ranks") ? args.get_int("--ranks")
-                                          : natural_ranks(*workload, nodes);
+  const auto [nodes, ranks] = shape_from(args, *workload);
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
   const int repeats = args.get_int("--repeats");
-  SOC_CHECK(repeats >= 2, "--repeats must be at least 2");
+  if (repeats < 2) throw UsageError("--repeats must be at least 2");
 
   // Scenario decorators participate in the audit: fault/noise/checkpoint
   // streams must replay bit-identically like any workload.
@@ -301,10 +309,7 @@ bool audit_workload(const std::string& name, const ArgParser& args) {
 }
 
 int cmd_audit(const ArgParser& args) {
-  const std::string tag = args.get("--workload");
-  const std::vector<std::string> names =
-      tag == "all" ? workloads::list()
-                   : std::vector<std::string>{tag};
+  const std::vector<std::string> names = workload_list(args, false);
   bool ok = true;
   for (const std::string& name : names) ok = audit_workload(name, args) && ok;
   if (!ok) {
@@ -319,10 +324,8 @@ int cmd_audit(const ArgParser& args) {
 
 int cmd_run(const ArgParser& args) {
   if (args.get_bool("--audit-determinism")) return cmd_audit(args);
-  const auto workload = workloads::make_workload(args.get("--workload"));
-  const int nodes = args.get_int("--nodes");
-  const int ranks = args.given("--ranks") ? args.get_int("--ranks")
-                                          : natural_ranks(*workload, nodes);
+  const auto workload = workload_from(args);
+  const auto [nodes, ranks] = shape_from(args, *workload);
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
 
   // Observability: attach only what the flags ask for, so the default
@@ -343,8 +346,6 @@ int cmd_run(const ArgParser& args) {
   request.config = cluster::ClusterConfig{node, nodes, ranks};
   request.options = options;
   request.scenario = scenario_from(args);
-  sim::EngineTelemetry telemetry;
-  if (want_engine_telemetry(args)) request.engine_telemetry = &telemetry;
   const auto result = cluster::run(request);
   std::printf("%s on %d x %s (%s, %d ranks)\n\n", workload->name().c_str(),
               nodes, node.name.c_str(), node.nic.name.c_str(), ranks);
@@ -372,9 +373,6 @@ int cmd_run(const ArgParser& args) {
     std::printf("wrote run report to %s\n",
                 args.get("--report-json").c_str());
   }
-  if (request.engine_telemetry != nullptr) {
-    write_engine_telemetry(args, telemetry);
-  }
   return 0;
 }
 
@@ -383,7 +381,7 @@ int cmd_run(const ArgParser& args) {
 unsigned sweep_threads(const ArgParser& args) {
   if (args.given("--sweep-threads")) {
     const int v = args.get_int("--sweep-threads");
-    SOC_CHECK(v >= 0, "--sweep-threads must be >= 0");
+    if (v < 0) throw UsageError("--sweep-threads must be >= 0");
     return static_cast<unsigned>(v);
   }
   if (const char* env = std::getenv("SOC_SWEEP_THREADS");
@@ -396,11 +394,9 @@ unsigned sweep_threads(const ArgParser& args) {
 }
 
 int cmd_sweep(const ArgParser& args) {
-  const std::string tag = args.get("--workload");
   sweep::Grid grid;
-  grid.workloads = tag == "all" ? workloads::list()
-                                : std::vector<std::string>{tag};
-  grid.nodes = parse_int_list(args.get("--nodes"));
+  grid.workloads = workload_list(args, false);
+  grid.nodes = node_list(args);
   const std::string nic_arg = args.get("--nic");
   if (nic_arg == "both") {
     grid.nics = {net::NicKind::kGigabit, net::NicKind::kTenGigabit};
@@ -477,10 +473,9 @@ int cmd_sweep(const ArgParser& args) {
 }
 
 int cmd_frontier(const ArgParser& args) {
-  const std::string tag = args.get("--workload");
   sweep::FrontierGrid grid;
-  grid.workloads = tag == "all" ? workloads::list() : parse_string_list(tag);
-  grid.nodes = parse_int_list(args.get("--nodes"));
+  grid.workloads = workload_list(args, true);
+  grid.nodes = node_list(args);
   grid.gpu_fractions = parse_double_list(args.get("--gpu-fractions"));
   grid.dvfs = parse_double_list(args.get("--dvfs"));
   grid.nic = parse_nic(args.get("--nic"));
@@ -524,14 +519,14 @@ int cmd_frontier(const ArgParser& args) {
 }
 
 int cmd_decompose(const ArgParser& args) {
-  const auto workload = workloads::make_workload(args.get("--workload"));
-  const int nodes = args.get_int("--nodes");
+  const auto workload = workload_from(args);
+  const int nodes = positive(args.get_int("--nodes"), "--nodes");
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
   cluster::RunRequest request;
   request.workload = workload->name();
   request.workload_ref = workload.get();
-  request.config = cluster::ClusterConfig{node, nodes,
-                                          natural_ranks(*workload, nodes)};
+  request.config = cluster::ClusterConfig{
+      node, nodes, sweep::natural_ranks(*workload, nodes)};
   request.options = options_from(args);
   request.scenario = scenario_from(args);
   const auto runs = cluster::replay_scenarios(request);
@@ -551,10 +546,8 @@ int cmd_decompose(const ArgParser& args) {
 }
 
 int cmd_explain(const ArgParser& args) {
-  const auto workload = workloads::make_workload(args.get("--workload"));
-  const int nodes = args.get_int("--nodes");
-  const int ranks = args.given("--ranks") ? args.get_int("--ranks")
-                                          : natural_ranks(*workload, nodes);
+  const auto workload = workload_from(args);
+  const auto [nodes, ranks] = shape_from(args, *workload);
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
 
   cluster::RunRequest request;
@@ -700,12 +693,11 @@ int cmd_explain(const ArgParser& args) {
 }
 
 int cmd_trace(const ArgParser& args) {
-  const auto workload = workloads::make_workload(args.get("--workload"));
-  const int nodes = args.get_int("--nodes");
+  const auto workload = workload_from(args);
+  const Shape shape = shape_from(args, *workload);
   workloads::BuildContext ctx;
-  ctx.nodes = nodes;
-  ctx.ranks = args.given("--ranks") ? args.get_int("--ranks")
-                                    : natural_ranks(*workload, nodes);
+  ctx.nodes = shape.nodes;
+  ctx.ranks = shape.ranks;
   ctx.size_scale = args.get_double("--scale");
   ctx.mem_model = parse_mem_model(args.get("--mem-model"));
   ctx.gpu_work_fraction = args.get_double("--gpu-fraction");
@@ -720,29 +712,27 @@ int cmd_trace(const ArgParser& args) {
 
 int cmd_replay(const ArgParser& args) {
   const auto programs = trace::load_trace(args.get("--trace"));
-  const int nodes = args.get_int("--nodes");
+  const int nodes = positive(args.get_int("--nodes"), "--nodes");
   const int ranks = static_cast<int>(programs.size());
+  if (ranks % nodes != 0) {
+    throw UsageError("the trace's " + std::to_string(ranks) +
+                     " ranks do not divide over --nodes " +
+                     std::to_string(nodes));
+  }
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
   cluster::ClusterCostModel cost(node, nodes, ranks,
                                  workloads::make_workload("jacobi")
                                      ->cpu_profile());
   sim::Scenario scenario;
   scenario.ideal_network = args.get_bool("--ideal-network");
-  sim::EngineConfig engine_config = engine_from(args);
-  sim::EngineTelemetry telemetry;
-  if (want_engine_telemetry(args)) engine_config.telemetry = &telemetry;
-  const sim::MemoCostModel memo(cost, /*thread_safe=*/engine_config.shards > 1);
-  sim::Engine engine(sim::Placement::block(ranks, nodes), memo,
-                     engine_config, scenario);
+  const sim::MemoCostModel memo(cost);
+  sim::Engine engine(sim::Placement::block(ranks, nodes), memo, {}, scenario);
   const sim::RunStats stats = engine.run(programs);
   std::printf("replayed %d ranks on %d nodes%s: %.3f s, %.2f GFLOP/s, "
               "%.3f GB over the network\n",
               ranks, nodes, scenario.ideal_network ? " (ideal network)" : "",
               stats.seconds(), stats.flops_per_second() / 1e9,
               static_cast<double>(stats.total_net_bytes) / 1e9);
-  if (engine_config.telemetry != nullptr) {
-    write_engine_telemetry(args, telemetry);
-  }
   return 0;
 }
 
@@ -751,20 +741,16 @@ int cmd_perf(const ArgParser& args) {
   cluster::PerfConfig config;
   config.reps = args.given("--reps") ? args.get_int("--reps")
                                      : (quick ? 2 : 5);
-  config.explain_scaling = args.get_bool("--explain-scaling");
   const auto cases = cluster::default_perf_cases(quick);
   const auto report = cluster::measure_engine(cases, config);
 
-  TextTable table({"config", "shards", "events", "events/sec", "speedup",
-                   "allocs/event", "memo hit%", "wall s"});
+  TextTable table({"config", "events", "events/sec", "allocs/event",
+                   "memo hit%", "wall s"});
   for (const auto& s : report.samples) {
     const double evals = static_cast<double>(s.memo_hits + s.memo_misses);
     table.add_row(
-        {s.name, TextTable::num(s.shards, 0),
-         TextTable::num(static_cast<double>(s.events), 0),
+        {s.name, TextTable::num(static_cast<double>(s.events), 0),
          TextTable::eng(s.events_per_second),
-         s.baseline.empty() ? "-"
-                            : TextTable::num(s.speedup_vs_baseline, 2) + "x",
          TextTable::num(s.allocs_per_event, 4),
          TextTable::num(
              evals > 0.0 ? 100.0 * static_cast<double>(s.memo_hits) / evals
@@ -784,36 +770,6 @@ int cmd_perf(const ArgParser& args) {
               report.events_per_second, report.total_events,
               report.total_wall_seconds,
               report.alloc_counter_live ? "" : " [alloc counter not linked]");
-  if (config.explain_scaling) {
-    // Where each sharded row's core-seconds went.  The four terms sum to
-    // the measured serial-vs-sharded gap exactly (prof::explain_scaling
-    // asserts the zero-residual identity), so the shares explain 100% of
-    // the scaling loss — or, for a negative gap, the superlinear win.
-    TextTable st({"config", "workers", "speedup", "gap (core-ms)",
-                  "imbalance", "barrier", "mailbox+merge", "residual"});
-    const auto share = [](std::int64_t term, std::int64_t gap) {
-      if (gap == 0) return std::string("-");
-      if (term == 0) return std::string("0.0%");
-      return TextTable::num(100.0 * static_cast<double>(term) /
-                                static_cast<double>(gap),
-                            1) +
-             "%";
-    };
-    for (const auto& s : report.samples) {
-      if (!s.has_scaling) continue;
-      const auto& d = s.scaling;
-      st.add_row({s.name, TextTable::num(d.workers, 0),
-                  TextTable::num(d.speedup, 2) + "x",
-                  TextTable::num(static_cast<double>(d.core_gap_ns) / 1e6, 2),
-                  share(d.imbalance_ns, d.core_gap_ns),
-                  share(d.barrier_ns, d.core_gap_ns),
-                  share(d.mailbox_merge_ns, d.core_gap_ns),
-                  share(d.serial_residual_ns, d.core_gap_ns)});
-    }
-    std::printf("\nscaling-loss attribution (zero residual by construction)\n"
-                "\n%s",
-                st.str().c_str());
-  }
   if (args.given("--report-json")) {
     cluster::write_perf_report(args.get("--report-json"), report);
     std::printf("wrote %s\n", args.get("--report-json").c_str());
@@ -829,40 +785,29 @@ int cmd_perf(const ArgParser& args) {
   }
   if (args.given("--baseline")) {
     const double tolerance = args.get_double("--baseline-tolerance");
-    const double speedup_tolerance = args.get_double("--speedup-tolerance");
     const auto baseline = cluster::load_perf_baseline(args.get("--baseline"));
-    const cluster::PerfDiff diff = cluster::diff_perf_baseline(
-        report, baseline, tolerance, speedup_tolerance);
-    std::printf("%s", diff.notes.c_str());
-    if (!diff.failures.empty()) {
-      std::fprintf(stderr, "%s", diff.failures.c_str());
+    const std::string failures =
+        cluster::diff_perf_baseline(report, baseline, tolerance);
+    if (!failures.empty()) {
+      std::fprintf(stderr, "%s", failures.c_str());
       return 1;
     }
-    std::printf("baseline check passed vs %s (tolerance %.2f, speedup "
-                "tolerance %.2f)\n",
-                args.get("--baseline").c_str(), tolerance, speedup_tolerance);
+    std::printf("baseline check passed vs %s (tolerance %.2f)\n",
+                args.get("--baseline").c_str(), tolerance);
   }
   return 0;
 }
 
-int usage(const ArgParser& args) {
+void print_usage(const ArgParser& args) {
   // The workload line derives from the registry, so usage can never
   // drift from what make_workload accepts.
-  std::string tags;
-  for (const std::string& name : workloads::list()) {
-    if (!tags.empty()) tags += ", ";
-    tags += name;
-  }
   std::printf(
       "usage: socbench <command> [flags]\n\n"
       "commands:\n"
       "  list       workloads and machine models available\n"
       "  run        one metered run (add --metrics, --chrome-trace,\n"
       "             --report-json for observability artifacts;\n"
-      "             --audit-determinism for a replay audit;\n"
-      "             --engine-threads N for the sharded parallel engine;\n"
-      "             --engine-telemetry/--engine-counters/--engine-trace\n"
-      "             for the engine's self-telemetry artifacts)\n"
+      "             --audit-determinism for a replay audit)\n"
       "  sweep      cluster-size sweep, one row per (size, NIC); shards\n"
       "             across host threads (--sweep-threads);\n"
       "             --energy-roofline writes the GFLOPS/W artifact\n"
@@ -876,8 +821,7 @@ int usage(const ArgParser& args) {
       "  trace      record generated per-rank programs to a .soctrace file\n"
       "  replay     replay a recorded trace (what-if scenarios supported)\n"
       "  perf       engine-only replay throughput + BENCH_engine.json\n"
-      "             (--quick for the CI smoke subset; --explain-scaling\n"
-      "             for the zero-residual scaling-loss attribution)\n"
+      "             (--quick for the CI smoke subset)\n"
       "\nscenarios (run/sweep/explain/decompose): --fault injects\n"
       "deterministic node crashes, link flaps, and stragglers; --noise adds\n"
       "seeded per-rank OS jitter; --checkpoint daly:... inserts\n"
@@ -885,8 +829,7 @@ int usage(const ArgParser& args) {
       "compose, stay bit-deterministic, and are attributed with zero\n"
       "residual by 'explain' (category `injected`).\n"
       "\nworkloads: %s\n"
-      "\nflags:\n%s", tags.c_str(), args.usage().c_str());
-  return 2;
+      "\nflags:\n%s", workload_tags().c_str(), args.usage().c_str());
 }
 
 }  // namespace
@@ -915,21 +858,6 @@ int main(int argc, char** argv) {
                 "run: verify replays are bit-identical instead of reporting");
   args.add_flag("--repeats", "replays per audit mode (audit-determinism)",
                 "4");
-  args.add_flag("--engine-threads",
-                "run/replay: worker threads for the sharded parallel engine "
-                "(committed stream is bit-identical to serial)");
-  args.add_flag("--engine-shards",
-                "run/replay: event-queue shard count (defaults to "
-                "--engine-threads)");
-  args.add_flag("--engine-telemetry",
-                "run/replay: write the soccluster-engine-telemetry/v1 "
-                "self-telemetry artifact here");
-  args.add_flag("--engine-counters",
-                "run/replay: write just the deterministic counter section "
-                "(byte-identical at any shard/thread count) here");
-  args.add_flag("--engine-trace",
-                "run/replay: write a Chrome trace of the engine's own "
-                "wall-clock execution here");
   args.add_flag("--sweep-threads",
                 "sweep: host threads to shard runs across (0 = all cores; "
                 "overrides SOC_SWEEP_THREADS)");
@@ -958,8 +886,8 @@ int main(int argc, char** argv) {
   args.add_flag("--energy-roofline",
                 "sweep: write the soccluster-energy-roofline/v1 artifact "
                 "here");
-  args.add_bool("--quick", "perf: smoke subset (serial + sharded pair per "
-                           "figure family)");
+  args.add_bool("--quick", "perf: smoke subset (one case per figure "
+                           "family)");
   args.add_flag("--reps", "perf: timed repetitions per case");
   args.add_flag("--baseline",
                 "perf: committed BENCH_engine.json to diff against (exact "
@@ -967,16 +895,20 @@ int main(int argc, char** argv) {
   args.add_flag("--baseline-tolerance",
                 "perf: fail if events/s drops below this fraction of the "
                 "baseline's", "0.25");
-  args.add_flag("--speedup-tolerance",
-                "perf: fail if a sharded row's speedup_vs_baseline drops "
-                "below this fraction of the baseline's", "0.7");
-  args.add_bool("--explain-scaling",
-                "perf: attach telemetry (untimed rep) and decompose each "
-                "sharded row's scaling loss with zero residual");
 
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      print_usage(args);
+      return 0;
+    }
+  }
   try {
     args.parse(argc, argv);
-    if (args.positional().empty()) return usage(args);
+    if (args.positional().empty()) {
+      print_usage(args);
+      return 2;
+    }
     const std::string& command = args.positional().front();
     if (command == "list") return cmd_list();
     if (command == "run") return cmd_run(args);
@@ -987,8 +919,10 @@ int main(int argc, char** argv) {
     if (command == "trace") return cmd_trace(args);
     if (command == "replay") return cmd_replay(args);
     if (command == "perf") return cmd_perf(args);
-    std::fprintf(stderr, "unknown command '%s'\n", command.c_str());
-    return usage(args);
+    throw UsageError("unknown command '" + command + "' (see socbench --help)");
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "socbench: %s\n", e.what());
+    return 2;
   } catch (const soc::Error& e) {
     std::fprintf(stderr, "socbench: %s\n", e.what());
     return 1;

@@ -540,78 +540,6 @@ void shared_state_file(const SourceFile& file, std::vector<Diagnostic>& out) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard-local-state check (src/sim only)
-// ---------------------------------------------------------------------------
-
-/// True if the raw line (or the one above) marks the member as
-/// thread-confined shard state (`// SOC_SHARD_LOCAL`, optionally with a
-/// parenthesized partition note) or carries a checkable guard annotation.
-bool shard_local_annotated(const SourceFile& file, std::size_t line_no) {
-  const auto has_marker = [](const std::string& text) {
-    if (text.find("SOC_SHARD_LOCAL") != std::string::npos) return true;
-    for (const char* marker : {"SOC_GUARDED_BY(", "SOC_PT_GUARDED_BY("}) {
-      const auto pos = text.find(marker);
-      if (pos == std::string::npos) continue;
-      const auto open = text.find('(', pos);
-      const auto close = text.find(')', open);
-      if (close != std::string::npos && close > open + 1) return true;
-    }
-    return false;
-  };
-  if (line_no >= 1 && has_marker(file.raw_lines[line_no - 1])) return true;
-  if (line_no >= 2 && has_marker(file.raw_lines[line_no - 2])) return true;
-  return false;
-}
-
-/// The parallel engine mutates everything declared inside a
-/// `struct Shard { ... }` from worker threads with no locks — safe only
-/// because each member is touched by exactly one worker.  That
-/// confinement claim must be visible and reviewable: every data member
-/// of a Shard type in src/sim carries `// SOC_SHARD_LOCAL` (or a real
-/// SOC_GUARDED_BY when it genuinely is cross-thread).  The telemetry
-/// counters (struct ShardCounters, sim/telemetry.h) live under the same
-/// contract — workers bump them lock-free during a window — so the rule
-/// covers both type names.
-void shard_local_file(const SourceFile& file, std::vector<Diagnostic>& out) {
-  int depth = 0;         // brace depth across the file
-  int shard_depth = -1;  // body depth of the open Shard struct, -1 = none
-  for (std::size_t i = 0; i < file.code_lines.size(); ++i) {
-    const std::string& line = file.code_lines[i];
-    if (line_is_preprocessor(line)) continue;
-    const bool opens_shard = (!find_token(line, "Shard").empty() ||
-                              !find_token(line, "ShardCounters").empty()) &&
-                             (!find_token(line, "struct").empty() ||
-                              !find_token(line, "class").empty());
-    if (shard_depth >= 0 && depth == shard_depth) {
-      // Data-member line: ends a declaration, no parentheses (member
-      // functions and constructors carry their own thread contracts),
-      // and type aliases hold no state.
-      const std::string text = trim(line);
-      if (!text.empty() && text.front() != '}' && text.back() == ';' &&
-          text.find('(') == std::string::npos &&
-          find_token(text, "using").empty() &&
-          !shard_local_annotated(file, i + 1)) {
-        emit(file, i + 1, "shard-local-state",
-             "Shard member '" + declared_name(text, 0) +
-                 "' is mutated from engine worker threads; mark its "
-                 "confinement with `// SOC_SHARD_LOCAL` or guard it with "
-                 "SOC_GUARDED_BY (src/common/thread_safety.h)",
-             out);
-      }
-    }
-    for (char c : line) {
-      if (c == '{') {
-        ++depth;
-        if (opens_shard && shard_depth < 0) shard_depth = depth;
-      } else if (c == '}') {
-        if (shard_depth >= 0 && depth == shard_depth) shard_depth = -1;
-        --depth;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Determinism pass
 // ---------------------------------------------------------------------------
 
@@ -924,7 +852,6 @@ void shared_state_pass(const std::vector<SourceFile>& files,
   for (const SourceFile& file : files) {
     if (file.top_dir != "src") continue;
     shared_state_file(file, out);
-    if (file.path.rfind("src/sim/", 0) == 0) shard_local_file(file, out);
   }
 }
 
@@ -962,10 +889,6 @@ const std::vector<PassRule>& pass_rules() {
       {"shared-mutable-state",
        "sync primitives and shared-mutable declarations need "
        "SOC_SHARED(<guard>) or SOC_GUARDED_BY"},
-      {"shard-local-state",
-       "data members of the engine's Shard and ShardCounters structs "
-       "(src/sim) must declare their thread confinement with "
-       "// SOC_SHARD_LOCAL or carry SOC_GUARDED_BY"},
       {"unordered-range-for",
        "no range-for over unordered containers anywhere in src/"},
       {"unseeded-rng", "std <random> engines must be explicitly seeded"},
@@ -1206,13 +1129,8 @@ int passes_self_test(const std::string& testdata_dir) {
   t.pass_case("obs including sim ok",
               Fx{{"src/obs/observers.cpp", "#include \"sim/engine.h\"\n"}},
               "layering", 0);
-  t.pass_case("obs telemetry renderer including sim telemetry ok",
-              Fx{{"src/obs/engine_telemetry.cpp",
-                  "#include \"sim/telemetry.h\"\n"}},
-              "layering", 0);
-  t.pass_case("sim including obs telemetry renderer flagged",
-              Fx{{"src/sim/engine.cpp",
-                  "#include \"obs/engine_telemetry.h\"\n"}},
+  t.pass_case("sim including obs flagged",
+              Fx{{"src/sim/engine.cpp", "#include \"obs/observers.h\"\n"}},
               "layering", 1);
   t.pass_case("system header ignored",
               Fx{{"src/common/units.cpp", "#include <vector>\n"}}, "layering",
@@ -1368,66 +1286,6 @@ int passes_self_test(const std::string& testdata_dir) {
   t.pass_case("tools files exempt from shared-state pass",
               Fx{{"tools/thing.cpp", "std::mutex m;\n"}},
               "shared-mutable-state", 0);
-
-  // --- shard-local-state. ---
-  t.pass_case("bare Shard member flagged",
-              Fx{{"src/sim/x.h",
-                  "#pragma once\nstruct Shard {\n  int queue_depth = 0;\n"
-                  "};\n"}},
-              "shard-local-state", 1);
-  t.pass_case("SOC_SHARD_LOCAL on same line ok",
-              Fx{{"src/sim/x.h",
-                  "#pragma once\nstruct Shard {\n"
-                  "  int queue_depth = 0;  // SOC_SHARD_LOCAL\n};\n"}},
-              "shard-local-state", 0);
-  t.pass_case("SOC_SHARD_LOCAL on line above ok",
-              Fx{{"src/sim/x.h",
-                  "#pragma once\nstruct Shard {\n  // SOC_SHARD_LOCAL\n"
-                  "  int queue_depth = 0;\n};\n"}},
-              "shard-local-state", 0);
-  t.pass_case("guarded Shard member ok",
-              Fx{{"src/sim/x.h",
-                  "#pragma once\nstruct Shard {\n"
-                  "  int queue_depth SOC_GUARDED_BY(mu_) = 0;\n};\n"}},
-              "shard-local-state", 0);
-  t.pass_case("Shard member function not flagged",
-              Fx{{"src/sim/x.h",
-                  "#pragma once\nstruct Shard {\n  void drain();\n};\n"}},
-              "shard-local-state", 0);
-  t.pass_case("Shard type alias not flagged",
-              Fx{{"src/sim/x.h",
-                  "#pragma once\nstruct Shard {\n"
-                  "  using Clock = int;\n};\n"}},
-              "shard-local-state", 0);
-  t.pass_case("Shard rule confined to src/sim",
-              Fx{{"src/cluster/x.h",
-                  "#pragma once\nstruct Shard {\n  int depth = 0;\n};\n"}},
-              "shard-local-state", 0);
-  t.pass_case("non-Shard struct members unaffected",
-              Fx{{"src/sim/x.h",
-                  "#pragma once\nstruct Config {\n  int depth = 0;\n};\n"}},
-              "shard-local-state", 0);
-  t.pass_case("shard-local waiver honored",
-              Fx{{"src/sim/x.h",
-                  "#pragma once\nstruct Shard {\n"
-                  "  int d = 0;  // soclint: allow(shard-local-state)\n};\n"}},
-              "shard-local-state", 0);
-  t.pass_case("bare ShardCounters member flagged",
-              Fx{{"src/sim/x.h",
-                  "#pragma once\nstruct ShardCounters {\n"
-                  "  int events_processed = 0;\n};\n"}},
-              "shard-local-state", 1);
-  t.pass_case("annotated ShardCounters member ok",
-              Fx{{"src/sim/x.h",
-                  "#pragma once\nstruct ShardCounters {\n"
-                  "  int events_processed = 0;  // SOC_SHARD_LOCAL\n};\n"}},
-              "shard-local-state", 0);
-  t.pass_case("ShardCounters use outside a definition not flagged",
-              Fx{{"src/sim/x.h",
-                  "#pragma once\nstruct Telemetry {\n"
-                  "  int shards = 0;\n};\n"
-                  "inline void touch(ShardCounters& c);\n"}},
-              "shard-local-state", 0);
 
   // --- determinism. ---
   t.pass_case("range-for over unordered flagged",

@@ -1,10 +1,9 @@
 // soclint v2 — whole-program passes.
 //
 // Where rules.h checks one line of one file at a time, the passes here see
-// every scanned file at once and enforce the properties that matter for
-// the rank-sharded PDES work (ROADMAP item 1): state isolation and
-// schedule determinism have to be provable *before* engine state goes
-// under concurrent mutation.
+// every scanned file at once and enforce whole-tree properties: the module
+// layering, a stated discipline for every piece of shared mutable state
+// (sweeps run simulations on host threads), and schedule determinism.
 //
 //   include-graph pass      parses every #include edge under src/,
 //                           rejects cycles (`include-cycle`) with the
