@@ -71,8 +71,8 @@ RunResult run(const RunRequest& request, const workloads::Workload& workload,
               const ClusterCostModel& cost) {
   validate(request.config);
   // The engine pulls ops through the workload's stream (with any
-  // scenario decorators layered on top); Workload::build() survives as
-  // the compat shim underneath the default ProgramWalkStream adapter.
+  // scenario decorators layered on top), which generates them an outer
+  // iteration at a time as ranks run dry.
   std::unique_ptr<workloads::OpStream> stream = workloads::apply_scenarios(
       workload.stream(build_context(request.config, request.options)),
       request.scenario, request.config.nodes);

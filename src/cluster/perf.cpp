@@ -15,6 +15,13 @@
 #include "systems/machines.h"
 #include "workloads/workload.h"
 
+#ifndef SOC_COMPILER
+#define SOC_COMPILER "unknown"
+#endif
+#ifndef SOC_BUILD_TYPE
+#define SOC_BUILD_TYPE "unknown"
+#endif
+
 namespace soc::cluster {
 
 std::vector<PerfCase> default_perf_cases(bool quick) {
@@ -47,6 +54,8 @@ PerfReport measure_engine(const std::vector<PerfCase>& cases,
   using Clock = std::chrono::steady_clock;  // soclint: allow(banned-nondeterminism)
   PerfReport report;
   report.hardware_concurrency = std::thread::hardware_concurrency();
+  report.compiler = SOC_COMPILER;
+  report.build_type = SOC_BUILD_TYPE;
   const std::uint64_t allocs_at_start = allocation_count();
 
   for (const PerfCase& c : cases) {
@@ -114,6 +123,8 @@ std::string perf_report_json(const PerfReport& report) {
   w.field("schema", "soccluster-perf-report/v1");
   w.field("hardware_concurrency",
           static_cast<std::uint64_t>(report.hardware_concurrency));
+  w.field("compiler", report.compiler);
+  w.field("build_type", report.build_type);
   w.field("alloc_counter_live", report.alloc_counter_live);
   w.field("total_events", report.total_events);
   w.field("total_wall_seconds", report.total_wall_seconds);
@@ -187,6 +198,8 @@ PerfReport load_perf_baseline(const std::string& path) {
       if (extract_number(line, "hardware_concurrency", &threads)) {
         baseline.hardware_concurrency = static_cast<unsigned>(threads);
       }
+      extract_string(line, "compiler", &baseline.compiler);
+      extract_string(line, "build_type", &baseline.build_type);
       continue;
     }
     std::string checksum;

@@ -54,6 +54,10 @@ struct PerfReport {
   /// std::thread::hardware_concurrency() of the measuring host (0 =
   /// unknown, e.g. a baseline written before the field existed).
   unsigned hardware_concurrency = 0;
+  /// Compiler id and version, and CMAKE_BUILD_TYPE, of the measuring
+  /// build ("" in a baseline written before the fields existed).
+  std::string compiler;
+  std::string build_type;
 };
 
 /// The fig5/fig6 replay shapes at 16 nodes (the scalability benches'
@@ -74,8 +78,8 @@ void write_perf_report(const std::string& path, const PerfReport& report);
 
 /// Reads a perf_report_json document (the committed BENCH_engine.json
 /// baseline) back.  Only the comparison fields are recovered: the
-/// report's hardware_concurrency and, per sample, name, events, checksum
-/// and events_per_second.
+/// report's hardware_concurrency, compiler and build_type and, per
+/// sample, name, events, checksum and events_per_second.
 PerfReport load_perf_baseline(const std::string& path);
 
 /// Compares a fresh report against a committed baseline: cases present in

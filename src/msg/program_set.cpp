@@ -64,4 +64,10 @@ std::vector<sim::Program> ProgramSet::take() {
   return out;
 }
 
+void ProgramSet::take(int rank, sim::Program& out) {
+  SOC_CHECK(rank >= 0 && rank < ranks_, "rank out of range");
+  out.clear();
+  out.swap(programs_[static_cast<std::size_t>(rank)]);
+}
+
 }  // namespace soc::msg

@@ -49,6 +49,13 @@ class ProgramSet {
   /// Extracts the built programs (the builder is left empty).
   std::vector<sim::Program> take();
 
+  /// Moves `rank`'s ops built so far into `out` (replacing its contents)
+  /// and leaves that rank's program empty, reusing `out`'s storage.  The
+  /// tag and phase counters keep running, so ops appended later continue
+  /// the same numbering: a generator that appends in chunks and a reader
+  /// that takes each chunk see the ops an eager build would produce.
+  void take(int rank, sim::Program& out);
+
   const std::vector<sim::Program>& programs() const { return programs_; }
 
  private:

@@ -213,16 +213,7 @@ RunStats Engine::run(OpSource& source) {
   // Every rank must have drained its stream; otherwise communication
   // deadlocked (a send or recv never found its partner).
   for (std::size_t r = 0; r < n; ++r) {
-    if (!states_[r].done) {
-      std::ostringstream os;
-      os << "deadlock: rank " << r << " stuck at op " << states_[r].pc;
-      if (states_[r].have_current) {
-        const Op& op = states_[r].current;
-        os << " (kind=" << static_cast<int>(op.kind) << " peer=" << op.peer
-           << " tag=" << op.tag << ")";
-      }
-      throw Error(os.str());
-    }
+    if (!states_[r].done) throw Error(deadlock_report());
   }
   // Matched keys leave their tables, so with every rank done any entry
   // left behind is an endpoint nothing will ever match: an eager send or
@@ -251,6 +242,86 @@ RunStats Engine::run(OpSource& source) {
   stats_.event_checksum = audit_.value();
   if (observer_ != nullptr) observer_->on_run_end(stats_);
   return stats_;
+}
+
+std::string Engine::describe_wait(int rank) const {
+  const RankState& st = states_[static_cast<std::size_t>(rank)];
+  std::ostringstream os;
+  os << "rank " << rank;
+  if (!st.have_current) return os.str();
+  const Op& op = st.current;
+  os << " (" << op_kind_name(op.kind);
+  if (op.kind == OpKind::kWaitAll) {
+    os << ", " << st.unresolved_requests << " unresolved request"
+       << (st.unresolved_requests == 1 ? "" : "s");
+  } else {
+    os << (op.kind == OpKind::kRecv ? " from " : " to ") << op.peer
+       << ", tag " << op.tag;
+  }
+  os << ")";
+  return os.str();
+}
+
+std::string Engine::deadlock_report() const {
+  const int n = placement_.ranks;
+  const auto state = [&](int r) -> const RankState& {
+    return states_[static_cast<std::size_t>(r)];
+  };
+  // A parked send or recv waits on its peer (dispatch checked the peer
+  // is a valid rank), a parked kWaitAll on its own requests.
+  std::vector<int> peer(static_cast<std::size_t>(n), -1);
+  int blocked = 0;
+  for (int r = 0; r < n; ++r) {
+    if (state(r).done) continue;
+    ++blocked;
+    const Op& op = state(r).current;
+    if (state(r).have_current &&
+        (op.kind == OpKind::kSend || op.kind == OpKind::kRecv)) {
+      peer[static_cast<std::size_t>(r)] = op.peer;
+    }
+  }
+  // The wait-for edge of rank r: its peer, unless that rank finished.
+  // With at most one edge per rank, a walk either ends at a rank with
+  // no edge or closes a cycle.
+  const auto waits_on = [&](int r) {
+    const int p = peer[static_cast<std::size_t>(r)];
+    return p >= 0 && !state(p).done ? p : -1;
+  };
+  std::ostringstream os;
+  std::vector<int> walked_from(static_cast<std::size_t>(n), -1);
+  for (int start = 0; start < n; ++start) {
+    int r = start;
+    while (r >= 0 && walked_from[static_cast<std::size_t>(r)] < 0) {
+      walked_from[static_cast<std::size_t>(r)] = start;
+      r = waits_on(r);
+    }
+    if (r < 0 || walked_from[static_cast<std::size_t>(r)] != start) continue;
+    // r closes a cycle; name it from its lowest rank.
+    int first = r;
+    for (int q = waits_on(r); q != r; q = waits_on(q)) {
+      first = std::min(first, q);
+    }
+    os << "deadlock: wait-for cycle ";
+    int q = first;
+    do {
+      os << describe_wait(q) << " -> ";
+      q = waits_on(q);
+    } while (q != first);
+    os << "rank " << first << "; " << blocked << " of " << n
+       << " ranks blocked";
+    return os.str();
+  }
+  os << "deadlock: no wait-for cycle;";
+  const char* sep = " ";
+  for (int r = 0; r < n; ++r) {
+    if (state(r).done) continue;
+    os << sep << describe_wait(r);
+    const int p = peer[static_cast<std::size_t>(r)];
+    if (p >= 0 && state(p).done) os << " -> rank " << p << " (finished)";
+    sep = ", ";
+  }
+  os << "; " << blocked << " of " << n << " ranks blocked";
+  return os.str();
 }
 
 void Engine::send_proto(const ProtoMsg& p) {

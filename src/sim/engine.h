@@ -22,6 +22,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/hash.h"
@@ -294,6 +295,14 @@ class Engine {
   void process_cts(const ProtoMsg& p, SimTime now);
 
   void execute_next(int rank, SimTime now);
+  /// What a rank still running at the end waits on, e.g. "rank 1 (recv
+  /// from 0, tag 8)" or "rank 2 (waitall, 1 unresolved request)".
+  std::string describe_wait(int rank) const;
+  /// The deadlock error for a run that ended with ranks still running:
+  /// the first cycle of the wait-for graph (a parked send or recv waits
+  /// on its peer; a parked kWaitAll on its own requests), or, with no
+  /// cycle, every blocked rank's wait.
+  std::string deadlock_report() const;
   /// Finishes the rank's current op: bumps pc and drops the stream
   /// buffer so the next execute_next pulls a fresh op.  Every site that
   /// used to advance a rank's pc — including cross-rank wake paths —

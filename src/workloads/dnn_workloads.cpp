@@ -1,5 +1,6 @@
 #include "workloads/dnn_workloads.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -25,7 +26,8 @@ double DnnWorkload::flops_per_image() const {
   return kernels::network_flops(layers);
 }
 
-std::vector<sim::Program> DnnWorkload::build(const BuildContext& ctx) const {
+std::unique_ptr<WorkloadCursor> DnnWorkload::cursor(
+    const BuildContext& ctx) const {
   validate(ctx);
   const int ranks = ctx.ranks;
   const auto layers = network_ == Network::kAlexNet
@@ -34,7 +36,6 @@ std::vector<sim::Program> DnnWorkload::build(const BuildContext& ctx) const {
 
   const int images =
       std::max(1, static_cast<int>(total_images_ * ctx.size_scale));
-  msg::ProgramSet ps(ranks);
 
   // 227×227×3 float input tensor staged to the device per image.
   const Bytes input_bytes = 227 * 227 * 3 * 4;
@@ -49,10 +50,17 @@ std::vector<sim::Program> DnnWorkload::build(const BuildContext& ctx) const {
   const int batch = 16;
 
   const int per_rank = (images + ranks - 1) / ranks;
-  for (int r = 0; r < ranks; ++r) {
-    const int mine = std::min(per_rank, images - r * per_rank);
-    if (mine <= 0) break;
-    for (int done = 0; done < mine; done += batch) {
+  // One batch per step for every rank with images left.  The ranks never
+  // communicate, so only each rank's own op order matters: its batches in
+  // the order it classifies them.
+  // SOC_SHARED(single-thread): the loop state belongs to this cursor.
+  return make_cursor([=, done = 0](msg::ProgramSet& ps) mutable {
+    // Rank 0 holds the most images (per_rank of them).
+    if (done >= per_rank) return false;
+    for (int r = 0; r < ranks; ++r) {
+      const int mine = std::min(per_rank, images - r * per_rank);
+      if (mine <= 0) break;
+      if (done >= mine) continue;
       const int b = std::min(batch, mine - done);
       for (int i = 0; i < b; ++i) {
         ps.add(r, sim::cpu_op(decode_instructions, 2.0e6,
@@ -73,8 +81,9 @@ std::vector<sim::Program> DnnWorkload::build(const BuildContext& ctx) const {
       ps.add(r, sim::cpu_op(2.0e5 * b, 2.0e4 * b, 8 * kKiB,
                             /*profile=*/0));  // argmax
     }
-  }
-  return ps.take();
+    done += batch;
+    return true;
+  });
 }
 
 }  // namespace soc::workloads

@@ -25,7 +25,8 @@ class DnnWorkload : public Workload {
   }
   bool gpu_accelerated() const override { return true; }
   arch::WorkloadProfile cpu_profile() const override;
-  std::vector<sim::Program> build(const BuildContext& ctx) const override;
+  std::unique_ptr<WorkloadCursor> cursor(
+      const BuildContext& ctx) const override;
 
   /// Forward-pass FLOPs per image.
   double flops_per_image() const;

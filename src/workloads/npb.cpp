@@ -1,7 +1,9 @@
 #include "workloads/npb.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
+#include <vector>
 
 #include "common/error.h"
 #include "msg/collectives.h"
@@ -27,7 +29,8 @@ arch::WorkloadProfile NpbWorkload::cpu_profile() const {
   throw Error("unknown NPB tag: " + spec_.tag);
 }
 
-std::vector<sim::Program> NpbWorkload::build(const BuildContext& ctx) const {
+std::unique_ptr<WorkloadCursor> NpbWorkload::cursor(
+    const BuildContext& ctx) const {
   validate(ctx);
   const int p = ctx.ranks;
   // bt/sp, cg and mg pair rank r with r ^ 2^k, which covers every rank
@@ -44,7 +47,6 @@ std::vector<sim::Program> NpbWorkload::build(const BuildContext& ctx) const {
                 std::to_string(std::bit_floor(count)) + " or " +
                 std::to_string(std::bit_ceil(count)) + ")");
   }
-  msg::ProgramSet ps(p);
 
   // Strong scaling from the 32-rank calibration point.
   const double work_scale = 32.0 / p * ctx.size_scale;
@@ -61,13 +63,25 @@ std::vector<sim::Program> NpbWorkload::build(const BuildContext& ctx) const {
                          (32.0 * 32.0) / (static_cast<double>(p) * p) *
                          ctx.size_scale),
       64);
+  const std::vector<double> jitters =
+      imbalance_factors(spec_.tag, p, spec_.imbalance);
+  const NpbSpec spec = spec_;
 
-  for (int it = 0; it < spec_.iterations; ++it) {
+  // One iteration per step, then one step for the terminal verification
+  // reduction (every NPB code ends with one).
+  // SOC_SHARED(single-thread): the loop state belongs to this cursor.
+  return make_cursor([=, next_it = 0](msg::ProgramSet& ps) mutable {
+    if (next_it > spec.iterations) return false;
+    const int it = next_it++;
+    if (it == spec.iterations) {
+      if (p > 1) msg::allreduce(ps, 80);
+      return true;
+    }
     if (it % 10 == 0) ps.begin_phase();
 
     // Pipeline sweeps interleave compute and messaging; everything else
     // computes first, then communicates.
-    if (spec_.pattern == NpbPattern::kPipeline && p > 1) {
+    if (spec.pattern == NpbPattern::kPipeline && p > 1) {
       // Forward and backward SSOR wavefronts.  Many fronts pipeline
       // through the rank chain, so the serialized portion is only the
       // pipeline fill (~two fronts' worth of one rank's work); the rest
@@ -85,11 +99,11 @@ std::vector<sim::Program> NpbWorkload::build(const BuildContext& ctx) const {
             ps.add(r, sim::recv_op(prev, face,
                                    tags[static_cast<std::size_t>(prev)]));
           }
-          const double jitter = imbalance_factor(name(), r, spec_.imbalance);
+          const double jitter = jitters[static_cast<std::size_t>(r)];
           auto emit_cpu = [&](double i) {
-            ps.add(r, sim::cpu_op(i, i * spec_.flops_per_instruction,
+            ps.add(r, sim::cpu_op(i, i * spec.flops_per_instruction,
                                   static_cast<Bytes>(
-                                      i * spec_.dram_bytes_per_instruction),
+                                      i * spec.dram_bytes_per_instruction),
                                   /*profile=*/0));
           };
           emit_cpu(fill_instr * jitter);
@@ -100,20 +114,20 @@ std::vector<sim::Program> NpbWorkload::build(const BuildContext& ctx) const {
           emit_cpu((sweep_instr - fill_instr) * jitter);
         }
       }
-      continue;
+      return true;
     }
 
     for (int r = 0; r < p; ++r) {
-      const double jitter = imbalance_factor(name(), r, spec_.imbalance);
+      const double jitter = jitters[static_cast<std::size_t>(r)];
       const double i = instr * jitter;
-      ps.add(r, sim::cpu_op(i, i * spec_.flops_per_instruction,
+      ps.add(r, sim::cpu_op(i, i * spec.flops_per_instruction,
                             static_cast<Bytes>(
-                                i * spec_.dram_bytes_per_instruction),
+                                i * spec.dram_bytes_per_instruction),
                             /*profile=*/0));
     }
-    if (p == 1) continue;
+    if (p == 1) return true;
 
-    switch (spec_.pattern) {
+    switch (spec.pattern) {
       case NpbPattern::kNeighbors:
         // Three face exchanges per step (multipartition x/y/z sweeps).
         for (int shift : {1, 2, 4}) {
@@ -160,11 +174,8 @@ std::vector<sim::Program> NpbWorkload::build(const BuildContext& ctx) const {
         break;
       }
     }
-  }
-
-  // Terminal verification reduction (every NPB code ends with one).
-  if (p > 1) msg::allreduce(ps, 80);
-  return ps.take();
+    return true;
+  });
 }
 
 NpbSpec npb_bt_spec() {

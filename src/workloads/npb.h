@@ -44,7 +44,8 @@ class NpbWorkload : public Workload {
   std::string name() const override { return spec_.tag; }
   bool gpu_accelerated() const override { return false; }
   arch::WorkloadProfile cpu_profile() const override;
-  std::vector<sim::Program> build(const BuildContext& ctx) const override;
+  std::unique_ptr<WorkloadCursor> cursor(
+      const BuildContext& ctx) const override;
 
   const NpbSpec& spec() const { return spec_; }
 

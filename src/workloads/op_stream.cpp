@@ -1,5 +1,6 @@
 #include "workloads/op_stream.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.h"
@@ -13,30 +14,52 @@ bool OpStream::next(int rank, SimTime now, sim::Op* op) {
   return true;
 }
 
-ProgramWalkStream::ProgramWalkStream(const Workload& workload,
-                                     const BuildContext& ctx)
-    : workload_(&workload), ctx_(ctx), ranks_(ctx.ranks) {
-  validate(ctx_);
+CursorStream::CursorStream(std::unique_ptr<WorkloadCursor> cursor, int ranks)
+    : cursor_(std::move(cursor)),
+      pending_(ranks),
+      ready_(static_cast<std::size_t>(ranks)),
+      next_(static_cast<std::size_t>(ranks), 0) {
+  SOC_CHECK(cursor_ != nullptr, "CursorStream: null cursor");
+}
+
+int CursorStream::ranks() const { return pending_.ranks(); }
+
+std::size_t CursorStream::pending_ops() const {
+  std::size_t ops = 0;
+  for (const sim::Program& p : pending_.programs()) ops += p.size();
+  return ops;
+}
+
+sim::Op CursorStream::get_next(int rank, SimTime /*now*/) {
+  SOC_CHECK(rank >= 0 && rank < ranks(), "CursorStream: rank out of range");
+  const std::size_t r = static_cast<std::size_t>(rank);
+  sim::Program& ready = ready_[r];
+  if (next_[r] == ready.size()) {
+    held_ -= ready.size();
+    while (!ended_ && pending_.programs()[r].empty()) {
+      const std::size_t before = pending_ops();
+      if (!cursor_->step(pending_)) {
+        ended_ = true;
+        break;
+      }
+      held_ += pending_ops() - before;
+      high_water_ = std::max(high_water_, held_);
+    }
+    pending_.take(rank, ready);
+    next_[r] = 0;
+    if (ready.empty()) return sim::end_op();
+  }
+  return ready[next_[r]++];
 }
 
 ProgramWalkStream::ProgramWalkStream(std::vector<sim::Program> programs)
-    : built_(true),
-      programs_(std::move(programs)),
-      cursor_(programs_.size(), 0),
-      ranks_(static_cast<int>(programs_.size())) {}
+    : programs_(std::move(programs)), cursor_(programs_.size(), 0) {}
 
-int ProgramWalkStream::ranks() const { return ranks_; }
-
-void ProgramWalkStream::build() {
-  programs_ = workload_->build(ctx_);
-  SOC_CHECK(static_cast<int>(programs_.size()) == ranks_,
-            "workload built a program count != ctx.ranks");
-  cursor_.assign(programs_.size(), 0);
-  built_ = true;
+int ProgramWalkStream::ranks() const {
+  return static_cast<int>(programs_.size());
 }
 
 sim::Op ProgramWalkStream::get_next(int rank, SimTime /*now*/) {
-  if (!built_) build();
   const std::size_t r = static_cast<std::size_t>(rank);
   SOC_CHECK(r < programs_.size(), "ProgramWalkStream: rank out of range");
   if (cursor_[r] >= programs_[r].size()) return sim::end_op();

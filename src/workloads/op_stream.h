@@ -7,15 +7,17 @@
 // engine's bool protocol, which guarantees kEnd itself never reaches the
 // dispatch loop (the engine SOC_CHECKs on it).
 //
-// ProgramWalkStream adapts any eager Workload::build() generator: the
-// programs are generated lazily on the first pull and walked in order, so
-// streaming a workload commits the byte-identical event sequence (and
-// event_checksum) as replaying its built programs.
+// CursorStream generates a workload's ops an outer iteration at a time
+// (Workload::stream() returns one); ProgramWalkStream walks programs that
+// were built whole.  Both commit the byte-identical event sequence (and
+// event_checksum) for the same workload and context.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
+#include "msg/program_set.h"
 #include "sim/op.h"
 #include "sim/op_stream.h"
 #include "workloads/workload.h"
@@ -33,30 +35,46 @@ class OpStream : public sim::OpSource {
   bool next(int rank, SimTime now, sim::Op* op) final;
 };
 
-/// Lazily walks the programs of an eager generator.  Generation runs on
-/// the first pull, not at construction, so building a decorated pipeline
-/// stays cheap until the engine actually starts.
+/// Steps a WorkloadCursor on demand.  Every rank reads from its own ready
+/// buffer; when that runs dry the rank takes whatever the shared
+/// ProgramSet holds for it, stepping the cursor (one iteration for every
+/// rank per step) until something arrives or the workload ends.  Other
+/// ranks' ops from those steps wait in the shared set, so what the stream
+/// holds is bounded by how far apart in iterations the ranks run.
+class CursorStream final : public OpStream {
+ public:
+  CursorStream(std::unique_ptr<WorkloadCursor> cursor, int ranks);
+
+  int ranks() const override;
+  sim::Op get_next(int rank, SimTime now) override;
+
+  /// The most ops held at once, counting the shared set plus every ready
+  /// buffer.
+  std::size_t high_water() const { return high_water_; }
+
+ private:
+  std::size_t pending_ops() const;
+
+  std::unique_ptr<WorkloadCursor> cursor_;
+  msg::ProgramSet pending_;
+  std::vector<sim::Program> ready_;
+  std::vector<std::size_t> next_;
+  bool ended_ = false;
+  std::size_t held_ = 0;
+  std::size_t high_water_ = 0;
+};
+
+/// Walks already-built programs (takes ownership).
 class ProgramWalkStream final : public OpStream {
  public:
-  /// Walks `workload.build(ctx)`.  The workload reference must outlive
-  /// the first pull (cluster::run owns both for the run's duration).
-  ProgramWalkStream(const Workload& workload, const BuildContext& ctx);
-
-  /// Walks already-built programs (takes ownership).
   explicit ProgramWalkStream(std::vector<sim::Program> programs);
 
   int ranks() const override;
   sim::Op get_next(int rank, SimTime now) override;
 
  private:
-  void build();
-
-  const Workload* workload_ = nullptr;
-  BuildContext ctx_;
-  bool built_ = false;
   std::vector<sim::Program> programs_;
   std::vector<std::size_t> cursor_;
-  int ranks_;
 };
 
 }  // namespace soc::workloads

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -67,6 +69,15 @@ double imbalance_factor(const std::string& workload, int rank,
   return 1.0 + amount * (2.0 * rng.next_double() - 1.0);
 }
 
+std::vector<double> imbalance_factors(const std::string& workload, int count,
+                                      double amount) {
+  std::vector<double> factors;
+  for (int i = 0; i < count; ++i) {
+    factors.push_back(imbalance_factor(workload, i, amount));
+  }
+  return factors;
+}
+
 // ---------------------------------------------------------------- hpl --
 
 HplWorkload::HplWorkload(std::size_t n, std::size_t nb) : n_(n), nb_(nb) {
@@ -82,7 +93,8 @@ double HplWorkload::total_flops() const {
   return (2.0 / 3.0) * n * n * n;
 }
 
-std::vector<sim::Program> HplWorkload::build(const BuildContext& ctx) const {
+std::unique_ptr<WorkloadCursor> HplWorkload::cursor(
+    const BuildContext& ctx) const {
   validate(ctx);
   const int nodes = ctx.nodes;
   const int ranks = ctx.ranks;
@@ -92,8 +104,7 @@ std::vector<sim::Program> HplWorkload::build(const BuildContext& ctx) const {
 
   const auto n = static_cast<std::size_t>(
       static_cast<double>(n_) * std::cbrt(ctx.size_scale));
-  const std::size_t iterations = n / nb_;
-  msg::ProgramSet ps(ranks);
+  const std::size_t panel = nb_;
 
   // Work split.  Fig 7 sweeps `gpu_work_fraction`; Table IV adds the
   // colocated mode (one GPU-driving rank + 3 CPU ranks per node).  The
@@ -109,19 +120,22 @@ std::vector<sim::Program> HplWorkload::build(const BuildContext& ctx) const {
   // does); with one rank per node every rank is a leader.
   std::vector<int> leaders;
   for (int r = 0; r < ranks; r += rpn) leaders.push_back(r);
+  const std::vector<double> jitters = imbalance_factors(name(), ranks, 0.04);
 
-  for (std::size_t k = 0; k < iterations; ++k) {
+  // One panel per step, until less than a full panel remains.
+  // SOC_SHARED(single-thread): the loop state belongs to this cursor.
+  return make_cursor([=, k = std::size_t{0}](msg::ProgramSet& ps) mutable {
     const double m = static_cast<double>(n) -
-                     static_cast<double>((k + 1) * nb_);
-    if (m < static_cast<double>(nb_)) break;
+                     static_cast<double>((k + 1) * panel);
+    if (m < static_cast<double>(panel)) return false;
     ps.begin_phase();
-    const double nb = static_cast<double>(nb_);
-    const int root = static_cast<int>(k % static_cast<std::size_t>(ranks));
+    const double nb = static_cast<double>(panel);
+    const int root = static_cast<int>(k++ % static_cast<std::size_t>(ranks));
 
     // Distributed panel factorization (CPU): Σ m·nb² flops over ranks.
     const double panel_flops = m * nb * nb / ranks;
     for (int r = 0; r < ranks; ++r) {
-      const double jitter = imbalance_factor(name(), r, 0.04);
+      const double jitter = jitters[static_cast<std::size_t>(r)];
       ps.add(r, sim::cpu_op(panel_flops * 0.8 * jitter, panel_flops,
                             static_cast<Bytes>(m * nb * 8.0 / ranks),
                             /*profile=*/0));
@@ -155,7 +169,7 @@ std::vector<sim::Program> HplWorkload::build(const BuildContext& ctx) const {
     // Trailing-matrix update: 2·nb·m² flops split GPU/CPU per the ratio.
     const double update_flops = 2.0 * nb * m * m / ranks;
     for (int r = 0; r < ranks; ++r) {
-      const double jitter = imbalance_factor(name(), r, 0.04);
+      const double jitter = jitters[static_cast<std::size_t>(r)];
       const bool drives_gpu = rpn == 1 || r % rpn == 0;
       double cpu_part = update_flops * (1.0 - gpu_share);
       if (colocated) {
@@ -181,8 +195,8 @@ std::vector<sim::Program> HplWorkload::build(const BuildContext& ctx) const {
                               /*profile=*/0));
       }
     }
-  }
-  return ps.take();
+    return true;
+  });
 }
 
 // ------------------------------------------------------------- jacobi --
@@ -196,18 +210,21 @@ arch::WorkloadProfile JacobiWorkload::cpu_profile() const {
   return profiles::jacobi();
 }
 
-std::vector<sim::Program> JacobiWorkload::build(
+std::unique_ptr<WorkloadCursor> JacobiWorkload::cursor(
     const BuildContext& ctx) const {
   validate(ctx);
   SOC_CHECK(ctx.ranks == ctx.nodes, "jacobi runs one rank per node");
   const int p = ctx.ranks;
   const auto g = static_cast<std::size_t>(
       static_cast<double>(grid_) * std::sqrt(ctx.size_scale));
-  msg::ProgramSet ps(p);
 
   const double points = static_cast<double>(g) * static_cast<double>(g) / p;
   const Bytes face = static_cast<Bytes>(g) * 8;
-  for (int it = 0; it < iterations_; ++it) {
+  const std::vector<double> jitters = imbalance_factors(name(), p, 0.03);
+  const int iterations = iterations_;
+  // SOC_SHARED(single-thread): the loop state belongs to this cursor.
+  return make_cursor([=, it = 0](msg::ProgramSet& ps) mutable {
+    if (it == iterations) return false;
     if (it % 25 == 0) ps.begin_phase();
 
     if (ctx.overlap_halos && p > 1) {
@@ -220,7 +237,7 @@ std::vector<sim::Program> JacobiWorkload::build(
       }
       constexpr double kInterior = 0.96;
       for (int r = 0; r < p; ++r) {
-        const double jitter = imbalance_factor(name(), r, 0.03);
+        const double jitter = jitters[static_cast<std::size_t>(r)];
         const double flops = 6.0 * points * jitter;
         ps.add(r, sim::gpu_op(flops * kInterior,
                               static_cast<Bytes>(flops * kInterior / 0.25),
@@ -235,7 +252,7 @@ std::vector<sim::Program> JacobiWorkload::build(
     } else {
       // One sweep on the GPU: 6 flops/point at operational intensity 0.25.
       for (int r = 0; r < p; ++r) {
-        const double jitter = imbalance_factor(name(), r, 0.03);
+        const double jitter = jitters[static_cast<std::size_t>(r)];
         const double flops = 6.0 * points * jitter;
         ps.add(r, sim::gpu_op(flops, static_cast<Bytes>(flops / 0.25),
                               ctx.mem_model, ps.phase(), points));
@@ -250,8 +267,9 @@ std::vector<sim::Program> JacobiWorkload::build(
       }
       if (p > 1) msg::allreduce(ps, 8);
     }
-  }
-  return ps.take();
+    ++it;
+    return true;
+  });
 }
 
 // --------------------------------------------------------- cloverleaf --
@@ -265,26 +283,30 @@ arch::WorkloadProfile CloverLeafWorkload::cpu_profile() const {
   return profiles::cloverleaf();
 }
 
-std::vector<sim::Program> CloverLeafWorkload::build(
+std::unique_ptr<WorkloadCursor> CloverLeafWorkload::cursor(
     const BuildContext& ctx) const {
   validate(ctx);
   SOC_CHECK(ctx.ranks == ctx.nodes, "cloverleaf runs one rank per node");
   const int p = ctx.ranks;
   const auto g = static_cast<std::size_t>(
       static_cast<double>(grid_) * std::sqrt(ctx.size_scale));
-  msg::ProgramSet ps(p);
 
   const double points = static_cast<double>(g) * static_cast<double>(g) / p;
   const int kernels_per_step = 8;
   const double flops_per_point = 60.0;
   // Six conserved/auxiliary fields exchange halos every step.
   const Bytes halo = static_cast<Bytes>(g) * 8 * 6;
+  const std::vector<double> jitters =
+      imbalance_factors(name(), p * kernels_per_step, 0.08);
+  const int steps = steps_;
 
-  for (int step = 0; step < steps_; ++step) {
+  // SOC_SHARED(single-thread): the loop state belongs to this cursor.
+  return make_cursor([=, step = 0](msg::ProgramSet& ps) mutable {
+    if (step == steps) return false;
     if (step % 10 == 0) ps.begin_phase();
     for (int k = 0; k < kernels_per_step; ++k) {
       for (int r = 0; r < p; ++r) {
-        const double jitter = imbalance_factor(name(), r * 8 + k, 0.08);
+        const double jitter = jitters[static_cast<std::size_t>(r * 8 + k)];
         const double flops =
             points * flops_per_point / kernels_per_step * jitter;
         ps.add(r, sim::gpu_op(flops, static_cast<Bytes>(flops / 0.3),
@@ -314,8 +336,9 @@ std::vector<sim::Program> CloverLeafWorkload::build(
       ps.add(r, sim::cpu_op(4e5, 1e5, 32 * kKiB, /*profile=*/0));
     }
     if (p > 1) msg::allreduce(ps, 8);
-  }
-  return ps.take();
+    ++step;
+    return true;
+  });
 }
 
 // -------------------------------------------------------------- tealeaf --
@@ -335,7 +358,7 @@ arch::WorkloadProfile TeaLeafWorkload::cpu_profile() const {
   return profiles::tealeaf();
 }
 
-std::vector<sim::Program> TeaLeafWorkload::build(
+std::unique_ptr<WorkloadCursor> TeaLeafWorkload::cursor(
     const BuildContext& ctx) const {
   validate(ctx);
   SOC_CHECK(ctx.ranks == ctx.nodes, "tealeaf runs one rank per node");
@@ -344,53 +367,60 @@ std::vector<sim::Program> TeaLeafWorkload::build(
                                   : std::cbrt(ctx.size_scale);
   const auto e = static_cast<std::size_t>(static_cast<double>(extent_) *
                                           scale);
-  msg::ProgramSet ps(p);
 
   const double points = std::pow(static_cast<double>(e), dims_) / p;
   const Bytes face =
       dims_ == 2 ? static_cast<Bytes>(e) * 8
                  : static_cast<Bytes>(e) * static_cast<Bytes>(e) * 8;
   const double oi = dims_ == 2 ? 0.22 : 0.20;
+  const std::vector<double> jitters = imbalance_factors(name(), p, 0.12);
+  const int timesteps = timesteps_;
+  const int cg_iterations = cg_iterations_;
 
-  for (int step = 0; step < timesteps_; ++step) {
-    ps.begin_phase();
-    for (int it = 0; it < cg_iterations_; ++it) {
-      const bool overlap = ctx.overlap_halos && p > 1;
-      if (overlap) {
-        for (int parity = 0; parity < 2; ++parity) {
-          for (int r = parity; r + 1 < p; r += 2) {
-            ps.exchange_async(r, r + 1, face);
-          }
+  // One CG iteration per step; the first of each timestep opens its phase.
+  // SOC_SHARED(single-thread): the loop state belongs to this cursor.
+  return make_cursor([=, step = 0, it = 0](msg::ProgramSet& ps) mutable {
+    if (step == timesteps) return false;
+    if (it == 0) ps.begin_phase();
+    if (++it == cg_iterations) {
+      it = 0;
+      ++step;
+    }
+    const bool overlap = ctx.overlap_halos && p > 1;
+    if (overlap) {
+      for (int parity = 0; parity < 2; ++parity) {
+        for (int r = parity; r + 1 < p; r += 2) {
+          ps.exchange_async(r, r + 1, face);
         }
-      }
-      // SpMV + axpys on the GPU: ~16 flops/point (7/5-point operator).
-      for (int r = 0; r < p; ++r) {
-        const double jitter = imbalance_factor(name(), r, 0.12);
-        const double flops = 16.0 * points * jitter;
-        ps.add(r, sim::gpu_op(flops, static_cast<Bytes>(flops / oi),
-                              ctx.mem_model, ps.phase(), points));
-        // The unoptimized CUDA port syncs a large slice of the solution
-        // vector between host and device every CG step — the host/device
-        // serialization the paper's Ser factor exposes.
-        if (ctx.mem_model == sim::MemModel::kHostDevice) {
-          ps.add(r, sim::copy_d2h_op(static_cast<Bytes>(points * 4.0),
-                                     ctx.mem_model));
-        }
-        if (overlap) ps.wait_all(r);
-      }
-      if (!overlap && p > 1) halo_exchange_1d(ps, face, ctx.mem_model);
-
-      // Two dot products per CG iteration — each a cluster allreduce.
-      for (int r = 0; r < p; ++r) {
-        ps.add(r, sim::cpu_op(3e5, 1e5, 16 * kKiB, /*profile=*/0));
-      }
-      if (p > 1) {
-        msg::allreduce(ps, 8);
-        msg::allreduce(ps, 8);
       }
     }
-  }
-  return ps.take();
+    // SpMV + axpys on the GPU: ~16 flops/point (7/5-point operator).
+    for (int r = 0; r < p; ++r) {
+      const double jitter = jitters[static_cast<std::size_t>(r)];
+      const double flops = 16.0 * points * jitter;
+      ps.add(r, sim::gpu_op(flops, static_cast<Bytes>(flops / oi),
+                            ctx.mem_model, ps.phase(), points));
+      // The unoptimized CUDA port syncs a large slice of the solution
+      // vector between host and device every CG step — the host/device
+      // serialization the paper's Ser factor exposes.
+      if (ctx.mem_model == sim::MemModel::kHostDevice) {
+        ps.add(r, sim::copy_d2h_op(static_cast<Bytes>(points * 4.0),
+                                   ctx.mem_model));
+      }
+      if (overlap) ps.wait_all(r);
+    }
+    if (!overlap && p > 1) halo_exchange_1d(ps, face, ctx.mem_model);
+
+    // Two dot products per CG iteration — each a cluster allreduce.
+    for (int r = 0; r < p; ++r) {
+      ps.add(r, sim::cpu_op(3e5, 1e5, 16 * kKiB, /*profile=*/0));
+    }
+    if (p > 1) {
+      msg::allreduce(ps, 8);
+      msg::allreduce(ps, 8);
+    }
+    return true;
+  });
 }
 
 TeaLeafWorkload tealeaf2d_default() {

@@ -10,6 +10,9 @@
 // each node's GPU, as in the paper.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "workloads/workload.h"
 
 namespace soc::workloads {
@@ -23,7 +26,8 @@ class HplWorkload : public Workload {
   std::string name() const override { return "hpl"; }
   bool gpu_accelerated() const override { return true; }
   arch::WorkloadProfile cpu_profile() const override;
-  std::vector<sim::Program> build(const BuildContext& ctx) const override;
+  std::unique_ptr<WorkloadCursor> cursor(
+      const BuildContext& ctx) const override;
 
   /// Total factorization FLOPs for the configured order.
   double total_flops() const;
@@ -41,7 +45,8 @@ class JacobiWorkload : public Workload {
   std::string name() const override { return "jacobi"; }
   bool gpu_accelerated() const override { return true; }
   arch::WorkloadProfile cpu_profile() const override;
-  std::vector<sim::Program> build(const BuildContext& ctx) const override;
+  std::unique_ptr<WorkloadCursor> cursor(
+      const BuildContext& ctx) const override;
 
  private:
   std::size_t grid_;
@@ -57,7 +62,8 @@ class CloverLeafWorkload : public Workload {
   std::string name() const override { return "cloverleaf"; }
   bool gpu_accelerated() const override { return true; }
   arch::WorkloadProfile cpu_profile() const override;
-  std::vector<sim::Program> build(const BuildContext& ctx) const override;
+  std::unique_ptr<WorkloadCursor> cursor(
+      const BuildContext& ctx) const override;
 
  private:
   std::size_t grid_;
@@ -76,7 +82,8 @@ class TeaLeafWorkload : public Workload {
   }
   bool gpu_accelerated() const override { return true; }
   arch::WorkloadProfile cpu_profile() const override;
-  std::vector<sim::Program> build(const BuildContext& ctx) const override;
+  std::unique_ptr<WorkloadCursor> cursor(
+      const BuildContext& ctx) const override;
 
  private:
   int dims_;
@@ -92,5 +99,9 @@ TeaLeafWorkload tealeaf3d_default();
 /// Deterministic per-rank load-imbalance multiplier in
 /// [1−amount, 1+amount], keyed by workload name and rank.
 double imbalance_factor(const std::string& workload, int rank, double amount);
+
+/// imbalance_factor of ranks 0 .. count−1, computed once for a cursor.
+std::vector<double> imbalance_factors(const std::string& workload, int count,
+                                      double amount);
 
 }  // namespace soc::workloads

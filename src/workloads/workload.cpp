@@ -1,6 +1,7 @@
 #include "workloads/workload.h"
 
 #include "common/error.h"
+#include "msg/program_set.h"
 #include "workloads/op_stream.h"
 
 namespace soc::workloads {
@@ -15,8 +16,16 @@ void validate(const BuildContext& ctx) {
   SOC_CHECK(ctx.size_scale > 0.0, "BuildContext.size_scale must be > 0");
 }
 
+std::vector<sim::Program> Workload::build(const BuildContext& ctx) const {
+  const std::unique_ptr<WorkloadCursor> steps = cursor(ctx);
+  msg::ProgramSet ps(ctx.ranks);
+  while (steps->step(ps)) {
+  }
+  return ps.take();
+}
+
 std::unique_ptr<OpStream> Workload::stream(const BuildContext& ctx) const {
-  return std::make_unique<ProgramWalkStream>(*this, ctx);
+  return std::make_unique<CursorStream>(cursor(ctx), ctx.ranks);
 }
 
 }  // namespace soc::workloads

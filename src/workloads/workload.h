@@ -6,14 +6,26 @@
 // communication structure into per-rank programs, and for the scientific
 // codes (c) a small functional kernel (workloads/kernels/) proving the
 // numerics the generator's FLOP formulas describe.
+//
+// The generator is a cursor over the benchmark's outer loop: each step
+// appends one iteration (an NPB or jacobi iteration, an hpl panel, a
+// cloverleaf step, a tealeaf CG iteration, a DNN batch) for every rank to
+// one shared msg::ProgramSet.  build() steps it to the end; stream()
+// steps it only as ranks run dry, so a run holds a few iterations of ops
+// rather than the whole program.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/profile.h"
 #include "sim/op.h"
+
+namespace soc::msg {
+class ProgramSet;
+}
 
 namespace soc::workloads {
 
@@ -41,6 +53,36 @@ struct BuildContext {
 /// offending field.  Every generator calls this before lowering.
 void validate(const BuildContext& ctx);
 
+/// A workload's generator, positioned between two outer iterations.
+class WorkloadCursor {
+ public:
+  virtual ~WorkloadCursor() = default;
+
+  /// Appends the next outer iteration of every rank to `ps`, through the
+  /// same ProgramSet calls in the same order as one pass of the eager
+  /// loop, so tags, phase ids and each rank's op order match a whole
+  /// build.  `ps` must be the set every earlier step appended to.
+  /// Returns false, appending nothing, once the run is complete.
+  virtual bool step(msg::ProgramSet& ps) = 0;
+};
+
+/// A cursor over `step`, a callable `bool(msg::ProgramSet&)` that keeps
+/// its loop state in its own captures.  Generators capture copies of
+/// what they read, never their Workload.  Only the stream that owns the
+/// cursor steps it, on one thread.
+template <typename Step>
+std::unique_ptr<WorkloadCursor> make_cursor(Step step) {
+  class Cursor final : public WorkloadCursor {
+   public:
+    explicit Cursor(Step s) : step_(std::move(s)) {}
+    bool step(msg::ProgramSet& ps) override { return step_(ps); }
+
+   private:
+    Step step_;
+  };
+  return std::make_unique<Cursor>(std::move(step));
+}
+
 class Workload {
  public:
   virtual ~Workload() = default;
@@ -52,16 +94,20 @@ class Workload {
   /// generated CPU ops reference).
   virtual arch::WorkloadProfile cpu_profile() const = 0;
 
-  /// Generates one program per rank.  Compatibility shim: the engine
-  /// consumes streams (see stream()); build() remains for callers that
-  /// need whole programs up front (trace export, calibration probes).
-  virtual std::vector<sim::Program> build(const BuildContext& ctx) const = 0;
+  /// The one generator entry.  Validates `ctx` (this workload's own
+  /// checks included) and returns a cursor before the first iteration.
+  virtual std::unique_ptr<WorkloadCursor> cursor(
+      const BuildContext& ctx) const = 0;
 
-  /// The pull-based form every runner consumes.  The default adapter
-  /// walks build()'s programs lazily (generation is deferred until the
-  /// first pull), and produces the byte-identical committed event stream
-  /// and event_checksum as replaying build()'s output directly.
-  virtual std::unique_ptr<OpStream> stream(const BuildContext& ctx) const;
+  /// Every rank's whole program: cursor(ctx) stepped to the end.  For
+  /// callers that need programs up front (trace export, calibration
+  /// probes, the engine-only perf harness).
+  std::vector<sim::Program> build(const BuildContext& ctx) const;
+
+  /// The pull-based form every runner consumes: a CursorStream over
+  /// cursor(ctx).  Commits the byte-identical event stream and
+  /// event_checksum as replaying build()'s programs.
+  std::unique_ptr<OpStream> stream(const BuildContext& ctx) const;
 };
 
 /// All GPGPU-accelerated workloads of Table I, in paper order:

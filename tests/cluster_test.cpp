@@ -244,16 +244,25 @@ TEST(PerfBaseline, ThroughputBelowFloorFails) {
             std::string::npos);
 }
 
-// The report records its host's hardware_concurrency, and the baseline
-// loader reads it back with every gated field.
+// The report records its host's hardware_concurrency and its build's
+// compiler and build type, and the baseline loader reads them back with
+// every gated field.
 TEST(PerfBaseline, ReportRoundTripsHardwareConcurrency) {
+  const cluster::PerfReport stamped = cluster::measure_engine({}, {});
+  EXPECT_NE(stamped.compiler, "unknown");
+  EXPECT_NE(stamped.build_type, "unknown");
+
   cluster::PerfReport report = one_sample_report();
   report.hardware_concurrency = 6;
+  report.compiler = "GNU 13.2.0";
+  report.build_type = "RelWithDebInfo";
   const std::string path =
       ::testing::TempDir() + "perf_report_round_trip.json";
   cluster::write_perf_report(path, report);
   const cluster::PerfReport loaded = cluster::load_perf_baseline(path);
   EXPECT_EQ(loaded.hardware_concurrency, 6u);
+  EXPECT_EQ(loaded.compiler, "GNU 13.2.0");
+  EXPECT_EQ(loaded.build_type, "RelWithDebInfo");
   ASSERT_EQ(loaded.samples.size(), 1u);
   EXPECT_EQ(loaded.samples[0].name, "fig5/x");
   EXPECT_EQ(loaded.samples[0].events, 100u);

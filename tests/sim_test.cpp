@@ -40,6 +40,16 @@ class FixedCostModel : public CostModel {
   SimTime recv_overhead(int) const override { return overhead; }
 };
 
+/// The message of the soc::Error the run throws, or "" if it completes.
+std::string run_error(Engine& engine, const std::vector<Program>& programs) {
+  try {
+    engine.run(programs);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return {};
+}
+
 TEST(KeyedEventQueue, OrdersByTime) {
   KeyedEventQueue q;
   q.push(30, 0, 3);
@@ -291,7 +301,9 @@ TEST(Engine, DeadlockDetected) {
   // Both send first: classic rendezvous deadlock.
   programs[0] = {send_op(1, 1'000'000, 0), recv_op(1, 1'000'000, 1)};
   programs[1] = {send_op(0, 1'000'000, 1), recv_op(0, 1'000'000, 0)};
-  EXPECT_THROW(engine.run(programs), Error);
+  EXPECT_EQ(run_error(engine, programs),
+            "deadlock: wait-for cycle rank 0 (send to 1, tag 0) -> rank 1 "
+            "(send to 0, tag 1) -> rank 0; 2 of 2 ranks blocked");
 }
 
 TEST(Engine, MismatchedTagDeadlocks) {
@@ -302,7 +314,24 @@ TEST(Engine, MismatchedTagDeadlocks) {
   std::vector<Program> programs(2);
   programs[0] = {send_op(1, 1'000'000, 7)};
   programs[1] = {recv_op(0, 1'000'000, 8)};
-  EXPECT_THROW(engine.run(programs), Error);
+  EXPECT_EQ(run_error(engine, programs),
+            "deadlock: wait-for cycle rank 0 (send to 1, tag 7) -> rank 1 "
+            "(recv from 0, tag 8) -> rank 0; 2 of 2 ranks blocked");
+}
+
+// Without a cycle the report names every blocked rank's wait: a recv
+// whose sender already finished, and a kWaitAll on a request nothing
+// will ever complete.
+TEST(Engine, DeadlockWithoutCycleNamesEachWait) {
+  FixedCostModel cost;
+  Engine engine(Placement::block(3, 1), cost);
+  std::vector<Program> programs(3);
+  programs[0] = {recv_op(1, 100, 5)};
+  programs[2] = {irecv_op(1, 100, 9), wait_all_op()};
+  EXPECT_EQ(run_error(engine, programs),
+            "deadlock: no wait-for cycle; rank 0 (recv from 1, tag 5) -> "
+            "rank 1 (finished), rank 2 (waitall, 1 unresolved request); "
+            "2 of 3 ranks blocked");
 }
 
 // Endpoints left unmatched when every rank has finished fail the run

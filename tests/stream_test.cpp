@@ -1,9 +1,10 @@
-// Tests for the operation-stream workload API (ISSUE 8): stream-vs-build
-// event parity for every registered workload, BuildContext validation,
-// Daly's optimal checkpoint interval, the fault/noise/checkpoint stream
-// decorators (semantics + bit-determinism across thread counts), the
-// scenario spec parsers, scenario blocks in report documents, and the
-// `injected` critical-path category's zero-residual contract.
+// Tests for the operation-stream workload API: stream-vs-build event
+// parity for every registered workload, the cursor stream's bounded
+// buffering, BuildContext validation, Daly's optimal checkpoint interval,
+// the fault/noise/checkpoint stream decorators (semantics +
+// bit-determinism across thread counts), the scenario spec parsers,
+// scenario blocks in report documents, and the `injected` critical-path
+// category's zero-residual contract.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -91,6 +92,39 @@ TEST(OpStream, StreamMatchesBuildForEveryWorkload) {
     EXPECT_EQ(a.event_checksum, b.event_checksum) << name;
     EXPECT_EQ(a.events_committed, b.events_committed) << name;
     EXPECT_EQ(a.makespan, b.makespan) << name;
+  }
+}
+
+// The stream generates ops an outer iteration at a time as ranks run dry,
+// so at its fullest it holds a few iterations of every rank, not the run:
+// the high-water mark stays under 1% of the ops the run pulls.
+TEST(OpStream, CursorStreamHoldsAFewIterationsNotTheRun) {
+  struct Case {
+    const char* workload;
+    bool overlap_halos;
+  };
+  for (const Case& c : {Case{"cg", false}, Case{"jacobi", true}}) {
+    const auto workload = workloads::make_workload(c.workload);
+    const int nodes = 4;
+    const int ranks = sweep::natural_ranks(*workload, nodes);
+    workloads::BuildContext ctx = quick_context(nodes, ranks, 1.0);
+    ctx.overlap_halos = c.overlap_halos;
+    std::size_t ops = 0;
+    for (const sim::Program& p : workload->build(ctx)) ops += p.size();
+
+    workloads::CursorStream stream(workload->cursor(ctx), ranks);
+    const cluster::ClusterCostModel cost(
+        systems::jetson_tx1(net::NicKind::kTenGigabit), nodes, ranks,
+        workload->cpu_profile());
+    const sim::MemoCostModel memo(cost);
+    sim::Engine engine(sim::Placement::block(ranks, nodes), memo);
+    const sim::RunStats stats = engine.run(stream);
+
+    EXPECT_GT(stats.events_committed, 0u) << c.workload;
+    EXPECT_GT(stream.high_water(), 0u) << c.workload;
+    EXPECT_LT(stream.high_water() * 100, ops)
+        << c.workload << " held " << stream.high_water() << " of " << ops
+        << " ops at once";
   }
 }
 
