@@ -51,11 +51,16 @@ RunResult meter(const sim::RunStats& stats, const ClusterConfig& config,
 }  // namespace
 
 void validate(const ClusterConfig& config) {
-  SOC_CHECK(config.nodes >= 1, "need at least one node");
-  SOC_CHECK(config.ranks >= config.nodes && config.ranks % config.nodes == 0,
-            "ranks must be a positive multiple of nodes");
-  SOC_CHECK(config.ranks / config.nodes <= config.node.cpu_cores,
-            "more ranks per node than CPU cores");
+  SOC_REQUIRE(config.nodes >= 1, "need at least one node, got " +
+                                     std::to_string(config.nodes));
+  SOC_REQUIRE(
+      config.ranks >= config.nodes && config.ranks % config.nodes == 0,
+      std::to_string(config.ranks) + " ranks are not a positive multiple of " +
+          std::to_string(config.nodes) + " nodes");
+  SOC_REQUIRE(config.ranks / config.nodes <= config.node.cpu_cores,
+              std::to_string(config.ranks / config.nodes) +
+                  " ranks per node exceed the node's " +
+                  std::to_string(config.node.cpu_cores) + " CPU cores");
 }
 
 const workloads::Workload& resolve_workload(

@@ -116,8 +116,8 @@ struct RunRequest {
   prof::RunTrace* run_trace = nullptr;
 };
 
-/// Validates a cluster shape; throws soc::Error on a bad one.  Shared by
-/// run() and the Cluster constructor.
+/// Validates a cluster shape; throws soc::UsageError on a bad one.
+/// Shared by run() and the Cluster constructor.
 void validate(const ClusterConfig& config);
 
 /// Resolves a request's workload: `workload_ref` when set, otherwise a

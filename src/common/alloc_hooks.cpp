@@ -1,10 +1,9 @@
 // Counting operator new/delete replacements (soc_alloc_hooks library).
 //
-// Linked only into binaries that report allocation counts (socbench,
-// bench/perf_engine).  Under AddressSanitizer & friends the sanitizer
+// Linked only into binaries that report allocation counts (perfbench's
+// socperf_traced).  Under AddressSanitizer & friends the sanitizer
 // runtime must own the allocator, so the hooks compile away and
-// allocation_count() reads 0 — the perf harness prints counts only when
-// they are live.
+// allocation_count() reads 0.
 #include <cstdlib>
 #include <new>
 

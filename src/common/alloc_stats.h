@@ -1,7 +1,8 @@
 // Process-wide allocation counter.
 //
-// The perf harness reports allocations-per-event so the "steady-state
-// replay allocates nothing" property is a measured number, not a claim.
+// perfbench's traced run reports allocations per event
+// (sim.allocs_per_event), so the engine's allocation rate is a measured
+// number, not a claim.
 // The counter itself lives in soc_common; the operator new/delete
 // replacements that feed it live in the separate soc_alloc_hooks link-in
 // library (alloc_hooks.cpp) so ordinary binaries and sanitizer builds

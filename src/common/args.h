@@ -16,12 +16,6 @@
 
 namespace soc {
 
-/// A command-line mistake: the message is meant for the user as is.
-class UsageError : public Error {
- public:
-  using Error::Error;
-};
-
 class ArgParser {
  public:
   /// Declares a value flag (e.g. "--nodes").  `help` appears in usage().

@@ -8,7 +8,7 @@
 namespace soc::power {
 
 double dvfs_power_factor(const NodePowerConfig& node, double freq_scale) {
-  SOC_CHECK(freq_scale > 0.0, "DVFS frequency scale must be positive");
+  SOC_REQUIRE(freq_scale > 0.0, "DVFS frequency scale must be positive");
   if (freq_scale == 1.0) return 1.0;  // baseline is an exact identity
   return std::pow(freq_scale, node.dvfs_power_exponent);
 }
@@ -172,8 +172,8 @@ CappedEnergy apply_power_cap(const PowerTimeline& timeline,
     // rate dilates the bin by d, so the clamped bin sits exactly at the
     // cap: (floor + active/d) == cap_w.
     const double floor_w = parts.idle + nic_idle;
-    SOC_CHECK(cap_w > floor_w,
-              "power cap below the cluster's idle floor; run cannot finish");
+    SOC_REQUIRE(cap_w > floor_w,
+                "power cap below the cluster's idle floor; run cannot finish");
     const double active_w = watts - floor_w;
     const double dilation = active_w / (cap_w - floor_w);
     const double stretched = width * dilation;

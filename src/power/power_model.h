@@ -112,8 +112,8 @@ struct CappedEnergy {
 };
 
 /// `nodes` is the cluster size; the idle floor per bin is the board +
-/// host + NIC-idle draw.  Throws soc::Error when the cap does not clear
-/// the idle floor (the run could never finish).
+/// host + NIC-idle draw.  Throws soc::UsageError when the cap does not
+/// clear the idle floor (the run could never finish).
 CappedEnergy apply_power_cap(const PowerTimeline& timeline,
                              const NodePowerConfig& node, int nodes,
                              double cap_w);

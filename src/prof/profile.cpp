@@ -9,6 +9,7 @@
 #include "common/error.h"
 #include "common/units.h"
 #include "obs/json.h"
+#include "sim/engine.h"
 
 namespace soc::prof {
 
@@ -92,7 +93,7 @@ Profile analyze(const RunTrace& trace) {
   net.ideal_network = true;
   p.ideal_network = evaluate(trace, net);
   WhatIf balance;
-  balance.compute_scale = balance_scales(trace.stats);
+  balance.compute_scale = sim::ideal_balance_scales(trace.stats);
   p.ideal_balance = evaluate(trace, balance);
   WhatIf lanes;
   lanes.uncontended = true;

@@ -43,8 +43,8 @@ class Evaluator {
     SOC_CHECK(scenario_.compute_scale.empty() ||
                   scenario_.compute_scale.size() == n,
               "what-if: compute_scale size mismatch");
-    SOC_CHECK(scenario_.dvfs_compute > 0.0 && scenario_.dvfs_dram > 0.0,
-              "what-if: DVFS frequency scales must be positive");
+    SOC_REQUIRE(scenario_.dvfs_compute > 0.0 && scenario_.dvfs_dram > 0.0,
+                "what-if: DVFS frequency scales must be positive");
     // Message costs: latency is recorded per message; the wire share is
     // the rest of the *nominal* transfer window (MessageRecord::end
     // excludes port queueing by contract).  Identical (nodes, bytes)
@@ -561,27 +561,6 @@ class Evaluator {
 SimTime evaluate(const RunTrace& trace, const WhatIf& scenario) {
   Evaluator evaluator(trace, scenario);
   return evaluator.run();
-}
-
-std::vector<double> balance_scales(const sim::RunStats& stats) {
-  // Mirrors trace::ideal_balance_scales (same arithmetic, same order) so
-  // the single-pass projection matches the replay-based scenario.
-  const std::size_t n = stats.ranks.size();
-  SOC_CHECK(n > 0, "no ranks in run");
-  std::vector<double> compute(n, 0.0);
-  double total = 0.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    for (const auto& [phase, t] : stats.ranks[r].phase_compute) {
-      compute[r] += static_cast<double>(t);
-    }
-    total += compute[r];
-  }
-  const double avg = total / static_cast<double>(n);
-  std::vector<double> scales(n, 1.0);
-  for (std::size_t r = 0; r < n; ++r) {
-    if (compute[r] > 0.0) scales[r] = avg / compute[r];
-  }
-  return scales;
 }
 
 }  // namespace soc::prof

@@ -49,9 +49,4 @@ struct WhatIf {
 /// Re-times the trace under the scenario; returns the projected makespan.
 SimTime evaluate(const RunTrace& trace, const WhatIf& scenario);
 
-/// The compute_scale vector that equalizes per-rank compute — the same
-/// arithmetic as trace::ideal_balance_scales, so single-pass projections
-/// are comparable with the replay-based ScenarioRuns.
-std::vector<double> balance_scales(const sim::RunStats& stats);
-
 }  // namespace soc::prof

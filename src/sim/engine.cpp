@@ -81,6 +81,25 @@ bool Engine::use_protocol(int src_rank, int dst_rank) const {
              placement_.node_of[static_cast<std::size_t>(dst_rank)];
 }
 
+std::vector<double> ideal_balance_scales(const RunStats& measured) {
+  const std::size_t n = measured.ranks.size();
+  SOC_CHECK(n > 0, "no ranks in run");
+  std::vector<double> compute(n, 0.0);
+  double total = 0.0;
+  for (std::size_t r = 0; r < n; ++r) {
+    for (const auto& [phase, t] : measured.ranks[r].phase_compute) {
+      compute[r] += static_cast<double>(t);
+    }
+    total += compute[r];
+  }
+  const double avg = total / static_cast<double>(n);
+  std::vector<double> scales(n, 1.0);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (compute[r] > 0.0) scales[r] = avg / compute[r];
+  }
+  return scales;
+}
+
 double Engine::compute_scale_for(int rank) const {
   if (scenario_.compute_scale.empty()) return 1.0;
   return scenario_.compute_scale[static_cast<std::size_t>(rank)];

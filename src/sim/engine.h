@@ -41,6 +41,11 @@ struct Scenario {
   std::vector<double> compute_scale;  ///< Per-rank multiplier (empty = 1.0).
 };
 
+/// Per-rank compute_scale factors that equalize total compute across
+/// ranks (LB = 1), derived from a measured run.  Both the ideal-balance
+/// trace replay and the single-pass what-if projection use these.
+std::vector<double> ideal_balance_scales(const RunStats& measured);
+
 /// Resource lanes a committed span can occupy.  Observers key queue-wait
 /// histograms and timeline rows off these.
 enum class Lane : std::uint8_t {

@@ -190,7 +190,7 @@ void save_trace(const std::string& path,
 
 std::vector<sim::Program> load_trace(const std::string& path) {
   std::ifstream in(path);
-  SOC_CHECK(in.good(), "cannot open trace file: " + path);
+  SOC_REQUIRE(in.good(), "cannot open trace file: " + path);
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return import_programs(buffer.str());

@@ -1,28 +1,8 @@
 #include "trace/replay.h"
 
-#include "common/error.h"
 #include "sim/memo_cost.h"
 
 namespace soc::trace {
-
-std::vector<double> ideal_balance_scales(const sim::RunStats& measured) {
-  const std::size_t n = measured.ranks.size();
-  SOC_CHECK(n > 0, "no ranks in run");
-  std::vector<double> compute(n, 0.0);
-  double total = 0.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    for (const auto& [phase, t] : measured.ranks[r].phase_compute) {
-      compute[r] += static_cast<double>(t);
-    }
-    total += compute[r];
-  }
-  const double avg = total / static_cast<double>(n);
-  std::vector<double> scales(n, 1.0);
-  for (std::size_t r = 0; r < n; ++r) {
-    if (compute[r] > 0.0) scales[r] = avg / compute[r];
-  }
-  return scales;
-}
 
 namespace {
 
@@ -39,7 +19,7 @@ void replay_ideals(const sim::Placement& placement,
   }
   {
     sim::Scenario scenario;
-    scenario.compute_scale = ideal_balance_scales(runs.measured);
+    scenario.compute_scale = sim::ideal_balance_scales(runs.measured);
     sim::Engine engine(placement, effective, config, scenario);
     runs.ideal_balance = engine.run(programs);
   }

@@ -22,10 +22,6 @@ struct ScenarioRuns {
                                ///< the traces with the real network").
 };
 
-/// Per-rank compute-scaling factors that would equalize total compute
-/// across ranks (LB = 1).  Derived from a measured run.
-std::vector<double> ideal_balance_scales(const sim::RunStats& measured);
-
 /// Runs all three scenarios over the same programs.
 ScenarioRuns replay_scenarios(const sim::Placement& placement,
                               const sim::CostModel& cost,

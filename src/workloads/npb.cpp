@@ -42,10 +42,10 @@ std::unique_ptr<WorkloadCursor> NpbWorkload::cursor(
                             spec_.pattern == NpbPattern::kMultigrid;
   const auto count = static_cast<unsigned>(p);
   if (xor_partners && !std::has_single_bit(count)) {
-    throw Error(spec_.tag + " needs a power-of-two rank count, got " +
-                std::to_string(p) + " (nearest valid: " +
-                std::to_string(std::bit_floor(count)) + " or " +
-                std::to_string(std::bit_ceil(count)) + ")");
+    throw UsageError(spec_.tag + " needs a power-of-two rank count, got " +
+                     std::to_string(p) + " (nearest valid: " +
+                     std::to_string(std::bit_floor(count)) + " or " +
+                     std::to_string(std::bit_ceil(count)) + ")");
   }
 
   // Strong scaling from the 32-rank calibration point.

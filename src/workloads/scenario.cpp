@@ -256,17 +256,17 @@ void parse_kv(const std::string& body, const std::string& what,
               SetField&& set_field) {
   for (const std::string& pair : split(body, ',')) {
     const std::size_t eq = pair.find('=');
-    SOC_CHECK(eq != std::string::npos && eq > 0,
-              what + ": expected key=value, got '" + pair + "'");
+    SOC_REQUIRE(eq != std::string::npos && eq > 0,
+                what + ": expected key=value, got '" + pair + "'");
     const std::string key = pair.substr(0, eq);
     const std::string value = pair.substr(eq + 1);
     try {
-      SOC_CHECK(set_field(key, value),
-                what + ": unknown key '" + key + "'");
+      SOC_REQUIRE(set_field(key, value),
+                  what + ": unknown key '" + key + "'");
     } catch (const std::invalid_argument&) {
-      SOC_CHECK(false, what + ": bad value for '" + key + "': " + value);
+      throw UsageError(what + ": bad value for '" + key + "': " + value);
     } catch (const std::out_of_range&) {
-      SOC_CHECK(false, what + ": bad value for '" + key + "': " + value);
+      throw UsageError(what + ": bad value for '" + key + "': " + value);
     }
   }
 }
@@ -305,30 +305,36 @@ std::unique_ptr<OpStream> apply_scenarios(std::unique_ptr<OpStream> inner,
   for (const FaultSpec& fault : config.faults) {
     switch (fault.kind) {
       case FaultSpec::Kind::kNodeCrash:
-        SOC_CHECK(fault.node >= 0 && fault.node < nodes,
-                  "node-crash: node out of range");
-        SOC_CHECK(fault.downtime_seconds > 0.0,
-                  "node-crash: downtime must be > 0");
+        SOC_REQUIRE(fault.node >= 0 && fault.node < nodes,
+                    "node-crash: node " + std::to_string(fault.node) +
+                        " out of range for " + std::to_string(nodes) +
+                        " nodes");
+        SOC_REQUIRE(fault.downtime_seconds > 0.0,
+                    "node-crash: downtime must be > 0");
         inner = std::make_unique<NodeCrashStream>(std::move(inner), fault, rpn);
         break;
       case FaultSpec::Kind::kLinkFlap:
-        SOC_CHECK(fault.node >= 0 && fault.node < nodes,
-                  "link-flap: node out of range");
-        SOC_CHECK(fault.end_seconds > fault.start_seconds,
-                  "link-flap: window must have t1 > t0");
+        SOC_REQUIRE(fault.node >= 0 && fault.node < nodes,
+                    "link-flap: node " + std::to_string(fault.node) +
+                        " out of range for " + std::to_string(nodes) +
+                        " nodes");
+        SOC_REQUIRE(fault.end_seconds > fault.start_seconds,
+                    "link-flap: window must have t1 > t0");
         inner = std::make_unique<LinkFlapStream>(std::move(inner), fault, rpn);
         break;
       case FaultSpec::Kind::kStraggler:
-        SOC_CHECK(fault.rank >= 0 && fault.rank < ranks,
-                  "straggler: rank out of range");
-        SOC_CHECK(fault.slowdown > 0.0, "straggler: slowdown must be > 0");
+        SOC_REQUIRE(fault.rank >= 0 && fault.rank < ranks,
+                    "straggler: rank " + std::to_string(fault.rank) +
+                        " out of range for " + std::to_string(ranks) +
+                        " ranks");
+        SOC_REQUIRE(fault.slowdown > 0.0, "straggler: slowdown must be > 0");
         inner = std::make_unique<StragglerStream>(std::move(inner), fault);
         break;
     }
   }
   if (config.noise.enabled()) {
-    SOC_CHECK(config.noise.jitter >= 0.0 && config.noise.jitter < 1.0,
-              "noise: jitter must be within [0, 1)");
+    SOC_REQUIRE(config.noise.jitter >= 0.0 && config.noise.jitter < 1.0,
+                "noise: jitter must be within [0, 1)");
     inner = std::make_unique<NoiseStream>(std::move(inner), config.noise);
   }
   if (config.checkpoint.enabled()) {
@@ -340,8 +346,8 @@ std::unique_ptr<OpStream> apply_scenarios(std::unique_ptr<OpStream> inner,
 
 FaultSpec parse_fault_spec(const std::string& spec) {
   const std::size_t colon = spec.find(':');
-  SOC_CHECK(colon != std::string::npos,
-            "fault spec needs '<kind>:<params>', got '" + spec + "'");
+  SOC_REQUIRE(colon != std::string::npos,
+              "fault spec needs '<kind>:<params>', got '" + spec + "'");
   const std::string kind = spec.substr(0, colon);
   const std::string body = spec.substr(colon + 1);
   FaultSpec fault;
@@ -354,9 +360,9 @@ FaultSpec parse_fault_spec(const std::string& spec) {
       else return false;
       return true;
     });
-    SOC_CHECK(fault.node >= 0, "node-crash spec needs node=<N>");
-    SOC_CHECK(fault.downtime_seconds > 0.0,
-              "node-crash spec needs down=<seconds> > 0");
+    SOC_REQUIRE(fault.node >= 0, "node-crash spec needs node=<N>");
+    SOC_REQUIRE(fault.downtime_seconds > 0.0,
+                "node-crash spec needs down=<seconds> > 0");
   } else if (kind == "link-flap") {
     fault.kind = FaultSpec::Kind::kLinkFlap;
     parse_kv(body, "link-flap", [&](const std::string& k, const std::string& v) {
@@ -366,9 +372,9 @@ FaultSpec parse_fault_spec(const std::string& spec) {
       else return false;
       return true;
     });
-    SOC_CHECK(fault.node >= 0, "link-flap spec needs node=<N>");
-    SOC_CHECK(fault.end_seconds > fault.start_seconds,
-              "link-flap spec needs t1=<seconds> > t0=<seconds>");
+    SOC_REQUIRE(fault.node >= 0, "link-flap spec needs node=<N>");
+    SOC_REQUIRE(fault.end_seconds > fault.start_seconds,
+                "link-flap spec needs t1=<seconds> > t0=<seconds>");
   } else if (kind == "straggler") {
     fault.kind = FaultSpec::Kind::kStraggler;
     parse_kv(body, "straggler", [&](const std::string& k, const std::string& v) {
@@ -377,12 +383,12 @@ FaultSpec parse_fault_spec(const std::string& spec) {
       else return false;
       return true;
     });
-    SOC_CHECK(fault.rank >= 0, "straggler spec needs rank=<R>");
-    SOC_CHECK(fault.slowdown > 0.0 && fault.slowdown != 1.0,
-              "straggler spec needs slowdown=<factor> (> 0, != 1)");
+    SOC_REQUIRE(fault.rank >= 0, "straggler spec needs rank=<R>");
+    SOC_REQUIRE(fault.slowdown > 0.0 && fault.slowdown != 1.0,
+                "straggler spec needs slowdown=<factor> (> 0, != 1)");
   } else {
-    SOC_CHECK(false, "unknown fault kind '" + kind +
-                         "' (valid: node-crash, link-flap, straggler)");
+    throw UsageError("unknown fault kind '" + kind +
+                     "' (valid: node-crash, link-flap, straggler)");
   }
   return fault;
 }
@@ -397,15 +403,15 @@ NoiseSpec parse_noise_spec(const std::string& spec) {
     else return false;
     return true;
   });
-  SOC_CHECK(noise.enabled(),
-            "noise: interval and duration must both be > 0");
+  SOC_REQUIRE(noise.enabled(),
+              "noise: interval and duration must both be > 0");
   return noise;
 }
 
 CheckpointSpec parse_checkpoint_spec(const std::string& spec) {
   const std::size_t colon = spec.find(':');
-  SOC_CHECK(colon != std::string::npos && spec.substr(0, colon) == "daly",
-            "checkpoint spec needs 'daly:<params>', got '" + spec + "'");
+  SOC_REQUIRE(colon != std::string::npos && spec.substr(0, colon) == "daly",
+              "checkpoint spec needs 'daly:<params>', got '" + spec + "'");
   CheckpointSpec ckpt;
   parse_kv(spec.substr(colon + 1), "checkpoint",
            [&](const std::string& k, const std::string& v) {
@@ -416,8 +422,8 @@ CheckpointSpec parse_checkpoint_spec(const std::string& spec) {
              else return false;
              return true;
            });
-  SOC_CHECK(ckpt.enabled(), "checkpoint: size and bw must both be > 0");
-  SOC_CHECK(ckpt.mtti_seconds > 0.0, "checkpoint: mtti must be > 0");
+  SOC_REQUIRE(ckpt.enabled(), "checkpoint: size and bw must both be > 0");
+  SOC_REQUIRE(ckpt.mtti_seconds > 0.0, "checkpoint: mtti must be > 0");
   return ckpt;
 }
 

@@ -99,8 +99,9 @@ std::unique_ptr<WorkloadCursor> HplWorkload::cursor(
   const int nodes = ctx.nodes;
   const int ranks = ctx.ranks;
   const int rpn = ranks / nodes;
-  SOC_CHECK(rpn == 1 || rpn == 4,
-            "hpl supports 1 rank/node (GPU) or 4 ranks/node (CPU/colocated)");
+  SOC_REQUIRE(rpn == 1 || rpn == 4,
+              "hpl runs 1 rank per node (GPU) or 4 (CPU or colocated), got " +
+                  std::to_string(rpn));
 
   const auto n = static_cast<std::size_t>(
       static_cast<double>(n_) * std::cbrt(ctx.size_scale));
@@ -213,7 +214,7 @@ arch::WorkloadProfile JacobiWorkload::cpu_profile() const {
 std::unique_ptr<WorkloadCursor> JacobiWorkload::cursor(
     const BuildContext& ctx) const {
   validate(ctx);
-  SOC_CHECK(ctx.ranks == ctx.nodes, "jacobi runs one rank per node");
+  SOC_REQUIRE(ctx.ranks == ctx.nodes, "jacobi runs one rank per node");
   const int p = ctx.ranks;
   const auto g = static_cast<std::size_t>(
       static_cast<double>(grid_) * std::sqrt(ctx.size_scale));
@@ -286,7 +287,7 @@ arch::WorkloadProfile CloverLeafWorkload::cpu_profile() const {
 std::unique_ptr<WorkloadCursor> CloverLeafWorkload::cursor(
     const BuildContext& ctx) const {
   validate(ctx);
-  SOC_CHECK(ctx.ranks == ctx.nodes, "cloverleaf runs one rank per node");
+  SOC_REQUIRE(ctx.ranks == ctx.nodes, "cloverleaf runs one rank per node");
   const int p = ctx.ranks;
   const auto g = static_cast<std::size_t>(
       static_cast<double>(grid_) * std::sqrt(ctx.size_scale));
@@ -361,7 +362,7 @@ arch::WorkloadProfile TeaLeafWorkload::cpu_profile() const {
 std::unique_ptr<WorkloadCursor> TeaLeafWorkload::cursor(
     const BuildContext& ctx) const {
   validate(ctx);
-  SOC_CHECK(ctx.ranks == ctx.nodes, "tealeaf runs one rank per node");
+  SOC_REQUIRE(ctx.ranks == ctx.nodes, "tealeaf runs one rank per node");
   const int p = ctx.ranks;
   const double scale = dims_ == 2 ? std::sqrt(ctx.size_scale)
                                   : std::cbrt(ctx.size_scale);

@@ -49,7 +49,7 @@ struct BuildContext {
   bool overlap_halos = false;
 };
 
-/// Rejects malformed build parameters with a SOC_CHECK naming the
+/// Rejects malformed build parameters with a soc::UsageError naming the
 /// offending field.  Every generator calls this before lowering.
 void validate(const BuildContext& ctx);
 

@@ -82,7 +82,7 @@ TEST(Replay, IdealBalanceScalesInversely) {
   SimpleCost cost;
   sim::Engine engine(sim::Placement::block(2, 2), cost);
   const sim::RunStats stats = engine.run(unbalanced_programs());
-  const auto scales = trace::ideal_balance_scales(stats);
+  const auto scales = sim::ideal_balance_scales(stats);
   ASSERT_EQ(scales.size(), 2u);
   // Rank 0 does 100 ms/iter, rank 1 does 60: average is 80.
   EXPECT_NEAR(scales[0], 0.8, 1e-9);

@@ -51,20 +51,17 @@
 //       --report-json writes the soccluster-energy-frontier/v1 artifact.
 //   socbench trace --workload tealeaf3d --nodes 8 --out run.soctrace
 //       Record the generated per-rank programs to a trace file.
-//   socbench replay --trace run.soctrace --nodes 8 [--ideal-network]
-//       Replay a recorded trace (DIMEMAS-style what-if supported).
+//   socbench replay --workload tealeaf3d --trace run.soctrace --nodes 8
+//                   [--ideal-network]
+//       Replay a recorded trace (DIMEMAS-style what-if supported).  A
+//       trace does not record its workload, so --workload is required:
+//       it picks the CPU profile the trace's compute ops are costed with,
+//       and replaying a trace under the workload that recorded it
+//       reproduces `socbench run` (runtime and event checksum).
 //   socbench run --workload jacobi --nodes 16 --audit-determinism
 //       Determinism audit: replay the workload --repeats times serially
 //       and under parallel_for; all event checksums must be bit-identical.
 //       `--workload all` audits every registered workload.
-//   socbench perf [--quick] [--reps 5] [--report-json BENCH_engine.json]
-//                 [--baseline BENCH_engine.json]
-//       Engine-only replay throughput over the fig5/fig6 shapes:
-//       events/sec, allocations per event, cost-model cache hit rate, and
-//       one stable `checksum config=... events=... value=...` line per
-//       case (CI diffs these between -O2 and sanitizer builds).
-//       --baseline fails on a changed checksum or event count, or on
-//       events/s below --baseline-tolerance x the baseline's.
 //
 // A usage mistake (unknown flag, command or workload, malformed number,
 // bad cluster shape) prints `socbench: <reason>` and exits 2; --help
@@ -79,7 +76,6 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "cluster/perf.h"
 #include "cluster/report.h"
 #include "common/args.h"
 #include "common/error.h"
@@ -186,8 +182,14 @@ Shape shape_from(const ArgParser& args, const workloads::Workload& w) {
   return shape;
 }
 
-/// The --nodes CSV list of sweep-style commands.
+/// The --nodes CSV list of sweep-style commands, which always run each
+/// workload at its natural rank count.
 std::vector<int> node_list(const ArgParser& args) {
+  if (args.given("--ranks")) {
+    throw UsageError("--ranks is not supported by " +
+                     args.positional().front() +
+                     ", which runs each workload at its natural rank count");
+  }
   std::vector<int> nodes = parse_int_list(args.get("--nodes"));
   for (const int n : nodes) positive(n, "--nodes");
   return nodes;
@@ -520,19 +522,18 @@ int cmd_frontier(const ArgParser& args) {
 
 int cmd_decompose(const ArgParser& args) {
   const auto workload = workload_from(args);
-  const int nodes = positive(args.get_int("--nodes"), "--nodes");
+  const auto [nodes, ranks] = shape_from(args, *workload);
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
   cluster::RunRequest request;
   request.workload = workload->name();
   request.workload_ref = workload.get();
-  request.config = cluster::ClusterConfig{
-      node, nodes, sweep::natural_ranks(*workload, nodes)};
+  request.config = cluster::ClusterConfig{node, nodes, ranks};
   request.options = options_from(args);
   request.scenario = scenario_from(args);
   const auto runs = cluster::replay_scenarios(request);
   const auto d = core::decompose(runs);
-  std::printf("%s on %d nodes (%s): Eq. 4 decomposition\n\n",
-              workload->name().c_str(), nodes, node.nic.name.c_str());
+  std::printf("%s on %d nodes (%s, %d ranks): Eq. 4 decomposition\n\n",
+              workload->name().c_str(), nodes, node.nic.name.c_str(), ranks);
   std::printf("  measured            : %.3f s\n", d.measured_seconds);
   std::printf("  ideal network       : %.3f s (%.2fx)\n",
               d.ideal_network_seconds,
@@ -567,6 +568,13 @@ int cmd_explain(const ArgParser& args) {
   // DVFS / power-cap what-ifs re-time the recorded trace, so keep it.
   prof::RunTrace run_trace;
   const bool want_retime = args.given("--dvfs") || args.given("--cap-watts");
+  std::vector<double> caps;
+  if (args.given("--cap-watts")) {
+    caps = parse_double_list(args.get("--cap-watts"));
+    for (const double cap : caps) {
+      if (cap <= 0.0) throw UsageError("--cap-watts must be positive");
+    }
+  }
   if (want_retime) request.run_trace = &run_trace;
   const auto result = cluster::run(request);
 
@@ -668,7 +676,7 @@ int cmd_explain(const ArgParser& args) {
       }
     }
     if (args.given("--cap-watts")) {
-      for (const double cap : parse_double_list(args.get("--cap-watts"))) {
+      for (const double cap : caps) {
         prof::WhatIf s;
         s.power_cap_w = cap;
         const prof::Retimed r =
@@ -711,6 +719,11 @@ int cmd_trace(const ArgParser& args) {
 }
 
 int cmd_replay(const ArgParser& args) {
+  if (!args.given("--workload")) {
+    throw UsageError("replay needs --workload: a trace does not record the "
+                     "workload whose CPU profile costs its compute ops");
+  }
+  const auto workload = workload_from(args);
   const auto programs = trace::load_trace(args.get("--trace"));
   const int nodes = positive(args.get_int("--nodes"), "--nodes");
   const int ranks = static_cast<int>(programs.size());
@@ -719,82 +732,29 @@ int cmd_replay(const ArgParser& args) {
                      " ranks do not divide over --nodes " +
                      std::to_string(nodes));
   }
-  const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
-  cluster::ClusterCostModel cost(node, nodes, ranks,
-                                 workloads::make_workload("jacobi")
-                                     ->cpu_profile());
+  // The cost model and engine config cluster::run would build for this
+  // shape, so a replay reproduces the recorded run.
+  const cluster::ClusterConfig config{
+      systems::jetson_tx1(parse_nic(args.get("--nic"))), nodes, ranks};
+  cluster::validate(config);
+  const cluster::ClusterCostModel cost(config.node, nodes, ranks,
+                                       workload->cpu_profile());
+  const sim::MemoCostModel memo(cost);
+  sim::EngineConfig engine_config;
+  engine_config.bisection_bandwidth =
+      config.node.switch_config.bisection_bandwidth;
   sim::Scenario scenario;
   scenario.ideal_network = args.get_bool("--ideal-network");
-  const sim::MemoCostModel memo(cost);
-  sim::Engine engine(sim::Placement::block(ranks, nodes), memo, {}, scenario);
+  sim::Engine engine(sim::Placement::block(ranks, nodes), memo, engine_config,
+                     scenario);
   const sim::RunStats stats = engine.run(programs);
   std::printf("replayed %d ranks on %d nodes%s: %.3f s, %.2f GFLOP/s, "
-              "%.3f GB over the network\n",
+              "%.3f GB over the network (%llu events, checksum %s)\n",
               ranks, nodes, scenario.ideal_network ? " (ideal network)" : "",
               stats.seconds(), stats.flops_per_second() / 1e9,
-              static_cast<double>(stats.total_net_bytes) / 1e9);
-  return 0;
-}
-
-int cmd_perf(const ArgParser& args) {
-  const bool quick = args.get_bool("--quick");
-  cluster::PerfConfig config;
-  config.reps = args.given("--reps") ? args.get_int("--reps")
-                                     : (quick ? 2 : 5);
-  const auto cases = cluster::default_perf_cases(quick);
-  const auto report = cluster::measure_engine(cases, config);
-
-  TextTable table({"config", "events", "events/sec", "allocs/event",
-                   "memo hit%", "wall s"});
-  for (const auto& s : report.samples) {
-    const double evals = static_cast<double>(s.memo_hits + s.memo_misses);
-    table.add_row(
-        {s.name, TextTable::num(static_cast<double>(s.events), 0),
-         TextTable::eng(s.events_per_second),
-         TextTable::num(s.allocs_per_event, 4),
-         TextTable::num(
-             evals > 0.0 ? 100.0 * static_cast<double>(s.memo_hits) / evals
-                         : 0.0,
-             1),
-         TextTable::num(s.wall_seconds, 3)});
-  }
-  std::printf("%s\n", table.str().c_str());
-  // Build-invariant lines (no timing): CI asserts these are identical
-  // between an -O2 build and a sanitizer build.
-  for (const auto& s : report.samples) {
-    std::printf("checksum config=%s events=%llu value=%s\n", s.name.c_str(),
-                static_cast<unsigned long long>(s.events),
-                cluster::checksum_hex(s.checksum).c_str());
-  }
-  std::printf("\nTOTAL events/sec = %.4e (events=%.0f wall=%.3fs)%s\n",
-              report.events_per_second, report.total_events,
-              report.total_wall_seconds,
-              report.alloc_counter_live ? "" : " [alloc counter not linked]");
-  if (args.given("--report-json")) {
-    cluster::write_perf_report(args.get("--report-json"), report);
-    std::printf("wrote %s\n", args.get("--report-json").c_str());
-  }
-  // The bench harness convention (bench_common.h): when
-  // SOC_BENCH_JSON_DIR names a directory, drop the canonical artifact
-  // there too, so CI uploads it without a flag.
-  if (const char* dir = std::getenv("SOC_BENCH_JSON_DIR");
-      dir != nullptr && *dir != '\0') {
-    const std::string path = std::string(dir) + "/BENCH_engine.json";
-    cluster::write_perf_report(path, report);
-    std::printf("wrote %s\n", path.c_str());
-  }
-  if (args.given("--baseline")) {
-    const double tolerance = args.get_double("--baseline-tolerance");
-    const auto baseline = cluster::load_perf_baseline(args.get("--baseline"));
-    const std::string failures =
-        cluster::diff_perf_baseline(report, baseline, tolerance);
-    if (!failures.empty()) {
-      std::fprintf(stderr, "%s", failures.c_str());
-      return 1;
-    }
-    std::printf("baseline check passed vs %s (tolerance %.2f)\n",
-                args.get("--baseline").c_str(), tolerance);
-  }
+              static_cast<double>(stats.total_net_bytes) / 1e9,
+              static_cast<unsigned long long>(stats.events_committed),
+              cluster::checksum_hex(stats.event_checksum).c_str());
   return 0;
 }
 
@@ -819,9 +779,8 @@ void print_usage(const ArgParser& args) {
       "             --energy for the joule attribution, --dvfs/--cap-watts\n"
       "             for energy what-ifs re-timed from the trace\n"
       "  trace      record generated per-rank programs to a .soctrace file\n"
-      "  replay     replay a recorded trace (what-if scenarios supported)\n"
-      "  perf       engine-only replay throughput + BENCH_engine.json\n"
-      "             (--quick for the CI smoke subset)\n"
+      "  replay     replay a recorded trace, costed as --workload (what-if\n"
+      "             scenarios supported)\n"
       "\nscenarios (run/sweep/explain/decompose): --fault injects\n"
       "deterministic node crashes, link flaps, and stragglers; --noise adds\n"
       "seeded per-rank OS jitter; --checkpoint daly:... inserts\n"
@@ -886,15 +845,6 @@ int main(int argc, char** argv) {
   args.add_flag("--energy-roofline",
                 "sweep: write the soccluster-energy-roofline/v1 artifact "
                 "here");
-  args.add_bool("--quick", "perf: smoke subset (one case per figure "
-                           "family)");
-  args.add_flag("--reps", "perf: timed repetitions per case");
-  args.add_flag("--baseline",
-                "perf: committed BENCH_engine.json to diff against (exact "
-                "events/checksum, tolerant events/s)");
-  args.add_flag("--baseline-tolerance",
-                "perf: fail if events/s drops below this fraction of the "
-                "baseline's", "0.25");
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -918,7 +868,6 @@ int main(int argc, char** argv) {
     if (command == "explain") return cmd_explain(args);
     if (command == "trace") return cmd_trace(args);
     if (command == "replay") return cmd_replay(args);
-    if (command == "perf") return cmd_perf(args);
     throw UsageError("unknown command '" + command + "' (see socbench --help)");
   } catch (const UsageError& e) {
     std::fprintf(stderr, "socbench: %s\n", e.what());
