@@ -1,7 +1,7 @@
 #include "cluster/cluster.h"
 
-#include "cluster/report.h"
 #include "common/error.h"
+#include "common/io.h"
 #include "obs/observers.h"
 #include "prof/profile.h"
 #include "prof/profiler.h"
@@ -92,47 +92,23 @@ RunResult run(const RunRequest& request, const workloads::Workload& workload,
       sim::Placement::block(request.config.ranks, request.config.nodes),
       effective, engine_config(request.config, request.options));
 
-  // Per-run observability: the request's own metrics/profile sinks
-  // compose with any caller-attached observer, so sweep runs never share
-  // state.  With no sinks set, no observer is attached and the engine's
-  // hot path is untouched.
-  obs::MetricsObserver metrics_observer;
+  // Per-run profiling: the request's own profile sinks compose with any
+  // caller-attached observer, so sweep runs never share state.  With no
+  // sinks set, only the caller's observer (if any) is attached and the
+  // engine's hot path is untouched.
   prof::Profiler profiler;
   obs::ObserverList observers;
-  const bool want_metrics =
-      request.metrics != nullptr || !request.report_path.empty();
   const bool want_profile = request.profile != nullptr ||
                             !request.profile_json_path.empty() ||
                             !request.profile_folded_path.empty() ||
                             request.run_trace != nullptr;
-  sim::EngineObserver* observer = request.options.observer;
-  {
-    int attached = observer != nullptr ? 1 : 0;
-    if (want_metrics) ++attached;
-    if (want_profile) ++attached;
-    if (attached > 1) {
-      if (request.options.observer != nullptr) {
-        observers.add(request.options.observer);
-      }
-      if (want_metrics) observers.add(&metrics_observer);
-      if (want_profile) observers.add(&profiler);
-      observer = &observers;
-    } else if (want_metrics) {
-      observer = &metrics_observer;
-    } else if (want_profile) {
-      observer = &profiler;
-    }
+  if (want_profile) {
+    observers.add(request.options.observer);  // nullptr is ignored
+    observers.add(&profiler);
   }
-  engine.set_observer(observer);
+  engine.set_observer(want_profile ? &observers : request.options.observer);
 
   RunResult result = meter(engine.run(*stream), request.config, cost);
-  if (request.metrics != nullptr) *request.metrics = metrics_observer.registry();
-  if (!request.report_path.empty()) {
-    write_report(request.report_path, request.config, request.options,
-                 workload.name(), result,
-                 want_metrics ? &metrics_observer.registry() : nullptr,
-                 &request.scenario);
-  }
   if (want_profile) {
     prof::Profile profile = prof::analyze(profiler.trace());
     // The run owns the power config, so the energy attribution rides on
@@ -140,13 +116,14 @@ RunResult run(const RunRequest& request, const workloads::Workload& workload,
     profile.energy = prof::attribute_energy(
         profiler.trace(), request.config.node.power, request.config.node.cpu_cores);
     profile.has_energy = true;
-    if (request.run_trace != nullptr) *request.run_trace = profiler.trace();
+    if (request.run_trace != nullptr) {
+      *request.run_trace = profiler.take_trace();
+    }
     if (!request.profile_json_path.empty()) {
-      prof::write_text(request.profile_json_path, prof::profile_json(profile));
+      write_text(request.profile_json_path, prof::profile_json(profile));
     }
     if (!request.profile_folded_path.empty()) {
-      prof::write_text(request.profile_folded_path,
-                       prof::folded_stacks(profile));
+      write_text(request.profile_folded_path, prof::folded_stacks(profile));
     }
     if (request.profile != nullptr) *request.profile = std::move(profile);
   }

@@ -28,10 +28,6 @@
 #include "workloads/scenario.h"
 #include "workloads/workload.h"
 
-namespace soc::obs {
-class MetricsRegistry;
-}  // namespace soc::obs
-
 namespace soc::prof {
 struct Profile;
 struct RunTrace;
@@ -90,29 +86,22 @@ struct RunRequest {
   /// the pre-scenario API.
   workloads::ScenarioConfig scenario;
 
-  /// Per-run observability sinks, both optional.  When either is set the
-  /// run attaches its own obs::MetricsObserver (composed with
-  /// options.observer when that is also set), copies the resulting
-  /// registry into `metrics`, and/or writes a soccluster-run-report/v1
-  /// document to `report_path`.  Each request owns its sinks, so
-  /// concurrent sweep runs never share observer state.
-  obs::MetricsRegistry* metrics = nullptr;
-  std::string report_path;
-
   /// Critical-path profiling sinks, all optional.  When any is set the
-  /// run attaches a prof::Profiler (composed with the other observers),
-  /// reconstructs the dependency DAG, and runs the single-pass
-  /// attribution + what-if analysis (src/prof/): `profile` receives the
-  /// analyzed prof::Profile, `profile_json_path` the deterministic
-  /// soccluster-critical-path/v1 document, and `profile_folded_path` the
-  /// flamegraph-compatible folded stacks.  When none is set no profiler
-  /// is attached and the run's cost is unchanged.
+  /// run attaches its own prof::Profiler (composed with options.observer
+  /// when that is also set), reconstructs the dependency DAG, and runs
+  /// the single-pass attribution + what-if analysis (src/prof/):
+  /// `profile` receives the analyzed prof::Profile, `profile_json_path`
+  /// the deterministic soccluster-critical-path/v1 document, and
+  /// `profile_folded_path` the flamegraph-compatible folded stacks.  When
+  /// none is set no profiler is attached and the run's cost is unchanged.
+  /// Each request owns its sinks, so concurrent sweep runs never share
+  /// observer state.
   prof::Profile* profile = nullptr;
   std::string profile_json_path;
   std::string profile_folded_path;
-  /// Receives a copy of the reconstructed prof::RunTrace (implies
-  /// profiling like the sinks above); feed it to prof::retime() for
-  /// DVFS / power-cap what-ifs without re-running.
+  /// Receives the reconstructed prof::RunTrace (implies profiling like
+  /// the sinks above); feed it to prof::retime() for DVFS / power-cap
+  /// what-ifs without re-running.
   prof::RunTrace* run_trace = nullptr;
 };
 

@@ -1,7 +1,6 @@
 #include "cluster/report.h"
 
 #include <charconv>
-#include <fstream>
 
 #include "common/error.h"
 #include "obs/json.h"
@@ -300,19 +299,6 @@ std::string energy_roofline_json(
   std::string out = w.str();
   out += '\n';
   return out;
-}
-
-void write_report(const std::string& path, const ClusterConfig& config,
-                  const RunOptions& options, const std::string& workload,
-                  const RunResult& result,
-                  const obs::MetricsRegistry* metrics,
-                  const workloads::ScenarioConfig* scenario) {
-  std::ofstream f(path, std::ios::binary);
-  SOC_CHECK(f.good(), "cannot open report file for writing: " + path);
-  const std::string doc =
-      report_json(config, options, workload, result, metrics, scenario);
-  f.write(doc.data(), static_cast<std::streamsize>(doc.size()));
-  SOC_CHECK(f.good(), "failed writing report file: " + path);
 }
 
 }  // namespace soc::cluster

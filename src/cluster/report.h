@@ -43,13 +43,6 @@ std::string report_json(const ClusterConfig& config,
                         const obs::MetricsRegistry* metrics = nullptr,
                         const workloads::ScenarioConfig* scenario = nullptr);
 
-/// Writes report_json(...) to `path`; throws soc::Error on I/O failure.
-void write_report(const std::string& path, const ClusterConfig& config,
-                  const RunOptions& options, const std::string& workload,
-                  const RunResult& result,
-                  const obs::MetricsRegistry* metrics = nullptr,
-                  const workloads::ScenarioConfig* scenario = nullptr);
-
 /// Appends the "scenario" JSON block for an enabled scenario config.
 /// Shared by the run-report and sweep-report emitters so the two schemas
 /// render scenarios identically.

@@ -1,8 +1,5 @@
 #include "obs/chrome_trace.h"
 
-#include <fstream>
-
-#include "common/error.h"
 #include "obs/json.h"
 #include "sim/op.h"
 
@@ -155,14 +152,6 @@ std::string ChromeTraceRecorder::json() const {
   std::string out = w.str();
   out += '\n';
   return out;
-}
-
-void ChromeTraceRecorder::write(const std::string& path) const {
-  std::ofstream f(path, std::ios::binary);
-  SOC_CHECK(f.good(), "cannot open trace file for writing: " + path);
-  const std::string doc = json();
-  f.write(doc.data(), static_cast<std::streamsize>(doc.size()));
-  SOC_CHECK(f.good(), "failed writing trace file: " + path);
 }
 
 }  // namespace soc::obs

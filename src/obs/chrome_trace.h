@@ -44,9 +44,6 @@ class ChromeTraceRecorder : public sim::EngineObserver {
   /// Renders the complete trace document (ends with a newline).
   std::string json() const;
 
-  /// Writes json() to `path`; throws soc::Error on I/O failure.
-  void write(const std::string& path) const;
-
  private:
   sim::Placement placement_;
   std::vector<sim::SpanRecord> spans_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <fstream>
 #include <map>
 #include <tuple>
 
@@ -293,14 +292,6 @@ std::string folded_stacks(const Profile& p) {
     out += '\n';
   }
   return out;
-}
-
-void write_text(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  SOC_CHECK(out.good(), "cannot open output file: " + path);
-  out << text;
-  out.flush();
-  SOC_CHECK(out.good(), "failed writing output file: " + path);
 }
 
 }  // namespace soc::prof

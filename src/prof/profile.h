@@ -78,8 +78,4 @@ std::string profile_json(const Profile& profile);
 /// (rank, phase, category) in numeric order, weight in nanoseconds.
 std::string folded_stacks(const Profile& profile);
 
-/// Writes `text` to `path` (trailing newline already included by the
-/// renderers); throws soc::Error on I/O failure.
-void write_text(const std::string& path, const std::string& text);
-
 }  // namespace soc::prof

@@ -1,9 +1,9 @@
 #include "prof/profiler.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
-#include "common/match_table.h"
 
 namespace soc::prof {
 
@@ -32,217 +32,163 @@ sim::Lane lane_for(sim::OpKind kind) {
   }
 }
 
-// An eager message parked at the receiver: the sender's op plus the
-// already-committed transfer.
-struct ArrivalRef {
-  int op = -1;
-  int msg = -1;
-};
+// Ends an op's window at the rank's next dispatch (or drain).
+void close_window(OpExec& op, SimTime time) {
+  op.complete = time;
+  if (is_lane_op(op.kind)) {
+    SOC_CHECK(op.busy_end == op.complete,
+              "profiler: lane span does not end at op completion");
+  }
+}
 
 }  // namespace
 
 void Profiler::on_run_begin(const sim::Placement& placement,
                             const sim::EngineConfig& config) {
+  const std::size_t n = static_cast<std::size_t>(placement.ranks);
   trace_ = RunTrace{};
   trace_.placement = placement;
   trace_.config = config;
-  dispatches_.clear();
-  spans_.clear();
-  order_.clear();
-  built_ = false;
-}
-
-void Profiler::on_dispatch(const sim::DispatchRecord& record) {
-  order_.push_back(static_cast<std::int64_t>(dispatches_.size()));
-  dispatches_.push_back(record);
-}
-
-void Profiler::on_span(const sim::SpanRecord& span) {
-  spans_.push_back(span);
-  trace_.usage.add(span);
-}
-
-void Profiler::on_message(const sim::MessageRecord& message) {
-  order_.push_back(~static_cast<std::int64_t>(trace_.messages.size()));
-  trace_.messages.push_back(message);
-}
-
-void Profiler::on_run_end(const sim::RunStats& stats) {
-  trace_.stats = stats;
-  build();
-  built_ = true;
-}
-
-const RunTrace& Profiler::trace() const {
-  SOC_CHECK(built_, "Profiler::trace() before a run completed");
-  return trace_;
-}
-
-void Profiler::build() {
-  const std::size_t n = static_cast<std::size_t>(trace_.placement.ranks);
   trace_.rank_ops.assign(n, {});
   trace_.finish.assign(n, 0);
   trace_.send_overhead.assign(n, -1);
   trace_.recv_overhead.assign(n, -1);
-  trace_.ops.reserve(dispatches_.size());
+  open_.assign(n, -1);
+  eager_sends_.clear();
+  rvz_sends_.clear();
+  pending_recvs_.clear();
+  pending_irecvs_.clear();
+  arrivals_.clear();
+  built_ = false;
+}
 
-  // -- Pass 1: fold the dispatch stream into per-rank op instances. -----
-  // Op windows: each op runs from its first dispatch to the rank's next
-  // dispatch (a parked kWaitAll is re-dispatched on wake with the same
-  // pc, which folds into the open instance; no other op dispatches
-  // twice).  The 0xFF drain record closes the rank's last window.
-  std::vector<int> last_op(n, -1);
-  std::vector<int> dispatch_op(dispatches_.size(), -1);
-  std::vector<bool> first_dispatch(dispatches_.size(), false);
-  for (std::size_t di = 0; di < dispatches_.size(); ++di) {
-    const sim::DispatchRecord& rec = dispatches_[di];
-    const std::size_t r = static_cast<std::size_t>(rec.rank);
-    const auto kind = static_cast<sim::OpKind>(rec.kind);
-    if (rec.kind == 0xFF) {  // rank drained
-      if (last_op[r] >= 0) trace_.ops[last_op[r]].complete = rec.time;
-      last_op[r] = -1;
-      trace_.finish[r] = rec.time;
-      continue;
-    }
-    if (kind == sim::OpKind::kPhase) continue;  // zero-width, consumed inline
-    if (last_op[r] >= 0 && trace_.ops[last_op[r]].pc == rec.pc) {
-      // Re-dispatch of the parked op (kWaitAll wake): same instance.
-      dispatch_op[di] = last_op[r];
-      continue;
-    }
-    if (last_op[r] >= 0) trace_.ops[last_op[r]].complete = rec.time;
-    OpExec op;
-    op.kind = kind;
-    op.rank = rec.rank;
-    op.node = rec.node;
-    op.phase = rec.phase;
-    op.peer = rec.peer;
-    op.tag = rec.tag;
-    op.pc = rec.pc;
-    op.bytes = rec.bytes;
-    op.dispatch = rec.time;
-    const int oi = static_cast<int>(trace_.ops.size());
-    trace_.ops.push_back(op);
-    trace_.rank_ops[r].push_back(oi);
-    last_op[r] = oi;
-    dispatch_op[di] = oi;
-    first_dispatch[di] = true;
+// Op windows: each op runs from its first dispatch to the rank's next
+// dispatch (a parked kWaitAll is re-dispatched on wake with the same pc,
+// which folds into the open instance; no other op dispatches twice).
+// The 0xFF drain record closes the rank's last window.
+void Profiler::on_dispatch(const sim::DispatchRecord& record) {
+  const std::size_t r = static_cast<std::size_t>(record.rank);
+  int& open = open_[r];
+  if (record.kind == 0xFF) {  // rank drained
+    if (open >= 0) close_window(trace_.ops[open], record.time);
+    open = -1;
+    trace_.finish[r] = record.time;
+    return;
   }
-  for (std::size_t r = 0; r < n; ++r) {
-    SOC_CHECK(last_op[r] < 0, "profiler: rank never drained (deadlock?)");
+  const auto kind = static_cast<sim::OpKind>(record.kind);
+  if (kind == sim::OpKind::kPhase) return;  // zero-width, consumed inline
+  if (open >= 0 && trace_.ops[open].pc == record.pc) {
+    return;  // re-dispatch of the parked op (kWaitAll wake): same instance
   }
+  if (open >= 0) close_window(trace_.ops[open], record.time);
+  OpExec op;
+  op.kind = kind;
+  op.rank = record.rank;
+  op.node = record.node;
+  op.phase = record.phase;
+  op.peer = record.peer;
+  op.tag = record.tag;
+  op.pc = record.pc;
+  op.bytes = record.bytes;
+  op.dispatch = record.time;
+  const int oi = static_cast<int>(trace_.ops.size());
 
-  // -- Pass 2: attach cpu/gpu/copy service windows from the span stream.
-  // Lane spans are emitted at dispatch, so per rank they appear in
-  // program order; a cursor per rank pairs them up.
-  std::vector<std::size_t> lane_cursor(n, 0);
-  for (const sim::SpanRecord& span : spans_) {
-    if (span.lane != sim::Lane::kCpu && span.lane != sim::Lane::kGpu &&
-        span.lane != sim::Lane::kCopy) {
-      continue;  // NIC occupancy is reconstructed from messages instead
+  // A send dispatch only *announces* a transfer; the MessageRecord
+  // commits at the arrival or match event — the same event for
+  // intra-node traffic, a later one across nodes.  Per (src, dst, tag,
+  // protocol-class) key both streams are FIFO, so on_message pops its
+  // sender from the matching class queue and binds the receiver exactly
+  // as the engine did.
+  switch (kind) {
+    case sim::OpKind::kSend:
+    case sim::OpKind::kIsend: {
+      const bool eager = kind == sim::OpKind::kIsend ||
+                         op.bytes <= trace_.config.eager_threshold;
+      (eager ? eager_sends_ : rvz_sends_)
+          .push(MsgKey{op.rank, op.peer, op.tag}, oi);
+      break;
     }
-    const std::size_t r = static_cast<std::size_t>(span.rank);
-    std::size_t& cur = lane_cursor[r];
-    while (cur < trace_.rank_ops[r].size() &&
-           !is_lane_op(trace_.ops[trace_.rank_ops[r][cur]].kind)) {
-      ++cur;
-    }
-    SOC_CHECK(cur < trace_.rank_ops[r].size(),
-              "profiler: span with no matching op");
-    OpExec& op = trace_.ops[trace_.rank_ops[r][cur]];
-    SOC_CHECK(lane_for(op.kind) == span.lane,
-              "profiler: span lane does not match program order");
-    op.busy_start = span.start;
-    op.busy_end = span.end;
-    SOC_CHECK(op.busy_end == op.complete,
-              "profiler: lane span does not end at op completion");
-    ++cur;
-  }
-
-  // -- Pass 3: replay the engine's message matching over the merged
-  // dispatch/message commit stream.  A send dispatch only *announces* a
-  // transfer; the MessageRecord commits at the arrival or match event —
-  // the same event for intra-node traffic, a later one across nodes.
-  // Per (src, dst, tag, protocol-class) key both streams are FIFO, so
-  // each message entry pops its sender from the matching class queue and
-  // binds the receiver exactly as the engine did.
-  MatchTable<int> eager_sends;
-  MatchTable<int> rvz_sends;
-  MatchTable<int> pending_recvs;
-  MatchTable<int> pending_irecvs;
-  MatchTable<ArrivalRef> arrivals;
-  for (const std::int64_t entry : order_) {
-    if (entry < 0) {
-      const int mi = static_cast<int>(~entry);
-      const sim::MessageRecord& m =
-          trace_.messages[static_cast<std::size_t>(mi)];
-      const MsgKey key{m.src_rank, m.dst_rank, m.tag};
-      int si = -1;
-      const bool announced =
-          (m.eager ? eager_sends : rvz_sends).take(key, &si);
-      SOC_CHECK(announced, "profiler: message with no announcing send");
-      OpExec& send = trace_.ops[si];
-      send.msg = mi;
-      int ri = -1;
-      if (pending_recvs.take(key, &ri) || pending_irecvs.take(key, &ri)) {
-        OpExec& recv = trace_.ops[ri];
-        recv.msg = mi;
-        recv.partner = si;
-        recv.partner_ready = send.dispatch;
-        send.partner = ri;
-        // An eager sender never waits on its receiver; its window is the
-        // local posting overhead and partner_ready stays unset.
-        if (!m.eager) send.partner_ready = recv.dispatch;
-      } else {
-        // Only an eager payload can commit with no receive posted; it
-        // parks at the receiver until a recv/irecv dispatches.  A
-        // rendezvous transfer commits at its match, by definition with
-        // both endpoints known.
-        SOC_CHECK(m.eager, "profiler: rendezvous commit without receiver");
-        arrivals.push(key, ArrivalRef{si, mi});
-      }
-      continue;
-    }
-    const std::size_t di = static_cast<std::size_t>(entry);
-    if (!first_dispatch[di]) continue;
-    const int oi = dispatch_op[di];
-    OpExec& op = trace_.ops[oi];
-    switch (op.kind) {
-      case sim::OpKind::kSend:
-      case sim::OpKind::kIsend: {
-        const bool eager = op.kind == sim::OpKind::kIsend ||
-                           op.bytes <= trace_.config.eager_threshold;
-        (eager ? eager_sends : rvz_sends)
-            .push(MsgKey{op.rank, op.peer, op.tag}, oi);
+    case sim::OpKind::kRecv:
+    case sim::OpKind::kIrecv: {
+      const MsgKey key{op.peer, op.rank, op.tag};
+      ArrivalRef a;
+      if (arrivals_.take(key, &a)) {
+        op.msg = a.msg;
+        op.partner = a.op;
+        op.partner_ready = trace_.ops[a.op].dispatch;
+        trace_.ops[a.op].partner = oi;
         break;
       }
-      case sim::OpKind::kRecv:
-      case sim::OpKind::kIrecv: {
-        const MsgKey key{op.peer, op.rank, op.tag};
-        ArrivalRef a;
-        if (arrivals.take(key, &a)) {
-          op.msg = a.msg;
-          op.partner = a.op;
-          op.partner_ready = trace_.ops[a.op].dispatch;
-          trace_.ops[a.op].partner = oi;
-          break;
-        }
-        // Park; the committing message entry binds us.  When this very
-        // dispatch completes a rendezvous, the engine commits the
-        // transfer within the same event, so the message entry follows
-        // immediately and pops us right back out.
-        (op.kind == sim::OpKind::kRecv ? pending_recvs : pending_irecvs)
-            .push(key, oi);
-        break;
-      }
-      default:
-        break;
+      // Park; the committing message binds us.  When this very dispatch
+      // completes a rendezvous, the engine commits the transfer within
+      // the same event, so on_message follows immediately and pops us
+      // right back out.
+      (kind == sim::OpKind::kRecv ? pending_recvs_ : pending_irecvs_)
+          .push(key, oi);
+      break;
     }
+    default:
+      break;
   }
+  trace_.ops.push_back(op);
+  trace_.rank_ops[r].push_back(oi);
+  open = oi;
+}
 
-  // -- Pass 4: per-rank post-passes — overhead constants, rendezvous
-  // window validation, and kWaitAll determinants.
-  for (std::size_t r = 0; r < n; ++r) {
+// A lane span commits in the same event as its op's dispatch, right
+// after it, so it belongs to the rank's open op.
+void Profiler::on_span(const sim::SpanRecord& span) {
+  trace_.usage.add(span);
+  if (span.lane != sim::Lane::kCpu && span.lane != sim::Lane::kGpu &&
+      span.lane != sim::Lane::kCopy) {
+    return;  // NIC occupancy is reconstructed from messages instead
+  }
+  const int open = open_[static_cast<std::size_t>(span.rank)];
+  SOC_CHECK(open >= 0 && is_lane_op(trace_.ops[open].kind),
+            "profiler: span with no matching op");
+  OpExec& op = trace_.ops[open];
+  SOC_CHECK(lane_for(op.kind) == span.lane,
+            "profiler: span lane does not match program order");
+  op.busy_start = span.start;
+  op.busy_end = span.end;
+}
+
+void Profiler::on_message(const sim::MessageRecord& m) {
+  const int mi = static_cast<int>(trace_.messages.size());
+  trace_.messages.push_back(m);
+  const MsgKey key{m.src_rank, m.dst_rank, m.tag};
+  int si = -1;
+  const bool announced = (m.eager ? eager_sends_ : rvz_sends_).take(key, &si);
+  SOC_CHECK(announced, "profiler: message with no announcing send");
+  OpExec& send = trace_.ops[si];
+  send.msg = mi;
+  int ri = -1;
+  if (pending_recvs_.take(key, &ri) || pending_irecvs_.take(key, &ri)) {
+    OpExec& recv = trace_.ops[ri];
+    recv.msg = mi;
+    recv.partner = si;
+    recv.partner_ready = send.dispatch;
+    send.partner = ri;
+    // An eager sender never waits on its receiver; its window is the
+    // local posting overhead and partner_ready stays unset.
+    if (!m.eager) send.partner_ready = recv.dispatch;
+    return;
+  }
+  // Only an eager payload can commit with no receive posted; it parks at
+  // the receiver until a recv/irecv dispatches.  A rendezvous transfer
+  // commits at its match, by definition with both endpoints known.
+  SOC_CHECK(m.eager, "profiler: rendezvous commit without receiver");
+  arrivals_.push(key, ArrivalRef{si, mi});
+}
+
+// Per-rank post-passes — overhead constants, rendezvous window
+// validation, and kWaitAll determinants — need every window closed.
+void Profiler::on_run_end(const sim::RunStats& stats) {
+  trace_.stats = stats;
+  for (const int open : open_) {
+    SOC_CHECK(open < 0, "profiler: rank never drained (deadlock?)");
+  }
+  for (std::size_t r = 0; r < open_.size(); ++r) {
     std::vector<int> window;  // isend/irecv since the last kWaitAll
     for (const int oi : trace_.rank_ops[r]) {
       OpExec& op = trace_.ops[oi];
@@ -325,6 +271,18 @@ void Profiler::build() {
       }
     }
   }
+  built_ = true;
+}
+
+const RunTrace& Profiler::trace() const {
+  SOC_CHECK(built_, "Profiler::trace() before a run completed");
+  return trace_;
+}
+
+RunTrace Profiler::take_trace() {
+  SOC_CHECK(built_, "Profiler::take_trace() before a run completed");
+  built_ = false;
+  return std::move(trace_);
 }
 
 }  // namespace soc::prof

@@ -1,24 +1,25 @@
 // Critical-path profiler, stage 1: trace reconstruction.
 //
-// Profiler is an EngineObserver that records the engine's committed
-// dispatch/span/message streams during ONE instrumented run and, at run
-// end, reconstructs the run's dependency DAG as a RunTrace: one OpExec
+// Profiler is an EngineObserver that reconstructs ONE instrumented run's
+// dependency DAG as a RunTrace while the engine commits it: one OpExec
 // per executed op, with its wall-clock window, its resource-service
 // window (cpu/gpu/copy spans), and — for message ops — the committed
 // MessageRecord plus the matching edge to the partner op.
 //
 // The reconstruction replays the engine's message-matching state machine
-// over the dispatch/message commit stream (eager vs rendezvous,
-// arrivals before parked senders, FIFO per (src, dst, tag) key), so every
-// annotation is exact, not heuristic: downstream passes assert that
-// reconstructed completion times tile the run with zero residual.
-// Everything here is derived from the deterministic committed event
-// stream, so equal configurations produce byte-identical traces.
+// over the dispatch/message commit stream in the order the callbacks
+// deliver it (eager vs rendezvous, arrivals before parked senders, FIFO
+// per (src, dst, tag) key), so every annotation is exact, not heuristic:
+// downstream passes assert that reconstructed completion times tile the
+// run with zero residual.  Everything here is derived from the
+// deterministic committed event stream, so equal configurations produce
+// byte-identical traces.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "common/match_table.h"
 #include "obs/observers.h"
 #include "sim/engine.h"
 #include "sim/op.h"
@@ -70,7 +71,7 @@ struct RunTrace {
   obs::LaneUsage usage;  ///< Per-lane busy/blocked totals.
 };
 
-/// EngineObserver that buffers the event streams and builds the RunTrace.
+/// EngineObserver that builds the RunTrace as the run commits.
 /// Reusable across runs (each on_run_begin resets); attach via
 /// Engine::set_observer or cluster::RunRequest's profile sinks.
 class Profiler : public sim::EngineObserver {
@@ -84,20 +85,27 @@ class Profiler : public sim::EngineObserver {
 
   /// The reconstructed trace; valid once a run has ended.
   const RunTrace& trace() const;
+  /// Moves the reconstructed trace out; trace() is invalid afterwards
+  /// until another run ends.
+  RunTrace take_trace();
 
  private:
-  void build();
+  /// An eager message parked at the receiver: the sender's op plus the
+  /// already-committed transfer.
+  struct ArrivalRef {
+    int op = -1;
+    int msg = -1;
+  };
 
   RunTrace trace_;
-  std::vector<sim::DispatchRecord> dispatches_;
-  std::vector<sim::SpanRecord> spans_;
-  /// Interleaved commit order of the dispatch and message streams: entry
-  /// v >= 0 is dispatches_[v], entry v < 0 is trace_.messages[~v].  The
-  /// engine commits a transfer at its *arrival or match* event — which
-  /// for cross-node traffic is later than the causing send dispatch — so
-  /// reconstruction replays this merged stream rather than assuming each
-  /// message belongs to the preceding dispatch.
-  std::vector<std::int64_t> order_;
+  /// Per rank: the op whose window is open (-1 = none yet, or drained).
+  std::vector<int> open_;
+  // Endpoints parked per (src, dst, tag) key, FIFO like the engine's.
+  MatchTable<int> eager_sends_;
+  MatchTable<int> rvz_sends_;
+  MatchTable<int> pending_recvs_;
+  MatchTable<int> pending_irecvs_;
+  MatchTable<ArrivalRef> arrivals_;
   bool built_ = false;
 };
 

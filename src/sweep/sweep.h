@@ -59,9 +59,10 @@ class SweepRunner {
   SweepRunner& operator=(const SweepRunner&) = delete;
 
   /// Runs every request and returns results in input order.  Requests
-  /// carrying their own metrics/report sinks get them serviced by the
-  /// thread running that request; sinks must not be shared between
-  /// requests.  Throws (after joining all threads) if any run threw.
+  /// carrying their own profiling sinks (or an options.observer) get them
+  /// serviced by the thread running that request; sinks must not be
+  /// shared between requests.  Throws (after joining all threads) if any
+  /// run threw.
   std::vector<cluster::RunResult> run(
       const std::vector<cluster::RunRequest>& requests);
 

@@ -180,14 +180,6 @@ std::vector<sim::Program> import_programs(const std::string& text) {
   return programs;
 }
 
-void save_trace(const std::string& path,
-                const std::vector<sim::Program>& programs) {
-  std::ofstream out(path);
-  SOC_CHECK(out.good(), "cannot open trace file for writing: " + path);
-  out << export_programs(programs);
-  SOC_CHECK(out.good(), "error writing trace file: " + path);
-}
-
 std::vector<sim::Program> load_trace(const std::string& path) {
   std::ifstream in(path);
   SOC_REQUIRE(in.good(), "cannot open trace file: " + path);

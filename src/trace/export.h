@@ -32,9 +32,8 @@ std::string export_programs(const std::vector<sim::Program>& programs);
 /// malformed input.
 std::vector<sim::Program> import_programs(const std::string& text);
 
-/// Convenience file wrappers.
-void save_trace(const std::string& path,
-                const std::vector<sim::Program>& programs);
+/// Reads and parses a soctrace file; a missing file throws
+/// soc::UsageError.
 std::vector<sim::Program> load_trace(const std::string& path);
 
 }  // namespace soc::trace

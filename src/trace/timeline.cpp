@@ -60,19 +60,17 @@ std::string render_timeline(const sim::RunStats& stats,
                                   options.max_nodes);
   for (int n = 0; n < shown; ++n) {
     const sim::NodeTimeline& tl = stats.nodes[static_cast<std::size_t>(n)];
-    if (options.show_cpu) {
-      os << "node" << n << " cpu |"
-         << strip(tl.cpu_busy, stats.timeline_bin_seconds, seconds,
-                  options.width, options.cores_per_node)
-         << "|\n";
-    }
-    if (options.show_gpu && !tl.gpu_busy.empty()) {
+    os << "node" << n << " cpu |"
+       << strip(tl.cpu_busy, stats.timeline_bin_seconds, seconds,
+                options.width, options.cores_per_node)
+       << "|\n";
+    if (!tl.gpu_busy.empty()) {
       os << "node" << n << " gpu |"
          << strip(tl.gpu_busy, stats.timeline_bin_seconds, seconds,
                   options.width, 1.0)
          << "|\n";
     }
-    if (options.show_nic && !tl.nic_busy.empty()) {
+    if (!tl.nic_busy.empty()) {
       os << "node" << n << " nic |"
          << strip(tl.nic_busy, stats.timeline_bin_seconds, seconds,
                   options.width, 1.0)

@@ -15,9 +15,6 @@ namespace soc::trace {
 struct TimelineOptions {
   int width = 72;        ///< Characters per strip.
   int max_nodes = 8;     ///< Rows beyond this are summarized.
-  bool show_cpu = true;
-  bool show_gpu = true;
-  bool show_nic = true;
   /// Core count per node (normalizes the CPU lane to [0,1]).
   int cores_per_node = 4;
 };

@@ -9,6 +9,7 @@
 #include "arch/cache.h"
 #include "common/rng.h"
 #include "common/error.h"
+#include "common/io.h"
 #include "cluster/cluster.h"
 #include "msg/collectives.h"
 #include "net/network.h"
@@ -240,7 +241,7 @@ TEST(TraceExport, FileRoundTrip) {
   std::vector<sim::Program> programs(2);
   programs[0] = {sim::phase_op(1), sim::send_op(1, 4096, 7)};
   programs[1] = {sim::phase_op(1), sim::recv_op(0, 4096, 7)};
-  trace::save_trace(path.string(), programs);
+  write_text(path.string(), trace::export_programs(programs));
   const auto loaded = trace::load_trace(path.string());
   ASSERT_EQ(loaded.size(), 2u);
   EXPECT_EQ(loaded[0][1].bytes, 4096);

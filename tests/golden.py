@@ -4,12 +4,14 @@
 Runs one binary in a fresh directory with SOC_BENCH_JSON_DIR pointing
 there and SOC_SWEEP_THREADS=1, then compares its stdout (kept as
 stdout.txt) and every artifact it wrote with the committed copies in
-the golden directory, byte for byte.  A missing, extra or changed file
-fails the check; a changed file prints a unified diff of every moved
-line.  With --update the goldens are rewritten instead (the
-`update_goldens` build target does this for every binary).
+the golden directory, byte for byte.  Arguments after the golden
+directory are passed to the binary; relative output paths among them
+land in the fresh directory.  A missing, extra or changed file fails
+the check; a changed file prints a unified diff of every moved line.
+With --update the goldens are rewritten instead (the `update_goldens`
+build target does this for every binary).
 
-  python3 tests/golden.py [--update] <binary> <golden-dir>
+  python3 tests/golden.py [--update] <binary> <golden-dir> [args...]
 """
 import argparse
 import difflib
@@ -30,13 +32,13 @@ def read_dir(path):
     return files
 
 
-def run(binary):
-    """Returns {file name: bytes} for one run of `binary`."""
+def run(binary, args):
+    """Returns {file name: bytes} for one run of `binary args...`."""
     with tempfile.TemporaryDirectory(prefix="golden-") as out_dir:
         env = dict(os.environ, SOC_BENCH_JSON_DIR=out_dir,
                    SOC_SWEEP_THREADS="1")
         env.pop("SOC_SWEEP_PROGRESS", None)
-        proc = subprocess.run([os.path.abspath(binary)], cwd=out_dir,
+        proc = subprocess.run([os.path.abspath(binary)] + args, cwd=out_dir,
                               env=env, stdout=subprocess.PIPE,
                               stderr=subprocess.PIPE)
         if proc.returncode != 0:
@@ -74,9 +76,11 @@ def main():
                         help="rewrite the goldens from this run")
     parser.add_argument("binary")
     parser.add_argument("golden_dir")
+    parser.add_argument("args", nargs=argparse.REMAINDER,
+                        help="arguments passed to the binary")
     args = parser.parse_args()
 
-    actual = run(args.binary)
+    actual = run(args.binary, args.args)
     if args.update:
         shutil.rmtree(args.golden_dir, ignore_errors=True)
         os.makedirs(args.golden_dir)

@@ -16,6 +16,7 @@
 #include "cluster/cluster.h"
 #include "cluster/report.h"
 #include "common/error.h"
+#include "common/io.h"
 #include "net/network.h"
 #include "prof/critical_path.h"
 #include "prof/profile.h"
@@ -459,7 +460,7 @@ TEST(TraceV1, DelayOpsRoundTrip) {
 
   const auto path = std::filesystem::temp_directory_path() /
                     "soc_stream_test_delay.soctrace";
-  trace::save_trace(path.string(), programs);
+  write_text(path.string(), trace::export_programs(programs));
   const auto loaded = trace::load_trace(path.string());
   std::filesystem::remove(path);
 
@@ -472,7 +473,7 @@ TEST(TraceV1, DelayOpsRoundTrip) {
   // Ops carrying a straggler's time_scale are a run-time decoration, not
   // a serializable program: export refuses them.
   programs[0][2].time_scale = 2.0;
-  EXPECT_THROW(trace::save_trace(path.string(), programs), Error);
+  EXPECT_THROW(trace::export_programs(programs), Error);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Tests for trace/ (phase chopping, scenario replay) and core/ (roofline
+// Tests for trace/ (scenario replay, timelines) and core/ (roofline
 // models, efficiency decomposition, scaling fits, PLS counter analysis).
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 #include "core/roofline.h"
 #include "core/scaling.h"
 #include "sim/engine.h"
-#include "trace/chop.h"
 #include "trace/export.h"
 #include "trace/replay.h"
 #include "trace/timeline.h"
@@ -56,26 +55,6 @@ std::vector<sim::Program> unbalanced_programs() {
     programs[1].push_back(sim::send_op(0, 10 * kMB, tag_b));
   }
   return programs;
-}
-
-TEST(Chop, PhaseSummariesPerPhase) {
-  SimpleCost cost;
-  sim::Engine engine(sim::Placement::block(2, 2), cost);
-  const sim::RunStats stats = engine.run(unbalanced_programs());
-  const auto phases = trace::chop_phases(stats);
-  ASSERT_EQ(phases.size(), 5u);
-  for (const trace::PhaseSummary& p : phases) {
-    EXPECT_NEAR(p.max_compute_s, 0.1, 1e-9);
-    EXPECT_NEAR(p.min_compute_s, 0.06, 1e-9);
-    EXPECT_NEAR(p.load_balance, 0.08 / 0.1, 1e-9);
-  }
-}
-
-TEST(Chop, GlobalLoadBalance) {
-  SimpleCost cost;
-  sim::Engine engine(sim::Placement::block(2, 2), cost);
-  const sim::RunStats stats = engine.run(unbalanced_programs());
-  EXPECT_NEAR(trace::global_load_balance(stats), 0.8, 1e-9);
 }
 
 TEST(Replay, IdealBalanceScalesInversely) {

@@ -64,13 +64,13 @@
 //       `--workload all` audits every registered workload.
 //
 // A usage mistake (unknown flag, command or workload, malformed number,
-// bad cluster shape) prints `socbench: <reason>` and exits 2; --help
-// prints the usage and exits 0; any other failure exits 1.
+// bad cluster shape, an output path it cannot write) prints
+// `socbench: <reason>` and exits 2; --help prints the usage and exits 0;
+// any other failure exits 1.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,6 +79,7 @@
 #include "cluster/report.h"
 #include "common/args.h"
 #include "common/error.h"
+#include "common/io.h"
 #include "common/parallel.h"
 #include "common/table.h"
 #include "core/efficiency.h"
@@ -364,14 +365,15 @@ int cmd_run(const ArgParser& args) {
                 metrics.registry().table().c_str());
   }
   if (args.given("--chrome-trace")) {
-    chrome.write(args.get("--chrome-trace"));
+    write_text(args.get("--chrome-trace"), chrome.json());
     std::printf("\nwrote %zu spans to %s\n", chrome.span_count(),
                 args.get("--chrome-trace").c_str());
   }
   if (args.given("--report-json")) {
-    cluster::write_report(args.get("--report-json"), request.config, options,
-                          workload->name(), result, &metrics.registry(),
-                          &request.scenario);
+    write_text(args.get("--report-json"),
+               cluster::report_json(request.config, options, workload->name(),
+                                    result, &metrics.registry(),
+                                    &request.scenario));
     std::printf("wrote run report to %s\n",
                 args.get("--report-json").c_str());
   }
@@ -438,12 +440,8 @@ int cmd_sweep(const ArgParser& args) {
 
   if (args.given("--report-json")) {
     const std::string path = args.get("--report-json");
-    std::ofstream f(path, std::ios::binary);
-    SOC_CHECK(f.good(), "cannot open sweep report for writing: " + path);
-    const std::string doc = sweep::sweep_report_json("socbench sweep", requests,
-                                                     results, runner.summary());
-    f.write(doc.data(), static_cast<std::streamsize>(doc.size()));
-    SOC_CHECK(f.good(), "failed writing sweep report: " + path);
+    write_text(path, sweep::sweep_report_json("socbench sweep", requests,
+                                              results, runner.summary()));
     std::printf("\nwrote sweep report to %s\n", path.c_str());
   }
 
@@ -463,12 +461,8 @@ int cmd_sweep(const ArgParser& args) {
           req.workload));
     }
     const std::string path = args.get("--energy-roofline");
-    std::ofstream f(path, std::ios::binary);
-    SOC_CHECK(f.good(), "cannot open energy roofline for writing: " + path);
-    const std::string doc = cluster::energy_roofline_json(
-        "socbench sweep", requests, results, measurements);
-    f.write(doc.data(), static_cast<std::streamsize>(doc.size()));
-    SOC_CHECK(f.good(), "failed writing energy roofline: " + path);
+    write_text(path, cluster::energy_roofline_json("socbench sweep", requests,
+                                                   results, measurements));
     std::printf("\nwrote energy roofline to %s\n", path.c_str());
   }
   return 0;
@@ -509,12 +503,7 @@ int cmd_frontier(const ArgParser& args) {
 
   if (args.given("--report-json")) {
     const std::string path = args.get("--report-json");
-    std::ofstream f(path, std::ios::binary);
-    SOC_CHECK(f.good(), "cannot open frontier report for writing: " + path);
-    const std::string doc =
-        sweep::frontier_json("socbench frontier", grid, points);
-    f.write(doc.data(), static_cast<std::streamsize>(doc.size()));
-    SOC_CHECK(f.good(), "failed writing frontier report: " + path);
+    write_text(path, sweep::frontier_json("socbench frontier", grid, points));
     std::printf("\nwrote frontier report to %s\n", path.c_str());
   }
   return 0;
@@ -648,7 +637,7 @@ int cmd_explain(const ArgParser& args) {
     }
     std::printf("\n");
     if (args.given("--energy-json")) {
-      prof::write_text(args.get("--energy-json"), prof::energy_json(e));
+      write_text(args.get("--energy-json"), prof::energy_json(e));
       std::printf("wrote energy attribution to %s\n",
                   args.get("--energy-json").c_str());
     }
@@ -710,7 +699,7 @@ int cmd_trace(const ArgParser& args) {
   ctx.mem_model = parse_mem_model(args.get("--mem-model"));
   ctx.gpu_work_fraction = args.get_double("--gpu-fraction");
   const auto programs = workload->build(ctx);
-  trace::save_trace(args.get("--out"), programs);
+  write_text(args.get("--out"), trace::export_programs(programs));
   std::size_t ops = 0;
   for (const auto& p : programs) ops += p.size();
   std::printf("wrote %zu ranks / %zu ops to %s\n", programs.size(), ops,
