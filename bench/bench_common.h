@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/args.h"
 #include "common/table.h"
 #include "core/extended_roofline.h"
 #include "net/network.h"
@@ -26,11 +27,6 @@ inline int natural_ranks(const workloads::Workload& w, int nodes) {
   return sweep::natural_ranks(w, nodes);
 }
 
-inline cluster::Cluster tx1_cluster(net::NicKind nic, int nodes, int ranks) {
-  return cluster::Cluster(
-      cluster::ClusterConfig{systems::jetson_tx1(nic), nodes, ranks});
-}
-
 /// A RunRequest against a TX1 cluster — the unit the sweep runner shards.
 inline cluster::RunRequest tx1_request(std::string workload, net::NicKind nic,
                                        int nodes, int ranks,
@@ -42,14 +38,14 @@ inline cluster::RunRequest tx1_request(std::string workload, net::NicKind nic,
   return request;
 }
 
-inline unsigned parse_sweep_threads(const char* s) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 0) {
-    std::fprintf(stderr, "bench: bad sweep thread count '%s'\n", s);
+/// socbench's thread-count parser; a bad count exits 2 with one line.
+inline unsigned parse_sweep_threads(const char* s, const char* what) {
+  try {
+    return parse_thread_count(s, what);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "bench: %s\n", e.what());
     std::exit(2);
   }
-  return static_cast<unsigned>(v);
 }
 
 /// Shared sweep configuration for every bench binary: `--sweep-threads=N`
@@ -63,7 +59,7 @@ inline sweep::SweepOptions sweep_options(int argc, char** argv,
   options.label = std::move(label);
   if (const char* env = std::getenv("SOC_SWEEP_THREADS");
       env != nullptr && *env != '\0') {
-    options.threads = parse_sweep_threads(env);
+    options.threads = parse_sweep_threads(env, "SOC_SWEEP_THREADS");
   }
   if (const char* env = std::getenv("SOC_SWEEP_PROGRESS");
       env != nullptr && *env != '\0' && std::string(env) != "0") {
@@ -72,9 +68,10 @@ inline sweep::SweepOptions sweep_options(int argc, char** argv,
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--sweep-threads=", 0) == 0) {
-      options.threads = parse_sweep_threads(arg.c_str() + 16);
+      options.threads = parse_sweep_threads(arg.c_str() + 16,
+                                            "--sweep-threads");
     } else if (arg == "--sweep-threads" && i + 1 < argc) {
-      options.threads = parse_sweep_threads(argv[++i]);
+      options.threads = parse_sweep_threads(argv[++i], "--sweep-threads");
     } else if (arg == "--progress") {
       options.progress = true;
     }

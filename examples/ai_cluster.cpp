@@ -40,21 +40,14 @@ int main() {
   // --- Cluster-level study. ---
   struct System {
     const char* label;
-    cluster::Cluster cluster;
-    double core_ghz;
+    cluster::ClusterConfig config;
   };
   const System systems[] = {
       {"TX1 x4 (10GbE)",
-       cluster::Cluster(cluster::ClusterConfig{
-           systems::jetson_tx1(net::NicKind::kTenGigabit), 4, 16}),
-       1.73},
+       {systems::jetson_tx1(net::NicKind::kTenGigabit), 4, 16}},
       {"TX1 x16 (10GbE)",
-       cluster::Cluster(cluster::ClusterConfig{
-           systems::jetson_tx1(net::NicKind::kTenGigabit), 16, 64}),
-       1.73},
-      {"Xeon + 2x GTX980",
-       cluster::Cluster(cluster::ClusterConfig{systems::xeon_gtx980(), 2, 16}),
-       2.4},
+       {systems::jetson_tx1(net::NicKind::kTenGigabit), 16, 64}},
+      {"Xeon + 2x GTX980", {systems::xeon_gtx980(), 2, 16}},
   };
 
   for (const auto network : {workloads::DnnWorkload::Network::kAlexNet,
@@ -65,8 +58,11 @@ int main() {
                 4096);
     TextTable table({"system", "runtime (s)", "images/s", "energy (kJ)",
                      "avg W", "CPU core-s/s"});
+    cluster::RunRequest request;
+    request.workload_ref = &workload;
     for (const System& s : systems) {
-      const cluster::RunResult r = s.cluster.run(workload);
+      request.config = s.config;
+      const cluster::RunResult r = cluster::run(request);
       double cpu_busy = 0.0;
       for (const sim::RankStats& rs : r.stats.ranks) {
         cpu_busy += to_seconds(rs.cpu_busy);

@@ -16,16 +16,6 @@
 #include "systems/machines.h"
 #include "workloads/workload.h"
 
-namespace {
-
-soc::cluster::Cluster make_cluster(soc::net::NicKind nic, int nodes,
-                                   int ranks) {
-  return soc::cluster::Cluster(soc::cluster::ClusterConfig{
-      soc::systems::jetson_tx1(nic), nodes, ranks});
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace soc;
   const int nodes = argc > 1 ? std::atoi(argv[1]) : 8;
@@ -42,13 +32,14 @@ int main(int argc, char** argv) {
     if (name == "alexnet" || name == "googlenet") ranks = 4 * nodes;
     if (!workload->gpu_accelerated()) ranks = 2 * nodes;
 
-    cluster::RunOptions options;
-    options.size_scale = scale;
-
-    const auto slow = make_cluster(net::NicKind::kGigabit, nodes, ranks)
-                          .run(*workload, options);
-    const auto fast = make_cluster(net::NicKind::kTenGigabit, nodes, ranks)
-                          .run(*workload, options);
+    cluster::RunRequest request;
+    request.workload_ref = workload.get();
+    request.options.size_scale = scale;
+    request.config = {systems::jetson_tx1(net::NicKind::kGigabit), nodes,
+                      ranks};
+    const auto slow = cluster::run(request);
+    request.config.node = systems::jetson_tx1(net::NicKind::kTenGigabit);
+    const auto fast = cluster::run(request);
 
     table.add_row({name, TextTable::num(slow.seconds, 1),
                    TextTable::num(fast.seconds, 1),

@@ -77,12 +77,14 @@ int main() {
   // Project the full-size jacobi workload onto clusters of several sizes.
   std::printf("Projected time-to-solution for the paper-scale jacobi run\n");
   TextTable proj({"nodes", "NIC", "runtime (s)", "GFLOP/s", "MFLOPS/W"});
+  const workloads::JacobiWorkload jacobi;
+  cluster::RunRequest request;
+  request.workload_ref = &jacobi;
   for (int nodes : {2, 8, 16}) {
     for (net::NicKind nic :
          {net::NicKind::kGigabit, net::NicKind::kTenGigabit}) {
-      const cluster::Cluster tx(cluster::ClusterConfig{
-          systems::jetson_tx1(nic), nodes, nodes});
-      const auto result = tx.run(workloads::JacobiWorkload());
+      request.config = {systems::jetson_tx1(nic), nodes, nodes};
+      const auto result = cluster::run(request);
       proj.add_row({std::to_string(nodes),
                     nic == net::NicKind::kGigabit ? "1GbE" : "10GbE",
                     TextTable::num(result.seconds, 1),

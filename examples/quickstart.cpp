@@ -9,7 +9,6 @@
 #include "core/extended_roofline.h"
 #include "net/network.h"
 #include "systems/machines.h"
-#include "workloads/workload.h"
 
 int main() {
   using namespace soc;
@@ -17,13 +16,13 @@ int main() {
   // 1. Describe the cluster: 4 Jetson TX1 nodes, one MPI rank per node
   //    driving the integrated GPU, connected by the PCIe 10GbE cards.
   const systems::NodeConfig node = systems::jetson_tx1(net::NicKind::kTenGigabit);
-  cluster::Cluster tx1(cluster::ClusterConfig{node, /*nodes=*/4, /*ranks=*/4});
 
-  // 2. Pick a workload from ClusterSoCBench and run it.
-  const auto jacobi = workloads::make_workload("jacobi");
-  cluster::RunOptions options;
-  options.size_scale = 0.25;  // keep the quickstart snappy
-  const cluster::RunResult result = tx1.run(*jacobi, options);
+  // 2. Pick a workload from ClusterSoCBench and run it there.
+  cluster::RunRequest request;
+  request.workload = "jacobi";
+  request.config = {node, /*nodes=*/4, /*ranks=*/4};
+  request.options.size_scale = 0.25;  // keep the quickstart snappy
+  const cluster::RunResult result = cluster::run(request);
 
   std::printf("jacobi on 4x TX1 (10GbE)\n");
   std::printf("  runtime        : %.2f s\n", result.seconds);

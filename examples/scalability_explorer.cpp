@@ -34,21 +34,23 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  cluster::RunOptions options;
-  options.size_scale = scale;
+  cluster::RunRequest request;
+  request.workload_ref = workload.get();
+  request.options.size_scale = scale;
 
   TextTable table({"nodes", "runtime (s)", "LB", "Ser", "Trf", "efficiency",
                    "speedup vs 2"});
   std::vector<core::ScalingSample> samples;
   double t2 = 0.0;
+  core::EfficiencyDecomposition d;  // of the last (16-node) size
   for (int nodes : {2, 4, 8, 16}) {
     int ranks = nodes;
     if (name == "alexnet" || name == "googlenet") ranks = 4 * nodes;
     if (!workload->gpu_accelerated()) ranks = 2 * nodes;
-    const cluster::Cluster tx(cluster::ClusterConfig{
-        systems::jetson_tx1(net::NicKind::kTenGigabit), nodes, ranks});
-    const auto runs = tx.replay_scenarios(*workload, options);
-    const core::EfficiencyDecomposition d = core::decompose(runs);
+    request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), nodes,
+                      ranks};
+    const auto runs = cluster::replay_scenarios(request);
+    d = core::decompose(runs);
     const double seconds = runs.measured.seconds();
     if (nodes == 2) t2 = seconds;
     samples.push_back(core::ScalingSample{nodes, seconds});
@@ -70,17 +72,6 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // What dominates? Point the user at the bottleneck the way §III-B.4 does.
-  const auto runs = cluster::Cluster(
-                        cluster::ClusterConfig{
-                            systems::jetson_tx1(net::NicKind::kTenGigabit),
-                            16,
-                            workload->gpu_accelerated()
-                                ? (name == "alexnet" || name == "googlenet"
-                                       ? 64
-                                       : 16)
-                                : 32})
-                        .replay_scenarios(*workload, options);
-  const core::EfficiencyDecomposition d = core::decompose(runs);
   const char* bottleneck = "well balanced";
   if (d.transfer <= d.load_balance && d.transfer <= d.serialization) {
     bottleneck = "network transfer (Trf)";

@@ -6,7 +6,6 @@
 #include "prof/profile.h"
 #include "prof/profiler.h"
 #include "sim/memo_cost.h"
-#include "workloads/op_stream.h"
 
 namespace soc::cluster {
 
@@ -22,15 +21,6 @@ workloads::BuildContext build_context(const ClusterConfig& config,
   ctx.size_scale = options.size_scale;
   ctx.overlap_halos = options.overlap_halos;
   return ctx;
-}
-
-sim::EngineConfig engine_config(const ClusterConfig& config,
-                                const RunOptions& options) {
-  sim::EngineConfig engine = options.engine;
-  if (engine.bisection_bandwidth == 0.0) {
-    engine.bisection_bandwidth = config.node.switch_config.bisection_bandwidth;
-  }
-  return engine;
 }
 
 RunResult meter(const sim::RunStats& stats, const ClusterConfig& config,
@@ -63,6 +53,15 @@ void validate(const ClusterConfig& config) {
                   std::to_string(config.node.cpu_cores) + " CPU cores");
 }
 
+sim::EngineConfig engine_config(const ClusterConfig& config,
+                                const RunOptions& options) {
+  sim::EngineConfig engine = options.engine;
+  if (engine.bisection_bandwidth == 0.0) {
+    engine.bisection_bandwidth = config.node.switch_config.bisection_bandwidth;
+  }
+  return engine;
+}
+
 const workloads::Workload& resolve_workload(
     const RunRequest& request, std::unique_ptr<workloads::Workload>& owned) {
   if (request.workload_ref != nullptr) return *request.workload_ref;
@@ -78,7 +77,7 @@ RunResult run(const RunRequest& request, const workloads::Workload& workload,
   // The engine pulls ops through the workload's stream (with any
   // scenario decorators layered on top), which generates them an outer
   // iteration at a time as ranks run dry.
-  std::unique_ptr<workloads::OpStream> stream = workloads::apply_scenarios(
+  std::unique_ptr<sim::OpSource> stream = workloads::apply_scenarios(
       workload.stream(build_context(request.config, request.options)),
       request.scenario, request.config.nodes);
   // The cluster model is memoizable (pure tables after construction), so
@@ -146,7 +145,7 @@ trace::ScenarioRuns replay_scenarios(const RunRequest& request,
   // The measured run streams (recording as it goes) and the two ideal
   // replays re-time the recorded op sequence, so time-dependent
   // decorators are sampled exactly once.
-  std::unique_ptr<workloads::OpStream> stream = workloads::apply_scenarios(
+  std::unique_ptr<sim::OpSource> stream = workloads::apply_scenarios(
       workload.stream(build_context(request.config, request.options)),
       request.scenario, request.config.nodes);
   return trace::replay_scenarios(
@@ -161,30 +160,6 @@ trace::ScenarioRuns replay_scenarios(const RunRequest& request) {
   const ClusterCostModel cost(request.config.node, request.config.nodes,
                               request.config.ranks, workload.cpu_profile());
   return replay_scenarios(request, workload, cost);
-}
-
-Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
-  validate(config_);
-}
-
-RunResult Cluster::run(const workloads::Workload& workload,
-                       const RunOptions& options) const {
-  RunRequest request;
-  request.workload = workload.name();
-  request.workload_ref = &workload;
-  request.config = config_;
-  request.options = options;
-  return cluster::run(request);
-}
-
-trace::ScenarioRuns Cluster::replay_scenarios(
-    const workloads::Workload& workload, const RunOptions& options) const {
-  RunRequest request;
-  request.workload = workload.name();
-  request.workload_ref = &workload;
-  request.config = config_;
-  request.options = options;
-  return cluster::replay_scenarios(request);
 }
 
 }  // namespace soc::cluster

@@ -5,8 +5,7 @@
 // and the per-run options — so runs are first-class values that can be
 // enumerated into grids and sharded across host threads by the sweep
 // subsystem (src/sweep/).  cluster::run(request) is the single entry
-// point; the Cluster class survives as a thin convenience wrapper over
-// it, so existing examples and tests keep compiling:
+// point:
 //
 //   soc::cluster::RunRequest request;
 //   request.workload = "jacobi";
@@ -106,8 +105,14 @@ struct RunRequest {
 };
 
 /// Validates a cluster shape; throws soc::UsageError on a bad one.
-/// Shared by run() and the Cluster constructor.
 void validate(const ClusterConfig& config);
+
+/// The engine configuration a run of `config` uses: `options.engine`, with
+/// a bisection bandwidth of 0 ("use the node's switch") resolved to the
+/// node's switch fabric.  The one place that default is decided: runs,
+/// scenario replays, run reports and `socbench replay` all call it.
+sim::EngineConfig engine_config(const ClusterConfig& config,
+                                const RunOptions& options);
 
 /// Resolves a request's workload: `workload_ref` when set, otherwise a
 /// fresh instance of the named workload, parked in `owned`.
@@ -133,27 +138,5 @@ trace::ScenarioRuns replay_scenarios(const RunRequest& request);
 trace::ScenarioRuns replay_scenarios(const RunRequest& request,
                                      const workloads::Workload& workload,
                                      const ClusterCostModel& cost);
-
-/// Convenience wrapper retained for existing callers; new code should
-/// build RunRequests (the request form is what the sweep runner shards).
-/// Both methods are thin shims that lower onto cluster::run /
-/// cluster::replay_scenarios.
-class Cluster {
- public:
-  explicit Cluster(ClusterConfig config);
-
-  const ClusterConfig& config() const { return config_; }
-
-  /// Runs a workload to completion and meters it (wraps cluster::run).
-  RunResult run(const workloads::Workload& workload,
-                const RunOptions& options = {}) const;
-
-  /// Wraps cluster::replay_scenarios.
-  trace::ScenarioRuns replay_scenarios(const workloads::Workload& workload,
-                                       const RunOptions& options = {}) const;
-
- private:
-  ClusterConfig config_;
-};
 
 }  // namespace soc::cluster

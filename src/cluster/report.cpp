@@ -181,7 +181,8 @@ std::string report_json(const ClusterConfig& config,
   w.field("overlap_halos", options.overlap_halos);
   w.field("eager_threshold_bytes",
           static_cast<std::int64_t>(options.engine.eager_threshold));
-  w.field("bisection_bandwidth", options.engine.bisection_bandwidth);
+  w.field("bisection_bandwidth",
+          engine_config(config, options).bisection_bandwidth);
   w.end_object();
   w.newline();
 

@@ -166,4 +166,13 @@ std::vector<double> parse_double_list(const std::string& csv) {
   return out;
 }
 
+unsigned parse_thread_count(const std::string& text, const std::string& what) {
+  int v = 0;
+  if (!parse_int(text, &v) || v < 0) {
+    throw UsageError(what + " must be a whole number >= 0, got '" + text +
+                     "'");
+  }
+  return static_cast<unsigned>(v);
+}
+
 }  // namespace soc

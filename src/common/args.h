@@ -65,4 +65,9 @@ std::vector<double> parse_double_list(const std::string& csv);
 /// Splits "hpl,jacobi" into strings; throws UsageError on empty entries.
 std::vector<std::string> parse_string_list(const std::string& csv);
 
+/// Parses a host thread count (0 = every core) given as `what` (a flag or
+/// an environment variable such as SOC_SWEEP_THREADS); throws UsageError
+/// naming `what` unless the whole text is an integer >= 0.
+unsigned parse_thread_count(const std::string& text, const std::string& what);
+
 }  // namespace soc

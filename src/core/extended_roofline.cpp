@@ -1,7 +1,6 @@
 #include "core/extended_roofline.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.h"
 
@@ -117,23 +116,6 @@ EnergyRooflineMeasurement measure_energy_roofline(
           ? 100.0 * m.achieved_gflops_per_watt / m.attainable_gflops_per_watt
           : 0.0;
   return m;
-}
-
-std::vector<ExtendedRooflinePoint> sample_extended(
-    const ExtendedRoofline& model, double ni, double oi_min, double oi_max,
-    int points) {
-  SOC_CHECK(oi_min > 0.0 && oi_max > oi_min, "bad intensity range");
-  SOC_CHECK(points >= 2, "need at least two points");
-  std::vector<ExtendedRooflinePoint> out;
-  out.reserve(static_cast<std::size_t>(points));
-  const double log_min = std::log10(oi_min);
-  const double step = (std::log10(oi_max) - log_min) /
-                      static_cast<double>(points - 1);
-  for (int i = 0; i < points; ++i) {
-    const double oi = std::pow(10.0, log_min + step * i);
-    out.push_back(ExtendedRooflinePoint{oi, model.attainable(oi, ni)});
-  }
-  return out;
 }
 
 }  // namespace soc::core

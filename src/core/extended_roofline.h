@@ -21,7 +21,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "power/power_model.h"
 #include "sim/stats.h"
@@ -102,14 +101,5 @@ EnergyRooflineMeasurement measure_energy_roofline(
     const EnergyRoofline& model, const sim::RunStats& stats,
     const power::EnergyReport& energy, int nodes,
     const std::string& benchmark);
-
-/// Samples the OI ceiling sweep at a fixed NI (for the Fig 4 plots).
-struct ExtendedRooflinePoint {
-  double oi = 0.0;
-  double attainable_flops = 0.0;
-};
-std::vector<ExtendedRooflinePoint> sample_extended(
-    const ExtendedRoofline& model, double ni, double oi_min, double oi_max,
-    int points);
 
 }  // namespace soc::core

@@ -58,12 +58,4 @@ ScalingModel fit_scaling(const std::vector<ScalingSample>& samples) {
   return model;
 }
 
-std::vector<double> extrapolate_speedups(const ScalingModel& model,
-                                         const std::vector<int>& node_counts) {
-  std::vector<double> out;
-  out.reserve(node_counts.size());
-  for (int n : node_counts) out.push_back(model.predict_speedup(n));
-  return out;
-}
-
 }  // namespace soc::core

@@ -39,8 +39,4 @@ struct ScalingModel {
 /// at least three distinct node counts.
 ScalingModel fit_scaling(const std::vector<ScalingSample>& samples);
 
-/// Evaluates the model at each node count in `node_counts`.
-std::vector<double> extrapolate_speedups(const ScalingModel& model,
-                                         const std::vector<int>& node_counts);
-
 }  // namespace soc::core

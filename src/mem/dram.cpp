@@ -1,7 +1,5 @@
 #include "mem/dram.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace soc::mem {
@@ -10,14 +8,6 @@ SimTime copy_duration(const DramConfig& dram, Bytes bytes) {
   SOC_CHECK(bytes >= 0, "negative copy size");
   if (bytes == 0) return dram.copy_call_overhead;
   return dram.copy_call_overhead + transfer_time(bytes, dram.copy_bandwidth);
-}
-
-double contended_gpu_bandwidth(const DramConfig& dram, double cpu_share) {
-  SOC_CHECK(cpu_share >= 0.0 && cpu_share <= 1.0, "cpu_share out of range");
-  // The CPU's concurrent draw comes out of the same channel; leave the GPU
-  // at least a quarter of its peak so the model degrades gracefully.
-  const double stolen = cpu_share * dram.cpu_bandwidth;
-  return std::max(dram.gpu_bandwidth - stolen, dram.gpu_bandwidth * 0.25);
 }
 
 }  // namespace soc::mem

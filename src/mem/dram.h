@@ -32,9 +32,4 @@ struct DramConfig {
 /// Duration of an explicit host<->device copy of `bytes`.
 SimTime copy_duration(const DramConfig& dram, Bytes bytes);
 
-/// Effective GPU bandwidth when CPU traffic of `cpu_share` (0..1 of its
-/// peak) runs concurrently; shared-memory contention reduces what the GPU
-/// can pull.  Discrete GPUs pass cpu_share = 0.
-double contended_gpu_bandwidth(const DramConfig& dram, double cpu_share);
-
 }  // namespace soc::mem

@@ -16,7 +16,30 @@ bool is_pow2(int n) {
 
 int absolute(int rel, int root, int p) { return (rel + root) % p; }
 
-void ring_shift(ProgramSet& ps, Bytes bytes);
+// One ring shift: every rank sends `bytes` to its right neighbour and
+// receives from its left.  With an even communicator, even ranks send
+// while odd ranks receive, then roles flip — all transfers of a half-step
+// proceed in parallel (blocking sends would otherwise serialize the whole
+// ring).  Odd communicators fall back to rank-0-receives-first unwinding.
+void ring_shift(ProgramSet& ps, Bytes bytes) {
+  const int p = ps.ranks();
+  std::vector<int> tags(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) tags[static_cast<std::size_t>(r)] = ps.next_tag();
+  for (int r = 0; r < p; ++r) {
+    const int right = (r + 1) % p;
+    const int left = (r - 1 + p) % p;
+    const int send_tag = tags[static_cast<std::size_t>(r)];
+    const int recv_tag = tags[static_cast<std::size_t>(left)];
+    const bool send_first = p % 2 == 0 ? r % 2 == 0 : r != 0;
+    if (send_first) {
+      ps.add(r, sim::send_op(right, bytes, send_tag));
+      ps.add(r, sim::recv_op(left, bytes, recv_tag));
+    } else {
+      ps.add(r, sim::recv_op(left, bytes, recv_tag));
+      ps.add(r, sim::send_op(right, bytes, send_tag));
+    }
+  }
+}
 
 }  // namespace
 
@@ -80,44 +103,6 @@ void allreduce(ProgramSet& ps, Bytes bytes) {
   broadcast(ps, 0, bytes);
 }
 
-void barrier(ProgramSet& ps) { allreduce(ps, 8); }
-
-void scatter(ProgramSet& ps, int root, Bytes bytes_per_rank) {
-  const int p = ps.ranks();
-  SOC_CHECK(root >= 0 && root < p, "scatter root out of range");
-  if (p == 1) return;
-  // Binomial tree, largest mask first: a parent hands each child the
-  // payload for the child's entire subtree.
-  int top = 1;
-  while (top < p) top <<= 1;
-  for (int mask = top >> 1; mask >= 1; mask >>= 1) {
-    for (int r = 0; r < mask && r + mask < p; ++r) {
-      const int subtree = std::min(mask, p - (r + mask));
-      ps.send_recv(absolute(r, root, p), absolute(r + mask, root, p),
-                   bytes_per_rank * subtree);
-    }
-  }
-}
-
-void reduce_scatter(ProgramSet& ps, Bytes total_bytes) {
-  const int p = ps.ranks();
-  if (p == 1) return;
-  if (is_pow2(p)) {
-    // Pairwise halving: each round exchanges half the remaining vector.
-    Bytes chunk = total_bytes / 2;
-    for (int mask = p / 2; mask >= 1; mask >>= 1) {
-      for (int r = 0; r < p; ++r) {
-        const int partner = r ^ mask;
-        if (r < partner) ps.exchange(r, partner, std::max<Bytes>(chunk, 1));
-      }
-      chunk /= 2;
-    }
-    return;
-  }
-  reduce(ps, 0, total_bytes);
-  scatter(ps, 0, std::max<Bytes>(total_bytes / p, 1));
-}
-
 void allreduce_ring(ProgramSet& ps, Bytes bytes) {
   const int p = ps.ranks();
   if (p == 1) return;
@@ -125,61 +110,6 @@ void allreduce_ring(ProgramSet& ps, Bytes bytes) {
   // Reduce-scatter ring then allgather ring: 2(P−1) pipelined steps.
   for (int step = 0; step < 2 * (p - 1); ++step) {
     ring_shift(ps, chunk);
-  }
-}
-
-void gather(ProgramSet& ps, int root, Bytes bytes_per_rank) {
-  const int p = ps.ranks();
-  SOC_CHECK(root >= 0 && root < p, "gather root out of range");
-  if (p == 1) return;
-  // Binomial tree; a child at relative rank r+mask owns the payload of its
-  // whole subtree (min(mask, p - (r+mask)) blocks) when it sends up.
-  int top = 1;
-  while (top < p) top <<= 1;
-  for (int mask = top >> 1; mask >= 1; mask >>= 1) {
-    for (int r = 0; r < mask && r + mask < p; ++r) {
-      const int subtree = std::min(mask, p - (r + mask));
-      ps.send_recv(absolute(r + mask, root, p), absolute(r, root, p),
-                   bytes_per_rank * subtree);
-    }
-  }
-}
-
-namespace {
-
-// One ring shift: every rank sends `bytes` to its right neighbour and
-// receives from its left.  With an even communicator, even ranks send
-// while odd ranks receive, then roles flip — all transfers of a half-step
-// proceed in parallel (blocking sends would otherwise serialize the whole
-// ring).  Odd communicators fall back to rank-0-receives-first unwinding.
-void ring_shift(ProgramSet& ps, Bytes bytes) {
-  const int p = ps.ranks();
-  std::vector<int> tags(static_cast<std::size_t>(p));
-  for (int r = 0; r < p; ++r) tags[static_cast<std::size_t>(r)] = ps.next_tag();
-  for (int r = 0; r < p; ++r) {
-    const int right = (r + 1) % p;
-    const int left = (r - 1 + p) % p;
-    const int send_tag = tags[static_cast<std::size_t>(r)];
-    const int recv_tag = tags[static_cast<std::size_t>(left)];
-    const bool send_first = p % 2 == 0 ? r % 2 == 0 : r != 0;
-    if (send_first) {
-      ps.add(r, sim::send_op(right, bytes, send_tag));
-      ps.add(r, sim::recv_op(left, bytes, recv_tag));
-    } else {
-      ps.add(r, sim::recv_op(left, bytes, recv_tag));
-      ps.add(r, sim::send_op(right, bytes, send_tag));
-    }
-  }
-}
-
-}  // namespace
-
-void allgather(ProgramSet& ps, Bytes bytes_per_rank) {
-  const int p = ps.ranks();
-  if (p == 1) return;
-  // Ring: in each of the P-1 steps every rank forwards one block.
-  for (int step = 0; step < p - 1; ++step) {
-    ring_shift(ps, bytes_per_rank);
   }
 }
 

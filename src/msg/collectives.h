@@ -3,8 +3,8 @@
 // Every collective expands into Send/Recv ops inside the ProgramSet, so a
 // tree broadcast really occupies NICs stage by stage during replay.  The
 // algorithms are the classical ones (binomial trees, recursive doubling,
-// ring allgather, pairwise all-to-all) that OpenMPI would pick at these
-// message sizes and communicator widths.
+// rings, pairwise all-to-all) that OpenMPI would pick at these message
+// sizes and communicator widths.
 #pragma once
 
 #include "msg/program_set.h"
@@ -27,29 +27,11 @@ void reduce(ProgramSet& ps, int root, Bytes bytes);
 /// reduce-to-0 followed by broadcast.
 void allreduce(ProgramSet& ps, Bytes bytes);
 
-/// Scatter `bytes_per_rank` blocks from `root` (binomial tree; inner nodes
-/// forward their whole subtree payload, mirroring gather).
-void scatter(ProgramSet& ps, int root, Bytes bytes_per_rank);
-
-/// Reduce-scatter: each rank ends up with 1/P of the reduced vector
-/// (pairwise-halving for power-of-two, reduce+scatter otherwise).
-void reduce_scatter(ProgramSet& ps, Bytes total_bytes);
-
 /// Ring allreduce (reduce-scatter ring + allgather ring): 2(P−1) steps of
 /// `bytes`/P messages — the bandwidth-optimal algorithm for large
 /// payloads.  The collectives ablation bench compares it against
 /// recursive doubling across message sizes.
 void allreduce_ring(ProgramSet& ps, Bytes bytes);
-
-/// Barrier: a zero-payload allreduce (8-byte token).
-void barrier(ProgramSet& ps);
-
-/// Gather `bytes_per_rank` from every rank to `root` (binomial tree; inner
-/// nodes forward their accumulated subtree payload).
-void gather(ProgramSet& ps, int root, Bytes bytes_per_rank);
-
-/// Ring allgather: P-1 steps, each rank forwarding one block per step.
-void allgather(ProgramSet& ps, Bytes bytes_per_rank);
 
 /// All-to-all personalized exchange of `bytes_per_pair` between every rank
 /// pair (pairwise XOR exchange when P is a power of two, cycle-ordered

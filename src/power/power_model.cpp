@@ -31,8 +31,7 @@ PowerTimeline power_timeline(const sim::RunStats& stats,
   tl.seconds = stats.seconds();
   if (tl.seconds <= 0.0) return tl;
 
-  tl.bin_seconds = stats.timeline_bin_seconds;
-  SOC_CHECK(tl.bin_seconds > 0.0, "invalid timeline bin width");
+  tl.bin_seconds = sim::kTimelineBinSeconds;
   const double bin_s = tl.bin_seconds;
   const std::size_t bins =
       static_cast<std::size_t>(std::ceil(tl.seconds / bin_s));

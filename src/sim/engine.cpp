@@ -119,7 +119,7 @@ void Engine::add_phase_compute(int rank, SimTime duration) {
 void Engine::bin_busy(std::vector<double>& lane, SimTime start, SimTime end) {
   if (end <= start) return;
   const SimTime bin_ns = static_cast<SimTime>(
-      std::llround(config_.timeline_bin_seconds * static_cast<double>(kSecond)));
+      std::llround(kTimelineBinSeconds * static_cast<double>(kSecond)));
   const std::size_t last_bin = static_cast<std::size_t>(end / bin_ns);
   if (lane.size() <= last_bin) lane.resize(last_bin + 1, 0.0);
   SimTime t = start;
@@ -134,13 +134,16 @@ void Engine::bin_busy(std::vector<double>& lane, SimTime start, SimTime end) {
 
 void Engine::bin_value(std::vector<double>& lane, SimTime at, double value) {
   const SimTime bin_ns = static_cast<SimTime>(
-      std::llround(config_.timeline_bin_seconds * static_cast<double>(kSecond)));
+      std::llround(kTimelineBinSeconds * static_cast<double>(kSecond)));
   const std::size_t bin = static_cast<std::size_t>(at / bin_ns);
   if (lane.size() <= bin) lane.resize(bin + 1, 0.0);
   lane[bin] += value;
 }
 
 namespace {
+
+// Safety valve: a run whose simulated time passes this aborts.
+constexpr double kMaxSimSeconds = 3.0e6;
 
 // Straggler injection: op.time_scale stretches the cost-model-derived
 // duration AFTER memo lookup, so memoized costs stay shared across
@@ -177,7 +180,6 @@ RunStats Engine::run(OpSource& source) {
 
   states_.assign(n, RankState{});
   stats_ = RunStats{};
-  stats_.timeline_bin_seconds = config_.timeline_bin_seconds;
   stats_.ranks.assign(n, RankStats{});
   stats_.nodes.assign(nodes, NodeTimeline{});
   gpu_free_.assign(nodes, 0);
@@ -209,7 +211,7 @@ RunStats Engine::run(OpSource& source) {
   pending_recv_depth_ = 0;
   if (observer_ != nullptr) observer_->on_run_begin(placement_, config_);
 
-  const SimTime horizon = from_seconds(config_.max_sim_seconds);
+  const SimTime horizon = from_seconds(kMaxSimSeconds);
   for (std::size_t r = 0; r < n; ++r) wake(static_cast<int>(r), 0);
 
   // Commit records flush in canonical (time, key) order once per
@@ -223,7 +225,8 @@ RunStats Engine::run(OpSource& source) {
       flushed = queue_.top().time;
     }
     const KeyedEvent e = queue_.pop();
-    SOC_CHECK(e.time <= horizon, "simulation exceeded max_sim_seconds");
+    SOC_CHECK(e.time <= horizon,
+              "simulation exceeded kMaxSimSeconds (3e6 simulated seconds)");
     process_event(e);
   }
   replay_commits();
@@ -491,7 +494,6 @@ void Engine::wake(int rank, SimTime time) {
 
 void Engine::execute_next(int rank, SimTime now) {
   auto& st = states_[static_cast<std::size_t>(rank)];
-  st.blocked = false;
 
   // Zero-cost ops (phase markers) are consumed inline; any op with real
   // duration schedules a wake-up and returns.  A parked op (rendezvous,
@@ -544,11 +546,6 @@ void Engine::execute_next(int rank, SimTime now) {
         return;
       case OpKind::kDelay:
         start_delay(rank, now, op);
-        return;
-      case OpKind::kEnd:
-        // End-of-stream is signalled by next() returning false;
-        // workloads::OpStream bridges the kEnd sentinel to that.
-        SOC_CHECK(false, "kEnd sentinel must not reach the engine");
         return;
     }
   }
@@ -691,7 +688,6 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
     p.time = now + cost_.message_latency(src_node, dst_node);
     p.key = next_proto_key(rank, op.peer);
     send_proto(p);
-    st.blocked = true;
     return;
   }
 
@@ -724,7 +720,6 @@ void Engine::start_send(int rank, SimTime now, const Op& op) {
   }
   pending_sends_.push(key, PendingSend{rank, now, op.bytes, st.phase, 0});
   commit_pending(1, 0, /*park=*/true);
-  st.blocked = true;
 }
 
 void Engine::start_recv(int rank, SimTime now, const Op& op) {
@@ -761,7 +756,6 @@ void Engine::start_recv(int rank, SimTime now, const Op& op) {
   }
   pending_recvs_.push(key, PendingRecv{rank, now, st.phase});
   commit_pending(0, 1, /*park=*/true);
-  st.blocked = true;
 }
 
 void Engine::start_isend(int rank, SimTime now, const Op& op) {
@@ -858,7 +852,6 @@ void Engine::start_wait_all(int rank, SimTime now) {
   auto& st = states_[static_cast<std::size_t>(rank)];
   if (st.unresolved_requests > 0) {
     st.waiting_all = true;
-    st.blocked = true;
     st.wait_park_time = now;
     return;  // resolve_request wakes us
   }
@@ -876,7 +869,6 @@ void Engine::resolve_request(int rank, SimTime completion) {
   st.requests_complete = std::max(st.requests_complete, completion);
   if (st.waiting_all && st.unresolved_requests == 0) {
     st.waiting_all = false;
-    st.blocked = false;
     // The whole park-to-completion stretch was spent blocked in kWaitAll;
     // book it here because the re-dispatch below sees a zero residual
     // (its `now` IS requests_complete).

@@ -153,15 +153,11 @@ struct EngineConfig {
   /// Messages at or below this size use the eager protocol (sender does
   /// not block on the receiver); larger messages rendezvous.
   Bytes eager_threshold = 8 * kKiB;
-  /// Width of the busy-time timeline bins (power-model input).
-  double timeline_bin_seconds = 0.1;
   /// Aggregate switch-fabric capacity in bytes/s shared by all inter-node
   /// transfers (0 = unlimited).  Modeled as one output-port pipe per
   /// destination node with rate bisection_bandwidth / nodes: flows
   /// converging on a node queue on its switch port.
   double bisection_bandwidth = 0.0;
-  /// Safety valve: abort if simulated time exceeds this many seconds.
-  double max_sim_seconds = 3.0e6;
 };
 
 class Engine {
@@ -189,7 +185,6 @@ class Engine {
     std::size_t pc = 0;        ///< Index of the current op in pull order.
     SimTime ready = 0;         ///< Time the rank becomes runnable.
     int phase = 0;             ///< Current phase id.
-    bool blocked = false;      ///< Parked on an unmatched message.
     bool done = false;
     // -- Stream cursor: the op pulled from the source but not yet
     //    finished.  A parked op (rendezvous, kWaitAll) stays buffered so

@@ -15,7 +15,6 @@ const char* op_kind_name(OpKind kind) {
     case OpKind::kWaitAll: return "waitall";
     case OpKind::kPhase: return "phase";
     case OpKind::kDelay: return "delay";
-    case OpKind::kEnd: return "end";
   }
   return "?";
 }
@@ -114,12 +113,6 @@ Op delay_op(double seconds, int phase) {
   op.kind = OpKind::kDelay;
   op.delay_seconds = seconds;
   op.phase = phase;
-  return op;
-}
-
-Op end_op() {
-  Op op;
-  op.kind = OpKind::kEnd;
   return op;
 }
 

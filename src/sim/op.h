@@ -28,13 +28,11 @@ enum class OpKind : std::uint8_t {
   kPhase,       ///< Marks the start of iteration phase `phase` (zero cost).
   kDelay,       ///< Fixed-duration host stall of `delay_seconds` (fault
                 ///< downtime, OS noise, checkpoint I/O — scenario streams).
-  kEnd,         ///< End-of-stream sentinel (workloads::OpStream::get_next);
-                ///< never dispatched by the engine.
 };
 
 /// Short stable identifier for an op kind ("cpu", "gpu", "h2d", "d2h",
-/// "send", "recv", "isend", "irecv", "waitall", "phase", "delay", "end")
-/// — the soctrace verbs.  Observers and exporters key on these.
+/// "send", "recv", "isend", "irecv", "waitall", "phase", "delay") — the
+/// soctrace verbs.  Observers and exporters key on these.
 const char* op_kind_name(OpKind kind);
 
 /// GPU memory-management model under which kernel/copy ops execute
@@ -86,7 +84,5 @@ Op irecv_op(int peer, Bytes bytes, int tag, int phase = 0);
 Op wait_all_op(int phase = 0);
 Op phase_op(int phase);
 Op delay_op(double seconds, int phase = 0);
-/// The kEnd sentinel (workloads::OpStream end-of-stream marker).
-Op end_op();
 
 }  // namespace soc::sim

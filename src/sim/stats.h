@@ -51,7 +51,10 @@ struct RankStats {
   std::map<int, double> instructions_by_profile;
 };
 
-/// Busy-time timelines for one node, binned at the engine's bin width.
+/// Width of the busy-time timeline bins (the power model's input).
+inline constexpr double kTimelineBinSeconds = 0.1;
+
+/// Busy-time timelines for one node, binned at kTimelineBinSeconds.
 /// Values are busy seconds within the bin (cpu may exceed 1 bin-width ×
 /// 1.0 when several ranks share the node — it counts core-seconds).
 struct NodeTimeline {
@@ -64,7 +67,6 @@ struct NodeTimeline {
 /// Aggregate result of one engine run.
 struct RunStats {
   SimTime makespan = 0;
-  double timeline_bin_seconds = 0.1;
   std::vector<RankStats> ranks;
   std::vector<NodeTimeline> nodes;
 

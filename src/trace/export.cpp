@@ -84,9 +84,6 @@ std::string export_programs(const std::vector<sim::Program>& programs) {
         case sim::OpKind::kDelay:
           os << "delay " << op.delay_seconds << " " << op.phase << "\n";
           break;
-        case sim::OpKind::kEnd:
-          SOC_CHECK(false, "soctrace: kEnd sentinel in a program");
-          break;
       }
     }
   }

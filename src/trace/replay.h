@@ -2,9 +2,9 @@
 //
 // The paper records Extrae traces on the real cluster and re-simulates
 // them under (a) the real network, (b) an ideal network with zero latency
-// and unlimited bandwidth, and (c) perfect load balance.  Our programs
-// *are* the traces, so the scenarios are three replays of the same
-// programs with different engine scenarios.
+// and unlimited bandwidth, and (c) perfect load balance.  Here the
+// measured run records the op sequence it pulls, and that recording is
+// the trace the two ideal scenarios replay.
 #pragma once
 
 #include <vector>
@@ -22,18 +22,13 @@ struct ScenarioRuns {
                                ///< the traces with the real network").
 };
 
-/// Runs all three scenarios over the same programs.
-ScenarioRuns replay_scenarios(const sim::Placement& placement,
-                              const sim::CostModel& cost,
-                              const std::vector<sim::Program>& programs,
-                              const sim::EngineConfig& config = {});
-
-/// Stream form: the measured run pulls `source` through a recording tee,
-/// and the two ideals replay the recorded programs.  This preserves
-/// trace-replay semantics under time-dependent streams (fault/noise
-/// decorators): the what-ifs re-time exactly the op sequence the
-/// measured run committed, instead of re-sampling the decorators under
-/// a different schedule.
+/// Runs all three scenarios: the measured run pulls `source` through a
+/// recording tee, and the two ideals replay the recorded programs.  This
+/// preserves trace-replay semantics under time-dependent streams
+/// (fault/noise decorators): the what-ifs re-time exactly the op sequence
+/// the measured run committed, instead of re-sampling the decorators
+/// under a different schedule.  To replay pre-built programs, pass a
+/// sim::ProgramSource over them.
 ScenarioRuns replay_scenarios(const sim::Placement& placement,
                               const sim::CostModel& cost, sim::OpSource& source,
                               const sim::EngineConfig& config = {});

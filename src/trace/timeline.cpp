@@ -61,18 +61,18 @@ std::string render_timeline(const sim::RunStats& stats,
   for (int n = 0; n < shown; ++n) {
     const sim::NodeTimeline& tl = stats.nodes[static_cast<std::size_t>(n)];
     os << "node" << n << " cpu |"
-       << strip(tl.cpu_busy, stats.timeline_bin_seconds, seconds,
+       << strip(tl.cpu_busy, sim::kTimelineBinSeconds, seconds,
                 options.width, options.cores_per_node)
        << "|\n";
     if (!tl.gpu_busy.empty()) {
       os << "node" << n << " gpu |"
-         << strip(tl.gpu_busy, stats.timeline_bin_seconds, seconds,
+         << strip(tl.gpu_busy, sim::kTimelineBinSeconds, seconds,
                   options.width, 1.0)
          << "|\n";
     }
     if (!tl.nic_busy.empty()) {
       os << "node" << n << " nic |"
-         << strip(tl.nic_busy, stats.timeline_bin_seconds, seconds,
+         << strip(tl.nic_busy, sim::kTimelineBinSeconds, seconds,
                   options.width, 1.0)
          << "|\n";
     }

@@ -7,13 +7,6 @@
 
 namespace soc::workloads {
 
-bool OpStream::next(int rank, SimTime now, sim::Op* op) {
-  sim::Op pulled = get_next(rank, now);
-  if (pulled.kind == sim::OpKind::kEnd) return false;
-  *op = pulled;
-  return true;
-}
-
 CursorStream::CursorStream(std::unique_ptr<WorkloadCursor> cursor, int ranks)
     : cursor_(std::move(cursor)),
       pending_(ranks),
@@ -30,7 +23,7 @@ std::size_t CursorStream::pending_ops() const {
   return ops;
 }
 
-sim::Op CursorStream::get_next(int rank, SimTime /*now*/) {
+bool CursorStream::next(int rank, SimTime /*now*/, sim::Op* op) {
   SOC_CHECK(rank >= 0 && rank < ranks(), "CursorStream: rank out of range");
   const std::size_t r = static_cast<std::size_t>(rank);
   sim::Program& ready = ready_[r];
@@ -47,23 +40,19 @@ sim::Op CursorStream::get_next(int rank, SimTime /*now*/) {
     }
     pending_.take(rank, ready);
     next_[r] = 0;
-    if (ready.empty()) return sim::end_op();
+    if (ready.empty()) return false;
   }
-  return ready[next_[r]++];
+  *op = ready[next_[r]++];
+  return true;
 }
 
 ProgramWalkStream::ProgramWalkStream(std::vector<sim::Program> programs)
-    : programs_(std::move(programs)), cursor_(programs_.size(), 0) {}
+    : programs_(std::move(programs)), walk_(programs_) {}
 
-int ProgramWalkStream::ranks() const {
-  return static_cast<int>(programs_.size());
-}
+int ProgramWalkStream::ranks() const { return walk_.ranks(); }
 
-sim::Op ProgramWalkStream::get_next(int rank, SimTime /*now*/) {
-  const std::size_t r = static_cast<std::size_t>(rank);
-  SOC_CHECK(r < programs_.size(), "ProgramWalkStream: rank out of range");
-  if (cursor_[r] >= programs_[r].size()) return sim::end_op();
-  return programs_[r][cursor_[r]++];
+bool ProgramWalkStream::next(int rank, SimTime now, sim::Op* op) {
+  return walk_.next(rank, now, op);
 }
 
 }  // namespace soc::workloads

@@ -27,10 +27,11 @@ bool is_scalable(OpKind kind) {
 // Shared decorator plumbing: inner pull with per-rank phase tracking (so
 // injected delays are attributed to the phase the rank was in), plus a
 // one-op stash for decorators that must hold the pulled op back while
-// they emit a delay first.
-class StreamDecorator : public OpStream {
+// they emit a delay first.  A decorator injects only in front of a pulled
+// op: once the inner stream has ended, nothing comes due any more.
+class StreamDecorator : public sim::OpSource {
  public:
-  explicit StreamDecorator(std::unique_ptr<OpStream> inner)
+  explicit StreamDecorator(std::unique_ptr<sim::OpSource> inner)
       : inner_(std::move(inner)),
         last_phase_(static_cast<std::size_t>(inner_->ranks()), 0),
         pending_(static_cast<std::size_t>(inner_->ranks())),
@@ -39,29 +40,31 @@ class StreamDecorator : public OpStream {
   int ranks() const override { return inner_->ranks(); }
 
  protected:
-  Op pull(int rank, SimTime now) {
+  /// The rank's held-back op if there is one, else the inner stream's
+  /// next; false once the inner stream has ended.
+  bool pull(int rank, SimTime now, Op* op) {
     const std::size_t r = static_cast<std::size_t>(rank);
     if (has_pending_[r]) {
       has_pending_[r] = 0;
-      return pending_[r];
+      *op = pending_[r];
+      return true;
     }
-    Op op = inner_->get_next(rank, now);
-    if (op.kind == OpKind::kPhase) last_phase_[r] = op.phase;
-    return op;
+    if (!inner_->next(rank, now, op)) return false;
+    if (op->kind == OpKind::kPhase) last_phase_[r] = op->phase;
+    return true;
   }
 
-  void stash(int rank, const Op& op) {
+  /// Holds the pulled `*op` back for the rank's next pull and replaces it
+  /// with a `seconds` stall in the rank's current phase.
+  void delay(int rank, Op* op, double seconds) {
     const std::size_t r = static_cast<std::size_t>(rank);
-    pending_[r] = op;
+    pending_[r] = *op;
     has_pending_[r] = 1;
-  }
-
-  int last_phase(int rank) const {
-    return last_phase_[static_cast<std::size_t>(rank)];
+    *op = sim::delay_op(seconds, last_phase_[r]);
   }
 
  private:
-  std::unique_ptr<OpStream> inner_;
+  std::unique_ptr<sim::OpSource> inner_;
   std::vector<int> last_phase_;
   std::vector<Op> pending_;
   std::vector<char> has_pending_;
@@ -74,7 +77,7 @@ class StreamDecorator : public OpStream {
 // the profiler decomposition should attribute.
 class NodeCrashStream final : public StreamDecorator {
  public:
-  NodeCrashStream(std::unique_ptr<OpStream> inner, const FaultSpec& spec,
+  NodeCrashStream(std::unique_ptr<sim::OpSource> inner, const FaultSpec& spec,
                   int ranks_per_node)
       : StreamDecorator(std::move(inner)),
         crash_at_(from_seconds(spec.start_seconds)),
@@ -83,17 +86,15 @@ class NodeCrashStream final : public StreamDecorator {
         last_rank_(first_rank_ + ranks_per_node - 1),
         injected_(static_cast<std::size_t>(ranks()), 0) {}
 
-  Op get_next(int rank, SimTime now) override {
+  bool next(int rank, SimTime now, Op* op) override {
     const std::size_t r = static_cast<std::size_t>(rank);
+    if (!pull(rank, now, op)) return false;
     if (rank >= first_rank_ && rank <= last_rank_ && !injected_[r] &&
         now >= crash_at_) {
-      Op op = pull(rank, now);
-      if (op.kind == OpKind::kEnd) return op;  // rank already drained
-      stash(rank, op);
       injected_[r] = 1;
-      return sim::delay_op(downtime_, last_phase(rank));
+      delay(rank, op, downtime_);
     }
-    return pull(rank, now);
+    return true;
   }
 
  private:
@@ -108,7 +109,7 @@ class NodeCrashStream final : public StreamDecorator {
 // window are held back behind a delay that ends when the window closes.
 class LinkFlapStream final : public StreamDecorator {
  public:
-  LinkFlapStream(std::unique_ptr<OpStream> inner, const FaultSpec& spec,
+  LinkFlapStream(std::unique_ptr<sim::OpSource> inner, const FaultSpec& spec,
                  int ranks_per_node)
       : StreamDecorator(std::move(inner)),
         open_(from_seconds(spec.start_seconds)),
@@ -116,14 +117,13 @@ class LinkFlapStream final : public StreamDecorator {
         first_rank_(spec.node * ranks_per_node),
         last_rank_(first_rank_ + ranks_per_node - 1) {}
 
-  Op get_next(int rank, SimTime now) override {
-    Op op = pull(rank, now);
-    if (rank >= first_rank_ && rank <= last_rank_ && is_message(op.kind) &&
+  bool next(int rank, SimTime now, Op* op) override {
+    if (!pull(rank, now, op)) return false;
+    if (rank >= first_rank_ && rank <= last_rank_ && is_message(op->kind) &&
         now >= open_ && now < close_) {
-      stash(rank, op);
-      return sim::delay_op(to_seconds(close_ - now), last_phase(rank));
+      delay(rank, op, to_seconds(close_ - now));
     }
-    return op;
+    return true;
   }
 
  private:
@@ -139,15 +139,15 @@ class LinkFlapStream final : public StreamDecorator {
 // with healthy ranks.
 class StragglerStream final : public StreamDecorator {
  public:
-  StragglerStream(std::unique_ptr<OpStream> inner, const FaultSpec& spec)
+  StragglerStream(std::unique_ptr<sim::OpSource> inner, const FaultSpec& spec)
       : StreamDecorator(std::move(inner)),
         rank_(spec.rank),
         slowdown_(spec.slowdown) {}
 
-  Op get_next(int rank, SimTime now) override {
-    Op op = pull(rank, now);
-    if (rank == rank_ && is_scalable(op.kind)) op.time_scale *= slowdown_;
-    return op;
+  bool next(int rank, SimTime now, Op* op) override {
+    if (!pull(rank, now, op)) return false;
+    if (rank == rank_ && is_scalable(op->kind)) op->time_scale *= slowdown_;
+    return true;
   }
 
  private:
@@ -161,7 +161,7 @@ class StragglerStream final : public StreamDecorator {
 // pattern is independent of cross-rank interleaving and thread count.
 class NoiseStream final : public StreamDecorator {
  public:
-  NoiseStream(std::unique_ptr<OpStream> inner, const NoiseSpec& spec)
+  NoiseStream(std::unique_ptr<sim::OpSource> inner, const NoiseSpec& spec)
       : StreamDecorator(std::move(inner)), spec_(spec) {
     const std::size_t n = static_cast<std::size_t>(ranks());
     rngs_.reserve(n);
@@ -172,17 +172,15 @@ class NoiseStream final : public StreamDecorator {
     }
   }
 
-  Op get_next(int rank, SimTime now) override {
+  bool next(int rank, SimTime now, Op* op) override {
     const std::size_t r = static_cast<std::size_t>(rank);
+    if (!pull(rank, now, op)) return false;
     if (now >= next_fire_[r]) {
-      Op op = pull(rank, now);
-      if (op.kind == OpKind::kEnd) return op;
-      stash(rank, op);
       // One stall per pull; intervals the rank slept through are skipped.
       while (next_fire_[r] <= now) next_fire_[r] += step(rngs_[r]);
-      return sim::delay_op(spec_.duration_seconds, last_phase(rank));
+      delay(rank, op, spec_.duration_seconds);
     }
-    return pull(rank, now);
+    return true;
   }
 
  private:
@@ -203,7 +201,8 @@ class NoiseStream final : public StreamDecorator {
 // size/bandwidth seconds, every τ + δ, with τ from daly_optimal_interval.
 class CheckpointStream final : public StreamDecorator {
  public:
-  CheckpointStream(std::unique_ptr<OpStream> inner, const CheckpointSpec& spec)
+  CheckpointStream(std::unique_ptr<sim::OpSource> inner,
+                   const CheckpointSpec& spec)
       : StreamDecorator(std::move(inner)),
         write_seconds_(spec.size_bytes / spec.bandwidth),
         runtime_(spec.runtime_seconds) {
@@ -214,17 +213,15 @@ class CheckpointStream final : public StreamDecorator {
     next_fire_.assign(static_cast<std::size_t>(ranks()), interval_);
   }
 
-  Op get_next(int rank, SimTime now) override {
+  bool next(int rank, SimTime now, Op* op) override {
     const std::size_t r = static_cast<std::size_t>(rank);
+    if (!pull(rank, now, op)) return false;
     if (now >= next_fire_[r] &&
         (runtime_ <= 0.0 || to_seconds(next_fire_[r]) <= runtime_)) {
-      Op op = pull(rank, now);
-      if (op.kind == OpKind::kEnd) return op;
-      stash(rank, op);
       while (next_fire_[r] <= now) next_fire_[r] += period_;
-      return sim::delay_op(write_seconds_, last_phase(rank));
+      delay(rank, op, write_seconds_);
     }
-    return pull(rank, now);
+    return true;
   }
 
  private:
@@ -292,9 +289,9 @@ double daly_optimal_interval(double write_seconds, double mtti_seconds) {
          write_seconds;
 }
 
-std::unique_ptr<OpStream> apply_scenarios(std::unique_ptr<OpStream> inner,
-                                          const ScenarioConfig& config,
-                                          int nodes) {
+std::unique_ptr<sim::OpSource> apply_scenarios(
+    std::unique_ptr<sim::OpSource> inner, const ScenarioConfig& config,
+    int nodes) {
   if (!config.enabled()) return inner;
   SOC_CHECK(inner != nullptr, "apply_scenarios: null stream");
   const int ranks = inner->ranks();

@@ -1,5 +1,5 @@
 // Scenario decorators: fault injection, OS noise, and checkpoint/restart
-// as composable wrappers over any workloads::OpStream.
+// as composable wrappers over any sim::OpSource.
 //
 // Each decorator rewrites or interleaves ops on the pull path, keyed off
 // the deterministic simulation time the engine passes with every pull —
@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "workloads/op_stream.h"
+#include "sim/op_stream.h"
 
 namespace soc::workloads {
 
@@ -103,9 +103,9 @@ double daly_optimal_interval(double write_seconds, double mtti_seconds);
 /// decorators it calls for (spec order, then noise, then checkpoint).
 /// Rank-to-node mapping is block placement: node_of(r) = r / (ranks/nodes).
 /// Returns `inner` unchanged when the scenario is empty.
-std::unique_ptr<OpStream> apply_scenarios(std::unique_ptr<OpStream> inner,
-                                          const ScenarioConfig& config,
-                                          int nodes);
+std::unique_ptr<sim::OpSource> apply_scenarios(
+    std::unique_ptr<sim::OpSource> inner, const ScenarioConfig& config,
+    int nodes);
 
 /// Parses one fault spec, e.g. "node-crash:node=0,t=5,down=60",
 /// "link-flap:node=1,t0=2,t1=4", "straggler:rank=3,slowdown=2.5".

@@ -24,7 +24,8 @@ std::vector<sim::Program> Workload::build(const BuildContext& ctx) const {
   return ps.take();
 }
 
-std::unique_ptr<OpStream> Workload::stream(const BuildContext& ctx) const {
+std::unique_ptr<sim::OpSource> Workload::stream(
+    const BuildContext& ctx) const {
   return std::make_unique<CursorStream>(cursor(ctx), ctx.ranks);
 }
 

@@ -27,9 +27,11 @@ namespace soc::msg {
 class ProgramSet;
 }
 
-namespace soc::workloads {
+namespace soc::sim {
+class OpSource;
+}
 
-class OpStream;
+namespace soc::workloads {
 
 /// Parameters threaded into program generation.
 struct BuildContext {
@@ -101,13 +103,13 @@ class Workload {
 
   /// Every rank's whole program: cursor(ctx) stepped to the end.  For
   /// callers that need programs up front (trace export, calibration
-  /// probes, the engine-only perf harness).
+  /// probes, perfbench's traced runs).
   std::vector<sim::Program> build(const BuildContext& ctx) const;
 
   /// The pull-based form every runner consumes: a CursorStream over
   /// cursor(ctx).  Commits the byte-identical event stream and
   /// event_checksum as replaying build()'s programs.
-  std::unique_ptr<OpStream> stream(const BuildContext& ctx) const;
+  std::unique_ptr<sim::OpSource> stream(const BuildContext& ctx) const;
 };
 
 /// All GPGPU-accelerated workloads of Table I, in paper order:

@@ -1,5 +1,5 @@
 // Tests for systems/ and cluster/: machine configurations, the composed
-// cost model, and end-to-end Cluster runs.
+// cost model, and end-to-end cluster::run requests.
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
@@ -12,10 +12,14 @@
 namespace soc {
 namespace {
 
-cluster::RunOptions quick() {
-  cluster::RunOptions options;
-  options.size_scale = 0.05;
-  return options;
+/// A quick (5% problem size) run of `workload` on `nodes` TX1 nodes.
+cluster::RunRequest quick(const std::string& workload, int nodes, int ranks,
+                          net::NicKind nic = net::NicKind::kTenGigabit) {
+  cluster::RunRequest request;
+  request.workload = workload;
+  request.config = {systems::jetson_tx1(nic), nodes, ranks};
+  request.options.size_scale = 0.05;
+  return request;
 }
 
 TEST(Systems, Tx1MatchesTableFive) {
@@ -95,16 +99,14 @@ TEST(CostModel, CopyCostDependsOnMemModel) {
 
 TEST(Cluster, RejectsInvalidShapes) {
   const auto node = systems::jetson_tx1(net::NicKind::kTenGigabit);
-  EXPECT_THROW(cluster::Cluster(cluster::ClusterConfig{node, 0, 0}), Error);
-  EXPECT_THROW(cluster::Cluster(cluster::ClusterConfig{node, 4, 6}), Error);
+  EXPECT_THROW(cluster::validate({node, 0, 0}), Error);
+  EXPECT_THROW(cluster::validate({node, 4, 6}), Error);
   // 8 ranks on one 4-core node: oversubscribed.
-  EXPECT_THROW(cluster::Cluster(cluster::ClusterConfig{node, 1, 8}), Error);
+  EXPECT_THROW(cluster::validate({node, 1, 8}), Error);
 }
 
 TEST(Cluster, RunProducesCoherentResult) {
-  const cluster::Cluster tx(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 4, 4});
-  const auto result = tx.run(*workloads::make_workload("jacobi"), quick());
+  const auto result = cluster::run(quick("jacobi", 4, 4));
   EXPECT_GT(result.seconds, 0.0);
   EXPECT_GT(result.gflops, 0.0);
   EXPECT_GT(result.joules, 0.0);
@@ -116,77 +118,56 @@ TEST(Cluster, RunProducesCoherentResult) {
 }
 
 TEST(Cluster, DeterministicRuns) {
-  const cluster::Cluster tx(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 4, 4});
-  const auto a = tx.run(*workloads::make_workload("tealeaf2d"), quick());
-  const auto b = tx.run(*workloads::make_workload("tealeaf2d"), quick());
+  const auto a = cluster::run(quick("tealeaf2d", 4, 4));
+  const auto b = cluster::run(quick("tealeaf2d", 4, 4));
   EXPECT_DOUBLE_EQ(a.seconds, b.seconds);
   EXPECT_DOUBLE_EQ(a.joules, b.joules);
 }
 
 TEST(Cluster, FasterNicNeverSlower) {
   for (const char* name : {"hpl", "tealeaf3d", "ft"}) {
-    const auto w = workloads::make_workload(name);
-    const int ranks = w->gpu_accelerated() ? 4 : 8;
-    const cluster::Cluster slow(cluster::ClusterConfig{
-        systems::jetson_tx1(net::NicKind::kGigabit), 4, ranks});
-    const cluster::Cluster fast(cluster::ClusterConfig{
-        systems::jetson_tx1(net::NicKind::kTenGigabit), 4, ranks});
-    EXPECT_GE(slow.run(*w, quick()).seconds, fast.run(*w, quick()).seconds)
-        << name;
+    const int ranks = workloads::make_workload(name)->gpu_accelerated() ? 4 : 8;
+    const auto slow = cluster::run(quick(name, 4, ranks, net::NicKind::kGigabit));
+    const auto fast = cluster::run(quick(name, 4, ranks));
+    EXPECT_GE(slow.seconds, fast.seconds) << name;
   }
 }
 
 TEST(Cluster, MoreNodesReduceRuntimeForScalableWork) {
-  const auto w = workloads::make_workload("jacobi");
-  const auto small = cluster::Cluster(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 2, 2});
-  const auto large = cluster::Cluster(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 8, 8});
-  EXPECT_GT(small.run(*w, quick()).seconds, large.run(*w, quick()).seconds);
+  EXPECT_GT(cluster::run(quick("jacobi", 2, 2)).seconds,
+            cluster::run(quick("jacobi", 8, 8)).seconds);
 }
 
 TEST(Cluster, ZeroCopySlowsJacobi) {
-  const cluster::Cluster tx(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 2, 2});
-  const auto w = workloads::make_workload("jacobi");
-  cluster::RunOptions zc = quick();
-  zc.mem_model = sim::MemModel::kZeroCopy;
-  cluster::RunOptions um = quick();
-  um.mem_model = sim::MemModel::kUnified;
-  const double hd_s = tx.run(*w, quick()).seconds;
-  const double zc_s = tx.run(*w, zc).seconds;
-  const double um_s = tx.run(*w, um).seconds;
+  cluster::RunRequest request = quick("jacobi", 2, 2);
+  const double hd_s = cluster::run(request).seconds;
+  request.options.mem_model = sim::MemModel::kZeroCopy;
+  const double zc_s = cluster::run(request).seconds;
+  request.options.mem_model = sim::MemModel::kUnified;
+  const double um_s = cluster::run(request).seconds;
   EXPECT_GT(zc_s / hd_s, 2.0);   // Table III's zero-copy penalty
   EXPECT_LT(um_s / hd_s, 1.15);  // unified ≈ host+device
 }
 
 TEST(Cluster, ScenarioReplayOrdering) {
-  const cluster::Cluster tx(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 4, 4});
-  const auto runs =
-      tx.replay_scenarios(*workloads::make_workload("tealeaf3d"), quick());
+  const auto runs = cluster::replay_scenarios(quick("tealeaf3d", 4, 4));
   EXPECT_LE(runs.ideal_network.seconds(), runs.measured.seconds());
   EXPECT_GT(runs.ideal_network.seconds(), 0.0);
 }
 
 TEST(Cluster, CountersScaleWithWork) {
-  const cluster::Cluster tx(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 2, 4});
-  const auto w = workloads::make_workload("bt");
-  cluster::RunOptions small = quick();
-  cluster::RunOptions big = quick();
-  big.size_scale = 2.0 * small.size_scale;
-  const auto rs = tx.run(*w, small);
-  const auto rb = tx.run(*w, big);
+  cluster::RunRequest request = quick("bt", 2, 4);
+  const auto rs = cluster::run(request);
+  request.options.size_scale *= 2.0;
+  const auto rb = cluster::run(request);
   EXPECT_GT(rb.counters[arch::PmuEvent::kInstRetired],
             1.5 * rs.counters[arch::PmuEvent::kInstRetired]);
 }
 
 TEST(Cluster, CaviumRunsNpbSingleNode) {
-  const cluster::Cluster cavium(cluster::ClusterConfig{
-      systems::thunderx_server(), 1, 32});
-  const auto result = cavium.run(*workloads::make_workload("mg"), quick());
+  cluster::RunRequest request = quick("mg", 1, 32);
+  request.config.node = systems::thunderx_server();
+  const auto result = cluster::run(request);
   EXPECT_GT(result.seconds, 0.0);
   EXPECT_EQ(result.stats.total_net_bytes, 0);  // everything intra-node
 }

@@ -32,21 +32,19 @@ namespace {
 // sparse CG).
 const char* const kAuditWorkloads[] = {"jacobi", "hpl", "alexnet", "ft", "cg"};
 
-cluster::Cluster make_cluster(const workloads::Workload& w, int nodes) {
-  const auto node = systems::jetson_tx1(net::NicKind::kTenGigabit);
-  const int ranks = w.gpu_accelerated() ? nodes : 2 * nodes;
-  return cluster::Cluster(cluster::ClusterConfig{node, nodes, ranks});
-}
-
-cluster::RunOptions quick() {
-  cluster::RunOptions options;
-  options.size_scale = 0.05;
-  return options;
+/// A quick (5% size) run of `w` on `nodes` TX1 nodes.
+cluster::RunRequest quick(const workloads::Workload& w, int nodes) {
+  cluster::RunRequest request;
+  request.workload_ref = &w;
+  request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), nodes,
+                    w.gpu_accelerated() ? nodes : 2 * nodes};
+  request.options.size_scale = 0.05;
+  return request;
 }
 
 TEST(Determinism, ChecksumIsPopulated) {
   const auto w = workloads::make_workload("jacobi");
-  const auto r = make_cluster(*w, 4).run(*w, quick());
+  const auto r = cluster::run(quick(*w, 4));
   EXPECT_NE(r.stats.event_checksum, 0u);
   EXPECT_NE(r.stats.event_checksum, Fnv1a::kOffsetBasis);
   EXPECT_GT(r.stats.events_committed, 0u);
@@ -55,9 +53,8 @@ TEST(Determinism, ChecksumIsPopulated) {
 TEST(Determinism, SerialReplaysAreBitIdentical) {
   for (const char* name : kAuditWorkloads) {
     const auto w = workloads::make_workload(name);
-    const auto cl = make_cluster(*w, 4);
-    const auto a = cl.run(*w, quick());
-    const auto b = cl.run(*w, quick());
+    const auto a = cluster::run(quick(*w, 4));
+    const auto b = cluster::run(quick(*w, 4));
     EXPECT_EQ(a.stats.event_checksum, b.stats.event_checksum) << name;
     EXPECT_EQ(a.stats.events_committed, b.stats.events_committed) << name;
     EXPECT_EQ(a.stats.makespan, b.stats.makespan) << name;
@@ -68,15 +65,14 @@ TEST(Determinism, SerialReplaysAreBitIdentical) {
 TEST(Determinism, ParallelForReplaysMatchSerial) {
   for (const char* name : kAuditWorkloads) {
     const auto w = workloads::make_workload(name);
-    const auto cl = make_cluster(*w, 4);
-    const auto serial = cl.run(*w, quick());
+    const auto serial = cluster::run(quick(*w, 4));
 
     constexpr std::size_t kReplicas = 8;
     std::vector<std::uint64_t> checksums(kReplicas, 0);
     std::vector<SimTime> makespans(kReplicas, 0);
     parallel_for(kReplicas, [&](std::size_t i) {
       const auto w2 = workloads::make_workload(name);
-      const auto r = make_cluster(*w2, 4).run(*w2, quick());
+      const auto r = cluster::run(quick(*w2, 4));
       checksums[i] = r.stats.event_checksum;
       makespans[i] = r.stats.makespan;
     });
@@ -96,9 +92,9 @@ TEST(Determinism, ParallelForReplaysMatchSerial) {
 TEST(Determinism, MetricsRegistryIdenticalAcrossReplays) {
   auto run_with_metrics = [](const workloads::Workload& w) {
     obs::MetricsObserver observer;
-    auto options = quick();
-    options.observer = &observer;
-    make_cluster(w, 4).run(w, options);
+    auto request = quick(w, 4);
+    request.options.observer = &observer;
+    cluster::run(request);
     return observer.registry();
   };
 
@@ -129,21 +125,21 @@ TEST(Determinism, ChecksumDistinguishesWorkloadsAndScenarios) {
   std::set<std::uint64_t> seen;
   for (const char* name : kAuditWorkloads) {
     const auto w = workloads::make_workload(name);
-    seen.insert(make_cluster(*w, 4).run(*w, quick()).stats.event_checksum);
+    seen.insert(cluster::run(quick(*w, 4)).stats.event_checksum);
   }
   EXPECT_EQ(seen.size(), std::size(kAuditWorkloads));
 
   const auto w = workloads::make_workload("jacobi");
-  auto scaled = quick();
-  scaled.size_scale = 0.1;
-  EXPECT_NE(make_cluster(*w, 4).run(*w, quick()).stats.event_checksum,
-            make_cluster(*w, 4).run(*w, scaled).stats.event_checksum);
+  auto scaled = quick(*w, 4);
+  scaled.options.size_scale = 0.1;
+  EXPECT_NE(cluster::run(quick(*w, 4)).stats.event_checksum,
+            cluster::run(scaled).stats.event_checksum);
 }
 
 TEST(Determinism, ChecksumStableAcrossThreadCounts) {
   // The digest must not depend on how the host fans replicas out.
   const auto w = workloads::make_workload("ft");
-  const auto serial = make_cluster(*w, 2).run(*w, quick());
+  const auto serial = cluster::run(quick(*w, 2));
   for (unsigned threads : {1u, 2u, 5u}) {
     std::vector<std::uint64_t> checksums(4, 0);
     parallel_for(
@@ -151,7 +147,7 @@ TEST(Determinism, ChecksumStableAcrossThreadCounts) {
         [&](std::size_t i) {
           const auto w2 = workloads::make_workload("ft");
           checksums[i] =
-              make_cluster(*w2, 2).run(*w2, quick()).stats.event_checksum;
+              cluster::run(quick(*w2, 2)).stats.event_checksum;
         },
         threads);
     for (std::uint64_t c : checksums) {

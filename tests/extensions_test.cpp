@@ -86,33 +86,6 @@ TEST_P(RingSizeTest, RingAllreduceCompletes) {
   }
 }
 
-TEST_P(RingSizeTest, ScatterReachesEveryRank) {
-  const int p = GetParam();
-  msg::ProgramSet ps(p);
-  msg::scatter(ps, 0, 1000);
-  Bytes received[64] = {};
-  for (int r = 0; r < p; ++r) {
-    for (const sim::Op& op : ps.programs()[r]) {
-      if (op.kind == sim::OpKind::kRecv) received[r] += op.bytes;
-    }
-  }
-  for (int r = 1; r < p; ++r) {
-    EXPECT_GE(received[r], 1000) << "rank " << r;
-  }
-  FlatCost cost;
-  sim::Engine engine(sim::Placement::block(p, p), cost);
-  engine.run(ps.programs());  // deadlock-free
-}
-
-TEST_P(RingSizeTest, ReduceScatterCompletes) {
-  const int p = GetParam();
-  msg::ProgramSet ps(p);
-  msg::reduce_scatter(ps, 64 * kKiB);
-  FlatCost cost;
-  sim::Engine engine(sim::Placement::block(p, p), cost);
-  engine.run(ps.programs());
-}
-
 INSTANTIATE_TEST_SUITE_P(Sizes, RingSizeTest,
                          ::testing::Values(1, 2, 3, 4, 6, 8, 16));
 
@@ -276,12 +249,20 @@ TEST(Topology, SingleSwitchIsUniform) {
   EXPECT_EQ(m.latency(0, 1), m.latency(3, 12));
 }
 
+/// `workload` at `scale` of its problem size on `nodes` TX1 nodes, one
+/// rank each.
+cluster::RunResult tx1_run(const std::string& workload, int nodes,
+                           double scale) {
+  cluster::RunRequest request;
+  request.workload = workload;
+  request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), nodes,
+                    nodes};
+  request.options.size_scale = scale;
+  return cluster::run(request);
+}
+
 TEST(PowerBreakdown, ComponentsSumToTotal) {
-  const cluster::Cluster tx(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 2, 2});
-  cluster::RunOptions options;
-  options.size_scale = 0.05;
-  const auto r = tx.run(*workloads::make_workload("jacobi"), options);
+  const auto r = tx1_run("jacobi", 2, 0.05);
   const power::EnergyBreakdown& e = r.energy.breakdown;
   EXPECT_NEAR(e.idle + e.cpu + e.gpu + e.nic + e.dram, r.joules,
               r.joules * 1e-6);
@@ -291,11 +272,7 @@ TEST(PowerBreakdown, ComponentsSumToTotal) {
 
 
 TEST(Timeline, RendersStripsForEveryComponent) {
-  const cluster::Cluster tx(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 2, 2});
-  cluster::RunOptions options;
-  options.size_scale = 0.05;
-  const auto r = tx.run(*workloads::make_workload("tealeaf3d"), options);
+  const auto r = tx1_run("tealeaf3d", 2, 0.05);
   const std::string t = trace::render_timeline(r.stats);
   EXPECT_NE(t.find("node0 cpu"), std::string::npos);
   EXPECT_NE(t.find("node0 gpu"), std::string::npos);
@@ -308,11 +285,7 @@ TEST(Timeline, RendersStripsForEveryComponent) {
 }
 
 TEST(Timeline, SummarizesExtraNodes) {
-  const cluster::Cluster tx(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 16, 16});
-  cluster::RunOptions options;
-  options.size_scale = 0.02;
-  const auto r = tx.run(*workloads::make_workload("jacobi"), options);
+  const auto r = tx1_run("jacobi", 16, 0.02);
   trace::TimelineOptions t;
   t.max_nodes = 4;
   const std::string s = trace::render_timeline(r.stats, t);

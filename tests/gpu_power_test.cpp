@@ -1,4 +1,4 @@
-// Tests for gpu/ (device model, memory-management models, occupancy) and
+// Tests for gpu/ (device model, memory-management models) and
 // power/ (energy metering).
 #include <gtest/gtest.h>
 
@@ -120,7 +120,6 @@ TEST(GpuDevice, RejectsNegativeWork) {
 sim::RunStats one_second_run(double cpu_busy_s, double gpu_busy_s) {
   sim::RunStats stats;
   stats.makespan = kSecond;
-  stats.timeline_bin_seconds = 0.1;
   stats.ranks.resize(1);
   stats.nodes.resize(1);
   auto& tl = stats.nodes[0];
@@ -186,7 +185,6 @@ TEST(Power, ZeroLengthRunIsZeroEnergy) {
   power::NodePowerConfig node;
   sim::RunStats stats;
   stats.makespan = 0;
-  stats.timeline_bin_seconds = 0.1;
   const power::EnergyReport r = power::measure_energy(stats, node, 4);
   EXPECT_DOUBLE_EQ(r.joules, 0.0);
 }

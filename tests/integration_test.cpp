@@ -21,16 +21,34 @@ cluster::RunOptions at_scale(double s) {
   return options;
 }
 
+constexpr net::NicKind k1g = net::NicKind::kGigabit;
+constexpr net::NicKind k10g = net::NicKind::kTenGigabit;
+
+/// `workload` on `nodes` Jetson TX1 nodes with `nic`, `ranks` in all.
+cluster::RunResult tx1_run(net::NicKind nic, int nodes, int ranks,
+                           const std::string& workload,
+                           const cluster::RunOptions& options) {
+  return cluster::run(bench::tx1_request(workload, nic, nodes, ranks, options));
+}
+
+/// `workload` on `nodes` nodes of `node`, `ranks` in all.
+cluster::RunResult run_on(const systems::NodeConfig& node, int nodes,
+                          int ranks, const std::string& workload,
+                          const cluster::RunOptions& options) {
+  cluster::RunRequest request;
+  request.workload = workload;
+  request.config = {node, nodes, ranks};
+  request.options = options;
+  return cluster::run(request);
+}
+
 TEST(PaperShapes, TenGigHelpsNetworkBoundGpuWorkloads) {
   // Fig 1: hpl and tealeaf3d speed up substantially; jacobi modestly.
   for (const auto& [name, min_speedup, max_speedup] :
        {std::tuple{"hpl", 1.3, 3.5}, std::tuple{"tealeaf3d", 1.5, 3.5},
         std::tuple{"jacobi", 1.0, 1.4}}) {
-    const auto w = workloads::make_workload(name);
-    const auto slow = bench::tx1_cluster(net::NicKind::kGigabit, 8, 8)
-                          .run(*w, at_scale(0.3));
-    const auto fast = bench::tx1_cluster(net::NicKind::kTenGigabit, 8, 8)
-                          .run(*w, at_scale(0.3));
+    const auto slow = tx1_run(k1g, 8, 8, name, at_scale(0.3));
+    const auto fast = tx1_run(k10g, 8, 8, name, at_scale(0.3));
     const double speedup = slow.seconds / fast.seconds;
     EXPECT_GE(speedup, min_speedup) << name;
     EXPECT_LE(speedup, max_speedup) << name;
@@ -39,30 +57,21 @@ TEST(PaperShapes, TenGigHelpsNetworkBoundGpuWorkloads) {
 
 TEST(PaperShapes, DnnWorkloadsIgnoreTheNetwork) {
   // Fig 1: alexnet/googlenet are node-local.
-  const auto w = workloads::make_workload("alexnet");
-  const auto slow = bench::tx1_cluster(net::NicKind::kGigabit, 4, 16)
-                        .run(*w, at_scale(0.2));
-  const auto fast = bench::tx1_cluster(net::NicKind::kTenGigabit, 4, 16)
-                        .run(*w, at_scale(0.2));
+  const auto slow = tx1_run(k1g, 4, 16, "alexnet", at_scale(0.2));
+  const auto fast = tx1_run(k10g, 4, 16, "alexnet", at_scale(0.2));
   EXPECT_NEAR(slow.seconds / fast.seconds, 1.0, 0.01);
 }
 
 TEST(PaperShapes, NetworkEnergyTradeoff) {
   // Fig 2: the +5 W NIC pays off for hpl, costs energy for ep.
-  const auto hpl = workloads::make_workload("hpl");
-  const auto hpl_slow = bench::tx1_cluster(net::NicKind::kGigabit, 8, 8)
-                            .run(*hpl, at_scale(0.3));
-  const auto hpl_fast = bench::tx1_cluster(net::NicKind::kTenGigabit, 8, 8)
-                            .run(*hpl, at_scale(0.3));
+  const auto hpl_slow = tx1_run(k1g, 8, 8, "hpl", at_scale(0.3));
+  const auto hpl_fast = tx1_run(k10g, 8, 8, "hpl", at_scale(0.3));
   // At this reduced problem size hpl is less network-bound than the full
   // run, so allow the NIC to roughly break even rather than strictly win.
   EXPECT_LT(hpl_fast.joules, hpl_slow.joules * 1.15);
 
-  const auto ep = workloads::make_workload("ep");
-  const auto ep_slow = bench::tx1_cluster(net::NicKind::kGigabit, 8, 16)
-                           .run(*ep, at_scale(0.1));
-  const auto ep_fast = bench::tx1_cluster(net::NicKind::kTenGigabit, 8, 16)
-                           .run(*ep, at_scale(0.1));
+  const auto ep_slow = tx1_run(k1g, 8, 16, "ep", at_scale(0.1));
+  const auto ep_fast = tx1_run(k10g, 8, 16, "ep", at_scale(0.1));
   EXPECT_GT(ep_fast.joules, ep_slow.joules);
 }
 
@@ -79,13 +88,10 @@ TEST(PaperShapes, IperfAndLatencyMatchSectionIIIA) {
 TEST(PaperShapes, RooflineLimitsFlipForHpl) {
   // Table II: hpl is network-limited at 1GbE, operational at 10GbE;
   // jacobi is operational on both.
-  const auto hpl = workloads::make_workload("hpl");
   for (auto [nic, expected] :
-       {std::pair{net::NicKind::kGigabit, core::RooflineLimit::kNetwork},
-        std::pair{net::NicKind::kTenGigabit,
-                  core::RooflineLimit::kOperational}}) {
-    const auto result =
-        bench::tx1_cluster(nic, 8, 8).run(*hpl, at_scale(0.5));
+       {std::pair{k1g, core::RooflineLimit::kNetwork},
+        std::pair{k10g, core::RooflineLimit::kOperational}}) {
+    const auto result = tx1_run(nic, 8, 8, "hpl", at_scale(0.5));
     const auto m = core::measure_roofline(bench::tx1_roofline(nic),
                                           result.stats, 8, "hpl");
     EXPECT_EQ(m.limiting_intensity, expected);
@@ -94,15 +100,12 @@ TEST(PaperShapes, RooflineLimitsFlipForHpl) {
 
 TEST(PaperShapes, IntensitiesAreNetworkInvariant) {
   // Table II: OI and NI are workload properties, identical across NICs.
-  const auto w = workloads::make_workload("tealeaf3d");
-  const auto slow = bench::tx1_cluster(net::NicKind::kGigabit, 8, 8)
-                        .run(*w, at_scale(0.3));
-  const auto fast = bench::tx1_cluster(net::NicKind::kTenGigabit, 8, 8)
-                        .run(*w, at_scale(0.3));
-  const auto ms = core::measure_roofline(
-      bench::tx1_roofline(net::NicKind::kGigabit), slow.stats, 8, "t3");
-  const auto mf = core::measure_roofline(
-      bench::tx1_roofline(net::NicKind::kTenGigabit), fast.stats, 8, "t3");
+  const auto slow = tx1_run(k1g, 8, 8, "tealeaf3d", at_scale(0.3));
+  const auto fast = tx1_run(k10g, 8, 8, "tealeaf3d", at_scale(0.3));
+  const auto ms =
+      core::measure_roofline(bench::tx1_roofline(k1g), slow.stats, 8, "t3");
+  const auto mf =
+      core::measure_roofline(bench::tx1_roofline(k10g), fast.stats, 8, "t3");
   EXPECT_NEAR(ms.operational_intensity, mf.operational_intensity, 1e-9);
   EXPECT_NEAR(ms.network_intensity, mf.network_intensity,
               ms.network_intensity * 1e-6);
@@ -110,52 +113,39 @@ TEST(PaperShapes, IntensitiesAreNetworkInvariant) {
 
 TEST(PaperShapes, DramTrafficRisesWithFasterNetwork) {
   // Fig 3: a faster network un-starves the GPU, raising the DRAM rate.
-  const auto w = workloads::make_workload("tealeaf3d");
-  const auto slow = bench::tx1_cluster(net::NicKind::kGigabit, 8, 8)
-                        .run(*w, at_scale(0.3));
-  const auto fast = bench::tx1_cluster(net::NicKind::kTenGigabit, 8, 8)
-                        .run(*w, at_scale(0.3));
+  const auto slow = tx1_run(k1g, 8, 8, "tealeaf3d", at_scale(0.3));
+  const auto fast = tx1_run(k10g, 8, 8, "tealeaf3d", at_scale(0.3));
   EXPECT_GT(fast.stats.dram_bytes_per_second(),
             1.5 * slow.stats.dram_bytes_per_second());
 }
 
 TEST(PaperShapes, ZeroCopyPenaltyMatchesTableIII) {
-  const auto w = workloads::make_workload("jacobi");
-  const auto cl = bench::tx1_cluster(net::NicKind::kTenGigabit, 1, 1);
   cluster::RunOptions hd = at_scale(0.2);
   cluster::RunOptions zc = at_scale(0.2);
   zc.mem_model = sim::MemModel::kZeroCopy;
   cluster::RunOptions um = at_scale(0.2);
   um.mem_model = sim::MemModel::kUnified;
-  const double base = cl.run(*w, hd).seconds;
-  EXPECT_NEAR(cl.run(*w, zc).seconds / base, 2.5, 0.5);
-  EXPECT_NEAR(cl.run(*w, um).seconds / base, 1.0, 0.1);
+  const double base = tx1_run(k10g, 1, 1, "jacobi", hd).seconds;
+  EXPECT_NEAR(tx1_run(k10g, 1, 1, "jacobi", zc).seconds / base, 2.5, 0.5);
+  EXPECT_NEAR(tx1_run(k10g, 1, 1, "jacobi", um).seconds / base, 1.0, 0.1);
 }
 
 TEST(PaperShapes, GpuMoreEnergyEfficientThanCpuCore) {
   // Fig 7: shifting hpl work from GPU to one CPU core reduces MFLOPS/W.
-  const auto hpl = workloads::make_workload("hpl");
-  const auto cl = bench::tx1_cluster(net::NicKind::kTenGigabit, 4, 4);
   cluster::RunOptions all_gpu = at_scale(0.3);
   cluster::RunOptions half = at_scale(0.3);
   half.gpu_work_fraction = 0.5;
-  EXPECT_GT(cl.run(*hpl, all_gpu).mflops_per_watt,
-            cl.run(*hpl, half).mflops_per_watt);
+  EXPECT_GT(tx1_run(k10g, 4, 4, "hpl", all_gpu).mflops_per_watt,
+            tx1_run(k10g, 4, 4, "hpl", half).mflops_per_watt);
 }
 
 TEST(PaperShapes, ColocationBeatsStandalone) {
   // Table IV: CPU+GPU colocation beats either alone on efficiency.
-  const auto hpl = workloads::make_workload("hpl");
-  cluster::RunOptions gpu_only = at_scale(0.3);
-  const auto gpu = bench::tx1_cluster(net::NicKind::kTenGigabit, 4, 4)
-                       .run(*hpl, gpu_only);
+  const auto gpu = tx1_run(k10g, 4, 4, "hpl", at_scale(0.3));
   cluster::RunOptions cpu_only = at_scale(0.3);
   cpu_only.gpu_work_fraction = 0.0;
-  const auto cpu = bench::tx1_cluster(net::NicKind::kTenGigabit, 4, 16)
-                       .run(*hpl, cpu_only);
-  cluster::RunOptions colocated = at_scale(0.3);
-  const auto both = bench::tx1_cluster(net::NicKind::kTenGigabit, 4, 16)
-                        .run(*hpl, colocated);
+  const auto cpu = tx1_run(k10g, 4, 16, "hpl", cpu_only);
+  const auto both = tx1_run(k10g, 4, 16, "hpl", at_scale(0.3));
   EXPECT_GT(both.mflops_per_watt,
             std::max(gpu.mflops_per_watt, cpu.mflops_per_watt));
   EXPECT_GT(both.gflops, std::max(gpu.gflops, cpu.gflops));
@@ -163,16 +153,13 @@ TEST(PaperShapes, ColocationBeatsStandalone) {
 
 TEST(PaperShapes, CaviumGrouping) {
   // Table VI: mg/sp slower on the ThunderX; ft/is faster.
-  const cluster::Cluster cavium(cluster::ClusterConfig{
-      systems::thunderx_server(), 1, 32});
-  const cluster::Cluster tx =
-      bench::tx1_cluster(net::NicKind::kTenGigabit, 16, 32);
   for (const auto& [name, cavium_slower] :
        {std::pair{"mg", true}, std::pair{"sp", true}, std::pair{"ft", false},
         std::pair{"is", false}}) {
-    const auto w = workloads::make_workload(name);
-    const double ratio = cavium.run(*w, at_scale(0.25)).seconds /
-                         tx.run(*w, at_scale(0.25)).seconds;
+    const double ratio =
+        run_on(systems::thunderx_server(), 1, 32, name, at_scale(0.25))
+            .seconds /
+        tx1_run(k10g, 16, 32, name, at_scale(0.25)).seconds;
     if (cavium_slower) {
       EXPECT_GT(ratio, 1.05) << name;
     } else {
@@ -183,14 +170,10 @@ TEST(PaperShapes, CaviumGrouping) {
 
 TEST(PaperShapes, EfficiencyDecompositionSeparatesBottlenecks) {
   // Fig 6 methodology: ft is transfer-bound, cg is LB-bound.
-  const auto ft_runs = bench::tx1_cluster(net::NicKind::kTenGigabit, 8, 16)
-                           .replay_scenarios(*workloads::make_workload("ft"),
-                                             at_scale(0.3));
-  const auto cg_runs = bench::tx1_cluster(net::NicKind::kTenGigabit, 8, 16)
-                           .replay_scenarios(*workloads::make_workload("cg"),
-                                             at_scale(0.3));
-  const auto ft_d = core::decompose(ft_runs);
-  const auto cg_d = core::decompose(cg_runs);
+  const auto ft_d = core::decompose(cluster::replay_scenarios(
+      bench::tx1_request("ft", k10g, 8, 16, at_scale(0.3))));
+  const auto cg_d = core::decompose(cluster::replay_scenarios(
+      bench::tx1_request("cg", k10g, 8, 16, at_scale(0.3))));
   EXPECT_LT(ft_d.transfer, cg_d.transfer);       // ft loses to the network
   EXPECT_LT(cg_d.load_balance, ft_d.load_balance);  // cg loses to imbalance
 }
@@ -198,28 +181,20 @@ TEST(PaperShapes, EfficiencyDecompositionSeparatesBottlenecks) {
 TEST(PaperShapes, SoCClusterWinsAiWorkloadsAtEqualSmCount) {
   // Figs 9-10: at 32 SMs on both sides, the TX cluster's CPU/GPU balance
   // wins image classification on performance and energy.
-  const cluster::Cluster scale_up(cluster::ClusterConfig{
-      systems::xeon_gtx980(), 2, 16});
-  const cluster::Cluster tx =
-      bench::tx1_cluster(net::NicKind::kTenGigabit, 16, 64);
-  const auto w = workloads::make_workload("googlenet");
-  const auto up = scale_up.run(*w, at_scale(0.5));
-  const auto out = tx.run(*w, at_scale(0.5));
+  const auto up =
+      run_on(systems::xeon_gtx980(), 2, 16, "googlenet", at_scale(0.5));
+  const auto out = tx1_run(k10g, 16, 64, "googlenet", at_scale(0.5));
   EXPECT_LT(out.seconds, up.seconds);
   EXPECT_LT(out.joules, up.joules);
 }
 
 TEST(PaperShapes, PlsFindsBranchAndCacheBottlenecks) {
   // Fig 8: the PLS top variables point at the L2 and branch predictor.
-  const cluster::Cluster cavium(cluster::ClusterConfig{
-      systems::thunderx_server(), 1, 32});
-  const cluster::Cluster tx =
-      bench::tx1_cluster(net::NicKind::kTenGigabit, 16, 32);
   std::vector<core::BenchmarkObservation> obs;
   for (const char* name : {"bt", "cg", "ep", "ft", "is", "lu", "mg", "sp"}) {
-    const auto w = workloads::make_workload(name);
-    const auto a = cavium.run(*w, at_scale(0.1));
-    const auto b = tx.run(*w, at_scale(0.1));
+    const auto a =
+        run_on(systems::thunderx_server(), 1, 32, name, at_scale(0.1));
+    const auto b = tx1_run(k10g, 16, 32, name, at_scale(0.1));
     core::BenchmarkObservation o;
     o.name = name;
     o.system_a = a.counters;

@@ -1,5 +1,5 @@
-// Coverage for corners the module suites don't reach: the shared-DRAM
-// contention helper, table engineering formatting, RunStats accessors,
+// Coverage for corners the module suites don't reach: DRAM copy
+// durations, table engineering formatting, RunStats accessors,
 // overlapped workload builds, and trace round-trips of non-blocking ops.
 #include <gtest/gtest.h>
 
@@ -28,19 +28,6 @@ TEST(Dram, CopyDurationIncludesCallOverhead) {
   EXPECT_THROW(mem::copy_duration(dram, -1), Error);
 }
 
-TEST(Dram, ContendedGpuBandwidthDegrades) {
-  mem::DramConfig dram;
-  dram.cpu_bandwidth = 14.7e9;
-  dram.gpu_bandwidth = 20e9;
-  EXPECT_DOUBLE_EQ(mem::contended_gpu_bandwidth(dram, 0.0), 20e9);
-  const double half = mem::contended_gpu_bandwidth(dram, 0.5);
-  EXPECT_LT(half, 20e9);
-  EXPECT_GT(half, 5e9);  // floor at 25% of peak
-  // Full CPU draw leaves 20 − 14.7 = 5.3 GB/s (above the 25% floor).
-  EXPECT_DOUBLE_EQ(mem::contended_gpu_bandwidth(dram, 1.0), 5.3e9);
-  EXPECT_THROW(mem::contended_gpu_bandwidth(dram, 1.5), Error);
-}
-
 TEST(Table, EngineeringFormat) {
   EXPECT_EQ(TextTable::eng(0.0), "0.000");
   EXPECT_EQ(TextTable::eng(12.345), "12.345");
@@ -65,15 +52,13 @@ TEST(RunStatsAccessors, RatesFromTotals) {
 
 TEST(OverlapBuilds, JacobiAndTealeafRunOverlapped) {
   for (const char* name : {"jacobi", "tealeaf2d", "tealeaf3d"}) {
-    const auto w = workloads::make_workload(name);
-    const cluster::Cluster tx(cluster::ClusterConfig{
-        systems::jetson_tx1(net::NicKind::kTenGigabit), 4, 4});
-    cluster::RunOptions blocking;
-    blocking.size_scale = 0.05;
-    cluster::RunOptions overlapped = blocking;
-    overlapped.overlap_halos = true;
-    const auto rb = tx.run(*w, blocking);
-    const auto ro = tx.run(*w, overlapped);
+    cluster::RunRequest request;
+    request.workload = name;
+    request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), 4, 4};
+    request.options.size_scale = 0.05;
+    const auto rb = cluster::run(request);
+    request.options.overlap_halos = true;
+    const auto ro = cluster::run(request);
     // Same work either way; overlap must not be slower.
     EXPECT_NEAR(ro.stats.total_flops, rb.stats.total_flops,
                 rb.stats.total_flops * 0.01)
@@ -114,14 +99,14 @@ TEST(OverlapBuilds, TraceRoundTripWithNonBlockingOps) {
 }
 
 TEST(EnergyBreakdownShares, GpuWorkloadIsGpuHeavy) {
-  const cluster::Cluster tx(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 2, 2});
-  cluster::RunOptions options;
-  options.size_scale = 0.1;
-  const auto gpu_run = tx.run(*workloads::make_workload("jacobi"), options);
-  const cluster::Cluster tx_cpu(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), 2, 4});
-  const auto cpu_run = tx_cpu.run(*workloads::make_workload("bt"), options);
+  cluster::RunRequest request;
+  request.workload = "jacobi";
+  request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), 2, 2};
+  request.options.size_scale = 0.1;
+  const auto gpu_run = cluster::run(request);
+  request.workload = "bt";
+  request.config.ranks = 4;
+  const auto cpu_run = cluster::run(request);
   // jacobi burns GPU energy; bt burns none.
   EXPECT_GT(gpu_run.energy.breakdown.gpu, 0.0);
   EXPECT_DOUBLE_EQ(cpu_run.energy.breakdown.gpu, 0.0);

@@ -1,11 +1,10 @@
-// Tests for the non-blocking messaging extension (Isend/Irecv/WaitAll),
-// the GPU occupancy calculator, and the TLB simulator.
+// Tests for the non-blocking messaging extension (Isend/Irecv/WaitAll)
+// and the TLB simulator.
 #include <gtest/gtest.h>
 
 #include "arch/tlb.h"
 #include "common/rng.h"
 #include "common/error.h"
-#include "gpu/occupancy.h"
 #include "msg/program_set.h"
 #include "sim/engine.h"
 
@@ -144,57 +143,6 @@ TEST(NonBlocking, FullDuplexNicOverlapsSendAndReceive) {
   const sim::RunStats stats = engine.run(programs);
   // One 100 MB transfer takes 100 ms + 1 ms latency.
   EXPECT_LT(stats.makespan, 120 * kMillisecond);
-}
-
-// --- occupancy calculator ---
-
-TEST(Occupancy, SimpleKernelReachesFull) {
-  gpu::SmLimits limits;
-  gpu::KernelResources kernel;
-  kernel.threads_per_block = 256;
-  kernel.registers_per_thread = 32;
-  const gpu::OccupancyResult r = gpu::occupancy(limits, kernel);
-  EXPECT_EQ(r.blocks_per_sm, 8);
-  EXPECT_EQ(r.active_warps, 64);
-  EXPECT_DOUBLE_EQ(r.occupancy, 1.0);
-}
-
-TEST(Occupancy, RegisterPressureLimits) {
-  gpu::SmLimits limits;
-  gpu::KernelResources kernel;
-  kernel.threads_per_block = 256;
-  kernel.registers_per_thread = 128;  // 32K registers per block
-  const gpu::OccupancyResult r = gpu::occupancy(limits, kernel);
-  EXPECT_EQ(r.limiter, gpu::OccupancyLimiter::kRegisters);
-  EXPECT_LT(r.occupancy, 0.5);
-}
-
-TEST(Occupancy, SharedMemoryLimits) {
-  gpu::SmLimits limits;
-  gpu::KernelResources kernel;
-  kernel.threads_per_block = 128;
-  kernel.registers_per_thread = 16;
-  kernel.shared_per_block = 48 * kKiB;  // two blocks max
-  const gpu::OccupancyResult r = gpu::occupancy(limits, kernel);
-  EXPECT_EQ(r.blocks_per_sm, 2);
-  EXPECT_EQ(r.limiter, gpu::OccupancyLimiter::kSharedMemory);
-}
-
-TEST(Occupancy, OversizedKernelThrows) {
-  gpu::SmLimits limits;
-  gpu::KernelResources kernel;
-  kernel.threads_per_block = 1024;
-  kernel.registers_per_thread = 255;  // cannot fit one block
-  EXPECT_THROW(gpu::occupancy(limits, kernel), Error);
-}
-
-TEST(Occupancy, DeviceUtilizationScalesWithWork) {
-  gpu::SmLimits limits;
-  gpu::KernelResources kernel;
-  const double small = gpu::device_utilization(limits, kernel, 2048, 16);
-  const double large = gpu::device_utilization(limits, kernel, 1e7, 16);
-  EXPECT_LT(small, 0.1);
-  EXPECT_NEAR(large, 1.0, 1e-9);
 }
 
 // --- TLB ---

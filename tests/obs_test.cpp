@@ -143,23 +143,22 @@ TEST(MetricsRegistry, JsonIsOrderedAndStable) {
 // Observers over a real run
 // ---------------------------------------------------------------------------
 
-cluster::RunOptions quick_options() {
-  cluster::RunOptions options;
-  options.size_scale = 0.05;
-  return options;
-}
-
-cluster::Cluster small_cluster(int nodes) {
-  return cluster::Cluster(cluster::ClusterConfig{
-      systems::jetson_tx1(net::NicKind::kTenGigabit), nodes, nodes});
+/// A quick (5% size) run of `workload` on `nodes` TX1 nodes, one rank
+/// each.
+cluster::RunRequest quick_request(const std::string& workload, int nodes) {
+  cluster::RunRequest request;
+  request.workload = workload;
+  request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), nodes,
+                    nodes};
+  request.options.size_scale = 0.05;
+  return request;
 }
 
 TEST(MetricsObserver, AccountsForEveryCommittedEvent) {
-  const auto w = workloads::make_workload("jacobi");
   obs::MetricsObserver observer;
-  auto options = quick_options();
-  options.observer = &observer;
-  const auto result = small_cluster(2).run(*w, options);
+  auto request = quick_request("jacobi", 2);
+  request.options.observer = &observer;
+  const auto result = cluster::run(request);
 
   const obs::MetricsRegistry& r = observer.registry();
   // Every committed dispatch lands in exactly one ops.* counter, so the
@@ -187,7 +186,6 @@ TEST(MetricsObserver, AccountsForEveryCommittedEvent) {
 }
 
 TEST(ObserverList, FansOutToAllRegistered) {
-  const auto w = workloads::make_workload("jacobi");
   obs::MetricsObserver metrics;
   obs::ChromeTraceRecorder chrome;
   obs::ObserverList list;
@@ -197,20 +195,19 @@ TEST(ObserverList, FansOutToAllRegistered) {
   list.add(nullptr);  // ignored
   EXPECT_FALSE(list.empty());
 
-  auto options = quick_options();
-  options.observer = &list;
-  small_cluster(2).run(*w, options);
+  auto request = quick_request("jacobi", 2);
+  request.options.observer = &list;
+  cluster::run(request);
   EXPECT_FALSE(metrics.registry().empty());
   EXPECT_GT(chrome.span_count(), 0u);
 }
 
 TEST(ChromeTrace, ByteIdenticalAcrossReplays) {
-  const auto w = workloads::make_workload("jacobi");
   auto record = [&]() {
     obs::ChromeTraceRecorder chrome;
-    auto options = quick_options();
-    options.observer = &chrome;
-    small_cluster(2).run(*w, options);
+    auto request = quick_request("jacobi", 2);
+    request.options.observer = &chrome;
+    cluster::run(request);
     return chrome.json();
   };
   const std::string a = record();
@@ -227,11 +224,10 @@ TEST(ChromeTrace, FlowEventsPairMatchedInterNodeMessages) {
   // jacobi at 2 nodes exchanges inter-node halos, so the trace must carry
   // flow arrows: every `s` (flow start, sender row) has an `f` (flow end,
   // receiver row, binding point "e"), in equal numbers.
-  const auto w = workloads::make_workload("jacobi");
   obs::ChromeTraceRecorder chrome;
-  auto options = quick_options();
-  options.observer = &chrome;
-  small_cluster(2).run(*w, options);
+  auto request = quick_request("jacobi", 2);
+  request.options.observer = &chrome;
+  cluster::run(request);
   EXPECT_GT(chrome.message_count(), 0u);
 
   const std::string doc = chrome.json();
@@ -250,15 +246,13 @@ TEST(ChromeTrace, FlowEventsPairMatchedInterNodeMessages) {
 }
 
 TEST(RunReport, ByteIdenticalAndCarriesChecksum) {
-  const auto w = workloads::make_workload("jacobi");
-  const auto cl = small_cluster(2);
   auto report = [&]() {
     obs::MetricsObserver observer;
-    auto options = quick_options();
-    options.observer = &observer;
-    const auto result = cl.run(*w, options);
-    return cluster::report_json(cl.config(), options, w->name(), result,
-                                &observer.registry());
+    auto request = quick_request("jacobi", 2);
+    request.options.observer = &observer;
+    const auto result = cluster::run(request);
+    return cluster::report_json(request.config, request.options, "jacobi",
+                                result, &observer.registry());
   };
   const std::string a = report();
   const std::string b = report();
@@ -270,23 +264,46 @@ TEST(RunReport, ByteIdenticalAndCarriesChecksum) {
   EXPECT_NE(a.find("\"metrics\""), std::string::npos);
 
   // Without a registry the metrics section is omitted entirely.
-  obs::MetricsObserver observer;
-  auto options = quick_options();
-  const auto result = cl.run(*w, options);
-  const std::string bare =
-      cluster::report_json(cl.config(), options, w->name(), result, nullptr);
+  const auto request = quick_request("jacobi", 2);
+  const std::string bare = cluster::report_json(
+      request.config, request.options, "jacobi", cluster::run(request),
+      nullptr);
   EXPECT_EQ(bare.find("\"metrics\""), std::string::npos);
+}
+
+// The report's bisection_bandwidth is the one the run's engine used: the
+// node's switch fabric by default (options.engine's 0 means "use the
+// node's switch"), the caller's value when options.engine sets one.
+TEST(RunReport, CarriesTheBisectionBandwidthTheRunUsed) {
+  const auto field = [](double bisection) {
+    obs::JsonWriter w;
+    w.begin_object();
+    w.field("bisection_bandwidth", bisection);
+    w.end_object();
+    return w.str().substr(1, w.str().size() - 2);
+  };
+  auto request = quick_request("jacobi", 4);
+  const double fabric =
+      request.config.node.switch_config.bisection_bandwidth;
+  ASSERT_GT(fabric, 0.0);
+  const std::string by_default = cluster::report_json(
+      request.config, request.options, "jacobi", cluster::run(request));
+  EXPECT_NE(by_default.find(field(fabric)), std::string::npos) << by_default;
+
+  request.options.engine.bisection_bandwidth = 1e9;
+  const std::string capped = cluster::report_json(
+      request.config, request.options, "jacobi", cluster::run(request));
+  EXPECT_NE(capped.find(field(1e9)), std::string::npos) << capped;
 }
 
 TEST(Engine, ObserverDoesNotChangeTheRun) {
   // The observer is read-only instrumentation: attaching one must not
   // perturb the schedule or the digest.
-  const auto w = workloads::make_workload("cg");
-  const auto plain = small_cluster(2).run(*w, quick_options());
+  auto request = quick_request("cg", 2);
+  const auto plain = cluster::run(request);
   obs::MetricsObserver observer;
-  auto options = quick_options();
-  options.observer = &observer;
-  const auto observed = small_cluster(2).run(*w, options);
+  request.options.observer = &observer;
+  const auto observed = cluster::run(request);
   EXPECT_EQ(plain.stats.event_checksum, observed.stats.event_checksum);
   EXPECT_EQ(plain.stats.makespan, observed.stats.makespan);
 }

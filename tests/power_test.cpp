@@ -20,7 +20,6 @@ namespace {
 sim::RunStats ramp_run(double seconds) {
   sim::RunStats stats;
   stats.makespan = static_cast<SimTime>(std::llround(seconds * 1e9));
-  stats.timeline_bin_seconds = 0.1;
   stats.ranks.resize(2);
   stats.nodes.resize(2);
   const std::size_t bins =
@@ -60,7 +59,6 @@ TEST(Power, PartialLastBinIntegratesExactly) {
   node.host_overhead_w = 0.0;
   sim::RunStats stats;
   stats.makespan = 250 * kMillisecond;  // 2.5 bins at 0.1 s
-  stats.timeline_bin_seconds = 0.1;
   stats.ranks.resize(1);
   stats.nodes.resize(1);
   const power::EnergyReport r = power::measure_energy(stats, node, 4);
@@ -92,7 +90,6 @@ TEST(Power, BreakdownSumsToJoules) {
 TEST(Power, ZeroDurationRunIsEmpty) {
   sim::RunStats stats;
   stats.makespan = 0;
-  stats.timeline_bin_seconds = 0.1;
   const power::NodePowerConfig node = test_node();
   const power::PowerTimeline tl = power::power_timeline(stats, node, 4);
   EXPECT_TRUE(tl.bin_watts.empty());

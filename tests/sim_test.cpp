@@ -484,9 +484,7 @@ TEST(Engine, InstructionsByProfileTracked) {
 TEST(Engine, TimelineBinsAccumulateBusySeconds) {
   FixedCostModel cost;
   cost.cpu_time = 250 * kMillisecond;
-  EngineConfig config;
-  config.timeline_bin_seconds = 0.1;
-  Engine engine(Placement::block(1, 1), cost, config);
+  Engine engine(Placement::block(1, 1), cost);
   std::vector<Program> programs(1);
   programs[0] = {cpu_op(1, 1, 0, 0)};
   const RunStats stats = engine.run(programs);

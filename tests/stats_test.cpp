@@ -1,5 +1,5 @@
-// Tests for stats/: matrix algebra, direct solvers, OLS, NIPALS PLS,
-// NNLS, Levenberg–Marquardt, descriptive statistics.
+// Tests for stats/: matrix algebra, direct solvers, NIPALS PLS, NNLS,
+// descriptive statistics.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,8 +7,6 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "stats/descriptive.h"
-#include "stats/linreg.h"
-#include "stats/lm_fit.h"
 #include "stats/matrix.h"
 #include "stats/nnls.h"
 #include "stats/pls.h"
@@ -167,35 +165,6 @@ TEST(Descriptive, StandardizeConstantColumn) {
   EXPECT_NEAR(z(0, 1), 0.0, 1e-12);
 }
 
-TEST(Ols, RecoversLinearModel) {
-  // y = 3x + 2 exactly.
-  Matrix x(5, 1);
-  Vec y(5);
-  for (int i = 0; i < 5; ++i) {
-    x(i, 0) = i;
-    y[i] = 3.0 * i + 2.0;
-  }
-  const OlsResult fit = ols(x, y);
-  EXPECT_NEAR(fit.coefficients[0], 3.0, 1e-10);
-  EXPECT_NEAR(fit.intercept, 2.0, 1e-10);
-  EXPECT_NEAR(fit.r2, 1.0, 1e-12);
-}
-
-TEST(Ols, MultivariateRecovery) {
-  Rng rng(3);
-  Matrix x(50, 2);
-  Vec y(50);
-  for (int i = 0; i < 50; ++i) {
-    x(i, 0) = rng.next_range(-1, 1);
-    x(i, 1) = rng.next_range(-1, 1);
-    y[i] = 2.0 * x(i, 0) - 1.5 * x(i, 1) + 0.5;
-  }
-  const OlsResult fit = ols(x, y);
-  EXPECT_NEAR(fit.coefficients[0], 2.0, 1e-9);
-  EXPECT_NEAR(fit.coefficients[1], -1.5, 1e-9);
-  EXPECT_NEAR(fit.intercept, 0.5, 1e-9);
-}
-
 TEST(Pls, SingleComponentRecoversDirection) {
   // y depends only on the first column.
   Rng rng(7);
@@ -269,44 +238,6 @@ TEST(Nnls, ZeroRhsGivesZero) {
   const Vec x = nnls(a, {0, 0});
   EXPECT_DOUBLE_EQ(x[0], 0.0);
   EXPECT_DOUBLE_EQ(x[1], 0.0);
-}
-
-TEST(LmFit, RecoversExponentialDecay) {
-  // y = a * exp(-b x).
-  const ModelFn model = [](double x, const Vec& t) {
-    return t[0] * std::exp(-t[1] * x);
-  };
-  Vec xs;
-  Vec ys;
-  for (int i = 0; i < 20; ++i) {
-    const double x = 0.25 * i;
-    xs.push_back(x);
-    ys.push_back(3.0 * std::exp(-0.7 * x));
-  }
-  const LmResult fit = lm_fit(model, xs, ys, {1.0, 0.1});
-  EXPECT_NEAR(fit.theta[0], 3.0, 1e-4);
-  EXPECT_NEAR(fit.theta[1], 0.7, 1e-4);
-  EXPECT_GT(fit.r2, 0.9999);
-}
-
-TEST(LmFit, RespectsLowerBounds) {
-  const ModelFn model = [](double x, const Vec& t) { return t[0] * x; };
-  // Best unconstrained slope would be negative.
-  const LmResult fit =
-      lm_fit(model, {1, 2, 3}, {-1, -2, -3}, {1.0}, {}, {0.0});
-  EXPECT_GE(fit.theta[0], 0.0);
-}
-
-TEST(LmFit, RejectsUnderdeterminedFit) {
-  const ModelFn model = [](double x, const Vec& t) { return t[0] + t[1] * x; };
-  EXPECT_THROW(lm_fit(model, {1.0}, {1.0}, {0.0, 0.0}), Error);
-}
-
-TEST(LmFit, LinearModelExact) {
-  const ModelFn model = [](double x, const Vec& t) { return t[0] + t[1] * x; };
-  const LmResult fit = lm_fit(model, {0, 1, 2, 3}, {1, 3, 5, 7}, {0.0, 0.0});
-  EXPECT_NEAR(fit.theta[0], 1.0, 1e-6);
-  EXPECT_NEAR(fit.theta[1], 2.0, 1e-6);
 }
 
 }  // namespace

@@ -260,6 +260,37 @@ TEST(Scenario, DecoratedRunsAreBitDeterministic) {
   EXPECT_DOUBLE_EQ(a.joules, b.joules);
 }
 
+// A decorator that comes due at the pull after its rank's stream ended
+// injects nothing: the rank's one 1 ms delay ends the run at 1 ms with 2
+// committed events (the delay and the rank's drain record), although a
+// crash, a noise stall and a checkpoint are each due at that pull.
+TEST(Scenario, DecoratorDueAfterTheStreamEndsInjectsNothing) {
+  workloads::ScenarioConfig crash;
+  crash.faults.push_back(
+      workloads::parse_fault_spec("node-crash:node=0,t=0.001,down=5"));
+  workloads::ScenarioConfig noise;
+  noise.noise = workloads::parse_noise_spec("interval=0.001,duration=0.5");
+  // A write time of at least twice the MTTI makes Daly's interval the
+  // MTTI itself: the first checkpoint is due at 1 ms.
+  workloads::ScenarioConfig checkpoint;
+  checkpoint.checkpoint =
+      workloads::parse_checkpoint_spec("daly:size=1e9,bw=1e9,mtti=0.001");
+  const cluster::ClusterCostModel cost(
+      systems::jetson_tx1(net::NicKind::kTenGigabit), 1, 1,
+      workloads::make_workload("jacobi")->cpu_profile());
+  for (const workloads::ScenarioConfig& config : {crash, noise, checkpoint}) {
+    std::vector<sim::Program> programs(1);
+    programs[0].push_back(sim::delay_op(0.001));
+    const auto stream = workloads::apply_scenarios(
+        std::make_unique<workloads::ProgramWalkStream>(std::move(programs)),
+        config, /*nodes=*/1);
+    sim::Engine engine(sim::Placement::block(1, 1), cost);
+    const sim::RunStats stats = engine.run(*stream);
+    EXPECT_EQ(stats.makespan, 1 * kMillisecond);
+    EXPECT_EQ(stats.events_committed, 2u);
+  }
+}
+
 TEST(Scenario, RejectsOutOfRangeTargets) {
   cluster::RunRequest request = quick_request("jacobi", 2, 2);
   request.scenario.faults.push_back(

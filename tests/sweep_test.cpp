@@ -359,18 +359,6 @@ TEST(Frontier, ParetoMarkingIsPerWorkloadAndConsistent) {
 
 // --- RunRequest API ------------------------------------------------------
 
-TEST(RunRequest, ClusterWrapperMatchesRunRequest) {
-  const auto request = quick_request("jacobi", 2, 2);
-  const auto direct = cluster::run(request);
-
-  cluster::Cluster wrapper(request.config);
-  const auto owned = workloads::make_workload("jacobi");
-  const auto via_wrapper = wrapper.run(*owned, request.options);
-  EXPECT_EQ(direct.stats.event_checksum, via_wrapper.stats.event_checksum);
-  EXPECT_DOUBLE_EQ(direct.seconds, via_wrapper.seconds);
-  EXPECT_DOUBLE_EQ(direct.joules, via_wrapper.joules);
-}
-
 TEST(RunRequest, WorkloadRefWinsOverTag) {
   auto request = quick_request("hpl", 2, 2);
   const auto jacobi = workloads::make_workload("jacobi");

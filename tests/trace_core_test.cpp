@@ -8,7 +8,6 @@
 #include "core/counters_analysis.h"
 #include "core/efficiency.h"
 #include "core/extended_roofline.h"
-#include "core/roofline.h"
 #include "core/scaling.h"
 #include "sim/engine.h"
 #include "trace/export.h"
@@ -57,6 +56,13 @@ std::vector<sim::Program> unbalanced_programs() {
   return programs;
 }
 
+/// The three scenario replays of pre-built two-rank programs.
+trace::ScenarioRuns replay(const std::vector<sim::Program>& programs) {
+  SimpleCost cost;
+  sim::ProgramSource source(programs);
+  return trace::replay_scenarios(sim::Placement::block(2, 2), cost, source);
+}
+
 TEST(Replay, IdealBalanceScalesInversely) {
   SimpleCost cost;
   sim::Engine engine(sim::Placement::block(2, 2), cost);
@@ -69,18 +75,14 @@ TEST(Replay, IdealBalanceScalesInversely) {
 }
 
 TEST(Replay, ScenarioOrdering) {
-  SimpleCost cost;
-  const auto runs = trace::replay_scenarios(sim::Placement::block(2, 2), cost,
-                                            unbalanced_programs());
+  const auto runs = replay(unbalanced_programs());
   // Ideal network can only help; ideal balance too (for this workload).
   EXPECT_LE(runs.ideal_network.seconds(), runs.measured.seconds());
   EXPECT_LE(runs.ideal_balance.seconds(), runs.measured.seconds() + 1e-9);
 }
 
 TEST(Efficiency, FactorsMultiplyToEta) {
-  SimpleCost cost;
-  const auto runs = trace::replay_scenarios(sim::Placement::block(2, 2), cost,
-                                            unbalanced_programs());
+  const auto runs = replay(unbalanced_programs());
   const core::EfficiencyDecomposition d = core::decompose(runs);
   // Identity: LB·Ser·Trf == mean_compute / T_measured (up to clamping).
   const double eta = core::mean_compute_seconds(runs.measured) /
@@ -94,39 +96,14 @@ TEST(Efficiency, FactorsMultiplyToEta) {
 }
 
 TEST(Efficiency, PerfectWorkloadScoresOne) {
-  SimpleCost cost;
   std::vector<sim::Program> programs(2);
   for (int r = 0; r < 2; ++r) {
     programs[r] = {sim::phase_op(1),
                    sim::cpu_op(50 * kMillisecond, 1e6, 0, 0)};
   }
-  const auto runs = trace::replay_scenarios(sim::Placement::block(2, 2), cost,
-                                            programs);
+  const auto runs = replay(programs);
   const core::EfficiencyDecomposition d = core::decompose(runs);
   EXPECT_NEAR(d.efficiency, 1.0, 1e-6);
-}
-
-TEST(Roofline, AttainableIsMinOfCeilings) {
-  core::Roofline model;
-  model.peak_flops = 100e9;
-  model.memory_bandwidth = 10e9;
-  EXPECT_DOUBLE_EQ(model.attainable(1.0), 10e9);   // memory-bound
-  EXPECT_DOUBLE_EQ(model.attainable(100.0), 100e9);  // compute-bound
-  EXPECT_DOUBLE_EQ(model.ridge_point(), 10.0);
-  EXPECT_TRUE(model.memory_bound(1.0));
-  EXPECT_FALSE(model.memory_bound(100.0));
-}
-
-TEST(Roofline, SampleIsMonotone) {
-  core::Roofline model;
-  model.peak_flops = 100e9;
-  model.memory_bandwidth = 10e9;
-  const auto pts = core::sample_roofline(model, 0.01, 1000.0, 50);
-  ASSERT_EQ(pts.size(), 50u);
-  for (std::size_t i = 1; i < pts.size(); ++i) {
-    EXPECT_GE(pts[i].attainable_flops, pts[i - 1].attainable_flops);
-  }
-  EXPECT_DOUBLE_EQ(pts.back().attainable_flops, 100e9);
 }
 
 TEST(ExtendedRoofline, ThreeWayMin) {
@@ -229,15 +206,6 @@ TEST(Scaling, RejectsTooFewSamples) {
   EXPECT_THROW(core::fit_scaling({{2, 1.0}, {4, 0.5}}), Error);
 }
 
-TEST(Scaling, ExtrapolateMatchesPredict) {
-  std::vector<core::ScalingSample> samples;
-  for (int p : {2, 4, 8, 16}) samples.push_back({p, 50.0 / p + 1.0});
-  const core::ScalingModel model = core::fit_scaling(samples);
-  const auto speedups = core::extrapolate_speedups(model, {16, 64});
-  EXPECT_DOUBLE_EQ(speedups[0], model.predict_speedup(16));
-  EXPECT_DOUBLE_EQ(speedups[1], model.predict_speedup(64));
-}
-
 // --- counters analysis ---
 
 core::BenchmarkObservation make_observation(const std::string& name,
@@ -331,12 +299,11 @@ TEST(CountersAnalysis, RelativeRowIsOneForIdenticalSystems) {
 // rows render).
 sim::RunStats uniform_cpu_stats(int nodes, int bins, double busy_fraction) {
   sim::RunStats stats;
-  stats.timeline_bin_seconds = 0.1;
   stats.makespan = static_cast<SimTime>(bins) * 100 * kMillisecond;
   stats.nodes.resize(static_cast<std::size_t>(nodes));
   for (auto& tl : stats.nodes) {
     tl.cpu_busy.assign(static_cast<std::size_t>(bins),
-                       busy_fraction * stats.timeline_bin_seconds);
+                       busy_fraction * sim::kTimelineBinSeconds);
   }
   return stats;
 }

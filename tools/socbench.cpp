@@ -384,15 +384,11 @@ int cmd_run(const ArgParser& args) {
 /// 0 (the default) means all host cores.
 unsigned sweep_threads(const ArgParser& args) {
   if (args.given("--sweep-threads")) {
-    const int v = args.get_int("--sweep-threads");
-    if (v < 0) throw UsageError("--sweep-threads must be >= 0");
-    return static_cast<unsigned>(v);
+    return parse_thread_count(args.get("--sweep-threads"), "--sweep-threads");
   }
   if (const char* env = std::getenv("SOC_SWEEP_THREADS");
       env != nullptr && *env != '\0') {
-    const int v = std::atoi(env);
-    SOC_CHECK(v >= 0, "SOC_SWEEP_THREADS must be >= 0");
-    return static_cast<unsigned>(v);
+    return parse_thread_count(env, "SOC_SWEEP_THREADS");
   }
   return 0;
 }
@@ -729,13 +725,10 @@ int cmd_replay(const ArgParser& args) {
   const cluster::ClusterCostModel cost(config.node, nodes, ranks,
                                        workload->cpu_profile());
   const sim::MemoCostModel memo(cost);
-  sim::EngineConfig engine_config;
-  engine_config.bisection_bandwidth =
-      config.node.switch_config.bisection_bandwidth;
   sim::Scenario scenario;
   scenario.ideal_network = args.get_bool("--ideal-network");
-  sim::Engine engine(sim::Placement::block(ranks, nodes), memo, engine_config,
-                     scenario);
+  sim::Engine engine(sim::Placement::block(ranks, nodes), memo,
+                     cluster::engine_config(config, {}), scenario);
   const sim::RunStats stats = engine.run(programs);
   std::printf("replayed %d ranks on %d nodes%s: %.3f s, %.2f GFLOP/s, "
               "%.3f GB over the network (%llu events, checksum %s)\n",

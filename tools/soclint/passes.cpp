@@ -316,7 +316,7 @@ void stream_seam_pass(const std::vector<SourceFile>& files,
         emit(file, edge.line, "stream-seam",
              file.path + " may not include \"" + edge.target +
                  "\": the op-stream seam stays generic over workloads; "
-                 "backends plug in via workloads::OpStream, never the "
+                 "backends plug in via sim::OpSource, never the "
                  "other way around",
              out);
       }
