@@ -59,11 +59,6 @@ double CounterSet::mpki_branch() const {
                         (*this)[PmuEvent::kInstRetired]);
 }
 
-double CounterSet::mpki_l2() const {
-  return 1000.0 * ratio((*this)[PmuEvent::kL2dCacheRefill],
-                        (*this)[PmuEvent::kInstRetired]);
-}
-
 std::string CounterSet::str() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < kPmuEventCount; ++i) {

@@ -56,7 +56,6 @@ class CounterSet {
   /// The paper's LD_MISS_RATIO: L2 refill per L2 access.
   double l2d_miss_ratio() const;
   double mpki_branch() const;  ///< Branch mispredicts per kilo-instruction.
-  double mpki_l2() const;      ///< L2 misses per kilo-instruction.
 
   std::string str() const;
 

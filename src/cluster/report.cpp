@@ -1,7 +1,5 @@
 #include "cluster/report.h"
 
-#include <charconv>
-
 #include "common/error.h"
 #include "obs/json.h"
 
@@ -14,15 +12,6 @@ const char* mem_model_name(sim::MemModel mm) {
     case sim::MemModel::kUnified: return "unified";
   }
   return "?";
-}
-
-std::string checksum_hex(std::uint64_t v) {
-  char buf[17] = "0000000000000000";
-  char tmp[17];
-  const auto r = std::to_chars(tmp, tmp + sizeof(tmp), v, 16);
-  const auto len = static_cast<std::size_t>(r.ptr - tmp);
-  for (std::size_t i = 0; i < len; ++i) buf[16 - len + i] = tmp[i];
-  return std::string("0x") + buf;
 }
 
 namespace {

@@ -14,11 +14,8 @@
 
 #include "cluster/cluster.h"
 #include "core/extended_roofline.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
-
-namespace soc::obs {
-class JsonWriter;
-}  // namespace soc::obs
 
 namespace soc::cluster {
 
@@ -26,10 +23,8 @@ namespace soc::cluster {
 /// the sweep-report emitter so the two schemas can never disagree.
 const char* mem_model_name(sim::MemModel mm);
 
-/// Zero-padded 16-digit hex rendering ("0x0123456789abcdef") — JSON
-/// numbers lose precision above 2^53, so the event-checksum digest
-/// travels as a string.
-std::string checksum_hex(std::uint64_t v);
+/// The event-checksum rendering every report shares (obs/json.h).
+using obs::checksum_hex;
 
 /// Renders the report document (ends with a newline).  `metrics` may be
 /// nullptr when no MetricsObserver was attached.  `scenario` may be

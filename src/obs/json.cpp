@@ -35,6 +35,15 @@ std::string json_quote(std::string_view s) {
   return out;
 }
 
+std::string checksum_hex(std::uint64_t v) {
+  char buf[17] = "0000000000000000";
+  char tmp[17];
+  const auto r = std::to_chars(tmp, tmp + sizeof(tmp), v, 16);
+  const auto len = static_cast<std::size_t>(r.ptr - tmp);
+  for (std::size_t i = 0; i < len; ++i) buf[16 - len + i] = tmp[i];
+  return std::string("0x") + buf;
+}
+
 void JsonWriter::separate() {
   if (have_key_) {
     // Object member value follows its key; no comma needed.

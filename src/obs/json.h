@@ -19,6 +19,11 @@ namespace soc::obs {
 /// Returns `s` quoted and escaped as a JSON string literal.
 std::string json_quote(std::string_view s);
 
+/// Zero-padded 16-digit hex rendering ("0x0123456789abcdef") — JSON
+/// numbers lose precision above 2^53, so the event-checksum digest
+/// travels as a string.
+std::string checksum_hex(std::uint64_t v);
+
 /// Streaming writer for one JSON document.  Misuse (e.g. a value with no
 /// pending key inside an object) throws soc::Error.
 class JsonWriter {

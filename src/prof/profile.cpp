@@ -1,7 +1,6 @@
 #include "prof/profile.h"
 
 #include <algorithm>
-#include <charconv>
 #include <map>
 #include <tuple>
 
@@ -13,17 +12,6 @@
 namespace soc::prof {
 
 namespace {
-
-// Local copy of cluster::checksum_hex — prof sits below cluster in the
-// layering, so it cannot include cluster headers.
-std::string checksum_hex(std::uint64_t v) {
-  char buf[17] = "0000000000000000";
-  char tmp[17];
-  const auto r = std::to_chars(tmp, tmp + sizeof(tmp), v, 16);
-  const auto len = static_cast<std::size_t>(r.ptr - tmp);
-  for (std::size_t i = 0; i < len; ++i) buf[16 - len + i] = tmp[i];
-  return std::string("0x") + buf;
-}
 
 // floor(num * 1e6 / den) in 128-bit integer arithmetic: the artifact's
 // fixed-point ratios must not depend on floating-point contraction, which
@@ -117,7 +105,7 @@ std::string profile_json(const Profile& p) {
   w.field("ranks", p.ranks);
   w.field("nodes", p.nodes);
   w.field("makespan_ns", static_cast<std::int64_t>(p.makespan));
-  w.field("event_checksum", checksum_hex(p.event_checksum));
+  w.field("event_checksum", obs::checksum_hex(p.event_checksum));
   w.field("events_committed", p.events_committed);
   w.newline();
 

@@ -38,7 +38,11 @@ std::uint64_t wake_key(int rank) {
 class Evaluator {
  public:
   Evaluator(const RunTrace& trace, const WhatIf& scenario)
-      : trace_(trace), scenario_(scenario) {
+      : trace_(trace),
+        scenario_(scenario),
+        bisection_(scenario.ideal_network
+                       ? 0.0
+                       : trace.config.bisection_bandwidth) {
     const std::size_t n = static_cast<std::size_t>(trace_.placement.ranks);
     SOC_CHECK(scenario_.compute_scale.empty() ||
                   scenario_.compute_scale.size() == n,
@@ -50,16 +54,21 @@ class Evaluator {
     // excludes port queueing by contract).  Identical (nodes, bytes)
     // keys always carry identical costs (the cost model is
     // deterministic), and any pair that ever communicates has at least
-    // one recorded message to take the pair latency from.
+    // one recorded message to take the pair latency from.  The ideal
+    // network is these tables zeroed, with an unlimited switch
+    // (bisection_), exactly as trace::replay_ideal_network re-runs the
+    // engine.
+    const bool zero_cost = scenario_.ideal_network;
     for (const sim::MessageRecord& m : trace_.messages) {
       const int src = node_of(m.src_rank);
       const int dst = node_of(m.dst_rank);
-      const SimTime xfer = (m.end - m.start) - m.latency;
-      costs_[cost_key(src, dst, m.bytes)] = {m.latency, xfer};
+      const SimTime latency = zero_cost ? 0 : m.latency;
+      const SimTime xfer = zero_cost ? 0 : (m.end - m.start) - m.latency;
+      costs_[cost_key(src, dst, m.bytes)] = {latency, xfer};
       latencies_[(static_cast<std::uint64_t>(static_cast<std::uint32_t>(src))
                   << 32) |
                  static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst))] =
-          m.latency;
+          latency;
     }
   }
 
@@ -164,7 +173,7 @@ class Evaluator {
     return it->second;
   }
   bool use_protocol(int src_rank, int dst_rank) const {
-    return !scenario_.ideal_network && node_of(src_rank) != node_of(dst_rank);
+    return node_of(src_rank) != node_of(dst_rank);
   }
   /// Under `uncontended` the shared NIC/port clocks are never advanced,
   /// so the engine-mirroring max() reads below see zeros and collapse to
@@ -296,7 +305,7 @@ class Evaluator {
       return;  // blocked until the CTS lands
     }
     if (op.bytes <= trace_.config.eager_threshold) {
-      const SimTime arrival = launch_eager(rank, op.peer, now, op.bytes);
+      const SimTime arrival = timed_transfer(rank, op.peer, now, op.bytes);
       const SimTime overhead = send_overhead(rank);
       deliver_eager(key, arrival);
       advance(rank, now + overhead);
@@ -361,7 +370,7 @@ class Evaluator {
       advance(rank, now + overhead);
       return;
     }
-    const SimTime arrival = launch_eager(rank, op.peer, now, op.bytes);
+    const SimTime arrival = timed_transfer(rank, op.peer, now, op.bytes);
     st.requests_complete = std::max(st.requests_complete, now + overhead);
     deliver_eager(MsgKey{rank, op.peer, op.tag}, arrival);
     advance(rank, now + overhead);
@@ -428,25 +437,14 @@ class Evaluator {
     }
   }
 
-  // Instant path only (same node, or the ideal-network scenario) — the
-  // same split as the engine; cross-node transfers on a real network go
-  // through the protocol-message path above and never reach here.
+  // Instant path only (same node), eager or rendezvous — the same split
+  // as the engine; cross-node transfers go through the protocol-message
+  // path above and never reach here.
   SimTime timed_transfer(int send_rank, int recv_rank, SimTime earliest,
                          Bytes bytes) {
-    SimTime duration = 0;
-    if (!scenario_.ideal_network) {
-      const auto [latency, xfer] =
-          message_cost(node_of(send_rank), node_of(recv_rank), bytes);
-      duration = latency + xfer;
-    }
-    return earliest + duration;
-  }
-
-  SimTime launch_eager(int src_rank, int dst_rank, SimTime now, Bytes bytes) {
-    if (scenario_.ideal_network) return now;
     const auto [latency, xfer] =
-        message_cost(node_of(src_rank), node_of(dst_rank), bytes);
-    return now + latency + xfer;
+        message_cost(node_of(send_rank), node_of(recv_rank), bytes);
+    return earliest + latency + xfer;
   }
 
   void launch_eager_remote(int src_rank, int dst_rank, SimTime now,
@@ -472,13 +470,12 @@ class Evaluator {
     const int dst = p.dst_rank;
     const int dst_node = node_of(dst);
     SimTime delivery = p.end;
-    if (trace_.config.bisection_bandwidth > 0.0) {
+    if (bisection_ > 0.0) {
       auto& port = port_free_[static_cast<std::size_t>(dst_node)];
       delivery = std::max(p.end, port);
       if (contended()) {
         port = delivery +
-               transfer_time(p.bytes, trace_.config.bisection_bandwidth /
-                                          trace_.placement.nodes);
+               transfer_time(p.bytes, bisection_ / trace_.placement.nodes);
       }
     }
     auto& nic_rx = nic_rx_free_[static_cast<std::size_t>(dst_node)];
@@ -511,13 +508,12 @@ class Evaluator {
     const int dst_node = node_of(recv_rank);
     SimTime start = std::max({start_base, ps.tx_est,
                               nic_rx_free_[static_cast<std::size_t>(dst_node)]});
-    if (trace_.config.bisection_bandwidth > 0.0) {
+    if (bisection_ > 0.0) {
       auto& port = port_free_[static_cast<std::size_t>(dst_node)];
       start = std::max(start, port);
       if (contended()) {
         port = start +
-               transfer_time(ps.bytes, trace_.config.bisection_bandwidth /
-                                           trace_.placement.nodes);
+               transfer_time(ps.bytes, bisection_ / trace_.placement.nodes);
       }
     }
     const auto [latency, xfer] = message_cost(src_node, dst_node, ps.bytes);
@@ -538,6 +534,7 @@ class Evaluator {
 
   const RunTrace& trace_;
   const WhatIf& scenario_;
+  double bisection_;  ///< Switch capacity (0 = unlimited).
   std::map<std::uint64_t, std::pair<SimTime, SimTime>> costs_;
   std::map<std::uint64_t, SimTime> latencies_;
   sim::KeyedEventQueue queue_;

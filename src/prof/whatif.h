@@ -10,8 +10,7 @@
 // and the ideal-network / ideal-balance scenarios reproduce the paper's
 // DIMEMAS-style replays from one instrumented pass.
 //
-// The trace must come from a plain measured run (no engine Scenario), as
-// cluster::run produces.
+// The trace must come from a plain measured run, as cluster::run produces.
 #pragma once
 
 #include <vector>
@@ -22,14 +21,18 @@ namespace soc::prof {
 
 /// Scenario knobs for one re-timing.
 struct WhatIf {
-  /// Zero latency and transfer time, no NIC/fabric serialization; message
-  /// overheads and all dependencies remain (the paper's ideal network).
+  /// Zero latency and transfer time and an unlimited switch, on the usual
+  /// protocol paths; message overheads and all dependencies remain (the
+  /// paper's ideal network, as trace::replay_ideal_network runs it).
   bool ideal_network = false;
   /// Infinite lanes: no GPU/copy queueing and no NIC/fabric queueing, but
   /// transfers still take their measured latency + wire time.
   bool uncontended = false;
-  /// Per-rank compute multiplier (empty = 1.0), applied exactly as the
-  /// engine applies Scenario::compute_scale.
+  /// Per-rank multiplier (empty = 1.0) on every recorded lane duration,
+  /// as the ideal-balance replay scales Op::time_scale.  The replay rounds
+  /// cost x time_scale x scale once; this rounds the recorded (already
+  /// time-scaled) duration, so the two can differ by rounding on ops a
+  /// straggler stretched.
   std::vector<double> compute_scale;
   /// DVFS state: relative frequency of the compute clocks (CPU + GPU).
   /// Durations of cpu/gpu lane ops scale by 1/dvfs_compute; 1.0 is the

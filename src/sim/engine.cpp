@@ -42,18 +42,13 @@ Placement Placement::block(int ranks, int nodes) {
 }
 
 Engine::Engine(Placement placement, const CostModel& cost_model,
-               EngineConfig config, Scenario scenario)
-    : placement_(std::move(placement)),
-      cost_(cost_model),
-      config_(config),
-      scenario_(std::move(scenario)) {
+               EngineConfig config)
+    : placement_(std::move(placement)), cost_(cost_model), config_(config) {
   SOC_CHECK(placement_.ranks > 0, "no ranks");
   SOC_CHECK(static_cast<int>(placement_.node_of.size()) == placement_.ranks,
             "placement size mismatch");
-  SOC_CHECK(scenario_.compute_scale.empty() ||
-                static_cast<int>(scenario_.compute_scale.size()) ==
-                    placement_.ranks,
-            "compute_scale size mismatch");
+  SOC_CHECK(placement_.nodes == 1 || placement_.ranks < (1 << 15),
+            "protocol event keys support < 32768 ranks");
 }
 
 std::uint64_t Engine::wake_key(int rank) {
@@ -76,9 +71,8 @@ std::uint64_t Engine::next_proto_key(int emitter_rank, int dst_rank) {
 }
 
 bool Engine::use_protocol(int src_rank, int dst_rank) const {
-  return protocol_ &&
-         placement_.node_of[static_cast<std::size_t>(src_rank)] !=
-             placement_.node_of[static_cast<std::size_t>(dst_rank)];
+  return placement_.node_of[static_cast<std::size_t>(src_rank)] !=
+         placement_.node_of[static_cast<std::size_t>(dst_rank)];
 }
 
 std::vector<double> ideal_balance_scales(const RunStats& measured) {
@@ -98,17 +92,6 @@ std::vector<double> ideal_balance_scales(const RunStats& measured) {
     if (compute[r] > 0.0) scales[r] = avg / compute[r];
   }
   return scales;
-}
-
-double Engine::compute_scale_for(int rank) const {
-  if (scenario_.compute_scale.empty()) return 1.0;
-  return scenario_.compute_scale[static_cast<std::size_t>(rank)];
-}
-
-SimTime Engine::scaled(SimTime t, int rank) const {
-  const double s = compute_scale_for(rank);
-  if (s == 1.0) return t;
-  return static_cast<SimTime>(std::llround(static_cast<double>(t) * s));
 }
 
 void Engine::add_phase_compute(int rank, SimTime duration) {
@@ -145,9 +128,9 @@ namespace {
 // Safety valve: a run whose simulated time passes this aborts.
 constexpr double kMaxSimSeconds = 3.0e6;
 
-// Straggler injection: op.time_scale stretches the cost-model-derived
-// duration AFTER memo lookup, so memoized costs stay shared across
-// scaled and unscaled ranks.
+// op.time_scale (straggler injection, the ideal-balance replay) stretches
+// an op's duration AFTER cost evaluation, so memoized costs stay shared
+// across scaled and unscaled ranks.
 SimTime apply_time_scale(SimTime t, const Op& op) {
   if (op.time_scale == 1.0) return t;
   return static_cast<SimTime>(
@@ -169,14 +152,6 @@ RunStats Engine::run(OpSource& source) {
   const std::size_t n = static_cast<std::size_t>(placement_.ranks);
   const std::size_t nodes = static_cast<std::size_t>(placement_.nodes);
   source_ = &source;
-
-  // Cross-node pairs communicate through timestamped protocol messages
-  // whenever the network is real.
-  protocol_ = !scenario_.ideal_network && placement_.nodes > 1;
-  if (protocol_) {
-    SOC_CHECK(placement_.ranks < (1 << 15),
-              "protocol event keys support < 32768 ranks");
-  }
 
   states_.assign(n, RankState{});
   stats_ = RunStats{};
@@ -558,8 +533,7 @@ void Engine::execute_next(int rank, SimTime now) {
 void Engine::start_compute(int rank, SimTime now, const Op& op) {
   auto& rs = stats_.ranks[static_cast<std::size_t>(rank)];
   const int node = placement_.node_of[static_cast<std::size_t>(rank)];
-  const SimTime dur =
-      scaled(apply_time_scale(cost_.cpu_compute_time(rank, op), op), rank);
+  const SimTime dur = apply_time_scale(cost_.cpu_compute_time(rank, op), op);
 
   rs.cpu_busy += dur;
   rs.flops += op.flops;
@@ -584,9 +558,10 @@ void Engine::start_delay(int rank, SimTime now, const Op& op) {
   // the OS holds it), so it flows through cpu_busy, the per-phase
   // compute ledger, and the node timeline — which is exactly what lets
   // the LB/Ser/Trf decomposition and energy attribution explain the
-  // damage with zero residual.  compute_scale (what-if DVFS on replay)
-  // applies; op.time_scale does not: a fixed stall is wall-clock.
-  const SimTime dur = scaled(from_seconds(op.delay_seconds), rank);
+  // damage with zero residual.  op.time_scale applies as on every op with
+  // a duration (the ideal-balance replay sets it; the straggler decorator
+  // leaves stalls alone).
+  const SimTime dur = apply_time_scale(from_seconds(op.delay_seconds), op);
 
   rs.cpu_busy += dur;
   add_phase_compute(rank, dur);
@@ -604,8 +579,7 @@ void Engine::start_gpu(int rank, SimTime now, const Op& op) {
   auto& gpu_free = gpu_free_[static_cast<std::size_t>(node)];
 
   const SimTime start = std::max(now, gpu_free);
-  const SimTime dur =
-      scaled(apply_time_scale(cost_.gpu_kernel_time(rank, op), op), rank);
+  const SimTime dur = apply_time_scale(cost_.gpu_kernel_time(rank, op), op);
   gpu_free = start + dur;
 
   rs.gpu_queue_wait += start - now;
@@ -632,8 +606,7 @@ void Engine::start_copy(int rank, SimTime now, const Op& op) {
   auto& copy_free = copy_free_[static_cast<std::size_t>(node)];
 
   const SimTime start = std::max(now, copy_free);
-  const SimTime dur =
-      scaled(apply_time_scale(cost_.copy_time(rank, op), op), rank);
+  const SimTime dur = apply_time_scale(cost_.copy_time(rank, op), op);
   copy_free = start + dur;
 
   rs.copy_busy += dur;
@@ -881,21 +854,14 @@ void Engine::resolve_request(int rank, SimTime completion) {
 
 SimTime Engine::timed_transfer(int send_rank, int recv_rank, SimTime earliest,
                                Bytes bytes, int tag) {
-  // Instant path only: same node, or ideal network (which zeroes both
-  // terms).  Cross-node transfers on a real network go through the
+  // Instant path only: same node.  Cross-node transfers go through the
   // protocol-message path and never reach here.
-  const int src_node = placement_.node_of[static_cast<std::size_t>(send_rank)];
-  const int dst_node = placement_.node_of[static_cast<std::size_t>(recv_rank)];
-  SimTime latency = 0;
-  SimTime duration = 0;
-  if (!scenario_.ideal_network) {
-    latency = cost_.message_latency(src_node, dst_node);
-    duration =
-        latency + cost_.message_transfer_time(src_node, dst_node, bytes);
-  }
-  const SimTime end = earliest + duration;
-  account_transfer(send_rank, recv_rank, earliest, earliest, end, bytes,
-                   /*eager=*/false, 0, tag, latency);
+  const int node = placement_.node_of[static_cast<std::size_t>(send_rank)];
+  const SimTime latency = cost_.message_latency(node, node);
+  const SimTime end =
+      earliest + latency + cost_.message_transfer_time(node, node, bytes);
+  account_transfer(send_rank, recv_rank, earliest, end, bytes,
+                   /*eager=*/false, tag, latency);
   return end;
 }
 
@@ -918,19 +884,13 @@ void Engine::complete_rendezvous(int send_rank, SimTime send_ready,
 
 SimTime Engine::launch_eager(int src_rank, int dst_rank, SimTime now,
                              Bytes bytes, int tag) {
-  // Instant path only: same node, or ideal network.
-  const int src_node = placement_.node_of[static_cast<std::size_t>(src_rank)];
-  const int dst_node = placement_.node_of[static_cast<std::size_t>(dst_rank)];
-  if (scenario_.ideal_network) {
-    account_transfer(src_rank, dst_rank, now, now, now, bytes,
-                     /*eager=*/true, 0, tag, 0);
-    return now;
-  }
-  const SimTime xfer = cost_.message_transfer_time(src_node, dst_node, bytes);
-  const SimTime latency = cost_.message_latency(src_node, dst_node);
+  // Instant path only: same node.
+  const int node = placement_.node_of[static_cast<std::size_t>(src_rank)];
+  const SimTime xfer = cost_.message_transfer_time(node, node, bytes);
+  const SimTime latency = cost_.message_latency(node, node);
   const SimTime arrival = now + latency + xfer;
-  account_transfer(src_rank, dst_rank, now, now, arrival, bytes,
-                   /*eager=*/true, 0, tag, latency);
+  account_transfer(src_rank, dst_rank, now, arrival, bytes, /*eager=*/true,
+                   tag, latency);
   return arrival;
 }
 
@@ -1154,21 +1114,20 @@ void Engine::process_cts(const ProtoMsg& p, SimTime now) {
   wake(src, now);
 }
 
-void Engine::account_transfer(int src_rank, int dst_rank, SimTime requested,
-                              SimTime start, SimTime end, Bytes bytes,
-                              bool eager, SimTime fabric_wait, int tag,
+void Engine::account_transfer(int src_rank, int dst_rank, SimTime start,
+                              SimTime end, Bytes bytes, bool eager, int tag,
                               SimTime latency) {
-  const int src_node = placement_.node_of[static_cast<std::size_t>(src_rank)];
-  const int dst_node = placement_.node_of[static_cast<std::size_t>(dst_rank)];
+  const int node = placement_.node_of[static_cast<std::size_t>(src_rank)];
   auto& send_rs = stats_.ranks[static_cast<std::size_t>(src_rank)];
   auto& recv_rs = stats_.ranks[static_cast<std::size_t>(dst_rank)];
   ++send_rs.messages_sent;
   ++recv_rs.messages_received;
+  send_rs.intra_bytes_sent += bytes;
 
   if (observer_ != nullptr) {
     MessageRecord message;
     message.eager = eager;
-    message.inter_node = src_node != dst_node;
+    message.inter_node = false;
     message.src_rank = src_rank;
     message.dst_rank = dst_rank;
     message.phase = states_[static_cast<std::size_t>(src_rank)].phase;
@@ -1183,28 +1142,13 @@ void Engine::account_transfer(int src_rank, int dst_rank, SimTime requested,
   }
 
   // Message payloads traverse main memory on both endpoints (the TX1 has
-  // no GPUDirect, so all network data lands in DRAM first — §III-B.2).
+  // no GPUDirect, so all network data lands in DRAM first — §III-B.2):
+  // the node's DRAM sees them twice.
   send_rs.dram_bytes += bytes;
   recv_rs.dram_bytes += bytes;
-  bin_value(stats_.nodes[static_cast<std::size_t>(src_node)].dram_bytes, start,
-            static_cast<double>(bytes));
-  bin_value(stats_.nodes[static_cast<std::size_t>(dst_node)].dram_bytes, start,
-            static_cast<double>(bytes));
-
-  if (src_node == dst_node) {
-    send_rs.intra_bytes_sent += bytes;
-    return;
-  }
-  send_rs.net_bytes_sent += bytes;
-  recv_rs.net_bytes_received += bytes;
-  bin_busy(stats_.nodes[static_cast<std::size_t>(src_node)].nic_busy, start, end);
-  bin_busy(stats_.nodes[static_cast<std::size_t>(dst_node)].nic_busy, start, end);
-  const std::uint8_t kind = static_cast<std::uint8_t>(
-      eager ? OpKind::kIsend : OpKind::kSend);
-  commit_span(Lane::kNicTx, src_rank, src_node, kind, start, end,
-              start - requested, fabric_wait, bytes);
-  commit_span(Lane::kNicRx, dst_rank, dst_node, kind, start, end,
-              start - requested, fabric_wait, bytes);
+  auto& dram = stats_.nodes[static_cast<std::size_t>(node)].dram_bytes;
+  bin_value(dram, start, static_cast<double>(bytes));
+  bin_value(dram, start, static_cast<double>(bytes));
 }
 
 double RunStats::flops_per_second() const {

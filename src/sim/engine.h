@@ -8,17 +8,17 @@
 // One serial loop pops a KeyedEventQueue.  Events are totally ordered by
 // (time, key) where the key is intrinsic to the event (protocol class,
 // endpoint ranks, per-rank sequence) rather than derived from push order.
-// Cross-node traffic on a real network travels as timestamped protocol
-// messages (eager arrival, rendezvous RTS/CTS), and the committed records
-// of each timestamp are sorted by (time, key) before they reach the
-// determinism digest and the observer.  All of this is simulated
-// semantics: RunStats::event_checksum pins it.  See DESIGN.md §6.
+// Cross-node traffic travels as timestamped protocol messages (eager
+// arrival, rendezvous RTS/CTS); same-node pairs take an instant path that
+// schedules no message events.  The committed records of each timestamp
+// are sorted by (time, key) before they reach the determinism digest and
+// the observer.  All of this is simulated semantics:
+// RunStats::event_checksum pins it.  See DESIGN.md §6.
 //
-// Scenario knobs implement the DIMEMAS-style what-if replays of the
-// paper's scalability methodology: `ideal_network` zeroes latency and
-// transfer time while preserving all dependencies (isolates Ser), and
-// `compute_scale` rescales each rank's compute durations (ideal load
-// balance sets these so every rank does the average amount of work).
+// The engine has no what-if knobs.  The paper's ideal-network and
+// ideal-balance replays (trace/replay.h) run this same engine over a cost
+// model whose messages are free and over ops whose Op::time_scale carries
+// the balancing factor.
 #pragma once
 
 #include <memory>
@@ -35,15 +35,11 @@
 
 namespace soc::sim {
 
-/// What-if replay configuration.
-struct Scenario {
-  bool ideal_network = false;       ///< Zero-latency, infinite-bandwidth net.
-  std::vector<double> compute_scale;  ///< Per-rank multiplier (empty = 1.0).
-};
-
-/// Per-rank compute_scale factors that equalize total compute across
-/// ranks (LB = 1), derived from a measured run.  Both the ideal-balance
-/// trace replay and the single-pass what-if projection use these.
+/// Per-rank duration factors that equalize total compute across ranks
+/// (LB = 1), derived from a measured run.  The ideal-balance trace replay
+/// multiplies each op's Op::time_scale by its rank's factor, and the
+/// single-pass what-if projection (prof::WhatIf::compute_scale) scales
+/// recorded durations by it.
 std::vector<double> ideal_balance_scales(const RunStats& measured);
 
 /// Resource lanes a committed span can occupy.  Observers key queue-wait
@@ -163,7 +159,7 @@ struct EngineConfig {
 class Engine {
  public:
   Engine(Placement placement, const CostModel& cost_model,
-         EngineConfig config = {}, Scenario scenario = {});
+         EngineConfig config = {});
 
   /// Pulls every rank's op stream to completion and returns the
   /// collected stats.  Throws soc::Error on deadlock (a rank blocked on
@@ -320,13 +316,13 @@ class Engine {
   void start_irecv(int rank, SimTime now, const Op& op);
   void start_wait_all(int rank, SimTime now);
 
-  /// True when (src, dst) crosses nodes on a real network — the pair
-  /// communicates through timestamped protocol messages instead of the
-  /// instant path.
+  /// True when (src, dst) crosses nodes: the pair communicates through
+  /// timestamped protocol messages; a same-node pair takes the instant
+  /// path.
   bool use_protocol(int src_rank, int dst_rank) const;
 
-  /// Instant-path transfer (same node, or ideal network): applies no NIC
-  /// state, records the traffic, returns the completion time.
+  /// Instant-path (same-node) transfer: applies no NIC state, records the
+  /// traffic, returns the completion time.
   SimTime timed_transfer(int send_rank, int recv_rank, SimTime earliest,
                          Bytes bytes, int tag);
 
@@ -337,7 +333,8 @@ class Engine {
   /// Instant-path matched rendezvous; wakes both ranks.
   void complete_rendezvous(int send_rank, SimTime send_ready, int recv_rank,
                            SimTime recv_ready, Bytes bytes, int tag);
-  /// Instant-path eager send; returns its arrival time at the receiver.
+  /// Instant-path (same-node) eager send; returns its arrival time at the
+  /// receiver.
   SimTime launch_eager(int src_rank, int dst_rank, SimTime now, Bytes bytes,
                        int tag);
   /// An eager payload for `key` reached its receiver at `arrival`
@@ -361,16 +358,14 @@ class Engine {
                        int peer = -1, int tag = 0);
   static constexpr std::uint8_t kRankDoneAudit = 0xFF;
 
-  double compute_scale_for(int rank) const;
-  SimTime scaled(SimTime t, int rank) const;
   void add_phase_compute(int rank, SimTime duration);
   void bin_busy(std::vector<double>& lane, SimTime start, SimTime end);
   void bin_value(std::vector<double>& lane, SimTime at, double value);
-  /// Books a committed instant-path transfer into the stats and, when an
-  /// observer is attached, buffers its message record and NIC spans.
-  void account_transfer(int src_rank, int dst_rank, SimTime requested,
-                        SimTime start, SimTime end, Bytes bytes, bool eager,
-                        SimTime fabric_wait, int tag, SimTime latency);
+  /// Books a committed instant-path (same-node) transfer into the stats
+  /// and, when an observer is attached, buffers its message record.
+  void account_transfer(int src_rank, int dst_rank, SimTime start,
+                        SimTime end, Bytes bytes, bool eager, int tag,
+                        SimTime latency);
   /// Buffers one resource-lane span (no-op when detached).
   void commit_span(Lane lane, int rank, int node, std::uint8_t kind,
                    SimTime start, SimTime end, SimTime queue_wait,
@@ -383,9 +378,6 @@ class Engine {
   Placement placement_;
   const CostModel& cost_;
   EngineConfig config_;
-  Scenario scenario_;
-
-  bool protocol_ = false;  ///< Cross-node pairs use protocol messages.
 
   // --- simulation state (reset by every run()) ---
   std::vector<RankState> states_;

@@ -60,9 +60,11 @@ struct Op {
   double parallelism = 1e15;  ///< GPU thread-count hint (occupancy model).
   Bytes dram_bytes = 0;       ///< Main-memory traffic generated.
   Bytes bytes = 0;            ///< Message / copy size.
-  /// Duration multiplier on the cost-model-derived service time of
-  /// compute/kernel/copy ops (straggler injection).  Applied by the
-  /// engine AFTER cost evaluation, so memoized costs stay shared.
+  /// Duration multiplier, applied by the engine AFTER cost evaluation (so
+  /// memoized costs stay shared) to every op with a duration: compute,
+  /// kernel, copy and kDelay; other ops ignore it.  The straggler
+  /// decorator sets it on compute/kernel/copy ops, and the ideal-balance
+  /// replay (trace/replay.h) multiplies it by its rank's balancing factor.
   double time_scale = 1.0;
   /// kDelay only: the stall duration in seconds.
   double delay_seconds = 0.0;

@@ -10,8 +10,9 @@
 //
 // ProgramSource adapts the classic eager path (one std::vector<Op> per
 // rank); RecordingSource tees any source into materialized programs so a
-// streamed run can be replayed verbatim under what-if scenarios
-// (trace::replay_scenarios).
+// streamed run can be replayed verbatim under the Eq. 4 what-ifs
+// (trace::replay_scenarios, which re-times the recording in place for
+// ideal balance).
 #pragma once
 
 #include <vector>
@@ -63,7 +64,8 @@ class RecordingSource final : public OpSource {
   bool next(int rank, SimTime now, Op* op) override;
 
   /// The ops recorded so far, one program per rank, in pull order.
-  const std::vector<Program>& programs() const { return programs_; }
+  /// Mutable so a replay can re-time the recording in place.
+  std::vector<Program>& programs() { return programs_; }
 
  private:
   OpSource* inner_;

@@ -40,48 +40,4 @@ Vec solve_gaussian(Matrix a, Vec b) {
   return x;
 }
 
-Vec solve_cholesky(const Matrix& a, const Vec& b) {
-  const std::size_t n = a.rows();
-  SOC_CHECK(a.cols() == n && b.size() == n, "solve shape mismatch");
-  Matrix l(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j <= i; ++j) {
-      double s = a(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
-      if (i == j) {
-        SOC_CHECK(s > 0.0, "matrix not positive definite");
-        l(i, i) = std::sqrt(s);
-      } else {
-        l(i, j) = s / l(j, j);
-      }
-    }
-  }
-  // Forward substitution L y = b, then backward L^T x = y.
-  Vec y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = b[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * y[k];
-    y[i] = s / l(i, i);
-  }
-  Vec x(n);
-  for (std::size_t i = n; i-- > 0;) {
-    double s = y[i];
-    for (std::size_t k = i + 1; k < n; ++k) s -= l(k, i) * x[k];
-    x[i] = s / l(i, i);
-  }
-  return x;
-}
-
-Matrix inverse(const Matrix& a) {
-  const std::size_t n = a.rows();
-  SOC_CHECK(a.cols() == n, "inverse needs square matrix");
-  Matrix out(n, n);
-  for (std::size_t c = 0; c < n; ++c) {
-    Vec e(n, 0.0);
-    e[c] = 1.0;
-    out.set_col(c, solve_gaussian(a, e));
-  }
-  return out;
-}
-
 }  // namespace soc::stats

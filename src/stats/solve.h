@@ -1,6 +1,6 @@
-// Direct linear solvers for the small systems arising in regression and
-// curve fitting: partial-pivot Gaussian elimination for general systems
-// and Cholesky for symmetric positive-definite normal equations.
+// Direct linear solver for the small systems arising in regression and
+// curve fitting (the NNLS and PLS normal equations): partial-pivot
+// Gaussian elimination.
 #pragma once
 
 #include "stats/matrix.h"
@@ -10,12 +10,5 @@ namespace soc::stats {
 /// Solves A x = b by Gaussian elimination with partial pivoting.
 /// Throws soc::Error if A is (numerically) singular.
 Vec solve_gaussian(Matrix a, Vec b);
-
-/// Solves A x = b for symmetric positive-definite A via Cholesky.
-/// Throws soc::Error if A is not positive definite.
-Vec solve_cholesky(const Matrix& a, const Vec& b);
-
-/// Inverse via Gaussian elimination (used only on tiny matrices).
-Matrix inverse(const Matrix& a);
 
 }  // namespace soc::stats

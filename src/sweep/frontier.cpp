@@ -1,6 +1,5 @@
 #include "sweep/frontier.h"
 
-#include "cluster/report.h"
 #include "common/error.h"
 #include "obs/json.h"
 #include "sweep/grid.h"
@@ -130,7 +129,7 @@ std::string frontier_json(const std::string& label, const FrontierGrid& grid,
     w.field("gflops", p.gflops);
     w.field("average_watts", p.average_watts);
     w.field("mflops_per_watt", p.mflops_per_watt);
-    w.field("event_checksum", cluster::checksum_hex(p.event_checksum));
+    w.field("event_checksum", obs::checksum_hex(p.event_checksum));
     w.field("pareto", p.pareto);
     w.end_object();
   }

@@ -188,7 +188,7 @@ std::string sweep_report_json(const std::string& label,
     w.field("mflops_per_watt", result.mflops_per_watt);
     w.field("joules", result.joules);
     w.field("event_checksum",
-            cluster::checksum_hex(result.stats.event_checksum));
+            obs::checksum_hex(result.stats.event_checksum));
     w.end_object();
   }
   w.end_array();

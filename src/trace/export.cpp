@@ -1,5 +1,6 @@
 #include "trace/export.h"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -18,16 +19,29 @@ const char* mem_model_token(sim::MemModel mm) {
   return "hd";
 }
 
+[[noreturn]] void fail(int line, const std::string& what) {
+  throw UsageError("soctrace line " + std::to_string(line) + ": " + what);
+}
+
 sim::MemModel parse_mem_model(const std::string& token, int line) {
   if (token == "hd") return sim::MemModel::kHostDevice;
   if (token == "zc") return sim::MemModel::kZeroCopy;
   if (token == "um") return sim::MemModel::kUnified;
-  throw Error("soctrace line " + std::to_string(line) +
-              ": unknown memory model '" + token + "'");
+  fail(line, "unknown memory model '" + token + "'");
 }
 
-[[noreturn]] void fail(int line, const std::string& what) {
-  throw Error("soctrace line " + std::to_string(line) + ": " + what);
+// The engine's protocol event keys carry 15-bit rank ids.
+constexpr long long kMaxRanks = 1 << 15;
+
+std::size_t parse_ranks(const std::string& text, int line) {
+  long long ranks = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, ranks);
+  if (ec != std::errc() || ptr != end || ranks < 1 || ranks >= kMaxRanks) {
+    fail(line, "ranks=" + text + " is not a rank count in [1, " +
+                   std::to_string(kMaxRanks) + ")");
+  }
+  return static_cast<std::size_t>(ranks);
 }
 
 }  // namespace
@@ -109,10 +123,12 @@ std::vector<sim::Program> import_programs(const std::string& text) {
         ranks_field.rfind("ranks=", 0) != 0) {
       fail(line_no, "bad header (expected 'soctrace v1 ranks=N')");
     }
-    ranks = static_cast<std::size_t>(std::stoull(ranks_field.substr(6)));
+    ranks = parse_ranks(ranks_field.substr(6), line_no);
     break;
   }
-  SOC_CHECK(ranks > 0, "soctrace: missing or empty header");
+  if (ranks == 0) {
+    fail(line_no + 1, "missing header (expected 'soctrace v1 ranks=N')");
+  }
 
   std::vector<sim::Program> programs(ranks);
   std::size_t current = ranks;  // invalid until a 'rank' directive
@@ -159,6 +175,11 @@ std::vector<sim::Program> import_programs(const std::string& text) {
                 : verb == "isend" ? sim::OpKind::kIsend
                                   : sim::OpKind::kIrecv;
       ok = static_cast<bool>(ls >> op.peer >> op.bytes >> op.tag >> op.phase);
+      if (ok && (op.peer < 0 || static_cast<std::size_t>(op.peer) >= ranks ||
+                 static_cast<std::size_t>(op.peer) == current)) {
+        fail(line_no, "rank " + std::to_string(current) + " cannot '" + verb +
+                          "' peer " + std::to_string(op.peer));
+      }
     } else if (verb == "waitall") {
       op.kind = sim::OpKind::kWaitAll;
       ok = static_cast<bool>(ls >> op.phase);

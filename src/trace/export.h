@@ -13,9 +13,10 @@
 //   gpu <flops> <dram_bytes> <mem_model> <parallelism> <dp> <phase>
 //   h2d <bytes> <mem_model> <phase>
 //   d2h <bytes> <mem_model> <phase>
-//   send <peer> <bytes> <tag> <phase>
-//   recv <peer> <bytes> <tag> <phase>
+//   send <peer> <bytes> <tag> <phase>      (also recv, isend, irecv)
+//   waitall <phase>
 //   phase <id>
+//   delay <seconds> <phase>
 #pragma once
 
 #include <string>
@@ -28,8 +29,10 @@ namespace soc::trace {
 /// Serializes per-rank programs to the soctrace text format.
 std::string export_programs(const std::vector<sim::Program>& programs);
 
-/// Parses a soctrace document; throws soc::Error with a line number on
-/// malformed input.
+/// Parses a soctrace document.  Malformed input throws soc::UsageError
+/// ("soctrace line N: ..."): a bad header, a `ranks=` outside
+/// [1, 32768), an unknown or malformed op, or a message peer that is not
+/// another rank of the trace.
 std::vector<sim::Program> import_programs(const std::string& text);
 
 /// Reads and parses a soctrace file; a missing file throws

@@ -4,7 +4,11 @@
 // them under (a) the real network, (b) an ideal network with zero latency
 // and unlimited bandwidth, and (c) perfect load balance.  Here the
 // measured run records the op sequence it pulls, and that recording is
-// the trace the two ideal scenarios replay.
+// the trace the two ideal scenarios replay.  Both ideals are built from
+// pieces the plain engine already has, so it needs no what-if mode: the
+// ideal network is a cost model whose messages are free plus an
+// unlimited switch, and ideal balance multiplies every recorded op's
+// Op::time_scale by its rank's sim::ideal_balance_scales factor.
 #pragma once
 
 #include <vector>
@@ -21,6 +25,15 @@ struct ScenarioRuns {
                                ///< (real network, per the paper: "we used
                                ///< the traces with the real network").
 };
+
+/// Runs `source` under the ideal network: every message has zero latency
+/// and zero transfer time, and the switch is unlimited
+/// (`bisection_bandwidth = 0`).  Message overheads, lane contention and
+/// every dependency remain.
+sim::RunStats replay_ideal_network(const sim::Placement& placement,
+                                   const sim::CostModel& cost,
+                                   sim::OpSource& source,
+                                   const sim::EngineConfig& config = {});
 
 /// Runs all three scenarios: the measured run pulls `source` through a
 /// recording tee, and the two ideals replay the recorded programs.  This

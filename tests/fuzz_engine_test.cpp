@@ -14,6 +14,7 @@
 #include "prof/profile.h"
 #include "prof/profiler.h"
 #include "sim/engine.h"
+#include "trace/replay.h"
 
 namespace soc {
 namespace {
@@ -153,8 +154,9 @@ class FuzzSeeds : public ::testing::TestWithParam<int> {};
 // The engine, the profiler's matching pass and the what-if evaluator all
 // match messages; prof::analyze asserts that re-timing the unmodified
 // trace reproduces the recorded makespan, so any disagreement among the
-// three throws.  Two or four ranks per node mix intra- and cross-node
-// pairs.
+// three throws.  The single-pass ideal network and ideal balance must
+// equal the Eq. 4 trace replays.  Two or four ranks per node mix intra-
+// and cross-node pairs.
 TEST_P(FuzzSeeds, MixedProgramsProfileAndReplayExactly) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const int ranks = 8;
@@ -170,6 +172,13 @@ TEST_P(FuzzSeeds, MixedProgramsProfileAndReplayExactly) {
   const prof::Profile profile = prof::analyze(profiler.trace());
   EXPECT_TRUE(profile.evaluator_exact);
   EXPECT_EQ(profile.measured_eval, stats.makespan);
+
+  sim::ProgramSource source(programs);
+  const trace::ScenarioRuns runs =
+      trace::replay_scenarios(placement, cost, source);
+  EXPECT_EQ(runs.measured.makespan, stats.makespan);
+  EXPECT_EQ(profile.ideal_network, runs.ideal_network.makespan);
+  EXPECT_EQ(profile.ideal_balance, runs.ideal_balance.makespan);
 }
 
 TEST_P(FuzzSeeds, RandomProgramsCompleteWithConservedTraffic) {
@@ -234,12 +243,11 @@ TEST_P(FuzzSeeds, IdealNetworkIsLowerBound) {
   const int ranks = 8;
   const auto programs = random_programs(seed * 57 + 11, ranks);
   FuzzCost cost(0.5e9);
-  sim::Engine real(sim::Placement::block(ranks, ranks), cost);
-  sim::Scenario ideal;
-  ideal.ideal_network = true;
-  sim::Engine idealized(sim::Placement::block(ranks, ranks), cost,
-                        sim::EngineConfig{}, ideal);
-  EXPECT_GE(real.run(programs).makespan, idealized.run(programs).makespan);
+  const auto placement = sim::Placement::block(ranks, ranks);
+  sim::Engine real(placement, cost);
+  sim::ProgramSource source(programs);
+  EXPECT_GE(real.run(programs).makespan,
+            trace::replay_ideal_network(placement, cost, source).makespan);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds, ::testing::Range(0, 12));

@@ -1,6 +1,6 @@
 // Tests for sim/: event queue ordering, op builders, and the replay
 // engine's semantics (timing, resource contention, message matching,
-// scenarios, accounting, determinism, failure modes).
+// time scaling, accounting, determinism, failure modes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -430,31 +430,25 @@ TEST(Engine, CopiesAreNotUsefulCompute) {
   EXPECT_TRUE(stats.ranks[0].phase_compute.empty());
 }
 
-TEST(Engine, IdealNetworkZeroesTransferTime) {
+TEST(Engine, TimeScaleStretchesEveryTimedOp) {
   FixedCostModel cost;
-  EngineConfig config;
-  config.eager_threshold = 0;
-  Scenario scenario;
-  scenario.ideal_network = true;
-  Engine engine(Placement::block(2, 2), cost, config, scenario);
-  std::vector<Program> programs(2);
-  programs[0] = {send_op(1, 100'000'000, 0)};
-  programs[1] = {recv_op(0, 100'000'000, 0)};
-  const RunStats stats = engine.run(programs);
-  EXPECT_EQ(stats.makespan, 0);
-  // Traffic is still accounted (the data still notionally moves).
-  EXPECT_EQ(stats.total_net_bytes, 100'000'000);
-}
-
-TEST(Engine, ComputeScaleStretchesWork) {
-  FixedCostModel cost;
-  Scenario scenario;
-  scenario.compute_scale = {2.0};
-  Engine engine(Placement::block(1, 1), cost, EngineConfig{}, scenario);
+  Engine engine(Placement::block(1, 1), cost);
+  Op compute = cpu_op(1, 1, 0, 0);
+  compute.time_scale = 2.0;
+  Op kernel = gpu_op(1, 0, MemModel::kHostDevice);
+  kernel.time_scale = 1.5;
+  Op copy = copy_h2d_op(1024, MemModel::kHostDevice);
+  copy.time_scale = 3.0;
+  Op stall = delay_op(0.004);
+  stall.time_scale = 0.5;
   std::vector<Program> programs(1);
-  programs[0] = {cpu_op(1, 1, 0, 0)};
+  programs[0] = {compute, kernel, copy, stall};
   const RunStats stats = engine.run(programs);
-  EXPECT_EQ(stats.makespan, 2 * cost.cpu_time);
+  EXPECT_EQ(stats.ranks[0].cpu_busy, 2 * cost.cpu_time + 2 * kMillisecond);
+  EXPECT_EQ(stats.ranks[0].gpu_busy, 3 * cost.gpu_time / 2);
+  EXPECT_EQ(stats.ranks[0].copy_busy, 3 * cost.copy);
+  EXPECT_EQ(stats.makespan, 2 * cost.cpu_time + 3 * cost.gpu_time / 2 +
+                                3 * cost.copy + 2 * kMillisecond);
 }
 
 TEST(Engine, FlopAndTrafficAggregation) {

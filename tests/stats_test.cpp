@@ -109,27 +109,6 @@ TEST(Solve, SingularThrows) {
   EXPECT_THROW(solve_gaussian(a, {1, 2}), Error);
 }
 
-TEST(Solve, CholeskyMatchesGaussian) {
-  // SPD matrix.
-  const Matrix a = Matrix::from_rows({{4, 1, 0}, {1, 3, 1}, {0, 1, 2}});
-  const Vec b{1, 2, 3};
-  const Vec x1 = solve_cholesky(a, b);
-  const Vec x2 = solve_gaussian(a, b);
-  for (int i = 0; i < 3; ++i) EXPECT_NEAR(x1[i], x2[i], 1e-12);
-}
-
-TEST(Solve, CholeskyRejectsIndefinite) {
-  const Matrix a = Matrix::from_rows({{1, 2}, {2, 1}});
-  EXPECT_THROW(solve_cholesky(a, {1, 1}), Error);
-}
-
-TEST(Solve, InverseTimesSelfIsIdentity) {
-  const Matrix a = Matrix::from_rows({{2, 1}, {1, 3}});
-  const Matrix p = a * inverse(a);
-  EXPECT_NEAR(p(0, 0), 1.0, 1e-12);
-  EXPECT_NEAR(p(0, 1), 0.0, 1e-12);
-}
-
 TEST(Descriptive, MeanVarianceStddev) {
   const Vec v{2, 4, 4, 4, 5, 5, 7, 9};
   EXPECT_DOUBLE_EQ(mean(v), 5.0);

@@ -74,6 +74,25 @@ TEST(Replay, IdealBalanceScalesInversely) {
   EXPECT_NEAR(scales[1], 80.0 / 60.0, 1e-9);
 }
 
+TEST(Replay, IdealNetworkZeroesTransferTime) {
+  SimpleCost cost;
+  sim::EngineConfig config;
+  config.eager_threshold = 0;
+  // A switch this slow would queue the second transfer for 200 s.
+  config.bisection_bandwidth = 1e6;
+  std::vector<sim::Program> programs(2);
+  programs[0] = {sim::send_op(1, 100'000'000, 0),
+                 sim::send_op(1, 100'000'000, 1)};
+  programs[1] = {sim::recv_op(0, 100'000'000, 0),
+                 sim::recv_op(0, 100'000'000, 1)};
+  sim::ProgramSource source(programs);
+  const sim::RunStats stats = trace::replay_ideal_network(
+      sim::Placement::block(2, 2), cost, source, config);
+  EXPECT_EQ(stats.makespan, 0);
+  // Traffic is still accounted (the data still notionally moves).
+  EXPECT_EQ(stats.total_net_bytes, 200'000'000);
+}
+
 TEST(Replay, ScenarioOrdering) {
   const auto runs = replay(unbalanced_programs());
   // Ideal network can only help; ideal balance too (for this workload).

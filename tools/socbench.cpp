@@ -86,6 +86,7 @@
 #include "core/extended_roofline.h"
 #include "net/network.h"
 #include "obs/chrome_trace.h"
+#include "obs/json.h"
 #include "obs/observers.h"
 #include "prof/critical_path.h"
 #include "prof/energy.h"
@@ -569,7 +570,7 @@ int cmd_explain(const ArgParser& args) {
   std::printf("runtime        : %.3f s (%llu events, checksum %s)\n",
               result.seconds,
               static_cast<unsigned long long>(result.stats.events_committed),
-              cluster::checksum_hex(result.stats.event_checksum).c_str());
+              obs::checksum_hex(result.stats.event_checksum).c_str());
 
   // Where the end-to-end time went: the walked path tiles [0, makespan]
   // exactly, so the shares sum to 100%.
@@ -725,18 +726,21 @@ int cmd_replay(const ArgParser& args) {
   const cluster::ClusterCostModel cost(config.node, nodes, ranks,
                                        workload->cpu_profile());
   const sim::MemoCostModel memo(cost);
-  sim::Scenario scenario;
-  scenario.ideal_network = args.get_bool("--ideal-network");
-  sim::Engine engine(sim::Placement::block(ranks, nodes), memo,
-                     cluster::engine_config(config, {}), scenario);
-  const sim::RunStats stats = engine.run(programs);
+  const sim::Placement placement = sim::Placement::block(ranks, nodes);
+  const sim::EngineConfig engine_config = cluster::engine_config(config, {});
+  sim::ProgramSource source(programs);
+  const bool ideal_network = args.get_bool("--ideal-network");
+  const sim::RunStats stats =
+      ideal_network
+          ? trace::replay_ideal_network(placement, memo, source, engine_config)
+          : sim::Engine(placement, memo, engine_config).run(source);
   std::printf("replayed %d ranks on %d nodes%s: %.3f s, %.2f GFLOP/s, "
               "%.3f GB over the network (%llu events, checksum %s)\n",
-              ranks, nodes, scenario.ideal_network ? " (ideal network)" : "",
+              ranks, nodes, ideal_network ? " (ideal network)" : "",
               stats.seconds(), stats.flops_per_second() / 1e9,
               static_cast<double>(stats.total_net_bytes) / 1e9,
               static_cast<unsigned long long>(stats.events_committed),
-              cluster::checksum_hex(stats.event_checksum).c_str());
+              obs::checksum_hex(stats.event_checksum).c_str());
   return 0;
 }
 
