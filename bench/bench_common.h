@@ -3,13 +3,14 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/args.h"
+#include "common/error.h"
+#include "common/io.h"
 #include "common/table.h"
 #include "core/extended_roofline.h"
 #include "net/network.h"
@@ -38,43 +39,51 @@ inline cluster::RunRequest tx1_request(std::string workload, net::NicKind nic,
   return request;
 }
 
-/// socbench's thread-count parser; a bad count exits 2 with one line.
-inline unsigned parse_sweep_threads(const char* s, const char* what) {
-  try {
-    return parse_thread_count(s, what);
-  } catch (const UsageError& e) {
-    std::fprintf(stderr, "bench: %s\n", e.what());
-    std::exit(2);
-  }
+/// Reports a usage mistake (a bad flag or thread count, an artifact path
+/// that cannot be written) as one `bench: <reason>` line and exits 2.
+[[noreturn]] inline void usage_exit(const UsageError& e) {
+  std::fprintf(stderr, "bench: %s\n", e.what());
+  std::exit(2);
 }
 
 /// Shared sweep configuration for every bench binary: `--sweep-threads=N`
 /// (or `--sweep-threads N`) picks the host fan-out, `--progress` turns on
 /// the stderr ETA narrator; the SOC_SWEEP_THREADS and SOC_SWEEP_PROGRESS
 /// environment variables are the flag-less equivalents (flags win).
-/// Thread count never changes bench output — only wall-clock.
+/// A bad thread count (socbench's parser), any other argument, or
+/// `--sweep-threads` without a value exits 2 before any run.  Thread
+/// count never changes bench output — only wall-clock.
 inline sweep::SweepOptions sweep_options(int argc, char** argv,
                                          std::string label) {
   sweep::SweepOptions options;
   options.label = std::move(label);
-  if (const char* env = std::getenv("SOC_SWEEP_THREADS");
-      env != nullptr && *env != '\0') {
-    options.threads = parse_sweep_threads(env, "SOC_SWEEP_THREADS");
-  }
-  if (const char* env = std::getenv("SOC_SWEEP_PROGRESS");
-      env != nullptr && *env != '\0' && std::string(env) != "0") {
-    options.progress = true;
-  }
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--sweep-threads=", 0) == 0) {
-      options.threads = parse_sweep_threads(arg.c_str() + 16,
-                                            "--sweep-threads");
-    } else if (arg == "--sweep-threads" && i + 1 < argc) {
-      options.threads = parse_sweep_threads(argv[++i], "--sweep-threads");
-    } else if (arg == "--progress") {
+  try {
+    if (const char* env = std::getenv("SOC_SWEEP_THREADS");
+        env != nullptr && *env != '\0') {
+      options.threads = parse_thread_count(env, "SOC_SWEEP_THREADS");
+    }
+    if (const char* env = std::getenv("SOC_SWEEP_PROGRESS");
+        env != nullptr && *env != '\0' && std::string(env) != "0") {
       options.progress = true;
     }
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg.rfind("--sweep-threads=", 0) == 0) {
+        options.threads = parse_thread_count(arg.substr(16), "--sweep-threads");
+      } else if (arg == "--sweep-threads") {
+        if (i + 1 == argc) {
+          throw UsageError("flag --sweep-threads needs a value");
+        }
+        options.threads = parse_thread_count(argv[++i], "--sweep-threads");
+      } else if (arg == "--progress") {
+        options.progress = true;
+      } else {
+        throw UsageError("unknown flag: " + arg +
+                         " (use --sweep-threads N or --progress)");
+      }
+    }
+  } catch (const UsageError& e) {
+    usage_exit(e);
   }
   return options;
 }
@@ -93,6 +102,16 @@ inline core::ExtendedRoofline tx1_roofline(net::NicKind nic,
 
 inline const char* nic_name(net::NicKind nic) {
   return nic == net::NicKind::kGigabit ? "1GbE" : "10GbE";
+}
+
+/// Writes one artifact through soc::write_text; a path it cannot write
+/// exits 2 with `bench: cannot write <path>`.
+inline void write_or_exit(const std::string& path, const std::string& text) {
+  try {
+    write_text(path, text);
+  } catch (const UsageError& e) {
+    usage_exit(e);
+  }
 }
 
 /// Writes a bench's result table as a JSON artifact when the environment
@@ -126,14 +145,9 @@ inline void write_artifact(const std::string& bench, const TextTable& table,
   }
   w.end_array();
   w.end_object();
-  const std::string path = std::string(dir) + "/" + bench +
-                           (tag.empty() ? "" : "-" + tag) + ".json";
-  std::ofstream f(path, std::ios::binary);
-  if (!f.good()) {
-    std::fprintf(stderr, "bench: cannot write artifact %s\n", path.c_str());
-    return;
-  }
-  f << w.str() << '\n';
+  write_or_exit(std::string(dir) + "/" + bench +
+                    (tag.empty() ? "" : "-" + tag) + ".json",
+                w.str() + '\n');
 }
 
 /// Writes the sweep-report document (`<dir>/<bench>-sweep.json`, schema
@@ -146,13 +160,8 @@ inline void write_sweep_artifact(
     const sweep::SweepSummary& summary) {
   const char* dir = std::getenv("SOC_BENCH_JSON_DIR");
   if (dir == nullptr || *dir == '\0') return;
-  const std::string path = std::string(dir) + "/" + bench + "-sweep.json";
-  std::ofstream f(path, std::ios::binary);
-  if (!f.good()) {
-    std::fprintf(stderr, "bench: cannot write artifact %s\n", path.c_str());
-    return;
-  }
-  f << sweep::sweep_report_json(bench, requests, results, summary);
+  write_or_exit(std::string(dir) + "/" + bench + "-sweep.json",
+                sweep::sweep_report_json(bench, requests, results, summary));
 }
 
 }  // namespace soc::bench

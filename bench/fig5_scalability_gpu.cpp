@@ -55,7 +55,14 @@ int main(int argc, char** argv) {
 
   sweep::SweepRunner runner(
       bench::sweep_options(argc, argv, "fig5_scalability_gpu"));
-  const auto results = runner.run(requests);
+  // The 16-node runs write the critical-path artifacts themselves, so an
+  // unwritable SOC_BENCH_JSON_DIR surfaces here.
+  std::vector<cluster::RunResult> results;
+  try {
+    results = runner.run(requests);
+  } catch (const UsageError& e) {
+    bench::usage_exit(e);
+  }
   const auto scenario_runs = runner.replay_scenarios(replays);
 
   TextTable fits({"workload", "model", "S(16)", "S(32)", "S(64)", "S(128)",

@@ -3,8 +3,9 @@
 // Classifies a (synthetic) ImageNet batch with AlexNet and GoogLeNet on
 // three systems — a TX1 cluster at two sizes and the Xeon + 2× GTX 980
 // scale-up box — and shows the CPU/GPU balance story of Figs 9-10.
-// Also runs the *functional* DNN kernels on a tiny image to demonstrate
-// that the layer math behind the model is real.
+// Also runs small conv/pool/fully-connected forward passes on a tiny
+// image; the simulated networks read only the layer tables' FLOP and byte
+// counts, not these kernels.
 //
 //   $ ./build/examples/ai_cluster
 #include <cstdio>

@@ -3,8 +3,10 @@
 // the 5-point operator, and geometric multigrid — then projected onto the
 // simulated cluster to estimate time-to-solution at several node counts.
 //
-// Demonstrates that the workload models are backed by real numerics: the
-// FLOP formulas the simulator uses are the ones these kernels execute.
+// The kernels compute real solutions; the projection does not run them.
+// The jacobi workload generator states its own FLOP and byte counts, so
+// the first table's work units and the second table's runtimes come from
+// separate models.
 //
 //   $ ./build/examples/poisson_solver
 #include <cmath>
@@ -30,7 +32,7 @@ int main() {
               n, n);
   TextTable table({"method", "iterations", "work units", "residual"});
 
-  // 1. Jacobi (the jacobi workload's kernel).
+  // 1. Jacobi (the algorithm the jacobi workload models).
   {
     Grid2D u(n, n, 0.0);
     Grid2D f(n, n, 1.0);

@@ -54,11 +54,6 @@ double CounterSet::l2d_miss_ratio() const {
   return ratio((*this)[PmuEvent::kL2dCacheRefill], (*this)[PmuEvent::kL2dCache]);
 }
 
-double CounterSet::mpki_branch() const {
-  return 1000.0 * ratio((*this)[PmuEvent::kBrMisPred],
-                        (*this)[PmuEvent::kInstRetired]);
-}
-
 std::string CounterSet::str() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < kPmuEventCount; ++i) {

@@ -55,7 +55,6 @@ class CounterSet {
   double l1d_miss_ratio() const;
   /// The paper's LD_MISS_RATIO: L2 refill per L2 access.
   double l2d_miss_ratio() const;
-  double mpki_branch() const;  ///< Branch mispredicts per kilo-instruction.
 
   std::string str() const;
 

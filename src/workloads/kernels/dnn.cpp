@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numbers>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -106,26 +105,6 @@ std::vector<float> softmax(const std::vector<float>& logits) {
   }
   for (float& v : out) v /= sum;
   return out;
-}
-
-void idct8x8(const float* coeffs, float* pixels) {
-  // Direct (non-fast) 2D IDCT — the arithmetic JPEG decode spends its
-  // time in; exactness matters more than speed here.
-  for (int y = 0; y < 8; ++y) {
-    for (int x = 0; x < 8; ++x) {
-      double acc = 0.0;
-      for (int v = 0; v < 8; ++v) {
-        for (int u = 0; u < 8; ++u) {
-          const double cu = u == 0 ? std::numbers::sqrt2 / 2.0 : 1.0;
-          const double cv = v == 0 ? std::numbers::sqrt2 / 2.0 : 1.0;
-          acc += cu * cv * coeffs[v * 8 + u] *
-                 std::cos((2.0 * x + 1.0) * u * std::numbers::pi / 16.0) *
-                 std::cos((2.0 * y + 1.0) * v * std::numbers::pi / 16.0);
-        }
-      }
-      pixels[y * 8 + x] = static_cast<float>(acc / 4.0);
-    }
-  }
 }
 
 double conv_flops(std::size_t in_c, std::size_t out_c, std::size_t out_h,

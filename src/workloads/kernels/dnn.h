@@ -1,8 +1,7 @@
-// Deep-learning kernels backing the alexnet/googlenet workload models:
-// real (small-scale) convolution / pooling / fully-connected forward
-// passes, an 8×8 IDCT (the compute core of JPEG decoding, which the paper
-// identifies as the CPU-side work feeding the GPU), and layer tables for
-// the two networks with their FLOP accounting.
+// Layer tables of AlexNet and GoogLeNet with their FLOP and byte
+// accounting, which the alexnet/googlenet workload generators read, and
+// small-scale convolution / pooling / fully-connected forward passes that
+// examples/ai_cluster runs (no generator does).
 #pragma once
 
 #include <cstddef>
@@ -41,9 +40,6 @@ std::vector<float> fully_connected(const Tensor& in, std::size_t outputs,
 
 /// Numerically stable softmax.
 std::vector<float> softmax(const std::vector<float>& logits);
-
-/// 8×8 inverse DCT (JPEG's decode core); in/out are 64-entry blocks.
-void idct8x8(const float* coeffs, float* pixels);
 
 /// FLOPs of one conv layer: 2 · outC · outH · outW · inC · k².
 double conv_flops(std::size_t in_c, std::size_t out_c, std::size_t out_h,

@@ -1,9 +1,10 @@
-// Geometric multigrid V-cycle backing the NPB mg workload model.
+// Geometric multigrid V-cycle, the third solver examples/poisson_solver
+// compares.
 //
 // Standard components on a square grid: damped-Jacobi smoothing,
-// full-weighting restriction, bilinear prolongation.  The workload model
-// mirrors the level structure (halo sizes halving per level, tiny coarse
-// grids dominated by latency).
+// full-weighting restriction, bilinear prolongation.  The NPB mg workload
+// generator models the same level structure (halo sizes halving per
+// level) without calling this kernel.
 #pragma once
 
 #include "workloads/kernels/stencil.h"

@@ -1,11 +1,8 @@
 #include "workloads/kernels/sparse.h"
 
-#include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "common/error.h"
-#include "common/rng.h"
 
 namespace soc::workloads::kernels {
 
@@ -31,39 +28,6 @@ CsrMatrix make_laplacian_2d(std::size_t nx, std::size_t ny, double sigma) {
       if (i + 1 < nx) push(row + ny, -sigma);
       m.row_start.push_back(m.col.size());
     }
-  }
-  return m;
-}
-
-CsrMatrix make_random_spd(std::size_t n, std::size_t nnz_per_row,
-                          std::uint64_t seed) {
-  SOC_CHECK(n > 1 && nnz_per_row >= 1, "bad sparse shape");
-  Rng rng(seed);
-  // Build symmetric structure: collect (r, c) pairs with r < c, mirror.
-  std::vector<std::map<std::size_t, double>> rows(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t k = 0; k < nnz_per_row; ++k) {
-      std::size_t c = static_cast<std::size_t>(rng.next_below(n));
-      if (c == r) continue;
-      const double v = rng.next_range(-0.5, 0.5);
-      rows[r][c] = v;
-      rows[c][r] = v;
-    }
-  }
-  // Dominant diagonal makes it SPD.
-  CsrMatrix m;
-  m.n = n;
-  m.row_start.reserve(n + 1);
-  m.row_start.push_back(0);
-  for (std::size_t r = 0; r < n; ++r) {
-    double off_sum = 0.0;
-    for (const auto& [c, v] : rows[r]) off_sum += std::fabs(v);
-    rows[r][r] = off_sum + 1.0;
-    for (const auto& [c, v] : rows[r]) {
-      m.col.push_back(c);
-      m.val.push_back(v);
-    }
-    m.row_start.push_back(m.col.size());
   }
   return m;
 }

@@ -1,13 +1,10 @@
-// Sparse linear algebra: CSR matrices and conjugate gradient.
-//
-// TeaLeaf solves each implicit conduction step with CG on a 5/7-point
-// stencil matrix, and NPB's cg benchmark is CG on a random sparse matrix.
-// Both workload models derive their FLOP/byte/communication structure
-// from this kernel.
+// Sparse linear algebra: CSR matrices, the 5-point Laplacian TeaLeaf
+// solves with, and conjugate gradient.  examples/poisson_solver runs
+// them; the tealeaf and cg workload generators state their own FLOP,
+// byte and message counts and call none of this.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace soc::workloads::kernels {
@@ -24,11 +21,6 @@ struct CsrMatrix {
 
 /// 5-point Laplacian (I − σ∇²) for an nx×ny grid — TeaLeaf's 2D operator.
 CsrMatrix make_laplacian_2d(std::size_t nx, std::size_t ny, double sigma);
-
-/// Random symmetric-positive-definite sparse matrix (NPB cg style):
-/// `nnz_per_row` off-diagonal entries plus a dominant diagonal.
-CsrMatrix make_random_spd(std::size_t n, std::size_t nnz_per_row,
-                          std::uint64_t seed);
 
 /// y = A·x.
 void spmv(const CsrMatrix& a, const std::vector<double>& x,

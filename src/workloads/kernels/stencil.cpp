@@ -50,106 +50,4 @@ int jacobi_solve(Grid2D& u, const Grid2D& f, double h, double tol,
 
 double jacobi_flops_per_point() { return 6.0; }  // 4 adds, 1 sub/fma, 1 mul
 
-double jacobi_bytes_per_point() {
-  // Streaming model: read the point and rhs, write the update; the stencil
-  // neighbours come from cache (two rows resident).
-  return 3.0 * sizeof(double);
-}
-
-double heat_step(Grid2D& u, double dt, double h) {
-  Grid2D next = u;
-  const double alpha = dt / (h * h);
-  SOC_CHECK(alpha <= 0.25, "explicit heat step unstable (dt too large)");
-  double norm2 = 0.0;
-  for (std::size_t i = 1; i <= u.nx; ++i) {
-    for (std::size_t j = 1; j <= u.ny; ++j) {
-      const double lap = u.at(i - 1, j) + u.at(i + 1, j) + u.at(i, j - 1) +
-                         u.at(i, j + 1) - 4.0 * u.at(i, j);
-      next.at(i, j) = u.at(i, j) + alpha * lap;
-      norm2 += (alpha * lap) * (alpha * lap);
-    }
-  }
-  std::swap(u.v, next.v);
-  return std::sqrt(norm2);
-}
-
-namespace {
-constexpr double kGamma = 1.4;
-
-double pressure(double rho, double mom, double ene) {
-  const double kinetic = 0.5 * mom * mom / rho;
-  return (kGamma - 1.0) * (ene - kinetic);
-}
-}  // namespace
-
-EulerState make_shock_tube(std::size_t cells) {
-  SOC_CHECK(cells >= 4, "too few cells");
-  EulerState s;
-  s.rho.assign(cells, 0.0);
-  s.mom.assign(cells, 0.0);
-  s.ene.assign(cells, 0.0);
-  for (std::size_t i = 0; i < cells; ++i) {
-    // Sod shock tube: (ρ=1, p=1) left, (ρ=0.125, p=0.1) right.
-    const bool left = i < cells / 2;
-    const double rho = left ? 1.0 : 0.125;
-    const double p = left ? 1.0 : 0.1;
-    s.rho[i] = rho;
-    s.mom[i] = 0.0;
-    s.ene[i] = p / (kGamma - 1.0);
-  }
-  return s;
-}
-
-double euler_step(EulerState& s, double dt_over_dx) {
-  const std::size_t n = s.rho.size();
-  SOC_CHECK(n >= 4, "state too small");
-  SOC_CHECK(dt_over_dx > 0.0 && dt_over_dx <= 0.5, "CFL violated");
-  EulerState next = s;
-
-  auto flux = [&](std::size_t i, double* f) {
-    const double rho = s.rho[i];
-    const double u = s.mom[i] / rho;
-    const double p = pressure(rho, s.mom[i], s.ene[i]);
-    f[0] = s.mom[i];
-    f[1] = s.mom[i] * u + p;
-    f[2] = (s.ene[i] + p) * u;
-  };
-
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    double fl[3];
-    double fr[3];
-    flux(i - 1, fl);
-    flux(i + 1, fr);
-    // Lax–Friedrichs: average neighbours, central flux difference.
-    next.rho[i] = 0.5 * (s.rho[i - 1] + s.rho[i + 1]) -
-                  0.5 * dt_over_dx * (fr[0] - fl[0]);
-    next.mom[i] = 0.5 * (s.mom[i - 1] + s.mom[i + 1]) -
-                  0.5 * dt_over_dx * (fr[1] - fl[1]);
-    next.ene[i] = 0.5 * (s.ene[i - 1] + s.ene[i + 1]) -
-                  0.5 * dt_over_dx * (fr[2] - fl[2]);
-  }
-  // Transmissive boundaries.
-  next.rho[0] = next.rho[1];
-  next.mom[0] = next.mom[1];
-  next.ene[0] = next.ene[1];
-  next.rho[n - 1] = next.rho[n - 2];
-  next.mom[n - 1] = next.mom[n - 2];
-  next.ene[n - 1] = next.ene[n - 2];
-
-  s = std::move(next);
-  return total_mass(s);
-}
-
-double total_mass(const EulerState& s) {
-  double m = 0.0;
-  for (double r : s.rho) m += r;
-  return m;
-}
-
-double total_energy(const EulerState& s) {
-  double e = 0.0;
-  for (double x : s.ene) e += x;
-  return e;
-}
-
 }  // namespace soc::workloads::kernels

@@ -1,6 +1,7 @@
-// Structured-grid kernels: Jacobi/Poisson relaxation, explicit heat
-// conduction steps, and a first-order compressible Euler update.  These
-// back the jacobi, tealeaf2d/3d and cloverleaf workload models.
+// Jacobi relaxation for the Poisson equation on a structured grid, and
+// the grid type multigrid.h shares.  examples/poisson_solver runs it; no
+// workload generator does (the jacobi model states its own FLOP and byte
+// counts).
 #pragma once
 
 #include <cstddef>
@@ -31,30 +32,5 @@ int jacobi_solve(Grid2D& u, const Grid2D& f, double h, double tol,
 
 /// FLOPs per interior grid point of one Jacobi sweep (5-point stencil).
 double jacobi_flops_per_point();
-/// DRAM bytes per interior point per sweep (streaming, cached stencil).
-double jacobi_bytes_per_point();
-
-/// One explicit conduction step u += dt·∇²u (the operator TeaLeaf applies
-/// inside its CG solve).  Returns the L2 norm of the change.
-double heat_step(Grid2D& u, double dt, double h);
-
-/// Conserved 1D Euler state vectors (density, momentum, energy) — the
-/// hydro core of CloverLeaf reduced to one dimension per sweep.
-struct EulerState {
-  std::vector<double> rho;
-  std::vector<double> mom;
-  std::vector<double> ene;
-};
-
-/// Deterministic shock-tube initial condition of `cells` cells.
-EulerState make_shock_tube(std::size_t cells);
-
-/// One Lax–Friedrichs step with ideal-gas EOS (γ=1.4); returns the new
-/// total mass (conserved up to boundary flux).
-double euler_step(EulerState& s, double dt_over_dx);
-
-/// Total mass/momentum/energy for conservation checks.
-double total_mass(const EulerState& s);
-double total_energy(const EulerState& s);
 
 }  // namespace soc::workloads::kernels

@@ -88,11 +88,6 @@ arch::WorkloadProfile HplWorkload::cpu_profile() const {
   return profiles::hpl();
 }
 
-double HplWorkload::total_flops() const {
-  const double n = static_cast<double>(n_);
-  return (2.0 / 3.0) * n * n * n;
-}
-
 std::unique_ptr<WorkloadCursor> HplWorkload::cursor(
     const BuildContext& ctx) const {
   validate(ctx);

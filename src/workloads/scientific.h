@@ -29,9 +29,6 @@ class HplWorkload : public Workload {
   std::unique_ptr<WorkloadCursor> cursor(
       const BuildContext& ctx) const override;
 
-  /// Total factorization FLOPs for the configured order.
-  double total_flops() const;
-
  private:
   std::size_t n_;
   std::size_t nb_;

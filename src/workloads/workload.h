@@ -2,10 +2,11 @@
 //
 // Every benchmark of Table I (ClusterSoCBench) and the NPB suite is a
 // Workload: it owns (a) a microarchitectural profile for its host-side
-// code, (b) a generator that lowers the benchmark's computation and
-// communication structure into per-rank programs, and for the scientific
-// codes (c) a small functional kernel (workloads/kernels/) proving the
-// numerics the generator's FLOP formulas describe.
+// code and (b) a generator that lowers the benchmark's computation and
+// communication structure into per-rank programs.  A generator states
+// FLOP, byte and message counts and computes no numerical result; only
+// the DNN layer tables come from workloads/kernels/, whose other kernels
+// serve the examples.
 //
 // The generator is a cursor over the benchmark's outer loop: each step
 // appends one iteration (an NPB or jacobi iteration, an hpl panel, a

@@ -219,7 +219,6 @@ TEST(Pmu, DerivedMetrics) {
   EXPECT_DOUBLE_EQ(c.ipc(), 0.5);
   EXPECT_DOUBLE_EQ(c.branch_misprediction_ratio(), 0.1);
   EXPECT_DOUBLE_EQ(c.l2d_miss_ratio(), 0.4);
-  EXPECT_DOUBLE_EQ(c.mpki_branch(), 20.0);
 }
 
 TEST(Pmu, AccumulateAndScale) {

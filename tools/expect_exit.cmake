@@ -1,5 +1,6 @@
 # Runs a command and checks its exit code and output; used by the socbench
-# CLI tests in tools/CMakeLists.txt.
+# CLI tests in tools/CMakeLists.txt and the bench CLI tests in
+# bench/CMakeLists.txt.
 #
 #   cmake -DCMD=<exe|arg|arg...> -DEXPECT_EXIT=<code> [-DSETUP=<exe|arg...>]
 #         [-DEXPECT_STDOUT=<regex>] [-DEXPECT_STDERR=<regex>]
