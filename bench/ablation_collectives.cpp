@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <functional>
 
+#include "bench_common.h"
 #include "common/table.h"
 #include "msg/collectives.h"
 #include "msg/program_set.h"
@@ -46,7 +47,8 @@ double run_algorithm(const std::function<void(msg::ProgramSet&)>& emit,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::reject_arguments(argc, argv);
   const net::NetworkModel network(net::ten_gigabit_nic(), net::SwitchConfig{},
                                   7e9);
   const int p = 16;

@@ -4,13 +4,15 @@
 // same size would recover.
 #include <cstdio>
 
+#include "bench_common.h"
 #include "arch/branch.h"
 #include "arch/streams.h"
 #include "common/table.h"
 #include "workloads/profiles.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace soc;
+  bench::reject_arguments(argc, argv);
   struct Config {
     const char* label;
     arch::PredictorKind kind;

@@ -4,12 +4,14 @@
 // device whose zero-copy path keeps the cache hierarchy.
 #include <cstdio>
 
+#include "bench_common.h"
 #include "common/table.h"
 #include "common/units.h"
 #include "gpu/device.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace soc;
+  bench::reject_arguments(argc, argv);
   // jacobi-like memory-bound kernel footprint (per node, 16-node run).
   const double flops = 6.0 * 16384.0 * 16384.0 / 16.0;
   const Bytes bytes = static_cast<Bytes>(flops / 0.25);

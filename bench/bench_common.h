@@ -46,6 +46,12 @@ inline cluster::RunRequest tx1_request(std::string workload, net::NicKind nic,
   std::exit(2);
 }
 
+/// For the benches that take no arguments: any argument prints
+/// `bench: unknown flag: <arg>` and exits 2 before any run.
+inline void reject_arguments(int argc, char** argv) {
+  if (argc > 1) usage_exit(UsageError(std::string("unknown flag: ") + argv[1]));
+}
+
 /// Shared sweep configuration for every bench binary: `--sweep-threads=N`
 /// (or `--sweep-threads N`) picks the host fan-out, `--progress` turns on
 /// the stderr ETA narrator; the SOC_SWEEP_THREADS and SOC_SWEEP_PROGRESS

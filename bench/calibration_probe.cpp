@@ -5,14 +5,16 @@
 // sanity-checking the microarchitectural substrate.
 #include <cstdio>
 
+#include "bench_common.h"
 #include "cluster/cost_model.h"
 #include "common/table.h"
 #include "net/network.h"
 #include "systems/machines.h"
 #include "workloads/workload.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace soc;
+  bench::reject_arguments(argc, argv);
 
   struct Shape {
     const char* label;

@@ -35,8 +35,9 @@ void print_panel(const char* title, const char* tag,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
   using namespace soc;
+  bench::reject_arguments(argc, argv);
   std::printf("Figure 4: extended Roofline (attainable GFLOP/s per node)\n\n");
   print_panel("(a) 10GbE NIC", "10g",
               bench::tx1_roofline(net::NicKind::kTenGigabit));

@@ -7,12 +7,14 @@
 // latency improves roughly 4x.
 #include <cstdio>
 
+#include "bench_common.h"
 #include "common/table.h"
 #include "net/microbench.h"
 #include "net/network.h"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace soc;
+  bench::reject_arguments(argc, argv);
   TextTable table({"NIC", "iperf throughput (Gb/s)", "ping-pong RTT (ms)",
                    "one-way latency (us)"});
 

@@ -37,7 +37,8 @@ Shape shape_of(const workloads::Workload& w) {
 void print_node(const systems::NodeConfig& n) {
   std::printf("  %-18s %d cores @ %.2f GHz, L1D %lld KiB, L2 %lld MiB",
               n.name.c_str(), n.cpu_cores, n.core.frequency_hz / 1e9,
-              n.core.l1d.size / kKiB, n.core.l2.size / kMiB);
+              static_cast<long long>(n.core.l1d.size / kKiB),
+              static_cast<long long>(n.core.l2.size / kMiB));
   if (n.has_gpu) {
     std::printf(", GPU %d SMs @ %.2f GHz (%.0f SP / %.0f DP GFLOPS)",
                 n.gpu.sm_count, n.gpu.frequency_hz / 1e9,
@@ -51,7 +52,8 @@ void print_node(const systems::NodeConfig& n) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::reject_arguments(argc, argv);
   std::printf("Table I: ClusterSoCBench + NPB workload summary\n\n");
   TextTable table({"tag", "kind", "comm structure", "ops@4n", "msgs",
                    "GPU kernels"});

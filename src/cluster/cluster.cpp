@@ -5,7 +5,6 @@
 #include "obs/observers.h"
 #include "prof/profile.h"
 #include "prof/profiler.h"
-#include "sim/memo_cost.h"
 
 namespace soc::cluster {
 
@@ -80,16 +79,12 @@ RunResult run(const RunRequest& request, const workloads::Workload& workload,
   std::unique_ptr<sim::OpSource> stream = workloads::apply_scenarios(
       workload.stream(build_context(request.config, request.options)),
       request.scenario, request.config.nodes);
-  // The cluster model is memoizable (pure tables after construction), so
-  // repeated op shapes hit a cache instead of re-deriving durations.
-  // Subclasses that override costs rank-dependently opt out via
-  // memoizable() and are used directly.
-  const sim::MemoCostModel memo(cost);
-  const sim::CostModel& effective =
-      cost.memoizable() ? static_cast<const sim::CostModel&>(memo) : cost;
+  // The engine evaluates the cluster model's closed forms directly; a
+  // per-run cache of them measures slower than the formulas (DESIGN.md
+  // §11).
   sim::Engine engine(
       sim::Placement::block(request.config.ranks, request.config.nodes),
-      effective, engine_config(request.config, request.options));
+      cost, engine_config(request.config, request.options));
 
   // Per-run profiling: the request's own profile sinks compose with any
   // caller-attached observer, so sweep runs never share state.  With no

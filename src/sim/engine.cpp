@@ -178,6 +178,7 @@ RunStats Engine::run(OpSource& source) {
   pending_recvs_.reserve(reserve);
   pending_irecvs_.reserve(reserve);
   arrivals_.reserve(reserve);
+  digest_.clear();
   commits_.clear();
   ev_time_ = 0;
   ev_key_ = 0;
@@ -354,37 +355,62 @@ void Engine::process_event(const KeyedEvent& e) {
   execute_next(e.payload, e.time);
 }
 
+namespace {
+
+// Puts one timestamp's buffered records in the (time, key) order of the
+// events that emitted them, keeping each event's records in emission
+// order: a stable insertion sort.  Records arrive in pop order, which is
+// already (time, key) order unless an event pushed a same-time event with
+// a smaller key (a zero-latency message, a zero-overhead wake-up); only
+// those late records shift left.  In the common in-order case that is one
+// comparison per record, and unlike std::stable_sort it never allocates.
+template <typename Rec>
+void sort_by_event(std::vector<Rec>& recs) {
+  const auto before = [](const Rec& a, const Rec& b) {
+    return a.time < b.time || (a.time == b.time && a.key < b.key);
+  };
+  for (std::size_t i = 1; i < recs.size(); ++i) {
+    if (!before(recs[i], recs[i - 1])) continue;
+    const Rec rec = recs[i];
+    std::size_t j = i;
+    do {
+      recs[j] = recs[j - 1];
+      --j;
+    } while (j > 0 && before(rec, recs[j - 1]));
+    recs[j] = rec;
+  }
+}
+
+}  // namespace
+
 void Engine::replay_commits() {
-  std::stable_sort(commits_.begin(), commits_.end(),
-                   [](const CommitRec& a, const CommitRec& b) {
-                     if (a.time != b.time) return a.time < b.time;
-                     return a.key < b.key;
-                   });
+  sort_by_event(digest_);
+  for (const DigestRec& d : digest_) {
+    audit_.mix_i64(d.time)
+        .mix_u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(d.rank)))
+        .mix_byte(d.kind)
+        .mix_i64(d.bytes);
+  }
+  stats_.events_committed += digest_.size();
+  digest_.clear();
+  if (observer_ == nullptr) return;
+
+  sort_by_event(commits_);
   for (const CommitRec& rec : commits_) {
     switch (rec.type) {
-      case CommitType::kDispatch: {
-        const DispatchRecord& d = rec.u.dispatch;
-        audit_.mix_i64(d.time)
-            .mix_u64(static_cast<std::uint64_t>(
-                static_cast<std::uint32_t>(d.rank)))
-            .mix_byte(d.kind)
-            .mix_i64(d.bytes);
-        ++stats_.events_committed;
-        if (observer_ != nullptr) observer_->on_dispatch(d);
+      case CommitType::kDispatch:
+        observer_->on_dispatch(rec.u.dispatch);
         break;
-      }
       case CommitType::kSpan:
-        if (observer_ != nullptr) observer_->on_span(rec.u.span);
+        observer_->on_span(rec.u.span);
         break;
       case CommitType::kMessage:
-        if (observer_ != nullptr) observer_->on_message(rec.u.message);
+        observer_->on_message(rec.u.message);
         break;
       case CommitType::kPendingPark:
         pending_send_depth_ += rec.u.pending.sends;
         pending_recv_depth_ += rec.u.pending.recvs;
-        if (observer_ != nullptr) {
-          observer_->on_pending(pending_send_depth_, pending_recv_depth_);
-        }
+        observer_->on_pending(pending_send_depth_, pending_recv_depth_);
         break;
       case CommitType::kPendingMatch:
         pending_send_depth_ += rec.u.pending.sends;
@@ -397,6 +423,8 @@ void Engine::replay_commits() {
 
 void Engine::commit_dispatch(int rank, SimTime now, std::uint8_t kind,
                              Bytes bytes, int peer, int tag) {
+  digest_.push_back(DigestRec{now, ev_key_, bytes, rank, kind});
+  if (observer_ == nullptr) return;
   CommitRec rec;
   rec.time = ev_time_;
   rec.key = ev_key_;

@@ -5,15 +5,18 @@
 // resolving resource contention (per-node GPU, copy engine, NIC, switch
 // port) and blocking message semantics.
 //
-// One serial loop pops a KeyedEventQueue.  Events are totally ordered by
-// (time, key) where the key is intrinsic to the event (protocol class,
-// endpoint ranks, per-rank sequence) rather than derived from push order.
-// Cross-node traffic travels as timestamped protocol messages (eager
-// arrival, rendezvous RTS/CTS); same-node pairs take an instant path that
-// schedules no message events.  The committed records of each timestamp
-// are sorted by (time, key) before they reach the determinism digest and
-// the observer.  All of this is simulated semantics:
-// RunStats::event_checksum pins it.  See DESIGN.md §6.
+// One serial loop pops a KeyedEventQueue (a 4-ary heap).  Events are
+// totally ordered by (time, key) where the key is intrinsic to the event
+// (protocol class, endpoint ranks, per-rank sequence) rather than derived
+// from push order.  Cross-node traffic travels as timestamped protocol
+// messages (eager arrival, rendezvous RTS/CTS); same-node pairs take an
+// instant path that schedules no message events.  Each timestamp's
+// dispatches are buffered in a compact digest buffer, and, only when an
+// observer is attached, its full observer records in a second buffer;
+// once the timestamp is complete, each buffer is insertion-sorted into
+// (time, key) order and replayed, into the determinism digest and the
+// observer.  All of this is simulated semantics: RunStats::event_checksum
+// pins it.  See DESIGN.md §6.
 //
 // The engine has no what-if knobs.  The paper's ideal-network and
 // ideal-balance replays (trace/replay.h) run this same engine over a cost
@@ -122,9 +125,10 @@ struct EngineConfig;
 /// the engine's deterministic total (time, key) commit order, so anything
 /// an observer derives inherits the determinism promise (equal
 /// configurations produce equal observations).
-/// When no observer is attached the engine skips span/message/pending
-/// buffering entirely — src/obs/ builds the metrics registry and
-/// Chrome-trace exporter on top of this interface.
+/// When no observer is attached the engine builds no observer records at
+/// all; it buffers only the digest's compact dispatch records.  src/obs/
+/// builds the metrics registry and Chrome-trace exporter on top of this
+/// interface.
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;
@@ -243,10 +247,24 @@ class Engine {
     std::uint64_t key = 0;   ///< Event key (assigned at emission).
   };
 
-  /// One buffered observer/auditor record, stamped with the (time, key)
-  /// of the event that emitted it.  Once a timestamp is complete the
-  /// buffer is stable-sorted by (time, key), which puts whole events in
-  /// the canonical order, and replayed through the digest and observer.
+  /// One committed dispatch as the determinism digest reads it, stamped
+  /// with the key of the event that dispatched it.  A dispatch happens at
+  /// its event's time, so `time` is both the audited timestamp and the
+  /// event's.  Every run buffers these (32 bytes each); once a timestamp
+  /// is complete the buffer is put in (time, key) order and folded.
+  struct DigestRec {
+    SimTime time = 0;
+    std::uint64_t key = 0;
+    Bytes bytes = 0;
+    std::int32_t rank = 0;
+    std::uint8_t kind = 0;
+  };
+
+  /// One buffered observer record, stamped with the (time, key) of the
+  /// event that emitted it.  Only a run with an observer attached buffers
+  /// these; once a timestamp is complete the buffer is put in (time, key)
+  /// order, which puts whole events in the canonical order, and replayed
+  /// through the observer.
   enum class CommitType : std::uint8_t {
     kDispatch,
     kSpan,
@@ -279,9 +297,10 @@ class Engine {
 
   /// Queues a protocol message as an event at p.time.
   void send_proto(const ProtoMsg& p);
-  /// Stable-sorts commits_ into the canonical (time, key) order and
-  /// replays it through the audit digest, the pending-depth
-  /// reconstruction, and the observer.  Clears the buffer (keeping
+  /// Puts the digest buffer in the canonical (time, key) order and folds
+  /// it into the audit digest; with an observer attached, does the same
+  /// for the observer buffer and replays it through the pending-depth
+  /// reconstruction and the observer.  Clears both buffers (keeping
   /// capacity).
   void replay_commits();
 
@@ -353,7 +372,8 @@ class Engine {
   SimTime rendezvous_match(const PendingSend& ps, int recv_rank,
                            SimTime match_time, SimTime start_base, int tag);
 
-  /// Buffers one committed dispatch (the determinism-digest stream).
+  /// Buffers one committed dispatch for the determinism digest and, when
+  /// an observer is attached, for the observer.
   void commit_dispatch(int rank, SimTime now, std::uint8_t kind, Bytes bytes,
                        int peer = -1, int tag = 0);
   static constexpr std::uint8_t kRankDoneAudit = 0xFF;
@@ -396,8 +416,9 @@ class Engine {
   MatchTable<Arrival> arrivals_;
   RunStats stats_;
 
-  // --- commit stream ---
-  std::vector<CommitRec> commits_;  ///< Records of the open timestamp.
+  // --- commit stream (records of the open timestamp) ---
+  std::vector<DigestRec> digest_;   ///< Dispatches, for the digest.
+  std::vector<CommitRec> commits_;  ///< Observer records (attached only).
   SimTime ev_time_ = 0;             ///< (time, key) of the event being
   std::uint64_t ev_key_ = 0;        ///< processed; stamps its records.
   Fnv1a audit_;  ///< Running digest of the committed event stream.

@@ -76,11 +76,10 @@ std::vector<cluster::RunResult> SweepRunner::run(
         std::unique_ptr<workloads::Workload> owned;
         const workloads::Workload& workload =
             cluster::resolve_workload(request, owned);
-        // Two cache layers stack here: cost_for() shares one immutable
-        // ClusterCostModel across requests (mutex-guarded construction),
-        // and cluster::run wraps it in a per-run sim::MemoCostModel whose
-        // mutable evaluation cache is local to this thread's run — the
-        // shared model is only ever read through const calls.
+        // One cache layer: cost_for() shares one immutable
+        // ClusterCostModel across requests (mutex-guarded construction).
+        // cluster::run evaluates it directly, and only through const
+        // calls, so the threads' runs share it without a lock.
         results[i] = cluster::run(request, workload, cost_for(request, workload));
         progress.tick(results[i].seconds);
       },

@@ -1,40 +1,6 @@
 #include "trace/replay.h"
 
-#include "sim/memo_cost.h"
-
 namespace soc::trace {
-
-namespace {
-
-/// `inner` with free messages: every latency and transfer time is zero.
-/// Compute, copy and per-message CPU overheads pass through.
-class IdealNetworkCost final : public sim::CostModel {
- public:
-  explicit IdealNetworkCost(const sim::CostModel& inner) : inner_(inner) {}
-
-  SimTime cpu_compute_time(int rank, const sim::Op& op) const override {
-    return inner_.cpu_compute_time(rank, op);
-  }
-  SimTime gpu_kernel_time(int rank, const sim::Op& op) const override {
-    return inner_.gpu_kernel_time(rank, op);
-  }
-  SimTime copy_time(int rank, const sim::Op& op) const override {
-    return inner_.copy_time(rank, op);
-  }
-  SimTime message_latency(int, int) const override { return 0; }
-  SimTime message_transfer_time(int, int, Bytes) const override { return 0; }
-  SimTime send_overhead(int rank) const override {
-    return inner_.send_overhead(rank);
-  }
-  SimTime recv_overhead(int rank) const override {
-    return inner_.recv_overhead(rank);
-  }
-
- private:
-  const sim::CostModel& inner_;
-};
-
-}  // namespace
 
 sim::RunStats replay_ideal_network(const sim::Placement& placement,
                                    const sim::CostModel& cost,
@@ -50,18 +16,10 @@ sim::RunStats replay_ideal_network(const sim::Placement& placement,
 ScenarioRuns replay_scenarios(const sim::Placement& placement,
                               const sim::CostModel& cost, sim::OpSource& source,
                               const sim::EngineConfig& config) {
-  // One memo shared across all three scenarios: op durations depend only
-  // on the cost model, so the measured run warms the cache for the
-  // what-if replays.  (The ideal network overrides only message costs,
-  // and ideal balance stretches durations after evaluation, so the
-  // cached values are identical across scenarios.)
-  const sim::MemoCostModel memo(cost);
-  const sim::CostModel& effective =
-      cost.memoizable() ? static_cast<const sim::CostModel&>(memo) : cost;
   ScenarioRuns runs;
   sim::RecordingSource recording(source);
   {
-    sim::Engine engine(placement, effective, config);
+    sim::Engine engine(placement, cost, config);
     runs.measured = engine.run(recording);
   }
   // The two what-ifs re-time the op sequence the measured run committed.
@@ -69,7 +27,7 @@ ScenarioRuns replay_scenarios(const sim::Placement& placement,
   {
     sim::ProgramSource replay(programs);
     runs.ideal_network =
-        replay_ideal_network(placement, effective, replay, config);
+        replay_ideal_network(placement, cost, replay, config);
   }
   // Ideal balance rewrites the recording in place (it is not needed
   // afterwards): every op of rank r takes scales[r] times as long.
@@ -78,7 +36,7 @@ ScenarioRuns replay_scenarios(const sim::Placement& placement,
     for (sim::Op& op : programs[r]) op.time_scale *= scales[r];
   }
   {
-    sim::Engine engine(placement, effective, config);
+    sim::Engine engine(placement, cost, config);
     runs.ideal_balance = engine.run(programs);
   }
   return runs;

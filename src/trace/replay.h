@@ -26,6 +26,35 @@ struct ScenarioRuns {
                                ///< the traces with the real network").
 };
 
+/// `inner` with free messages: every latency and transfer time is zero.
+/// Compute, copy and per-message CPU overheads pass through.  The ideal
+/// network is an engine over this model with an unlimited switch.
+class IdealNetworkCost final : public sim::CostModel {
+ public:
+  explicit IdealNetworkCost(const sim::CostModel& inner) : inner_(inner) {}
+
+  SimTime cpu_compute_time(int rank, const sim::Op& op) const override {
+    return inner_.cpu_compute_time(rank, op);
+  }
+  SimTime gpu_kernel_time(int rank, const sim::Op& op) const override {
+    return inner_.gpu_kernel_time(rank, op);
+  }
+  SimTime copy_time(int rank, const sim::Op& op) const override {
+    return inner_.copy_time(rank, op);
+  }
+  SimTime message_latency(int, int) const override { return 0; }
+  SimTime message_transfer_time(int, int, Bytes) const override { return 0; }
+  SimTime send_overhead(int rank) const override {
+    return inner_.send_overhead(rank);
+  }
+  SimTime recv_overhead(int rank) const override {
+    return inner_.recv_overhead(rank);
+  }
+
+ private:
+  const sim::CostModel& inner_;
+};
+
 /// Runs `source` under the ideal network: every message has zero latency
 /// and zero transfer time, and the switch is unlimited
 /// (`bisection_bandwidth = 0`).  Message overheads, lane contention and

@@ -13,15 +13,19 @@
 #include <functional>
 #include <iterator>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/cost_model.h"
 #include "common/error.h"
 #include "common/hash.h"
 #include "common/parallel.h"
 #include "net/network.h"
 #include "obs/observers.h"
+#include "sim/engine.h"
 #include "systems/machines.h"
+#include "trace/replay.h"
 #include "workloads/workload.h"
 
 namespace soc {
@@ -153,6 +157,63 @@ TEST(Determinism, ChecksumStableAcrossThreadCounts) {
     for (std::uint64_t c : checksums) {
       EXPECT_EQ(c, serial.stats.event_checksum) << threads << " threads";
     }
+  }
+}
+
+// Every run folds the digest from its own dispatch buffer; an attached
+// observer only adds a second buffer of observer records.  So attaching a
+// do-nothing observer must leave the digest alone, for every workload and
+// also under the ideal network: its zero-latency messages let an event
+// wake a rank at the same time with a smaller key than events already
+// committed there, so records arrive out of (time, key) order and the
+// commit sort has to move them.
+TEST(Determinism, AttachedObserverLeavesDigestUnchanged) {
+  sim::EngineObserver nothing;  // every callback is a no-op
+  for (const std::string& name : workloads::list()) {
+    const auto w = workloads::make_workload(name);
+    const cluster::RunRequest request = quick(*w, 2);
+    const cluster::ClusterConfig& config = request.config;
+    workloads::BuildContext ctx;
+    ctx.nodes = config.nodes;
+    ctx.ranks = config.ranks;
+    ctx.size_scale = request.options.size_scale;
+    const std::vector<sim::Program> programs = w->build(ctx);
+    const sim::Placement placement =
+        sim::Placement::block(config.ranks, config.nodes);
+    const sim::EngineConfig engine_config =
+        cluster::engine_config(config, request.options);
+    const cluster::ClusterCostModel cost(config.node, config.nodes,
+                                         config.ranks, w->cpu_profile());
+    const trace::IdealNetworkCost free_messages(cost);
+    sim::EngineConfig unlimited_switch = engine_config;
+    unlimited_switch.bisection_bandwidth = 0.0;
+
+    struct Case {
+      const char* label;
+      const sim::CostModel& cost;
+      const sim::EngineConfig& config;
+    };
+    for (const Case& c : {Case{"measured", cost, engine_config},
+                          Case{"ideal network", free_messages,
+                               unlimited_switch}}) {
+      sim::Engine detached(placement, c.cost, c.config);
+      const sim::RunStats a = detached.run(programs);
+      sim::Engine attached(placement, c.cost, c.config);
+      attached.set_observer(&nothing);
+      const sim::RunStats b = attached.run(programs);
+      EXPECT_EQ(a.event_checksum, b.event_checksum) << name << " " << c.label;
+      EXPECT_EQ(a.events_committed, b.events_committed)
+          << name << " " << c.label;
+    }
+
+    // The ideal-network case above is the library's ideal-network replay.
+    sim::ProgramSource source(programs);
+    sim::Engine detached(placement, free_messages, unlimited_switch);
+    EXPECT_EQ(detached.run(programs).event_checksum,
+              trace::replay_ideal_network(placement, cost, source,
+                                          engine_config)
+                  .event_checksum)
+        << name;
   }
 }
 

@@ -6,10 +6,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <set>
 #include <string>
 #include <utility>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
 #include "sim/op.h"
@@ -157,6 +159,69 @@ TEST(KeyedEventQueue, NegativeTimeRejected) {
   KeyedEventQueue q;
   EXPECT_THROW(q.push(-1, 0, 0), Error);
   EXPECT_TRUE(q.empty());
+}
+
+// Random interleaved pushes and pops, checked pop by pop against an
+// ordered-set oracle.  Times cluster on the last popped time, so equal
+// times are common, and a third of the pushes land exactly on it with
+// keys drawn from the whole range: many fall below the last popped key,
+// as a same-time wake-up's does.  The queue is drained, then reused after
+// clear().
+TEST(KeyedEventQueue, MatchesOrderedSetOracle) {
+  Rng rng(0x5eed);
+  KeyedEventQueue q;
+  std::set<std::pair<SimTime, std::uint64_t>> oracle;
+  SimTime last_time = 0;
+  std::uint64_t last_key = 0;
+  std::size_t pops = 0;
+  std::size_t pushes_below_last_pop = 0;
+  const auto pop_and_check = [&] {
+    ASSERT_EQ(q.size(), oracle.size());
+    const auto expected = *oracle.begin();
+    EXPECT_EQ(q.top().time, expected.first);
+    EXPECT_EQ(q.top().key, expected.second);
+    const KeyedEvent e = q.pop();
+    oracle.erase(oracle.begin());
+    ASSERT_EQ(e.time, expected.first) << "pop " << pops;
+    ASSERT_EQ(e.key, expected.second) << "pop " << pops;
+    ASSERT_EQ(e.payload, static_cast<std::int32_t>(e.key)) << "pop " << pops;
+    last_time = e.time;
+    last_key = e.key;
+    ++pops;
+  };
+  for (int round = 0; round < 2; ++round) {
+    for (int op = 0; op < 100'000; ++op) {
+      if (!oracle.empty() && rng.next_bool(0.45)) {
+        pop_and_check();
+        if (HasFailure()) return;  // one divergence, not 100 k of them
+        continue;
+      }
+      const SimTime time =
+          rng.next_bool(0.35)
+              ? last_time
+              : last_time + static_cast<SimTime>(rng.next_below(8));
+      std::uint64_t key = rng.next_below(1 << 16);
+      while (oracle.count({time, key}) != 0) key = rng.next_below(1 << 16);
+      q.push(time, key, static_cast<std::int32_t>(key));
+      oracle.insert({time, key});
+      if (pops > 0 && time == last_time && key < last_key) {
+        ++pushes_below_last_pop;
+      }
+    }
+    while (!oracle.empty() && !HasFailure()) pop_and_check();
+    EXPECT_TRUE(q.empty());
+
+    // Leave events behind, then clear() before the next round.
+    for (std::uint64_t key = 0; key < 10; ++key) {
+      q.push(last_time + 1, key, 0);
+    }
+    q.clear();
+    EXPECT_TRUE(q.empty());
+    last_time = 0;
+    last_key = 0;
+  }
+  EXPECT_GT(pops, 80'000u);
+  EXPECT_GT(pushes_below_last_pop, 10'000u);
 }
 
 TEST(Placement, BlockAssignsContiguously) {

@@ -21,7 +21,6 @@
 #include "prof/critical_path.h"
 #include "prof/profile.h"
 #include "sim/engine.h"
-#include "sim/memo_cost.h"
 #include "sim/op.h"
 #include "sweep/grid.h"
 #include "sweep/sweep.h"
@@ -81,13 +80,11 @@ TEST(OpStream, StreamMatchesBuildForEveryWorkload) {
                                          workload->cpu_profile());
 
     const auto programs = workload->build(ctx);
-    const sim::MemoCostModel memo_a(cost);
-    sim::Engine built(sim::Placement::block(ranks, nodes), memo_a);
+    sim::Engine built(sim::Placement::block(ranks, nodes), cost);
     const sim::RunStats a = built.run(programs);
 
     const auto stream = workload->stream(ctx);
-    const sim::MemoCostModel memo_b(cost);
-    sim::Engine streamed(sim::Placement::block(ranks, nodes), memo_b);
+    sim::Engine streamed(sim::Placement::block(ranks, nodes), cost);
     const sim::RunStats b = streamed.run(*stream);
 
     EXPECT_EQ(a.event_checksum, b.event_checksum) << name;
@@ -117,8 +114,7 @@ TEST(OpStream, CursorStreamHoldsAFewIterationsNotTheRun) {
     const cluster::ClusterCostModel cost(
         systems::jetson_tx1(net::NicKind::kTenGigabit), nodes, ranks,
         workload->cpu_profile());
-    const sim::MemoCostModel memo(cost);
-    sim::Engine engine(sim::Placement::block(ranks, nodes), memo);
+    sim::Engine engine(sim::Placement::block(ranks, nodes), cost);
     const sim::RunStats stats = engine.run(stream);
 
     EXPECT_GT(stats.events_committed, 0u) << c.workload;

@@ -91,7 +91,6 @@
 #include "prof/critical_path.h"
 #include "prof/energy.h"
 #include "prof/profile.h"
-#include "sim/memo_cost.h"
 #include "sweep/frontier.h"
 #include "sweep/grid.h"
 #include "sweep/sweep.h"
@@ -725,15 +724,14 @@ int cmd_replay(const ArgParser& args) {
   cluster::validate(config);
   const cluster::ClusterCostModel cost(config.node, nodes, ranks,
                                        workload->cpu_profile());
-  const sim::MemoCostModel memo(cost);
   const sim::Placement placement = sim::Placement::block(ranks, nodes);
   const sim::EngineConfig engine_config = cluster::engine_config(config, {});
   sim::ProgramSource source(programs);
   const bool ideal_network = args.get_bool("--ideal-network");
   const sim::RunStats stats =
       ideal_network
-          ? trace::replay_ideal_network(placement, memo, source, engine_config)
-          : sim::Engine(placement, memo, engine_config).run(source);
+          ? trace::replay_ideal_network(placement, cost, source, engine_config)
+          : sim::Engine(placement, cost, engine_config).run(source);
   std::printf("replayed %d ranks on %d nodes%s: %.3f s, %.2f GFLOP/s, "
               "%.3f GB over the network (%llu events, checksum %s)\n",
               ranks, nodes, ideal_network ? " (ideal network)" : "",
