@@ -21,63 +21,39 @@ Cache::Cache(CacheConfig config) : config_(config) {
   SOC_CHECK(std::has_single_bit(static_cast<std::uint64_t>(config_.line_size)),
             "line size must be a power of two");
   line_shift_ = std::countr_zero(static_cast<std::uint64_t>(config_.line_size));
-  ways_.assign(static_cast<std::size_t>(sets) *
-                   static_cast<std::size_t>(config_.associativity),
-               Way{});
+  set_mask_ = static_cast<std::uint64_t>(sets) - 1;
+  assoc_ = static_cast<std::size_t>(config_.associativity);
+  ways_.assign(static_cast<std::size_t>(sets) * assoc_, Way{});
 }
 
-std::size_t Cache::set_index(std::uint64_t address) const {
-  const std::uint64_t line = address >> line_shift_;
-  return static_cast<std::size_t>(line &
-                                  (static_cast<std::uint64_t>(config_.sets()) - 1));
-}
-
-std::uint64_t Cache::tag_of(std::uint64_t address) const {
-  return address >> line_shift_;
+Cache::Way* Cache::find(std::uint64_t tag, Way*& victim) {
+  Way* base = &ways_[static_cast<std::size_t>(tag & set_mask_) * assoc_];
+  victim = base;
+  for (std::size_t w = 0; w < assoc_; ++w) {
+    Way& way = base[w];
+    if (way.tag == tag && way.lru != 0) return &way;
+    if (way.lru < victim->lru) victim = &way;
+  }
+  return nullptr;
 }
 
 void Cache::allocate(std::uint64_t address) {
-  const std::size_t set = set_index(address);
-  const std::uint64_t tag = tag_of(address);
-  Way* base = &ways_[set * static_cast<std::size_t>(config_.associativity)];
-  Way* victim = base;
-  for (int w = 0; w < config_.associativity; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) return;  // already resident
-    if (!way.valid) {
-      victim = &way;
-    } else if (victim->valid && way.lru < victim->lru) {
-      victim = &way;
-    }
-  }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = ++tick_;
+  const std::uint64_t tag = address >> line_shift_;
+  Way* victim = nullptr;
+  if (find(tag, victim) != nullptr) return;  // already resident
+  *victim = Way{tag, ++tick_};
 }
 
 bool Cache::access(std::uint64_t address) {
   ++stats_.accesses;
-  const std::size_t set = set_index(address);
-  const std::uint64_t tag = tag_of(address);
-  Way* base = &ways_[set * static_cast<std::size_t>(config_.associativity)];
-
-  Way* victim = base;
-  for (int w = 0; w < config_.associativity; ++w) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      way.lru = ++tick_;
-      return true;
-    }
-    if (!way.valid) {
-      victim = &way;  // prefer an invalid way as victim
-    } else if (victim->valid && way.lru < victim->lru) {
-      victim = &way;
-    }
+  const std::uint64_t tag = address >> line_shift_;
+  Way* victim = nullptr;
+  if (Way* way = find(tag, victim)) {
+    way->lru = ++tick_;
+    return true;
   }
   ++stats_.misses;
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = ++tick_;
+  *victim = Way{tag, ++tick_};
   // Next-line prefetch: pull the following lines in after a demand miss.
   for (int n = 1; n <= config_.prefetch_lines; ++n) {
     allocate(address + static_cast<std::uint64_t>(n) *
@@ -88,11 +64,10 @@ bool Cache::access(std::uint64_t address) {
 }
 
 bool Cache::probe(std::uint64_t address) const {
-  const std::size_t set = set_index(address);
-  const std::uint64_t tag = tag_of(address);
-  const Way* base = &ways_[set * static_cast<std::size_t>(config_.associativity)];
-  for (int w = 0; w < config_.associativity; ++w) {
-    if (base[w].valid && base[w].tag == tag) return true;
+  const std::uint64_t tag = address >> line_shift_;
+  const Way* base = &ways_[static_cast<std::size_t>(tag & set_mask_) * assoc_];
+  for (std::size_t w = 0; w < assoc_; ++w) {
+    if (base[w].tag == tag && base[w].lru != 0) return true;
   }
   return false;
 }

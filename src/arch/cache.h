@@ -57,18 +57,23 @@ class Cache {
 
  private:
   struct Way {
-    std::uint64_t tag = 0;
-    std::uint64_t lru = 0;  ///< Larger = more recently used.
-    bool valid = false;
+    std::uint64_t tag = 0;  ///< The line number (address >> line shift).
+    /// Larger = more recently used.  Ticks start at 1, so 0 marks a way
+    /// that has never been filled, and the least-recently-used scan picks
+    /// such a way before any valid one.
+    std::uint64_t lru = 0;
   };
 
-  std::size_t set_index(std::uint64_t address) const;
-  std::uint64_t tag_of(std::uint64_t address) const;
+  /// The resident way holding line `tag`, or nullptr; `victim` is set to
+  /// the set's least recently used way.
+  Way* find(std::uint64_t tag, Way*& victim);
   /// Allocates a line without counting an access (prefetch path).
   void allocate(std::uint64_t address);
 
   CacheConfig config_;
   int line_shift_ = 6;
+  std::uint64_t set_mask_ = 0;  ///< sets - 1 (the set count is a power of 2).
+  std::size_t assoc_ = 1;
   std::vector<Way> ways_;  ///< sets × associativity, row-major.
   std::uint64_t tick_ = 0;
   CacheStats stats_;

@@ -13,9 +13,11 @@ Tlb::Tlb(TlbConfig config) : config_(config) {
             "entries must divide into ways");
   SOC_CHECK(std::has_single_bit(static_cast<std::uint64_t>(config_.page_size)),
             "page size must be a power of two");
-  sets_ = config_.entries / config_.associativity;
-  SOC_CHECK(std::has_single_bit(static_cast<unsigned>(sets_)),
+  const int sets = config_.entries / config_.associativity;
+  SOC_CHECK(std::has_single_bit(static_cast<unsigned>(sets)),
             "set count must be a power of two");
+  set_mask_ = static_cast<std::uint64_t>(sets) - 1;
+  assoc_ = static_cast<std::size_t>(config_.associativity);
   page_shift_ =
       std::countr_zero(static_cast<std::uint64_t>(config_.page_size));
   entries_.assign(static_cast<std::size_t>(config_.entries), Entry{});
@@ -24,27 +26,19 @@ Tlb::Tlb(TlbConfig config) : config_(config) {
 bool Tlb::access(std::uint64_t address) {
   ++stats_.accesses;
   const std::uint64_t vpn = address >> page_shift_;
-  const std::size_t set =
-      static_cast<std::size_t>(vpn & static_cast<std::uint64_t>(sets_ - 1));
-  Entry* base = &entries_[set * static_cast<std::size_t>(config_.associativity)];
+  Entry* base = &entries_[static_cast<std::size_t>(vpn & set_mask_) * assoc_];
 
   Entry* victim = base;
-  for (int w = 0; w < config_.associativity; ++w) {
+  for (std::size_t w = 0; w < assoc_; ++w) {
     Entry& e = base[w];
-    if (e.valid && e.vpn == vpn) {
+    if (e.vpn == vpn && e.lru != 0) {
       e.lru = ++tick_;
       return true;
     }
-    if (!e.valid) {
-      victim = &e;
-    } else if (victim->valid && e.lru < victim->lru) {
-      victim = &e;
-    }
+    if (e.lru < victim->lru) victim = &e;
   }
   ++stats_.misses;
-  victim->valid = true;
-  victim->vpn = vpn;
-  victim->lru = ++tick_;
+  *victim = Entry{vpn, ++tick_};
   return false;
 }
 

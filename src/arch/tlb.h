@@ -46,12 +46,14 @@ class Tlb {
  private:
   struct Entry {
     std::uint64_t vpn = 0;
+    /// Larger = more recently used; 0 marks an entry never filled (ticks
+    /// start at 1), which the least-recently-used scan picks first.
     std::uint64_t lru = 0;
-    bool valid = false;
   };
 
   TlbConfig config_;
-  int sets_ = 1;
+  std::uint64_t set_mask_ = 0;  ///< sets - 1 (the set count is a power of 2).
+  std::size_t assoc_ = 1;
   int page_shift_ = 12;
   std::vector<Entry> entries_;
   std::uint64_t tick_ = 0;

@@ -3,7 +3,7 @@
 // shape, workload profile) combination.
 #pragma once
 
-#include <map>
+#include <memory>
 
 #include "arch/core_model.h"
 #include "net/network.h"
@@ -16,8 +16,10 @@ class ClusterCostModel : public sim::CostModel {
  public:
   /// `profile` is the workload's host-side code descriptor; `ranks` and
   /// `nodes` determine per-rank L2 pressure on shared-LLC machines.
+  /// Models alive at the same time whose core (with that L2 pressure) and
+  /// profile compare equal share one characterization, built once.
   ClusterCostModel(const systems::NodeConfig& node, int nodes, int ranks,
-                   arch::WorkloadProfile profile);
+                   const arch::WorkloadProfile& profile);
 
   SimTime cpu_compute_time(int rank, const sim::Op& op) const override;
   SimTime gpu_kernel_time(int rank, const sim::Op& op) const override;
@@ -33,7 +35,7 @@ class ClusterCostModel : public sim::CostModel {
 
   /// The characterization backing CPU op timing (used for counter
   /// synthesis and exposed to the analysis benches).
-  const arch::Characterization& characterization() const { return charz_; }
+  const arch::Characterization& characterization() const { return *charz_; }
 
   /// PMU counters implied by a run's per-profile instruction tallies,
   /// summed over all ranks.
@@ -43,10 +45,8 @@ class ClusterCostModel : public sim::CostModel {
 
  private:
   systems::NodeConfig node_;
-  int nodes_;
-  int ranks_;
-  arch::WorkloadProfile profile_;
-  arch::Characterization charz_;
+  /// Shared with every live model of the same (core, profile) key.
+  std::shared_ptr<const arch::Characterization> charz_;
   net::NetworkModel network_;
 };
 

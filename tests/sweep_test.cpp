@@ -1,15 +1,24 @@
 // Tests for sweep/: grid enumeration, the parallel sweep runner's
 // determinism contract (thread count changes wall-clock, never results),
-// cost-model memoization, the sweep report document, and the workload
-// registry the grids enumerate from.
+// cost-model memoization and the characterizations live models share, the
+// sweep report document, and the workload registry the grids enumerate
+// from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <latch>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "arch/core_model.h"
 #include "cluster/cluster.h"
+#include "cluster/cost_model.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "net/network.h"
@@ -171,6 +180,123 @@ TEST(SweepRunner, MutatedNodeConfigMissesCache) {
   EXPECT_EQ(runner.summary().cost_models_built, 2u);
   EXPECT_EQ(runner.summary().cost_model_hits, 0u);
   EXPECT_LT(results[1].seconds, results[0].seconds);  // faster clock
+}
+
+// --- Characterization sharing --------------------------------------------
+
+void expect_bit_identical(const arch::Characterization& a,
+                          const arch::Characterization& b) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  EXPECT_EQ(bits(a.cpi), bits(b.cpi));
+  EXPECT_EQ(bits(a.branch_misprediction_ratio),
+            bits(b.branch_misprediction_ratio));
+  EXPECT_EQ(bits(a.l1d_miss_ratio), bits(b.l1d_miss_ratio));
+  EXPECT_EQ(bits(a.l2d_miss_ratio), bits(b.l2d_miss_ratio));
+  EXPECT_EQ(bits(a.dtlb_miss_ratio), bits(b.dtlb_miss_ratio));
+  EXPECT_EQ(bits(a.dram_bytes_per_instruction),
+            bits(b.dram_bytes_per_instruction));
+  for (std::size_t e = 0; e < arch::kPmuEventCount; ++e) {
+    const auto event = static_cast<arch::PmuEvent>(e);
+    EXPECT_EQ(bits(a.per_instruction[event]), bits(b.per_instruction[event]))
+        << arch::pmu_event_name(event);
+  }
+}
+
+TEST(CharacterizationSharing, SweepGridModelsShareThirteen) {
+  // perfbench's sweep-grid, the paper's network study: every workload on
+  // 2-16 nodes at 1 and 10 GbE.  Its 120 requests have 104 distinct
+  // cost-model keys (tealeaf2d/3d and alexnet/googlenet share a profile)
+  // but only 13 (core, profile) pairs: each workload runs at one ranks
+  // per node, and the two NICs share the core.
+  sweep::Grid grid;
+  grid.workloads = workloads::list();
+  grid.nodes = {2, 4, 8, 16};
+  grid.nics = {net::NicKind::kGigabit, net::NicKind::kTenGigabit};
+  const std::vector<cluster::RunRequest> requests = grid.requests();
+  ASSERT_EQ(requests.size(), 120u);
+
+  struct Key {
+    systems::NodeConfig node;
+    int nodes = 0;
+    int ranks = 0;
+    arch::WorkloadProfile profile;
+    bool operator==(const Key&) const = default;
+  };
+  std::vector<Key> keys;
+  std::vector<std::unique_ptr<cluster::ClusterCostModel>> models;
+  for (const cluster::RunRequest& request : requests) {
+    Key key{request.config.node, request.config.nodes, request.config.ranks,
+            workloads::make_workload(request.workload)->cpu_profile()};
+    if (std::find(keys.begin(), keys.end(), key) != keys.end()) continue;
+    models.push_back(std::make_unique<cluster::ClusterCostModel>(
+        key.node, key.nodes, key.ranks, key.profile));
+    keys.push_back(std::move(key));
+  }
+  EXPECT_EQ(models.size(), 104u);
+  std::set<const arch::Characterization*> distinct;
+  for (const auto& model : models) distinct.insert(&model->characterization());
+  EXPECT_EQ(distinct.size(), 13u);
+}
+
+TEST(CharacterizationSharing, ConcurrentBuildsOfOneKeyShareOne) {
+  const systems::NodeConfig node =
+      systems::jetson_tx1(net::NicKind::kTenGigabit);
+  const arch::WorkloadProfile profile =
+      workloads::make_workload("cg")->cpu_profile();
+  constexpr int kThreads = 4;
+  std::vector<std::optional<cluster::ClusterCostModel>> models(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      start.arrive_and_wait();
+      models[static_cast<std::size_t>(i)].emplace(node, 2, 4, profile);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const auto& model : models) {
+    EXPECT_EQ(&model->characterization(), &models[0]->characterization());
+  }
+}
+
+TEST(CharacterizationSharing, OtherCoreOrContentionGetsItsOwn) {
+  const systems::NodeConfig node =
+      systems::jetson_tx1(net::NicKind::kTenGigabit);
+  const arch::WorkloadProfile profile =
+      workloads::make_workload("jacobi")->cpu_profile();
+  const cluster::ClusterCostModel base(node, 2, 2, profile);
+
+  // Another NIC and another node count at one rank per node: same key.
+  const cluster::ClusterCostModel gigabit(
+      systems::jetson_tx1(net::NicKind::kGigabit), 8, 8, profile);
+  EXPECT_EQ(&gigabit.characterization(), &base.characterization());
+
+  const cluster::ClusterCostModel dvfs(systems::with_dvfs(node, 0.8), 2, 2,
+                                       profile);
+  EXPECT_NE(&dvfs.characterization(), &base.characterization());
+
+  // Two ranks per node share the TX1's L2: contention 2 instead of 1.
+  ASSERT_NE(cluster::l2_contention_for(node, 2, 4),
+            cluster::l2_contention_for(node, 2, 2));
+  const cluster::ClusterCostModel crowded(node, 2, 4, profile);
+  EXPECT_NE(&crowded.characterization(), &base.characterization());
+  EXPECT_GT(crowded.characterization().cpi, base.characterization().cpi);
+}
+
+TEST(CharacterizationSharing, RebuiltAfterLastModelIsBitIdentical) {
+  const systems::NodeConfig node =
+      systems::jetson_tx1(net::NicKind::kTenGigabit);
+  const arch::WorkloadProfile profile =
+      workloads::make_workload("ep")->cpu_profile();
+  arch::Characterization before;
+  {
+    const cluster::ClusterCostModel a(node, 2, 4, profile);
+    const cluster::ClusterCostModel b(node, 4, 8, profile);
+    ASSERT_EQ(&a.characterization(), &b.characterization());
+    before = a.characterization();
+  }
+  const cluster::ClusterCostModel again(node, 2, 4, profile);
+  expect_bit_identical(again.characterization(), before);
 }
 
 // --- Grid enumeration ----------------------------------------------------
