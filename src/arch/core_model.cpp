@@ -40,18 +40,24 @@ Characterization characterize(const CoreConfig& core,
   const auto branch_events = static_cast<std::size_t>(
       static_cast<double>(sample_instructions) * profile.branch_fraction);
 
+  // Each event is consumed as it is generated, so no stream is held.
+  // Materialized streams (5.6 MB of memory accesses at the default sample)
+  // raise glibc's dynamic mmap threshold when freed; a later run's
+  // multi-MB buffers then come from the brk heap and stay resident.
   CacheHierarchy hierarchy(core.l1d, contended(core.l2, core.l2_contention));
   Tlb dtlb(core.dtlb);
-  for (const MemoryAccess& a :
-       generate_memory_stream(profile, std::max<std::size_t>(mem_events, 1))) {
-    hierarchy.access(a.address);
-    dtlb.access(a.address);
+  MemoryStream memory(profile);
+  for (std::size_t i = 0; i < std::max<std::size_t>(mem_events, 1); ++i) {
+    const std::uint64_t address = memory.next().address;
+    hierarchy.access(address);
+    dtlb.access(address);
   }
 
   auto predictor = make_predictor(core.predictor, core.predictor_entries,
                                   core.predictor_history_bits);
-  for (const BranchEvent& b : generate_branch_stream(
-           profile, std::max<std::size_t>(branch_events, 1))) {
+  BranchStream branches(profile);
+  for (std::size_t i = 0; i < std::max<std::size_t>(branch_events, 1); ++i) {
+    const BranchEvent b = branches.next();
     predictor->record(b.pc, b.taken);
   }
 

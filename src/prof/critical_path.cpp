@@ -65,10 +65,19 @@ struct Segment {
   int jump = -1;  ///< Blocked segments: rank whose dispatch ended the wait.
 };
 
-void emit(std::vector<Segment>& segments, SimTime begin, SimTime end,
-          Category category, int phase, int jump = -1) {
-  if (end > begin) segments.push_back(Segment{begin, end, category, phase, jump});
-}
+// One op window's segments, in time order; a message chain is the
+// longest at four.
+struct Segments {
+  std::array<Segment, 4> items;
+  std::size_t size = 0;
+
+  const Segment* begin() const { return items.data(); }
+  const Segment* end() const { return items.data() + size; }
+  void emit(SimTime b, SimTime e, Category category, int phase,
+            int jump = -1) {
+    if (e > b) items[size++] = Segment{b, e, category, phase, jump};
+  }
+};
 
 // Decomposes a message-completed window [b0, c): parked until the partner
 // arrived at p, the committed transfer queued until q, was on the wire
@@ -77,91 +86,110 @@ void emit(std::vector<Segment>& segments, SimTime begin, SimTime end,
 // posted) clip away to empty segments.
 void message_chain(const OpExec& op, SimTime b0, SimTime c, SimTime p,
                    SimTime q, SimTime e, Category blocked, int jump,
-                   std::vector<Segment>& segments) {
+                   Segments& segments) {
   const auto clip = [&](SimTime t) { return std::min(std::max(t, b0), c); };
-  emit(segments, b0, clip(p), blocked, op.phase, jump);
-  emit(segments, clip(p), clip(q), Category::kNicWait, op.phase);
-  emit(segments, clip(q), clip(e), Category::kTransfer, op.phase);
-  emit(segments, clip(e), c, Category::kRecvOverhead, op.phase);
+  segments.emit(b0, clip(p), blocked, op.phase, jump);
+  segments.emit(clip(p), clip(q), Category::kNicWait, op.phase);
+  segments.emit(clip(q), clip(e), Category::kTransfer, op.phase);
+  segments.emit(clip(e), c, Category::kRecvOverhead, op.phase);
 }
 
-void op_segments(const RunTrace& trace, const OpExec& op,
-                 std::vector<Segment>& segments) {
+// A message op's partner became ready when it dispatched.
+const OpExec& partner_of(const RunTrace& trace, const OpExec& op) {
+  return trace.ops[static_cast<std::size_t>(op.partner)];
+}
+
+Segments op_segments(const RunTrace& trace, const OpExec& op) {
+  Segments segments;
   const SimTime b0 = op.dispatch;
   const SimTime c = op.complete;
   switch (op.kind) {
     case sim::OpKind::kCpuCompute:
-      emit(segments, b0, c, Category::kCompute, op.phase);
-      return;
+      segments.emit(b0, c, Category::kCompute, op.phase);
+      break;
     case sim::OpKind::kDelay:
-      emit(segments, b0, c, Category::kInjected, op.phase);
-      return;
+      segments.emit(b0, c, Category::kInjected, op.phase);
+      break;
     case sim::OpKind::kGpuKernel:
-      emit(segments, b0, op.busy_start, Category::kGpuWait, op.phase);
-      emit(segments, op.busy_start, c, Category::kGpuBusy, op.phase);
-      return;
+      segments.emit(b0, op.busy_start, Category::kGpuWait, op.phase);
+      segments.emit(op.busy_start, c, Category::kGpuBusy, op.phase);
+      break;
     case sim::OpKind::kCopyH2D:
     case sim::OpKind::kCopyD2H:
-      emit(segments, b0, op.busy_start, Category::kCopyWait, op.phase);
-      emit(segments, op.busy_start, c, Category::kCopyBusy, op.phase);
-      return;
+      segments.emit(b0, op.busy_start, Category::kCopyWait, op.phase);
+      segments.emit(op.busy_start, c, Category::kCopyBusy, op.phase);
+      break;
     case sim::OpKind::kSend: {
       const sim::MessageRecord& m = trace.messages[static_cast<std::size_t>(op.msg)];
       if (m.eager) {
-        emit(segments, b0, c, Category::kSendOverhead, op.phase);
-        return;
+        segments.emit(b0, c, Category::kSendOverhead, op.phase);
+        break;
       }
-      message_chain(op, b0, c, op.partner_ready, m.start, m.end,
-                    Category::kBlockedSend,
-                    trace.ops[static_cast<std::size_t>(op.partner)].rank,
-                    segments);
-      return;
+      const OpExec& recv = partner_of(trace, op);
+      message_chain(op, b0, c, recv.dispatch, m.start, m.end,
+                    Category::kBlockedSend, recv.rank, segments);
+      break;
     }
     case sim::OpKind::kRecv: {
       const sim::MessageRecord& m = trace.messages[static_cast<std::size_t>(op.msg)];
-      message_chain(op, b0, c, op.partner_ready, m.start, m.end,
-                    Category::kBlockedRecv,
-                    trace.ops[static_cast<std::size_t>(op.partner)].rank,
-                    segments);
-      return;
+      const OpExec& send = partner_of(trace, op);
+      message_chain(op, b0, c, send.dispatch, m.start, m.end,
+                    Category::kBlockedRecv, send.rank, segments);
+      break;
     }
     case sim::OpKind::kIsend:
-      emit(segments, b0, c, Category::kSendOverhead, op.phase);
-      return;
+      segments.emit(b0, c, Category::kSendOverhead, op.phase);
+      break;
     case sim::OpKind::kIrecv:
-      emit(segments, b0, c, Category::kRecvOverhead, op.phase);
-      return;
+      segments.emit(b0, c, Category::kRecvOverhead, op.phase);
+      break;
     case sim::OpKind::kWaitAll: {
-      if (c <= b0) return;  // nothing outstanding: zero-width window
+      if (c <= b0) break;  // nothing outstanding: zero-width window
       SOC_CHECK(op.determinant >= 0, "attribute: waitall without determinant");
       const OpExec& det = trace.ops[static_cast<std::size_t>(op.determinant)];
       SOC_CHECK(det.kind == sim::OpKind::kIrecv && det.msg >= 0,
                 "attribute: blocking waitall not bound by an irecv");
       const sim::MessageRecord& m =
           trace.messages[static_cast<std::size_t>(det.msg)];
-      message_chain(op, b0, c, det.partner_ready, m.start, m.end,
-                    Category::kBlockedWait,
-                    trace.ops[static_cast<std::size_t>(det.partner)].rank,
-                    segments);
-      return;
+      const OpExec& send = partner_of(trace, det);
+      message_chain(op, b0, c, send.dispatch, m.start, m.end,
+                    Category::kBlockedWait, send.rank, segments);
+      break;
     }
     default:
       SOC_CHECK(false, "attribute: unexpected op kind in trace");
   }
+  return segments;
 }
 
-// The segment of `segments` (sorted, tiling the rank's timeline) that
-// ends exactly at boundary `t`.
-const Segment& segment_ending_at(const std::vector<Segment>& segments,
-                                 SimTime t) {
+// The segment of rank r's timeline that ends exactly at boundary `t`.
+// The forward pass in attribute() has checked that the rank's op windows
+// tile [0, finish], so the segment containing t - 1 lies in the last op
+// dispatched at or before t - 1; only that op's segments are rebuilt.
+// The walk's cursor only moves back, so the search for that op resumes
+// where the rank's previous one ended (`end`: ops at or past it were
+// dispatched after t - 1), and the whole walk reads each op at most once.
+// The walk never reaches an idle tail: it starts on a rank that finishes
+// at the makespan, and a parked segment hands it to the partner no later
+// than the partner's dispatch.
+Segment segment_ending_at(const RunTrace& trace, std::size_t r, SimTime t,
+                          std::size_t& end) {
+  SOC_CHECK(t <= trace.finish[r], "attribute: walk entered an idle tail");
+  const std::vector<int>& ops = trace.rank_ops[r];
+  const auto op_at = [&](std::size_t i) -> const OpExec& {
+    return trace.ops[static_cast<std::size_t>(ops[i])];
+  };
+  while (end > 0 && op_at(end - 1).dispatch > t - 1) --end;
+  SOC_CHECK(end > 0, "attribute: walk fell off the timeline");
+  const Segments segments = op_segments(trace, op_at(end - 1));
   // Binary search for the segment containing t - 1.
-  const auto it = std::upper_bound(
+  const Segment* s = std::upper_bound(
       segments.begin(), segments.end(), t - 1,
-      [](SimTime v, const Segment& s) { return v < s.begin; });
-  SOC_CHECK(it != segments.begin(), "attribute: walk fell off the timeline");
-  const Segment& s = *(it - 1);
-  SOC_CHECK(s.end == t, "attribute: walk cursor not on a segment boundary");
-  return s;
+      [](SimTime v, const Segment& seg) { return v < seg.begin; });
+  SOC_CHECK(s != segments.begin(), "attribute: walk fell off the timeline");
+  --s;
+  SOC_CHECK(s->end == t, "attribute: walk cursor not on a segment boundary");
+  return *s;
 }
 
 }  // namespace
@@ -170,31 +198,32 @@ Attribution attribute(const RunTrace& trace) {
   const std::size_t n = static_cast<std::size_t>(trace.placement.ranks);
   const SimTime makespan = trace.stats.makespan;
 
-  // Per-rank segment timelines (windows are contiguous, chains tile each
-  // window, so the concatenation tiles [0, finish] and kIdle tops it up).
-  std::vector<std::vector<Segment>> timelines(n);
+  // One forward pass per rank over its op windows (contiguous, each tiled
+  // by its segments), then kIdle tops the rank up to the makespan.
   std::size_t total_segments = 0;
   Attribution out;
   out.rank_profiles.assign(n, RankProfile{});
   for (std::size_t r = 0; r < n; ++r) {
-    std::vector<Segment>& segments = timelines[r];
-    for (const int oi : trace.rank_ops[r]) {
-      op_segments(trace, trace.ops[static_cast<std::size_t>(oi)], segments);
-    }
-    int last_phase = 0;
-    if (!segments.empty()) last_phase = segments.back().phase;
-    emit(segments, trace.finish[r], makespan, Category::kIdle, last_phase);
+    auto& by_category = out.rank_profiles[r].by_category;
     // Zero-residual invariant: every nanosecond of [0, makespan] is
     // attributed exactly once per rank.
     SimTime covered = 0;
-    for (const Segment& s : segments) {
+    const auto add = [&](const Segment& s) {
       SOC_CHECK(s.begin == covered, "attribute: gap in rank timeline");
       covered = s.end;
-      out.rank_profiles[r]
-          .by_category[static_cast<std::size_t>(s.category)] += s.end - s.begin;
+      by_category[static_cast<std::size_t>(s.category)] += s.end - s.begin;
+      ++total_segments;
+    };
+    for (const int oi : trace.rank_ops[r]) {
+      for (const Segment& s :
+           op_segments(trace, trace.ops[static_cast<std::size_t>(oi)])) {
+        add(s);
+      }
+    }
+    if (makespan > trace.finish[r]) {
+      add(Segment{trace.finish[r], makespan, Category::kIdle});
     }
     SOC_CHECK(covered == makespan, "attribute: rank timeline short of makespan");
-    total_segments += segments.size();
   }
 
   // Backward walk from the run's final event: the smallest rank that
@@ -209,13 +238,16 @@ Attribution attribute(const RunTrace& trace) {
     }
   }
   SimTime cursor = makespan;
+  std::vector<std::size_t> search_end(n);  ///< Per rank; see segment_ending_at.
+  for (std::size_t r = 0; r < n; ++r) search_end[r] = trace.rank_ops[r].size();
   // Each iteration either consumes a segment or jumps rank at a fixed
   // cursor; jumps are bounded by the blocked-segment count, so this bound
   // only trips on a genuine cycle (which would be an engine bug).
   std::size_t guard = 2 * total_segments + n + 16;
   while (cursor > 0) {
     SOC_CHECK(guard-- > 0, "attribute: critical-path walk did not terminate");
-    const Segment& s = segment_ending_at(timelines[rank], cursor);
+    const Segment s =
+        segment_ending_at(trace, rank, cursor, search_end[rank]);
     if (s.jump >= 0) {
       // Parked: the partner's dispatch at `cursor` ended the wait, so the
       // cause of this time lives on the partner's timeline.

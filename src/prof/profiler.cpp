@@ -32,11 +32,12 @@ sim::Lane lane_for(sim::OpKind kind) {
   }
 }
 
-// Ends an op's window at the rank's next dispatch (or drain).
-void close_window(OpExec& op, SimTime time) {
+// Ends an op's window at the rank's next dispatch (or drain).  A lane
+// op's service must end exactly there: that is what lets OpExec omit it.
+void close_window(OpExec& op, SimTime time, SimTime span_end) {
   op.complete = time;
   if (is_lane_op(op.kind)) {
-    SOC_CHECK(op.busy_end == op.complete,
+    SOC_CHECK(span_end == op.complete,
               "profiler: lane span does not end at op completion");
   }
 }
@@ -54,6 +55,8 @@ void Profiler::on_run_begin(const sim::Placement& placement,
   trace_.send_overhead.assign(n, -1);
   trace_.recv_overhead.assign(n, -1);
   open_.assign(n, -1);
+  open_pc_.assign(n, 0);
+  open_span_end_.assign(n, 0);
   eager_sends_.clear();
   rvz_sends_.clear();
   pending_recvs_.clear();
@@ -70,25 +73,25 @@ void Profiler::on_dispatch(const sim::DispatchRecord& record) {
   const std::size_t r = static_cast<std::size_t>(record.rank);
   int& open = open_[r];
   if (record.kind == 0xFF) {  // rank drained
-    if (open >= 0) close_window(trace_.ops[open], record.time);
+    if (open >= 0) {
+      close_window(trace_.ops[open], record.time, open_span_end_[r]);
+    }
     open = -1;
     trace_.finish[r] = record.time;
     return;
   }
   const auto kind = static_cast<sim::OpKind>(record.kind);
   if (kind == sim::OpKind::kPhase) return;  // zero-width, consumed inline
-  if (open >= 0 && trace_.ops[open].pc == record.pc) {
+  if (open >= 0 && open_pc_[r] == record.pc) {
     return;  // re-dispatch of the parked op (kWaitAll wake): same instance
   }
-  if (open >= 0) close_window(trace_.ops[open], record.time);
+  if (open >= 0) close_window(trace_.ops[open], record.time, open_span_end_[r]);
   OpExec op;
   op.kind = kind;
   op.rank = record.rank;
-  op.node = record.node;
   op.phase = record.phase;
   op.peer = record.peer;
   op.tag = record.tag;
-  op.pc = record.pc;
   op.bytes = record.bytes;
   op.dispatch = record.time;
   const int oi = static_cast<int>(trace_.ops.size());
@@ -115,7 +118,6 @@ void Profiler::on_dispatch(const sim::DispatchRecord& record) {
       if (arrivals_.take(key, &a)) {
         op.msg = a.msg;
         op.partner = a.op;
-        op.partner_ready = trace_.ops[a.op].dispatch;
         trace_.ops[a.op].partner = oi;
         break;
       }
@@ -133,6 +135,8 @@ void Profiler::on_dispatch(const sim::DispatchRecord& record) {
   trace_.ops.push_back(op);
   trace_.rank_ops[r].push_back(oi);
   open = oi;
+  open_pc_[r] = record.pc;
+  open_span_end_[r] = 0;
 }
 
 // A lane span commits in the same event as its op's dispatch, right
@@ -143,14 +147,15 @@ void Profiler::on_span(const sim::SpanRecord& span) {
       span.lane != sim::Lane::kCopy) {
     return;  // NIC occupancy is reconstructed from messages instead
   }
-  const int open = open_[static_cast<std::size_t>(span.rank)];
+  const std::size_t r = static_cast<std::size_t>(span.rank);
+  const int open = open_[r];
   SOC_CHECK(open >= 0 && is_lane_op(trace_.ops[open].kind),
             "profiler: span with no matching op");
   OpExec& op = trace_.ops[open];
   SOC_CHECK(lane_for(op.kind) == span.lane,
             "profiler: span lane does not match program order");
   op.busy_start = span.start;
-  op.busy_end = span.end;
+  open_span_end_[r] = span.end;
 }
 
 void Profiler::on_message(const sim::MessageRecord& m) {
@@ -167,11 +172,7 @@ void Profiler::on_message(const sim::MessageRecord& m) {
     OpExec& recv = trace_.ops[ri];
     recv.msg = mi;
     recv.partner = si;
-    recv.partner_ready = send.dispatch;
     send.partner = ri;
-    // An eager sender never waits on its receiver; its window is the
-    // local posting overhead and partner_ready stays unset.
-    if (!m.eager) send.partner_ready = recv.dispatch;
     return;
   }
   // Only an eager payload can commit with no receive posted; it parks at

@@ -91,7 +91,9 @@ class Evaluator {
       if (e.payload >= 0) {
         execute(e.payload, e.time);
       } else {
-        const Proto p = protos_[static_cast<std::size_t>(-(e.payload + 1))];
+        const std::int32_t slot = -(e.payload + 1);
+        const Proto p = protos_[static_cast<std::size_t>(slot)];
+        proto_free_.push_back(slot);
         switch (p.kind) {
           case ProtoKind::kArrival: process_arrival(p); break;
           case ProtoKind::kRts: process_rts(p, e.time); break;
@@ -187,8 +189,18 @@ class Evaluator {
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(emitter_rank))
          << 32) |
         proto_seq_[static_cast<std::size_t>(emitter_rank)]++;
-    protos_.push_back(p);
-    queue_.push(time, key, -static_cast<std::int32_t>(protos_.size()));
+    // Reuse a popped slot, as the engine's proto_pool_ does; events order
+    // by (time, key), never by slot.
+    std::int32_t slot;
+    if (!proto_free_.empty()) {
+      slot = proto_free_.back();
+      proto_free_.pop_back();
+      protos_[static_cast<std::size_t>(slot)] = p;
+    } else {
+      slot = static_cast<std::int32_t>(protos_.size());
+      protos_.push_back(p);
+    }
+    queue_.push(time, key, -(slot + 1));
   }
   double scale_for(int rank) const {
     if (scenario_.compute_scale.empty()) return 1.0;
@@ -247,7 +259,7 @@ class Evaluator {
 
   void start_lane(int rank, SimTime now, const OpExec& op) {
     auto& st = states_[static_cast<std::size_t>(rank)];
-    const std::size_t node = static_cast<std::size_t>(op.node);
+    const std::size_t node = static_cast<std::size_t>(node_of(rank));
     // cpu/gpu lanes follow the compute clocks; the copy engine follows
     // the memory clock.  Injected stalls (kDelay) are wall-clock: no
     // frequency scales them and no engine contends for them.
@@ -260,7 +272,7 @@ class Evaluator {
       freq = scenario_.dvfs_dram;
     }
     const SimTime dur =
-        dvfs_scaled(scaled(op.busy_end - op.busy_start, rank), freq);
+        dvfs_scaled(scaled(op.complete - op.busy_start, rank), freq);
     SimTime start = now;
     if (op.kind == sim::OpKind::kGpuKernel) {
       if (!scenario_.uncontended) {
@@ -539,6 +551,7 @@ class Evaluator {
   std::map<std::uint64_t, SimTime> latencies_;
   sim::KeyedEventQueue queue_;
   std::vector<Proto> protos_;
+  std::vector<std::int32_t> proto_free_;  ///< Recycled protos_ slots.
   std::vector<std::uint32_t> proto_seq_;
   std::vector<State> states_;
   std::vector<SimTime> finish_;

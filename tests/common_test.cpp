@@ -1,4 +1,5 @@
-// Tests for common/: units, deterministic RNG, error macros, tables.
+// Tests for common/: units, deterministic RNG, error macros, tables and
+// containers.
 #include <gtest/gtest.h>
 
 #include <deque>
@@ -7,6 +8,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/chunked_vector.h"
 #include "common/error.h"
 #include "common/flat_map.h"
 #include "common/match_table.h"
@@ -306,6 +308,57 @@ TEST(MatchTable, SizeCountsKeysWithQueuedValues) {
     }
     ASSERT_EQ(t.size(), live_keys()) << "step " << step;
   }
+}
+
+// Every element in index order, by range-for.
+template <typename T>
+std::vector<T> iterated(const ChunkedVector<T>& v) {
+  std::vector<T> out;
+  for (const T& x : v) out.push_back(x);
+  return out;
+}
+
+TEST(ChunkedVector, EmptyStore) {
+  const ChunkedVector<int> v;
+  EXPECT_EQ(v.size(), 0u);
+  EXPECT_FALSE(v.begin() != v.end());
+}
+
+TEST(ChunkedVector, IndexAndIterateAcrossChunkBoundaries) {
+  constexpr std::size_t k = ChunkedVector<int>::kChunkSize;
+  const std::vector<std::size_t> checkpoints = {1,     k - 1,     k,    k + 1,
+                                                2 * k, 2 * k + 1, 3 * k};
+  ChunkedVector<int> v;
+  for (const std::size_t n : checkpoints) {
+    while (v.size() < n) v.push_back(7 * static_cast<int>(v.size()));
+    ASSERT_EQ(v.size(), n);
+    const std::vector<int> seen = iterated(v);
+    ASSERT_EQ(seen.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(v[i], 7 * static_cast<int>(i)) << "size " << n << " index " << i;
+      ASSERT_EQ(seen[i], v[i]) << "size " << n << " index " << i;
+    }
+  }
+}
+
+TEST(ChunkedVector, GrowthKeepsAddressesAndElementsStayMutable) {
+  constexpr std::size_t k = ChunkedVector<int>::kChunkSize;
+  ChunkedVector<int> v;
+  v.push_back(1);
+  const int* first = &v[0];
+  const int* last_of_chunk = nullptr;
+  for (std::size_t i = 1; i < 3 * k; ++i) {
+    v.push_back(static_cast<int>(i));
+    if (i == k - 1) last_of_chunk = &v[k - 1];
+  }
+  EXPECT_EQ(first, &v[0]);
+  EXPECT_EQ(last_of_chunk, &v[k - 1]);
+  v[k] += 100;  // mutable access through operator[]
+  EXPECT_EQ(v[k], static_cast<int>(k) + 100);
+
+  const ChunkedVector<int> moved(std::move(v));
+  EXPECT_EQ(moved.size(), 3 * k);
+  EXPECT_EQ(&moved[0], first);
 }
 
 TEST(RingQueue, FifoThroughInlineAndSpill) {

@@ -1,17 +1,19 @@
 // Tests for src/prof/: critical-path extraction on hand-built
-// micro-programs, zero-residual attribution invariants, what-if
-// evaluator exactness, single-pass LB/Ser/Trf parity with the
-// replay-based core::decompose on every fig5/fig6 configuration, and
-// byte-identical profile artifacts across sweep thread counts and
-// repeated runs.
+// micro-programs, zero-residual attribution invariants, attribute()
+// against a whole-timeline reference walk, what-if evaluator exactness,
+// single-pass LB/Ser/Trf parity with the replay-based core::decompose on
+// every fig5/fig6 configuration, and byte-identical profile artifacts
+// across sweep thread counts and repeated runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "fuzz_programs.h"
 #include "core/efficiency.h"
 #include "prof/critical_path.h"
 #include "prof/energy.h"
@@ -22,6 +24,7 @@
 #include "sim/op.h"
 #include "sweep/sweep.h"
 #include "systems/machines.h"
+#include "workloads/workload.h"
 
 namespace soc::prof {
 namespace {
@@ -215,6 +218,210 @@ TEST(WhatIf, MeasuredEvaluationIsExactOnMicroPrograms) {
   EXPECT_GE(ideal, 0);
   EXPECT_LE(ideal, run.stats.makespan);
 }
+
+// ---------------------------------------------------------------------------
+// attribute() against a reference that builds every rank's whole segment
+// timeline and binary-searches it at each step of the walk.  attribute()
+// keeps no timeline: it rebuilds only the op window the walk is in.
+// ---------------------------------------------------------------------------
+
+struct RefSegment {
+  SimTime begin = 0;
+  SimTime end = 0;
+  Category category = Category::kCompute;
+  int phase = 0;
+  int jump = -1;
+};
+
+void ref_emit(std::vector<RefSegment>& out, SimTime begin, SimTime end,
+              Category category, int phase, int jump = -1) {
+  if (end > begin) out.push_back(RefSegment{begin, end, category, phase, jump});
+}
+
+// Parked until the partner dispatched at p, queued until q, on the wire
+// until e, then receive overhead; all clipped to the window [b0, c).
+void ref_chain(const OpExec& op, SimTime p, SimTime q, SimTime e,
+               Category blocked, int jump, std::vector<RefSegment>& out) {
+  const SimTime b0 = op.dispatch;
+  const SimTime c = op.complete;
+  const auto clip = [&](SimTime t) { return std::min(std::max(t, b0), c); };
+  ref_emit(out, b0, clip(p), blocked, op.phase, jump);
+  ref_emit(out, clip(p), clip(q), Category::kNicWait, op.phase);
+  ref_emit(out, clip(q), clip(e), Category::kTransfer, op.phase);
+  ref_emit(out, clip(e), c, Category::kRecvOverhead, op.phase);
+}
+
+void ref_op_segments(const RunTrace& trace, const OpExec& op,
+                     std::vector<RefSegment>& out) {
+  const SimTime b0 = op.dispatch;
+  const SimTime c = op.complete;
+  const auto op_at = [&](int i) -> const OpExec& {
+    return trace.ops[static_cast<std::size_t>(i)];
+  };
+  const auto msg_at = [&](int i) -> const sim::MessageRecord& {
+    return trace.messages[static_cast<std::size_t>(i)];
+  };
+  switch (op.kind) {
+    case sim::OpKind::kCpuCompute:
+      ref_emit(out, b0, c, Category::kCompute, op.phase);
+      return;
+    case sim::OpKind::kDelay:
+      ref_emit(out, b0, c, Category::kInjected, op.phase);
+      return;
+    case sim::OpKind::kGpuKernel:
+      ref_emit(out, b0, op.busy_start, Category::kGpuWait, op.phase);
+      ref_emit(out, op.busy_start, c, Category::kGpuBusy, op.phase);
+      return;
+    case sim::OpKind::kCopyH2D:
+    case sim::OpKind::kCopyD2H:
+      ref_emit(out, b0, op.busy_start, Category::kCopyWait, op.phase);
+      ref_emit(out, op.busy_start, c, Category::kCopyBusy, op.phase);
+      return;
+    case sim::OpKind::kSend: {
+      const sim::MessageRecord& m = msg_at(op.msg);
+      if (m.eager) {
+        ref_emit(out, b0, c, Category::kSendOverhead, op.phase);
+      } else {
+        const OpExec& recv = op_at(op.partner);
+        ref_chain(op, recv.dispatch, m.start, m.end, Category::kBlockedSend,
+                  recv.rank, out);
+      }
+      return;
+    }
+    case sim::OpKind::kRecv: {
+      const sim::MessageRecord& m = msg_at(op.msg);
+      const OpExec& send = op_at(op.partner);
+      ref_chain(op, send.dispatch, m.start, m.end, Category::kBlockedRecv,
+                send.rank, out);
+      return;
+    }
+    case sim::OpKind::kIsend:
+      ref_emit(out, b0, c, Category::kSendOverhead, op.phase);
+      return;
+    case sim::OpKind::kIrecv:
+      ref_emit(out, b0, c, Category::kRecvOverhead, op.phase);
+      return;
+    case sim::OpKind::kWaitAll: {
+      if (c <= b0) return;
+      const OpExec& det = op_at(op.determinant);
+      const sim::MessageRecord& m = msg_at(det.msg);
+      const OpExec& send = op_at(det.partner);
+      ref_chain(op, send.dispatch, m.start, m.end, Category::kBlockedWait,
+                send.rank, out);
+      return;
+    }
+    default:
+      FAIL() << "unexpected op kind";
+  }
+}
+
+Attribution reference_attribute(const RunTrace& trace) {
+  const std::size_t n = static_cast<std::size_t>(trace.placement.ranks);
+  const SimTime makespan = trace.stats.makespan;
+  std::vector<std::vector<RefSegment>> timelines(n);
+  Attribution out;
+  out.rank_profiles.assign(n, RankProfile{});
+  for (std::size_t r = 0; r < n; ++r) {
+    std::vector<RefSegment>& segments = timelines[r];
+    for (const int oi : trace.rank_ops[r]) {
+      ref_op_segments(trace, trace.ops[static_cast<std::size_t>(oi)],
+                      segments);
+    }
+    const int last_phase = segments.empty() ? 0 : segments.back().phase;
+    ref_emit(segments, trace.finish[r], makespan, Category::kIdle, last_phase);
+    for (const RefSegment& s : segments) {
+      out.rank_profiles[r].by_category[idx(s.category)] += s.end - s.begin;
+    }
+  }
+  CriticalPath& path = out.path;
+  path.by_rank.assign(n, 0);
+  std::size_t rank = 0;
+  while (rank + 1 < n && trace.finish[rank] != makespan) ++rank;
+  SimTime cursor = makespan;
+  while (cursor > 0) {
+    const std::vector<RefSegment>& segments = timelines[rank];
+    const auto it = std::upper_bound(
+        segments.begin(), segments.end(), cursor - 1,
+        [](SimTime v, const RefSegment& s) { return v < s.begin; });
+    if (it == segments.begin() || (it - 1)->end != cursor) {
+      ADD_FAILURE() << "reference walk left the timeline at " << cursor;
+      return out;
+    }
+    const RefSegment& s = *(it - 1);
+    if (s.jump >= 0) {
+      rank = static_cast<std::size_t>(s.jump);
+      continue;
+    }
+    path.steps.push_back(PathStep{s.category, static_cast<int>(rank), s.phase,
+                                  s.begin, s.end});
+    path.by_category[idx(s.category)] += s.end - s.begin;
+    path.by_phase[s.phase] += s.end - s.begin;
+    path.by_rank[rank] += s.end - s.begin;
+    path.total += s.end - s.begin;
+    cursor = s.begin;
+  }
+  std::reverse(path.steps.begin(), path.steps.end());
+  return out;
+}
+
+void expect_same_attribution(const RunTrace& trace, const std::string& tag) {
+  const Attribution got = attribute(trace);
+  const Attribution want = reference_attribute(trace);
+  ASSERT_EQ(got.rank_profiles.size(), want.rank_profiles.size()) << tag;
+  for (std::size_t r = 0; r < want.rank_profiles.size(); ++r) {
+    EXPECT_EQ(got.rank_profiles[r].by_category,
+              want.rank_profiles[r].by_category)
+        << tag << " rank " << r;
+  }
+  ASSERT_EQ(got.path.steps.size(), want.path.steps.size()) << tag;
+  for (std::size_t i = 0; i < want.path.steps.size(); ++i) {
+    const PathStep& g = got.path.steps[i];
+    const PathStep& w = want.path.steps[i];
+    EXPECT_TRUE(g.category == w.category && g.rank == w.rank &&
+                g.phase == w.phase && g.begin == w.begin && g.end == w.end)
+        << tag << " step " << i;
+  }
+  EXPECT_EQ(got.path.by_category, want.path.by_category) << tag;
+  EXPECT_EQ(got.path.by_phase, want.path.by_phase) << tag;
+  EXPECT_EQ(got.path.by_rank, want.path.by_rank) << tag;
+  EXPECT_EQ(got.path.total, want.path.total) << tag;
+}
+
+TEST(AttributeReference, EveryWorkloadAtTwoAndFourNodes) {
+  for (const std::string& workload : workloads::list()) {
+    for (const int nodes : {2, 4}) {
+      cluster::RunRequest request;
+      request.workload = workload;
+      request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), nodes,
+                        nodes};
+      request.options.size_scale = 0.05;
+      RunTrace trace;
+      request.run_trace = &trace;
+      cluster::run(request);
+      expect_same_attribution(trace, workload + "@" + std::to_string(nodes));
+    }
+  }
+}
+
+// The programs FuzzSeeds profiles: isend/irecv/waitall, blocking
+// exchanges in both protocols, and tags reused on one channel, with two
+// or four ranks per node.
+class AttributeFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(AttributeFuzz, MixedProgramsMatchReference) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const int ranks = 8;
+  const int nodes = seed % 2 == 0 ? 4 : 2;
+  const auto programs = test::mixed_programs(seed * 7919 + 5, ranks);
+  test::FuzzCost cost(1e9);
+  Profiler profiler;
+  sim::Engine engine(sim::Placement::block(ranks, nodes), cost);
+  engine.set_observer(&profiler);
+  engine.run(programs);
+  expect_same_attribution(profiler.trace(), "seed " + std::to_string(seed));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AttributeFuzz, ::testing::Range(0, 12));
 
 // ---------------------------------------------------------------------------
 // Single-pass LB/Ser/Trf parity with the replay-based decomposition on
