@@ -33,6 +33,8 @@ struct LaneUsage {
   /// overlap).  The cpu lane has one row per rank; the shared lanes one
   /// per node.
   SimTime idle(sim::Lane lane, int ranks, int nodes, SimTime makespan) const;
+
+  bool operator==(const LaneUsage&) const = default;
 };
 
 /// Stable metric-name spelling for a lane ("cpu", "gpu", "copy", "nic_tx",

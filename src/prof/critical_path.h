@@ -61,6 +61,8 @@ struct PathStep {
   int phase = 0;
   SimTime begin = 0;
   SimTime end = 0;
+
+  bool operator==(const PathStep&) const = default;
 };
 
 /// The extracted critical path with its attribution rollups.  The steps
@@ -71,17 +73,23 @@ struct CriticalPath {
   std::map<int, SimTime> by_phase;
   std::vector<SimTime> by_rank;
   SimTime total = 0;
+
+  bool operator==(const CriticalPath&) const = default;
 };
 
 /// Full-timeline decomposition of one rank; the categories sum to the
 /// run's makespan exactly (kIdle covers early finishers).
 struct RankProfile {
   std::array<SimTime, kCategoryCount> by_category{};
+
+  bool operator==(const RankProfile&) const = default;
 };
 
 struct Attribution {
   CriticalPath path;
   std::vector<RankProfile> rank_profiles;  ///< One per rank.
+
+  bool operator==(const Attribution&) const = default;
 };
 
 /// Decomposes the trace into segments and walks the critical path.

@@ -42,6 +42,8 @@ struct PhaseEnergy {
   std::int64_t gpu_uj = 0;
   std::int64_t nic_uj = 0;
   std::int64_t dram_uj = 0;
+
+  bool operator==(const PhaseEnergy&) const = default;
 };
 
 /// Zero-residual energy decomposition of one recorded run.
@@ -67,6 +69,8 @@ struct EnergyAttribution {
   /// components by busy-time/traffic share), largest-remainder rounded:
   /// Σ == total_uj exactly.
   std::vector<std::int64_t> rank_uj;
+
+  bool operator==(const EnergyAttribution&) const = default;
 };
 
 /// Charges each phase and rank its CPU/GPU/NIC/DRAM/idle energy.  The

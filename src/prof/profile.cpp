@@ -1,10 +1,13 @@
 #include "prof/profile.h"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <tuple>
+#include <utility>
 
 #include "common/error.h"
+#include "common/parallel.h"
 #include "common/units.h"
 #include "obs/json.h"
 #include "sim/engine.h"
@@ -61,7 +64,6 @@ void write_categories(obs::JsonWriter& w,
 
 Profile analyze(const RunTrace& trace) {
   Profile p;
-  p.attribution = attribute(trace);
   p.usage = trace.usage;
   p.ranks = trace.placement.ranks;
   p.nodes = trace.placement.nodes;
@@ -69,22 +71,35 @@ Profile analyze(const RunTrace& trace) {
   p.event_checksum = trace.stats.event_checksum;
   p.events_committed = trace.stats.events_committed;
 
+  // The attribution and four what-if re-timings each read the trace and
+  // write their own slot, so they run concurrently (DESIGN.md §10); the
+  // calling thread takes the attribution, task 0.
+  WhatIf net;
+  net.ideal_network = true;
+  WhatIf balance;
+  balance.compute_scale = sim::ideal_balance_scales(trace.stats);
+  WhatIf lanes;
+  lanes.uncontended = true;
+  const WhatIf measured;
+  const std::array<std::pair<const WhatIf*, SimTime*>, 4> retimings = {{
+      {&measured, &p.measured_eval},
+      {&net, &p.ideal_network},
+      {&balance, &p.ideal_balance},
+      {&lanes, &p.uncontended},
+  }};
+  parallel_for(1 + retimings.size(), [&](std::size_t i) {
+    if (i == 0) {
+      p.attribution = attribute(trace);
+    } else {
+      const auto& [scenario, slot] = retimings[i - 1];
+      *slot = evaluate(trace, *scenario);
+    }
+  });
   // Round trip: re-evaluating the measured scenario must land on the
   // recorded makespan to the nanosecond, or every projection is suspect.
-  p.measured_eval = evaluate(trace, WhatIf{});
   SOC_CHECK(p.measured_eval == p.makespan,
             "profile: what-if evaluator failed to reproduce the measured run");
   p.evaluator_exact = true;
-
-  WhatIf net;
-  net.ideal_network = true;
-  p.ideal_network = evaluate(trace, net);
-  WhatIf balance;
-  balance.compute_scale = sim::ideal_balance_scales(trace.stats);
-  p.ideal_balance = evaluate(trace, balance);
-  WhatIf lanes;
-  lanes.uncontended = true;
-  p.uncontended = evaluate(trace, lanes);
 
   p.compute_total = 0;
   p.compute_max = 0;

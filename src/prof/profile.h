@@ -4,7 +4,10 @@
 // critical-path attribution, per-rank/ per-lane rollups, what-if
 // projections (ideal network, ideal balance, uncontended lanes), and the
 // single-pass LB/Ser/Trf efficiency decomposition (paper Eq. 4) — all
-// from one instrumented run, no engine replays.
+// from one instrumented run, no engine replays.  The attribution and the
+// four what-if re-timings (the measured round trip and the three
+// projections) are independent read-only passes over the trace and run
+// concurrently through soc::parallel_for.
 //
 // profile_json() renders the deterministic `soccluster-critical-path/v1`
 // document.  Every value in the artifact is an integer (nanoseconds, or
@@ -34,6 +37,8 @@ struct Factors {
   double serialization = 1.0;
   double transfer = 1.0;
   double efficiency = 1.0;
+
+  bool operator==(const Factors&) const = default;
 };
 
 /// Everything the exporters and callers need from one profiled run.
@@ -64,11 +69,16 @@ struct Profile {
   /// node power config; analyze() alone leaves has_energy false).
   bool has_energy = false;
   EnergyAttribution energy;
+
+  bool operator==(const Profile&) const = default;
 };
 
-/// Rolls a reconstructed trace into a Profile (attribution + three what-if
-/// evaluations + efficiency factors).  Throws soc::Error if the measured
-/// re-evaluation fails to reproduce the recorded makespan exactly.
+/// Rolls a reconstructed trace into a Profile (attribution + four what-if
+/// evaluations + efficiency factors).  The calling thread runs the
+/// attribution while helper threads run the evaluations (inline when
+/// called from inside a parallel_for task).  Throws soc::Error if the
+/// measured re-evaluation fails to reproduce the recorded makespan
+/// exactly.
 Profile analyze(const RunTrace& trace);
 
 /// The deterministic `soccluster-critical-path/v1` JSON document.

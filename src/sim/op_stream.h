@@ -11,8 +11,8 @@
 // ProgramSource adapts the classic eager path (one std::vector<Op> per
 // rank); RecordingSource tees any source into materialized programs so a
 // streamed run can be replayed verbatim under the Eq. 4 what-ifs
-// (trace::replay_scenarios, which re-times the recording in place for
-// ideal balance).
+// (trace::replay_scenarios, whose two replays read the recording at the
+// same time, each through its own ProgramSource).
 #pragma once
 
 #include <vector>
@@ -64,8 +64,7 @@ class RecordingSource final : public OpSource {
   bool next(int rank, SimTime now, Op* op) override;
 
   /// The ops recorded so far, one program per rank, in pull order.
-  /// Mutable so a replay can re-time the recording in place.
-  std::vector<Program>& programs() { return programs_; }
+  const std::vector<Program>& programs() const { return programs_; }
 
  private:
   OpSource* inner_;

@@ -49,6 +49,8 @@ struct RankStats {
   std::map<int, SimTime> phase_compute;
   /// Host instructions per microarchitectural profile id.
   std::map<int, double> instructions_by_profile;
+
+  bool operator==(const RankStats&) const = default;
 };
 
 /// Width of the busy-time timeline bins (the power model's input).
@@ -62,6 +64,8 @@ struct NodeTimeline {
   std::vector<double> gpu_busy;
   std::vector<double> nic_busy;
   std::vector<double> dram_bytes;  ///< Bytes moved per bin.
+
+  bool operator==(const NodeTimeline&) const = default;
 };
 
 /// Aggregate result of one engine run.
@@ -95,6 +99,8 @@ struct RunStats {
   double dram_bytes_per_second() const;
   /// Average inter-node network traffic rate in bytes/s.
   double net_bytes_per_second() const;
+
+  bool operator==(const RunStats&) const = default;
 };
 
 }  // namespace soc::sim

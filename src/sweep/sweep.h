@@ -29,8 +29,8 @@
 namespace soc::sweep {
 
 struct SweepOptions {
-  /// Host threads to shard across; 0 = hardware concurrency.  Thread
-  /// count never changes results, only wall-clock.
+  /// Host threads to shard across; 0 = every CPU the process may use.
+  /// Thread count never changes results, only wall-clock.
   unsigned threads = 0;
   /// Repaint a stderr progress/ETA line as runs finish (see progress.h).
   bool progress = false;

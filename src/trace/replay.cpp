@@ -1,6 +1,31 @@
 #include "trace/replay.h"
 
+#include "common/parallel.h"
+
 namespace soc::trace {
+
+namespace {
+
+/// Ideal balance: every op rank r pulls takes scales[r] times as long.
+class BalancedSource final : public sim::OpSource {
+ public:
+  BalancedSource(sim::OpSource& inner, const std::vector<double>& scales)
+      : inner_(inner), scales_(scales) {}
+
+  int ranks() const override { return inner_.ranks(); }
+
+  bool next(int rank, SimTime now, sim::Op* op) override {
+    if (!inner_.next(rank, now, op)) return false;
+    op->time_scale *= scales_[static_cast<std::size_t>(rank)];
+    return true;
+  }
+
+ private:
+  sim::OpSource& inner_;
+  const std::vector<double>& scales_;
+};
+
+}  // namespace
 
 sim::RunStats replay_ideal_network(const sim::Placement& placement,
                                    const sim::CostModel& cost,
@@ -23,22 +48,21 @@ ScenarioRuns replay_scenarios(const sim::Placement& placement,
     runs.measured = engine.run(recording);
   }
   // The two what-ifs re-time the op sequence the measured run committed.
-  std::vector<sim::Program>& programs = recording.programs();
-  {
-    sim::ProgramSource replay(programs);
-    runs.ideal_network =
-        replay_ideal_network(placement, cost, replay, config);
-  }
-  // Ideal balance rewrites the recording in place (it is not needed
-  // afterwards): every op of rank r takes scales[r] times as long.
+  // Each is a whole single-threaded run over the read-only recording that
+  // writes its own slot, so they run concurrently (DESIGN.md §10).
+  const std::vector<sim::Program>& programs = recording.programs();
   const std::vector<double> scales = sim::ideal_balance_scales(runs.measured);
-  for (std::size_t r = 0; r < programs.size(); ++r) {
-    for (sim::Op& op : programs[r]) op.time_scale *= scales[r];
-  }
-  {
-    sim::Engine engine(placement, cost, config);
-    runs.ideal_balance = engine.run(programs);
-  }
+  parallel_for(2, [&](std::size_t i) {
+    sim::ProgramSource replay(programs);
+    if (i == 0) {
+      runs.ideal_network =
+          replay_ideal_network(placement, cost, replay, config);
+    } else {
+      BalancedSource balanced(replay, scales);
+      sim::Engine engine(placement, cost, config);
+      runs.ideal_balance = engine.run(balanced);
+    }
+  });
   return runs;
 }
 

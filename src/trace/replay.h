@@ -4,11 +4,12 @@
 // them under (a) the real network, (b) an ideal network with zero latency
 // and unlimited bandwidth, and (c) perfect load balance.  Here the
 // measured run records the op sequence it pulls, and that recording is
-// the trace the two ideal scenarios replay.  Both ideals are built from
-// pieces the plain engine already has, so it needs no what-if mode: the
-// ideal network is a cost model whose messages are free plus an
-// unlimited switch, and ideal balance multiplies every recorded op's
-// Op::time_scale by its rank's sim::ideal_balance_scales factor.
+// the trace the two ideal scenarios replay, concurrently and read-only.
+// Both ideals are built from pieces the plain engine already has, so it
+// needs no what-if mode: the ideal network is a cost model whose messages
+// are free plus an unlimited switch, and ideal balance multiplies each
+// op's Op::time_scale by its rank's sim::ideal_balance_scales factor as
+// the replay pulls it.
 #pragma once
 
 #include <vector>
@@ -71,6 +72,12 @@ sim::RunStats replay_ideal_network(const sim::Placement& placement,
 /// the measured run committed, instead of re-sampling the decorators
 /// under a different schedule.  To replay pre-built programs, pass a
 /// sim::ProgramSource over them.
+///
+/// The two ideal replays run at the same time through soc::parallel_for
+/// (inline when called from inside a parallel_for task), so they share
+/// `cost` from two threads: its const calls must be safe to make
+/// concurrently, as cluster::ClusterCostModel's are.  sim::MemoCostModel's
+/// are not.  If both replays throw, the ideal network's error is rethrown.
 ScenarioRuns replay_scenarios(const sim::Placement& placement,
                               const sim::CostModel& cost, sim::OpSource& source,
                               const sim::EngineConfig& config = {});

@@ -4,16 +4,22 @@
 //
 // Replays run back-to-back serially and fanned out under soc::parallel_for
 // (the bench sweeps' execution mode), and the checksums must be
-// bit-identical in every case.  Also covers the parallel_for edge cases
-// the sweeps rely on: count = 0, threads > count, and the documented
-// rethrow-after-join path.
+// bit-identical in every case.  Also covers the parallel_for rules the
+// sweeps and analyses rely on: count = 0, threads > count, the lowest
+// failing index's exception rethrown after the join, nested calls run
+// inline, the caller runs task 0, and 0 threads follows the affinity
+// mask.
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <iterator>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -254,6 +260,137 @@ TEST(ParallelFor, ThrowingTaskRethrownAfterJoin) {
 
 TEST(ParallelFor, NullBodyRejected) {
   EXPECT_THROW(parallel_for(4, std::function<void(std::size_t)>{}), Error);
+}
+
+// Two failing tasks: the error is always the lower index's, whatever the
+// thread count and whichever task threw first in time (task 3 sleeps so
+// task 11 usually does), and every other task still runs.
+TEST(ParallelFor, LowestFailingIndexIsRethrown) {
+  constexpr std::size_t kCount = 16;
+  for (const unsigned threads : {1u, 2u, 4u, 16u}) {
+    for (int run = 0; run < 50; ++run) {
+      std::vector<std::atomic<int>> ran(kCount);
+      std::string message;
+      try {
+        parallel_for(
+            kCount,
+            [&](std::size_t i) {
+              ++ran[i];
+              if (i == 3) {
+                std::this_thread::sleep_for(std::chrono::microseconds(200));
+                throw Error("task 3 failed");
+              }
+              if (i == 11) throw Error("task 11 failed");
+            },
+            threads);
+      } catch (const Error& e) {
+        message = e.what();
+      }
+      ASSERT_EQ(message, "task 3 failed") << threads << " threads, run " << run;
+      for (std::size_t i = 0; i < kCount; ++i) {
+        ASSERT_EQ(ran[i].load(), 1) << "task " << i << ", " << threads
+                                    << " threads, run " << run;
+      }
+    }
+  }
+}
+
+// A parallel_for inside a task runs inline: all its tasks on that task's
+// thread, in index order, however many threads it asks for.
+TEST(ParallelFor, NestedCallsRunInlineInIndexOrder) {
+  constexpr std::size_t kOuter = 8;
+  std::vector<std::vector<std::size_t>> order(kOuter);
+  std::vector<int> on_task_thread(kOuter, 0);
+  parallel_for(
+      kOuter,
+      [&](std::size_t o) {
+        const std::thread::id task_thread = std::this_thread::get_id();
+        bool same = true;
+        parallel_for(5, [&](std::size_t i) {
+          order[o].push_back(i);
+          same = same && std::this_thread::get_id() == task_thread;
+        });
+        on_task_thread[o] = same ? 1 : 0;
+      },
+      /*threads=*/4);
+  for (std::size_t o = 0; o < kOuter; ++o) {
+    EXPECT_EQ(order[o], (std::vector<std::size_t>{0, 1, 2, 3, 4}))
+        << "outer task " << o;
+    EXPECT_EQ(on_task_thread[o], 1) << "outer task " << o;
+  }
+}
+
+/// True when a top-level two-task call runs task 1 on another thread
+/// while task 0 holds the caller (task 0 waits about 10 s at most).
+bool top_level_fans_out() {
+  std::atomic<bool> second_started{false};
+  std::thread::id second_thread;
+  parallel_for(
+      2,
+      [&](std::size_t i) {
+        if (i == 1) {
+          second_thread = std::this_thread::get_id();
+          second_started = true;
+          return;
+        }
+        for (int wait = 0; wait < 10'000 && !second_started; ++wait) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      },
+      /*threads=*/2);
+  return second_thread != std::this_thread::get_id();
+}
+
+TEST(ParallelFor, TopLevelCallsFanOutAgainAfterNestedOnes) {
+  EXPECT_TRUE(top_level_fans_out());
+  parallel_for(3, [](std::size_t) { parallel_for(2, [](std::size_t) {}); });
+  EXPECT_TRUE(top_level_fans_out());
+
+  // An inner task throws, on the caller's thread and on helpers, through
+  // a fanned-out outer call and through one that ran inline.
+  const auto nested_throw = [](std::size_t) {
+    parallel_for(3, [](std::size_t i) {
+      if (i == 1) throw Error("inner task failed");
+    });
+  };
+  EXPECT_THROW(parallel_for(4, nested_throw, /*threads=*/2), Error);
+  EXPECT_TRUE(top_level_fans_out());
+  EXPECT_THROW(parallel_for(1, nested_throw), Error);
+  EXPECT_TRUE(top_level_fans_out());
+}
+
+TEST(ParallelFor, CallerRunsTaskZero) {
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const unsigned threads : {0u, 1u, 2u, 4u, 16u}) {
+    std::thread::id first;
+    parallel_for(
+        16,
+        [&](std::size_t i) {
+          if (i == 0) first = std::this_thread::get_id();
+        },
+        threads);
+    EXPECT_EQ(first, caller) << threads << " threads";
+  }
+}
+
+// Zero threads means every CPU this process may use: pinned to one CPU,
+// a call runs inline instead of time-slicing threads on it.
+TEST(ParallelFor, ZeroThreadsFollowsTheAffinityMask) {
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int cpu = 0;
+  while (cpu < CPU_SETSIZE && !CPU_ISSET(cpu, &saved)) ++cpu;
+  ASSERT_LT(cpu, CPU_SETSIZE);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const unsigned pinned = effective_threads(0, 8);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(effective_threads(0, 8),
+            std::min(static_cast<unsigned>(CPU_COUNT(&saved)), 8u));
 }
 
 TEST(Fnv1a, OrderSensitiveAndStable) {

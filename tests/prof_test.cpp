@@ -2,8 +2,9 @@
 // micro-programs, zero-residual attribution invariants, attribute()
 // against a whole-timeline reference walk, what-if evaluator exactness,
 // single-pass LB/Ser/Trf parity with the replay-based core::decompose on
-// every fig5/fig6 configuration, and byte-identical profile artifacts
-// across sweep thread counts and repeated runs.
+// every fig5/fig6 configuration, concurrent replays and what-if passes
+// equal to inline ones, and byte-identical profile artifacts across sweep
+// thread counts and repeated runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,8 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/cost_model.h"
+#include "common/parallel.h"
 #include "fuzz_programs.h"
 #include "core/efficiency.h"
 #include "prof/critical_path.h"
@@ -24,6 +27,7 @@
 #include "sim/op.h"
 #include "sweep/sweep.h"
 #include "systems/machines.h"
+#include "workloads/scenario.h"
 #include "workloads/workload.h"
 
 namespace soc::prof {
@@ -515,6 +519,110 @@ TEST(SinglePassDecomposition, MatchesReplayOnFig6Configs) {
     for (const int nodes : {2, 4, 8, 16}) {
       check_parity(workload, nodes, 2 * nodes);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent passes.  At top level the two Eq. 4 replays and analyze()'s
+// what-if re-timings run on helper threads; inside a parallel_for task
+// every pass runs inline.  Both must give the same results, bit for bit.
+// ---------------------------------------------------------------------------
+
+struct Analysis {
+  trace::ScenarioRuns runs;
+  Profile profile;
+};
+
+Analysis analyze_request(cluster::RunRequest request,
+                         const workloads::Workload& workload,
+                         const cluster::ClusterCostModel& cost) {
+  Analysis analysis;
+  analysis.runs = cluster::replay_scenarios(request, workload, cost);
+  request.profile = &analysis.profile;
+  cluster::run(request, workload, cost);
+  return analysis;
+}
+
+void expect_same_stats(const sim::RunStats& got, const sim::RunStats& want,
+                       const std::string& tag) {
+  EXPECT_EQ(got.event_checksum, want.event_checksum) << tag;
+  EXPECT_EQ(got.events_committed, want.events_committed) << tag;
+  EXPECT_EQ(got.makespan, want.makespan) << tag;
+  EXPECT_TRUE(got.ranks == want.ranks) << tag << ": per-rank stats differ";
+  EXPECT_TRUE(got == want) << tag;
+}
+
+void expect_concurrent_equals_inline(const cluster::RunRequest& request,
+                                     const std::string& tag) {
+  const auto workload = workloads::make_workload(request.workload);
+  // One cost model for all four calls: the test compares scheduling, not
+  // characterization, and sharing it keeps the test short.
+  const cluster::ClusterCostModel cost(
+      request.config.node, request.config.nodes, request.config.ranks,
+      workload->cpu_profile());
+  const Analysis concurrent = analyze_request(request, *workload, cost);
+  Analysis inline_passes;
+  parallel_for(1, [&](std::size_t) {
+    inline_passes = analyze_request(request, *workload, cost);
+  });
+
+  const trace::ScenarioRuns& a = concurrent.runs;
+  const trace::ScenarioRuns& b = inline_passes.runs;
+  expect_same_stats(a.measured, b.measured, tag + " measured");
+  expect_same_stats(a.ideal_network, b.ideal_network, tag + " ideal network");
+  expect_same_stats(a.ideal_balance, b.ideal_balance, tag + " ideal balance");
+
+  const Profile& p = concurrent.profile;
+  const Profile& q = inline_passes.profile;
+  EXPECT_EQ(p.measured_eval, q.measured_eval) << tag;
+  EXPECT_EQ(p.ideal_network, q.ideal_network) << tag;
+  EXPECT_EQ(p.ideal_balance, q.ideal_balance) << tag;
+  EXPECT_EQ(p.uncontended, q.uncontended) << tag;
+  EXPECT_TRUE(p.evaluator_exact && q.evaluator_exact) << tag;
+  EXPECT_TRUE(p.attribution.path == q.attribution.path) << tag;
+  EXPECT_TRUE(p.attribution.rank_profiles == q.attribution.rank_profiles)
+      << tag;
+  EXPECT_TRUE(p.energy == q.energy) << tag << ": energy partitions differ";
+  EXPECT_TRUE(p == q) << tag;
+}
+
+TEST(ConcurrentPasses, EqualInlinePassesOnEveryWorkload) {
+  for (const std::string& workload : workloads::list()) {
+    for (const int nodes : {2, 4}) {
+      cluster::RunRequest request;
+      request.workload = workload;
+      request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), nodes,
+                        nodes};
+      request.options.size_scale = 0.05;
+      expect_concurrent_equals_inline(
+          request, workload + "@" + std::to_string(nodes));
+    }
+  }
+}
+
+// jacobi@4 under each scenario the CI smoke runs: the replays re-time the
+// op sequence the decorated measured run recorded.
+TEST(ConcurrentPasses, EqualInlinePassesUnderScenarios) {
+  const struct {
+    const char* name;
+    workloads::ScenarioConfig scenario;
+  } cases[] = {
+      {"node crash",
+       workloads::parse_scenario("node-crash:node=0,t=2,down=10", "", "")},
+      {"straggler",
+       workloads::parse_scenario("straggler:rank=1,slowdown=2.0", "", "")},
+      {"daly checkpoint",
+       workloads::parse_scenario("", "", "daly:size=4e9,bw=2e9,mtti=60")},
+      {"os noise",
+       workloads::parse_scenario("", "interval=0.05,duration=0.002,seed=7",
+                                 "")},
+  };
+  for (const auto& c : cases) {
+    cluster::RunRequest request;
+    request.workload = "jacobi";
+    request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), 4, 4};
+    request.scenario = c.scenario;
+    expect_concurrent_equals_inline(request, std::string("jacobi@4 ") + c.name);
   }
 }
 

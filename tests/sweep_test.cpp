@@ -73,7 +73,7 @@ TEST(Parallel, EffectiveThreadsPolicy) {
   EXPECT_EQ(effective_threads(8, 3), 3u);   // capped at the work count
   EXPECT_EQ(effective_threads(0, 0), 0u);   // no work, no threads
   EXPECT_EQ(effective_threads(5, 0), 0u);
-  EXPECT_GE(effective_threads(0, 100), 1u);  // 0 resolves to hardware
+  EXPECT_GE(effective_threads(0, 100), 1u);  // 0 resolves to usable CPUs
   EXPECT_EQ(effective_threads(1, 100), 1u);
 }
 
