@@ -11,7 +11,7 @@
 // the ideal network helps hpl and tealeaf3d the most.
 //
 // When SOC_BENCH_JSON_DIR is set, the 16-node 10GbE run of each workload
-// additionally emits its soccluster-critical-path/v1 profile (single-pass
+// additionally emits its soccluster-critical-path/v2 profile (single-pass
 // bottleneck attribution, src/prof/) — serviced by the same sweep runs,
 // so stdout and every existing artifact are unchanged.
 #include <cstdio>

@@ -94,8 +94,7 @@ RunResult run(const RunRequest& request, const workloads::Workload& workload,
   obs::ObserverList observers;
   const bool want_profile = request.profile != nullptr ||
                             !request.profile_json_path.empty() ||
-                            !request.profile_folded_path.empty() ||
-                            request.run_trace != nullptr;
+                            !request.profile_folded_path.empty();
   if (want_profile) {
     observers.add(request.options.observer);  // nullptr is ignored
     observers.add(&profiler);
@@ -110,9 +109,6 @@ RunResult run(const RunRequest& request, const workloads::Workload& workload,
     profile.energy = prof::attribute_energy(
         profiler.trace(), request.config.node.power, request.config.node.cpu_cores);
     profile.has_energy = true;
-    if (request.run_trace != nullptr) {
-      *request.run_trace = profiler.take_trace();
-    }
     if (!request.profile_json_path.empty()) {
       write_text(request.profile_json_path, prof::profile_json(profile));
     }

@@ -29,7 +29,6 @@
 
 namespace soc::prof {
 struct Profile;
-struct RunTrace;
 }  // namespace soc::prof
 
 namespace soc::cluster {
@@ -88,20 +87,17 @@ struct RunRequest {
   /// Critical-path profiling sinks, all optional.  When any is set the
   /// run attaches its own prof::Profiler (composed with options.observer
   /// when that is also set), reconstructs the dependency DAG, and runs
-  /// the single-pass attribution + what-if analysis (src/prof/):
-  /// `profile` receives the analyzed prof::Profile, `profile_json_path`
-  /// the deterministic soccluster-critical-path/v1 document, and
-  /// `profile_folded_path` the flamegraph-compatible folded stacks.  When
-  /// none is set no profiler is attached and the run's cost is unchanged.
-  /// Each request owns its sinks, so concurrent sweep runs never share
-  /// observer state.
+  /// the attribution and energy passes (src/prof/): `profile` receives
+  /// the analyzed prof::Profile, `profile_json_path` the deterministic
+  /// soccluster-critical-path/v2 document, and `profile_folded_path` the
+  /// flamegraph-compatible folded stacks.  When none is set no profiler
+  /// is attached and the run's cost is unchanged.  A caller that needs
+  /// the reconstructed prof::RunTrace itself attaches a prof::Profiler
+  /// through options.observer.  Each request owns its sinks, so
+  /// concurrent sweep runs never share observer state.
   prof::Profile* profile = nullptr;
   std::string profile_json_path;
   std::string profile_folded_path;
-  /// Receives the reconstructed prof::RunTrace (implies profiling like
-  /// the sinks above); feed it to prof::retime() for DVFS / power-cap
-  /// what-ifs without re-running.
-  prof::RunTrace* run_trace = nullptr;
 };
 
 /// Validates a cluster shape; throws soc::UsageError on a bad one.

@@ -1,13 +1,12 @@
 // Exact-key FIFO message matching.
 //
-// The replay engine (sim/engine.cpp), the what-if evaluator
-// (prof/whatif.cpp) and the profiler's matching pass (prof/profiler.cpp)
-// pair message endpoints the same way: first in, first out per exact
-// (src, dst, tag) key.  MatchTable is that one mechanism.  A key lives in
-// the table only while it has a queued value — take() erases it the
-// moment its FIFO drains — so table size tracks in-flight messages, not
-// messages ever sent, and an entry left at the end of a run is by
-// definition an endpoint nobody matched.
+// The replay engine (sim/engine.cpp) and the profiler's matching pass
+// (prof/profiler.cpp) pair message endpoints the same way: first in,
+// first out per exact (src, dst, tag) key.  MatchTable is that one
+// mechanism.  A key lives in the table only while it has a queued value
+// — take() erases it the moment its FIFO drains — so table size tracks
+// in-flight messages, not messages ever sent, and an entry left at the
+// end of a run is by definition an endpoint nobody matched.
 #pragma once
 
 #include <cstddef>

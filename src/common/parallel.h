@@ -3,10 +3,10 @@
 // Each simulator run is single-threaded and deterministic; independent
 // runs (different cluster sizes, NICs, workloads) share no mutable state,
 // so the sweep benches fan them out across host cores, and one analysis
-// runs its independent whole passes (the Eq. 4 replays, the profiler's
-// what-if re-timings) side by side.  CP.4 of the Core Guidelines: think
-// in terms of tasks — parallel_for takes an index range and a task body,
-// and joins before returning.  DESIGN.md §10 has the rules.
+// runs its independent whole passes (the two ideal Eq. 4 replays) side by
+// side.  CP.4 of the Core Guidelines: think in terms of tasks —
+// parallel_for takes an index range and a task body, and joins before
+// returning.  DESIGN.md §10 has the rules.
 #pragma once
 
 #include <cstddef>

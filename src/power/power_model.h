@@ -6,9 +6,9 @@
 // over the engine's busy-time timelines, sampled at the same 1 Hz.
 //
 // The binned PowerTimeline is also the substrate for the energy
-// observability layer (src/prof/energy.*): the attribution pass and the
-// DVFS/power-cap what-ifs re-integrate the same bins with the same
-// floating-point operation sequence, so their totals reproduce
+// observability layer (src/prof/energy.*) and the power-cap what-if: the
+// attribution pass and apply_power_cap re-integrate the same bins with the
+// same floating-point operation sequence, so their totals reproduce
 // measure_energy() bit-exactly.
 #pragma once
 
@@ -42,9 +42,8 @@ struct NodePowerConfig {
   bool operator==(const NodePowerConfig&) const = default;
 };
 
-/// Active-power multiplier at relative frequency `freq_scale` (1.0 at
-/// the shipped clocks; exact identity there, so baseline what-ifs are
-/// bit-exact round trips).
+/// Active-power multiplier at relative frequency `freq_scale` (exactly
+/// 1.0 at the shipped clocks).
 double dvfs_power_factor(const NodePowerConfig& node, double freq_scale);
 
 /// Energy split by component (sums to `joules`).
@@ -77,7 +76,7 @@ struct EnergyReport {
 
 /// Binned whole-cluster power over one run: bin b covers
 /// [b*bin_seconds, min((b+1)*bin_seconds, seconds)).  Shared between
-/// measure_energy() and the prof energy-attribution/what-if passes so
+/// measure_energy(), apply_power_cap() and the prof energy attribution so
 /// every consumer integrates the identical bins.
 struct PowerTimeline {
   double bin_seconds = 0.0;

@@ -219,85 +219,6 @@ EnergyAttribution attribute_energy(const RunTrace& trace,
   return out;
 }
 
-Retimed retime(const RunTrace& trace, const WhatIf& scenario,
-               const power::NodePowerConfig& node, int cores_per_node) {
-  const power::EnergyReport measured =
-      power::measure_energy(trace.stats, node, cores_per_node);
-  Retimed out;
-
-  if (scenario.power_cap_w > 0.0) {
-    // The cap dilation is evaluated on the measured timeline, so it
-    // cannot compose with knobs that change that timeline.
-    SOC_CHECK(!scenario.ideal_network && !scenario.uncontended &&
-                  scenario.compute_scale.empty() &&
-                  scenario.dvfs_compute == 1.0 && scenario.dvfs_dram == 1.0,
-              "what-if: power cap cannot combine with re-timing knobs");
-    const power::PowerTimeline tl =
-        power::power_timeline(trace.stats, node, cores_per_node);
-    const power::CappedEnergy capped = power::apply_power_cap(
-        tl, node, trace.placement.nodes, scenario.power_cap_w);
-    // A cap at or above peak leaves every bin untouched: extra_seconds
-    // stays 0.0 and the integral reproduces the measured report.
-    out.makespan =
-        trace.stats.makespan +
-        static_cast<SimTime>(std::llround(capped.extra_seconds * 1e9));
-    out.seconds = capped.energy.seconds;
-    out.joules = capped.energy.joules;
-    out.average_watts = capped.energy.average_watts;
-    out.breakdown = capped.energy.breakdown;
-    out.capped_bins = capped.capped_bins;
-    return out;
-  }
-
-  out.makespan = evaluate(trace, scenario);
-  const bool same_runtime = out.makespan == trace.stats.makespan;
-  out.seconds = same_runtime ? measured.seconds : to_seconds(out.makespan);
-  const double fc = scenario.dvfs_compute;
-  const double fd = scenario.dvfs_dram;
-
-  // Active compute energy: busy time dilates by 1/f while power follows
-  // the voltage-frequency curve, so joules scale by pf(f)/f.
-  if (fc == 1.0) {
-    out.breakdown.cpu = measured.breakdown.cpu;
-    out.breakdown.gpu = measured.breakdown.gpu;
-  } else {
-    const double scale = power::dvfs_power_factor(node, fc) / fc;
-    out.breakdown.cpu = measured.breakdown.cpu * scale;
-    out.breakdown.gpu = measured.breakdown.gpu * scale;
-  }
-  // DRAM energy is traffic-metered (watts per GB/s integrates to joules
-  // per byte), so runtime dilation cancels; only the VF curve remains.
-  out.breakdown.dram = fd == 1.0 ? measured.breakdown.dram
-                                 : measured.breakdown.dram *
-                                       power::dvfs_power_factor(node, fd);
-  // Frequency-independent draw follows the projected runtime.
-  if (same_runtime) {
-    out.breakdown.idle = measured.breakdown.idle;
-    out.breakdown.nic = measured.breakdown.nic;
-  } else {
-    const double ratio = out.seconds / measured.seconds;
-    out.breakdown.idle = measured.breakdown.idle * ratio;
-    const double nic_idle = static_cast<double>(trace.placement.nodes) *
-                            node.nic_idle_w * measured.seconds;
-    const double nic_active =
-        std::max(0.0, measured.breakdown.nic - nic_idle);
-    out.breakdown.nic = nic_idle * ratio + nic_active;
-  }
-
-  if (same_runtime && fc == 1.0 && fd == 1.0) {
-    // Exact identity: hand back the measured integral itself rather than
-    // re-summing components (FP addition order would otherwise differ),
-    // so the baseline round trip is bit-exact.
-    out.joules = measured.joules;
-    out.average_watts = measured.average_watts;
-  } else {
-    out.joules = out.breakdown.idle + out.breakdown.cpu +
-                 out.breakdown.gpu + out.breakdown.nic + out.breakdown.dram;
-    out.average_watts = out.seconds > 0.0 ? out.joules / out.seconds : 0.0;
-  }
-  return out;
-}
-
 std::string energy_json(const EnergyAttribution& energy) {
   obs::JsonWriter w;
   w.begin_object();

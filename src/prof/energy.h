@@ -1,25 +1,20 @@
-// Critical-path profiler, stage 5: energy attribution and energy
-// what-ifs.
+// Critical-path profiler, stage 4: energy attribution.
 //
-// attribute_energy() extends the single-pass decomposition to joules:
+// attribute_energy() extends the critical-path attribution to joules:
 // the run's binned power timeline (power::power_timeline, the same bins
 // measure_energy integrates) is re-integrated as prefix sums with the
 // identical floating-point operation sequence, so the attribution total
 // reproduces EnergyReport.joules bit-exactly.  Per-phase and per-rank
 // shares follow the repo's fixed-point artifact convention (integer
-// microjoules, like the ns/ppm critical-path document): phase shares are
+// microjoules, like the ns critical-path document): phase shares are
 // telescoped differences of llround'ed prefix values and rank shares a
 // largest-remainder apportionment, so both partitions sum to
 // llround(joules * 1e6) with zero residual — exactly, in integer
 // arithmetic, not "up to rounding".
 //
-// retime() answers "what would this run have cost under a different DVFS
-// state or power cap?" from the recorded trace alone: durations re-time
-// through the what-if evaluator (whatif.h), active energy rescales along
-// the NodePowerConfig voltage-frequency curve, and power caps clamp the
-// measured timeline bin by bin, dilating the bins they clip.  The
-// baseline scenario (all knobs at their defaults) reproduces the
-// measured runtime and energy exactly.
+// A DVFS what-if is a run of its own at systems::with_dvfs(node, f), and
+// a power cap is power::apply_power_cap over the measured run's
+// power::power_timeline; neither needs the trace.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +23,6 @@
 
 #include "power/power_model.h"
 #include "prof/profiler.h"
-#include "prof/whatif.h"
 
 namespace soc::prof {
 
@@ -79,31 +73,6 @@ struct EnergyAttribution {
 EnergyAttribution attribute_energy(const RunTrace& trace,
                                    const power::NodePowerConfig& node,
                                    int cores_per_node);
-
-/// One re-timed scenario with its projected energy.
-struct Retimed {
-  SimTime makespan = 0;
-  double seconds = 0.0;
-  double joules = 0.0;
-  double average_watts = 0.0;
-  power::EnergyBreakdown breakdown;
-  std::size_t capped_bins = 0;  ///< Power-cap scenarios only.
-};
-
-/// Re-times the trace under the scenario and projects its energy.
-///
-/// - Baseline (default WhatIf): reproduces the measured makespan
-///   (asserted, like analyze()'s evaluator_exact) and the measured
-///   energy bit-exactly.
-/// - DVFS / re-timing scenarios: durations come from evaluate(); active
-///   CPU/GPU energy rescales by pf(f)/f (time dilation x power curve),
-///   DRAM energy by pf(f_mem) (traffic-metered, time-invariant), and the
-///   frequency-independent idle + NIC-idle draw follows the projected
-///   runtime.
-/// - Power cap (power_cap_w > 0): clamps the measured timeline via
-///   power::apply_power_cap; cannot be combined with the other knobs.
-Retimed retime(const RunTrace& trace, const WhatIf& scenario,
-               const power::NodePowerConfig& node, int cores_per_node);
 
 /// The deterministic "soccluster-energy-attribution/v1" JSON document:
 /// fixed-point microjoule totals, per-phase shares, and per-rank shares

@@ -6,49 +6,12 @@
 #include <tuple>
 #include <utility>
 
-#include "common/error.h"
-#include "common/parallel.h"
-#include "common/units.h"
 #include "obs/json.h"
 #include "sim/engine.h"
 
 namespace soc::prof {
 
 namespace {
-
-// floor(num * 1e6 / den) in 128-bit integer arithmetic: the artifact's
-// fixed-point ratios must not depend on floating-point contraction, which
-// differs between the -O2 and sanitizer builds.
-std::int64_t ratio_ppm(SimTime num, SimTime den) {
-  SOC_CHECK(num >= 0 && den > 0, "ratio_ppm: bad operands");
-  const __int128 v = static_cast<__int128>(num) * 1000000 / den;
-  return static_cast<std::int64_t>(v);
-}
-
-SimTime rank_compute_ns(const sim::RankStats& rs) {
-  SimTime total = 0;
-  for (const auto& [phase, t] : rs.phase_compute) total += t;
-  return total;
-}
-
-// Double mirror of core::decompose, fed by the single-pass projections
-// instead of scenario replays (stdout only; never serialized).
-Factors make_factors(const Profile& p) {
-  // Same per-rank arithmetic as core::mean/max_compute_seconds.
-  const double mean_c = to_seconds(p.compute_total) / p.ranks;
-  const double max_c = to_seconds(p.compute_max);
-  const double measured = to_seconds(p.makespan);
-  const double ideal_net = to_seconds(p.ideal_network);
-  SOC_CHECK(measured > 0.0, "zero-length run");
-  SOC_CHECK(max_c > 0.0, "run performed no compute");
-  Factors f;
-  f.load_balance = mean_c / max_c;
-  f.serialization = ideal_net > 0.0 ? max_c / ideal_net : 1.0;
-  f.serialization = std::min(f.serialization, 1.0);
-  f.transfer = std::min(ideal_net / measured, 1.0);
-  f.efficiency = f.load_balance * f.serialization * f.transfer;
-  return f;
-}
 
 void write_categories(obs::JsonWriter& w,
                       const std::array<SimTime, kCategoryCount>& by_category) {
@@ -70,45 +33,7 @@ Profile analyze(const RunTrace& trace) {
   p.makespan = trace.stats.makespan;
   p.event_checksum = trace.stats.event_checksum;
   p.events_committed = trace.stats.events_committed;
-
-  // The attribution and four what-if re-timings each read the trace and
-  // write their own slot, so they run concurrently (DESIGN.md §10); the
-  // calling thread takes the attribution, task 0.
-  WhatIf net;
-  net.ideal_network = true;
-  WhatIf balance;
-  balance.compute_scale = sim::ideal_balance_scales(trace.stats);
-  WhatIf lanes;
-  lanes.uncontended = true;
-  const WhatIf measured;
-  const std::array<std::pair<const WhatIf*, SimTime*>, 4> retimings = {{
-      {&measured, &p.measured_eval},
-      {&net, &p.ideal_network},
-      {&balance, &p.ideal_balance},
-      {&lanes, &p.uncontended},
-  }};
-  parallel_for(1 + retimings.size(), [&](std::size_t i) {
-    if (i == 0) {
-      p.attribution = attribute(trace);
-    } else {
-      const auto& [scenario, slot] = retimings[i - 1];
-      *slot = evaluate(trace, *scenario);
-    }
-  });
-  // Round trip: re-evaluating the measured scenario must land on the
-  // recorded makespan to the nanosecond, or every projection is suspect.
-  SOC_CHECK(p.measured_eval == p.makespan,
-            "profile: what-if evaluator failed to reproduce the measured run");
-  p.evaluator_exact = true;
-
-  p.compute_total = 0;
-  p.compute_max = 0;
-  for (const sim::RankStats& rs : trace.stats.ranks) {
-    const SimTime c = rank_compute_ns(rs);
-    p.compute_total += c;
-    p.compute_max = std::max(p.compute_max, c);
-  }
-  p.factors = make_factors(p);
+  p.attribution = attribute(trace);
   return p;
 }
 
@@ -116,7 +41,7 @@ std::string profile_json(const Profile& p) {
   const CriticalPath& path = p.attribution.path;
   obs::JsonWriter w;
   w.begin_object();
-  w.field("schema", "soccluster-critical-path/v1");
+  w.field("schema", "soccluster-critical-path/v2");
   w.field("ranks", p.ranks);
   w.field("nodes", p.nodes);
   w.field("makespan_ns", static_cast<std::int64_t>(p.makespan));
@@ -225,49 +150,6 @@ std::string profile_json(const Profile& p) {
                            p.usage.idle(lane, p.ranks, p.nodes, p.makespan)));
     w.end_object();
   }
-  w.end_object();
-  w.newline();
-
-  // Single-pass POP factors in ppm fixed point (floor division; the test
-  // suite cross-checks these against the replay-based core::decompose).
-  const std::int64_t lb_ppm =
-      ratio_ppm(p.compute_total, static_cast<SimTime>(p.ranks) * p.compute_max);
-  const std::int64_t ser_ppm =
-      p.ideal_network > 0
-          ? std::min<std::int64_t>(ratio_ppm(p.compute_max, p.ideal_network),
-                                   1000000)
-          : 1000000;
-  const std::int64_t trf_ppm =
-      std::min<std::int64_t>(ratio_ppm(p.ideal_network, p.makespan), 1000000);
-  const std::int64_t eff_ppm = static_cast<std::int64_t>(
-      static_cast<__int128>(lb_ppm) * ser_ppm / 1000000 * trf_ppm / 1000000);
-  w.key("efficiency");
-  w.begin_object();
-  w.field("compute_total_ns", static_cast<std::int64_t>(p.compute_total));
-  w.field("compute_max_ns", static_cast<std::int64_t>(p.compute_max));
-  w.field("load_balance_ppm", lb_ppm);
-  w.field("serialization_ppm", ser_ppm);
-  w.field("transfer_ppm", trf_ppm);
-  w.field("efficiency_ppm", eff_ppm);
-  w.end_object();
-  w.newline();
-
-  w.key("what_if");
-  w.begin_object();
-  w.field("evaluator_exact", p.evaluator_exact);
-  w.field("measured_ns", static_cast<std::int64_t>(p.measured_eval));
-  w.field("ideal_network_ns", static_cast<std::int64_t>(p.ideal_network));
-  w.field("ideal_network_speedup_ppm",
-          p.ideal_network > 0 ? ratio_ppm(p.makespan, p.ideal_network)
-                              : std::int64_t{0});
-  w.field("ideal_balance_ns", static_cast<std::int64_t>(p.ideal_balance));
-  w.field("ideal_balance_speedup_ppm",
-          p.ideal_balance > 0 ? ratio_ppm(p.makespan, p.ideal_balance)
-                              : std::int64_t{0});
-  w.field("uncontended_ns", static_cast<std::int64_t>(p.uncontended));
-  w.field("uncontended_speedup_ppm",
-          p.uncontended > 0 ? ratio_ppm(p.makespan, p.uncontended)
-                            : std::int64_t{0});
   w.end_object();
   w.end_object();
   w.newline();

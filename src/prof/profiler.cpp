@@ -1,7 +1,6 @@
 #include "prof/profiler.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "common/error.h"
 
@@ -52,8 +51,6 @@ void Profiler::on_run_begin(const sim::Placement& placement,
   trace_.config = config;
   trace_.rank_ops.assign(n, {});
   trace_.finish.assign(n, 0);
-  trace_.send_overhead.assign(n, -1);
-  trace_.recv_overhead.assign(n, -1);
   open_.assign(n, -1);
   open_pc_.assign(n, 0);
   open_span_end_.assign(n, 0);
@@ -182,8 +179,8 @@ void Profiler::on_message(const sim::MessageRecord& m) {
   arrivals_.push(key, ArrivalRef{si, mi});
 }
 
-// Per-rank post-passes — overhead constants, rendezvous window
-// validation, and kWaitAll determinants — need every window closed.
+// Per-rank post-passes — rendezvous window validation and kWaitAll
+// determinants — need every window closed.
 void Profiler::on_run_end(const sim::RunStats& stats) {
   trace_.stats = stats;
   for (const int open : open_) {
@@ -196,44 +193,22 @@ void Profiler::on_run_end(const sim::RunStats& stats) {
       switch (op.kind) {
         case sim::OpKind::kSend:
           SOC_CHECK(op.msg >= 0, "profiler: unmatched send");
-          if (trace_.messages[op.msg].eager) {
-            if (trace_.send_overhead[r] < 0) {
-              trace_.send_overhead[r] = op.complete - op.dispatch;
-            }
-          } else {
-            // A rendezvous sender runs again when the CTS lands
-            // (sender_complete); across nodes that is one wire latency
-            // after the match, not the wire end itself.
-            SOC_CHECK(op.complete == trace_.messages[op.msg].sender_complete,
-                      "profiler: rendezvous send window mismatch");
-          }
+          // A rendezvous sender runs again when the CTS lands
+          // (sender_complete); across nodes that is one wire latency
+          // after the match, not the wire end itself.
+          SOC_CHECK(trace_.messages[op.msg].eager ||
+                        op.complete == trace_.messages[op.msg].sender_complete,
+                    "profiler: rendezvous send window mismatch");
           break;
         case sim::OpKind::kRecv: {
           SOC_CHECK(op.msg >= 0, "profiler: unmatched recv");
           const sim::MessageRecord& m = trace_.messages[op.msg];
-          if (m.eager) {
-            // delivery, not the nominal wire end: switch output-port
-            // queueing shifts when the payload actually lands.
-            if (trace_.recv_overhead[r] < 0) {
-              trace_.recv_overhead[r] =
-                  op.complete - std::max(op.dispatch, m.delivery);
-            }
-          } else {
-            SOC_CHECK(op.complete == m.delivery,
-                      "profiler: rendezvous recv window mismatch");
-          }
+          SOC_CHECK(m.eager || op.complete == m.delivery,
+                    "profiler: rendezvous recv window mismatch");
           break;
         }
         case sim::OpKind::kIsend:
-          if (trace_.send_overhead[r] < 0) {
-            trace_.send_overhead[r] = op.complete - op.dispatch;
-          }
-          window.push_back(oi);
-          break;
         case sim::OpKind::kIrecv:
-          if (trace_.recv_overhead[r] < 0) {
-            trace_.recv_overhead[r] = op.complete - op.dispatch;
-          }
           window.push_back(oi);
           break;
         case sim::OpKind::kWaitAll: {
@@ -278,12 +253,6 @@ void Profiler::on_run_end(const sim::RunStats& stats) {
 const RunTrace& Profiler::trace() const {
   SOC_CHECK(built_, "Profiler::trace() before a run completed");
   return trace_;
-}
-
-RunTrace Profiler::take_trace() {
-  SOC_CHECK(built_, "Profiler::take_trace() before a run completed");
-  built_ = false;
-  return std::move(trace_);
 }
 
 }  // namespace soc::prof

@@ -59,7 +59,8 @@ struct OpExec {
 static_assert(sizeof(OpExec) <= 64,
               "one OpExec per op sets a profiled run's peak RSS");
 
-/// Everything the attribution/what-if passes need from one observed run.
+/// Everything the attribution and energy passes need from one observed
+/// run.
 /// The op and message records go into chunked storage: a run appends
 /// about a million of them, and doubling a vector would hold up to twice
 /// their size (three times while it copies).
@@ -71,10 +72,6 @@ struct RunTrace {
   ChunkedVector<OpExec> ops;                   ///< In first-dispatch order.
   std::vector<std::vector<int>> rank_ops;      ///< Per-rank program order.
   std::vector<SimTime> finish;                 ///< Per-rank drain time.
-  /// Per-rank messaging overhead constants derived from the stream
-  /// (-1 = the rank never exercised that overhead, and no pass needs it).
-  std::vector<SimTime> send_overhead;
-  std::vector<SimTime> recv_overhead;
   obs::LaneUsage usage;  ///< Per-lane busy/blocked totals.
 };
 
@@ -92,9 +89,6 @@ class Profiler : public sim::EngineObserver {
 
   /// The reconstructed trace; valid once a run has ended.
   const RunTrace& trace() const;
-  /// Moves the reconstructed trace out; trace() is invalid afterwards
-  /// until another run ends.
-  RunTrace take_trace();
 
  private:
   /// An eager message parked at the receiver: the sender's op plus the

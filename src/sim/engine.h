@@ -40,9 +40,7 @@ namespace soc::sim {
 
 /// Per-rank duration factors that equalize total compute across ranks
 /// (LB = 1), derived from a measured run.  The ideal-balance trace replay
-/// multiplies each op's Op::time_scale by its rank's factor, and the
-/// single-pass what-if projection (prof::WhatIf::compute_scale) scales
-/// recorded durations by it.
+/// multiplies each op's Op::time_scale by its rank's factor.
 std::vector<double> ideal_balance_scales(const RunStats& measured);
 
 /// Resource lanes a committed span can occupy.  Observers key queue-wait

@@ -6,7 +6,7 @@
 // engine.cpp's key helpers).  Keys are unique among coexisting events, so
 // (time, key) is a strict total order and the pop sequence is a pure
 // function of the set of pushed events, whatever order they were pushed
-// in.  The engine and the what-if evaluator both schedule through it.
+// in.  The engine schedules through it.
 #pragma once
 
 #include <cstdint>

@@ -1,21 +1,29 @@
 // Property / fuzz tests for the replay engine: random (but well-formed)
 // communication programs must execute to completion with conserved
-// traffic, deterministic results, and sane monotonicities, and the
-// profiler and what-if evaluator must match their messages exactly as the
-// engine did.  Also tests the parallel_for utility the sweep benches use.
+// traffic, deterministic results, and sane monotonicities; the profiler
+// must match their messages exactly as the engine did; and the engine,
+// its Eq. 4 replays included, must agree with the naive reference engine
+// (reference_engine.h) on every finish time and message.  Also tests the
+// parallel_for utility the sweep benches use.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <numeric>
 
+#include "cluster/cluster.h"
+#include "cluster/cost_model.h"
 #include "common/error.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "fuzz_programs.h"
 #include "prof/profile.h"
 #include "prof/profiler.h"
+#include "reference_engine.h"
 #include "sim/engine.h"
+#include "sweep/grid.h"
+#include "systems/machines.h"
 #include "trace/replay.h"
+#include "workloads/workload.h"
 
 namespace soc {
 namespace {
@@ -61,14 +69,53 @@ std::vector<sim::Program> random_programs(std::uint64_t seed, int ranks) {
   return programs;
 }
 
+// What mixed_programs lacks: GPU kernels and copies contending for their
+// node's lanes, kDelay stalls, and durations stretched by Op::time_scale
+// (as the straggler decorator and the ideal-balance replay set it).
+std::vector<sim::Program> with_lanes_and_stalls(
+    std::vector<sim::Program> programs, std::uint64_t seed) {
+  Rng rng(seed);
+  for (sim::Program& program : programs) {
+    sim::Program out;
+    for (sim::Op op : program) {
+      if (op.kind == sim::OpKind::kCpuCompute && rng.next_bool(0.5)) {
+        op.time_scale = rng.next_range(0.5, 2.0);
+      }
+      out.push_back(op);
+      if (op.kind != sim::OpKind::kCpuCompute) continue;
+      if (rng.next_bool(0.3)) {
+        out.push_back(sim::gpu_op(
+            1e3 + static_cast<double>(rng.next_below(50'000)), 256,
+            sim::MemModel::kHostDevice));
+      }
+      if (rng.next_bool(0.2)) {
+        out.push_back(sim::copy_h2d_op(4096, sim::MemModel::kHostDevice));
+        out.back().time_scale = rng.next_range(0.5, 2.0);
+      }
+      if (rng.next_bool(0.2)) {
+        out.push_back(sim::delay_op(rng.next_range(1e-6, 1e-4)));
+        out.back().time_scale = rng.next_bool(0.5) ? 1.0 : 1.5;
+      }
+    }
+    program = std::move(out);
+  }
+  return programs;
+}
+
+std::vector<SimTime> finish_times(const sim::RunStats& stats) {
+  std::vector<SimTime> out;
+  for (const sim::RankStats& rs : stats.ranks) out.push_back(rs.finish_time);
+  return out;
+}
+
 class FuzzSeeds : public ::testing::TestWithParam<int> {};
 
-// The engine, the profiler's matching pass and the what-if evaluator all
-// match messages; prof::analyze asserts that re-timing the unmodified
-// trace reproduces the recorded makespan, so any disagreement among the
-// three throws.  The single-pass ideal network and ideal balance must
-// equal the Eq. 4 trace replays.  Two or four ranks per node mix intra-
-// and cross-node pairs.
+// The engine and the profiler's matching pass both match messages, and
+// the profiler checks every window it reconstructs against the messages
+// the engine committed; the reference engine must agree with the engine
+// on every finish time and message.  The Eq. 4 replays must equal the
+// reference's runs of the same two ideal scenarios.  Two or four ranks
+// per node mix intra- and cross-node pairs.
 TEST_P(FuzzSeeds, MixedProgramsProfileAndReplayExactly) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const int ranks = 8;
@@ -82,15 +129,65 @@ TEST_P(FuzzSeeds, MixedProgramsProfileAndReplayExactly) {
   engine.set_observer(&profiler);
   const sim::RunStats stats = engine.run(programs);
   const prof::Profile profile = prof::analyze(profiler.trace());
-  EXPECT_TRUE(profile.evaluator_exact);
-  EXPECT_EQ(profile.measured_eval, stats.makespan);
+  EXPECT_EQ(profile.attribution.path.total, stats.makespan);
+  EXPECT_EQ(test::engine_vs_reference(programs, placement, cost), "");
 
   sim::ProgramSource source(programs);
   const trace::ScenarioRuns runs =
       trace::replay_scenarios(placement, cost, source);
   EXPECT_EQ(runs.measured.makespan, stats.makespan);
-  EXPECT_EQ(profile.ideal_network, runs.ideal_network.makespan);
-  EXPECT_EQ(profile.ideal_balance, runs.ideal_balance.makespan);
+  const trace::IdealNetworkCost free_messages(cost);
+  EXPECT_EQ(finish_times(runs.ideal_network),
+            test::run_reference(programs, placement, free_messages).finish);
+  std::vector<sim::Program> balanced = programs;
+  const std::vector<double> scales = sim::ideal_balance_scales(stats);
+  for (std::size_t r = 0; r < balanced.size(); ++r) {
+    for (sim::Op& op : balanced[r]) op.time_scale *= scales[r];
+  }
+  EXPECT_EQ(finish_times(runs.ideal_balance),
+            test::run_reference(balanced, placement, cost).finish);
+}
+
+// Every rule of the reference engine at once: lanes, stalls and stretched
+// ops on top of mixed_programs' exchanges, on one to eight ranks per node,
+// under an unlimited and a finite switch and eager thresholds of 0 (every
+// message rendezvous), 8 KiB and 1 GiB (every message eager).
+TEST_P(FuzzSeeds, MixedProgramsMatchReferenceUnderEveryConfig) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const int ranks = 8;
+  const auto programs =
+      with_lanes_and_stalls(mixed_programs(seed * 104729 + 3, ranks), seed);
+  FuzzCost cost(1e9);
+  for (const int nodes : {1, 2, 4, 8}) {
+    for (const Bytes eager : {Bytes{0}, 8 * kKiB, kGiB}) {
+      for (const double bisection : {0.0, 2e9}) {
+        sim::EngineConfig config;
+        config.eager_threshold = eager;
+        config.bisection_bandwidth = bisection;
+        EXPECT_EQ(test::engine_vs_reference(
+                      programs, sim::Placement::block(ranks, nodes), cost,
+                      config),
+                  "")
+            << nodes << " nodes, eager threshold " << eager
+            << ", bisection " << bisection;
+      }
+    }
+  }
+}
+
+// random_programs' blocking exchanges, with GPU contention whenever ranks
+// share a node.
+TEST_P(FuzzSeeds, RandomProgramsMatchReference) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const int ranks = 8;
+  const auto programs = random_programs(seed * 389 + 17, ranks);
+  FuzzCost cost(1e9);
+  for (const int nodes : {1, 2, 8}) {
+    EXPECT_EQ(test::engine_vs_reference(
+                  programs, sim::Placement::block(ranks, nodes), cost),
+              "")
+        << nodes << " nodes";
+  }
 }
 
 TEST_P(FuzzSeeds, RandomProgramsCompleteWithConservedTraffic) {
@@ -163,6 +260,31 @@ TEST_P(FuzzSeeds, IdealNetworkIsLowerBound) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeeds, ::testing::Range(0, 12));
+
+// Every workload's generated programs under the cluster's own cost model
+// and switch, with halos overlapped where a workload supports it
+// (isend/irecv/waitall windows).
+TEST(ReferenceEngine, EveryWorkloadOnFourNodes) {
+  for (const std::string& name : workloads::list()) {
+    const auto workload = workloads::make_workload(name);
+    const int nodes = 4;
+    const int ranks = sweep::natural_ranks(*workload, nodes);
+    workloads::BuildContext ctx;
+    ctx.nodes = nodes;
+    ctx.ranks = ranks;
+    ctx.size_scale = 0.05;
+    ctx.overlap_halos = true;
+    const cluster::ClusterConfig config{
+        systems::jetson_tx1(net::NicKind::kTenGigabit), nodes, ranks};
+    const cluster::ClusterCostModel cost(config.node, nodes, ranks,
+                                         workload->cpu_profile());
+    EXPECT_EQ(test::engine_vs_reference(
+                  workload->build(ctx), sim::Placement::block(ranks, nodes),
+                  cost, cluster::engine_config(config, {})),
+              "")
+        << name;
+  }
+}
 
 // --- parallel_for ---
 

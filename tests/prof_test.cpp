@@ -1,10 +1,10 @@
 // Tests for src/prof/: critical-path extraction on hand-built
-// micro-programs, zero-residual attribution invariants, attribute()
-// against a whole-timeline reference walk, what-if evaluator exactness,
-// single-pass LB/Ser/Trf parity with the replay-based core::decompose on
-// every fig5/fig6 configuration, concurrent replays and what-if passes
-// equal to inline ones, and byte-identical profile artifacts across sweep
-// thread counts and repeated runs.
+// micro-programs (each also checked against the reference engine),
+// zero-residual attribution invariants, attribute() against a
+// whole-timeline reference walk, the energy attribution's exact joules and
+// zero-residual partitions on every fig5/fig6 configuration, DVFS runs,
+// concurrent Eq. 4 replays equal to inline ones, and byte-identical
+// profile artifacts across sweep thread counts and repeated runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,12 +17,11 @@
 #include "cluster/cost_model.h"
 #include "common/parallel.h"
 #include "fuzz_programs.h"
-#include "core/efficiency.h"
 #include "prof/critical_path.h"
 #include "prof/energy.h"
 #include "prof/profile.h"
 #include "prof/profiler.h"
-#include "prof/whatif.h"
+#include "reference_engine.h"
 #include "sim/engine.h"
 #include "sim/op.h"
 #include "sweep/sweep.h"
@@ -66,6 +65,8 @@ struct MicroRun {
   const RunTrace& trace() const { return profiler.trace(); }
 };
 
+// Runs the programs profiled, and checks the engine against the reference
+// engine on them.
 MicroRun run_micro(const std::vector<std::vector<sim::Op>>& programs,
                    const sim::Placement& placement,
                    const FixedCostModel& cost) {
@@ -73,6 +74,7 @@ MicroRun run_micro(const std::vector<std::vector<sim::Op>>& programs,
   sim::Engine engine(placement, cost, sim::EngineConfig{});
   engine.set_observer(&run.profiler);
   run.stats = engine.run(programs);
+  EXPECT_EQ(test::engine_vs_reference(programs, placement, cost), "");
   return run;
 }
 
@@ -165,10 +167,6 @@ TEST(CriticalPath, ContendedGpuLane) {
   expect_zero_residual(a, run.stats.makespan);
   EXPECT_EQ(a.path.by_category[idx(Category::kGpuWait)], 20 * kMillisecond);
   EXPECT_EQ(a.path.by_category[idx(Category::kGpuBusy)], 20 * kMillisecond);
-  // The uncontended what-if removes exactly the queueing.
-  WhatIf uncontended;
-  uncontended.uncontended = true;
-  EXPECT_EQ(evaluate(run.trace(), uncontended), 20 * kMillisecond);
 }
 
 TEST(CriticalPath, NonblockingWaitAllWindow) {
@@ -188,11 +186,9 @@ TEST(CriticalPath, NonblockingWaitAllWindow) {
 
   const Attribution a = attribute(run.trace());
   expect_zero_residual(a, run.stats.makespan);
-  // The measured-scenario evaluation reproduces the engine exactly.
-  EXPECT_EQ(evaluate(run.trace(), WhatIf{}), run.stats.makespan);
 }
 
-TEST(WhatIf, MeasuredEvaluationIsExactOnMicroPrograms) {
+TEST(CriticalPath, MixedMicroProgramMatchesReference) {
   FixedCostModel cost;
   cost.overhead = 1 * kMillisecond;
   const Bytes big = 1000 * 1000;
@@ -212,15 +208,7 @@ TEST(WhatIf, MeasuredEvaluationIsExactOnMicroPrograms) {
   programs[2].push_back(sim::isend_op(3, 128, 9));
   const auto run =
       run_micro(programs, sim::Placement::block(4, 2), cost);
-
-  EXPECT_EQ(evaluate(run.trace(), WhatIf{}), run.stats.makespan);
-  // Projections are well-formed: never negative, ideal network is never
-  // slower than measured.
-  WhatIf net;
-  net.ideal_network = true;
-  const SimTime ideal = evaluate(run.trace(), net);
-  EXPECT_GE(ideal, 0);
-  EXPECT_LE(ideal, run.stats.makespan);
+  expect_zero_residual(attribute(run.trace()), run.stats.makespan);
 }
 
 // ---------------------------------------------------------------------------
@@ -399,10 +387,11 @@ TEST(AttributeReference, EveryWorkloadAtTwoAndFourNodes) {
       request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), nodes,
                         nodes};
       request.options.size_scale = 0.05;
-      RunTrace trace;
-      request.run_trace = &trace;
+      Profiler profiler;
+      request.options.observer = &profiler;
       cluster::run(request);
-      expect_same_attribution(trace, workload + "@" + std::to_string(nodes));
+      expect_same_attribution(profiler.trace(),
+                              workload + "@" + std::to_string(nodes));
     }
   }
 }
@@ -428,42 +417,22 @@ TEST_P(AttributeFuzz, MixedProgramsMatchReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AttributeFuzz, ::testing::Range(0, 12));
 
 // ---------------------------------------------------------------------------
-// Single-pass LB/Ser/Trf parity with the replay-based decomposition on
-// every fig5 and fig6 configuration.
+// Energy attribution on every fig5 and fig6 configuration.
 // ---------------------------------------------------------------------------
 
-void expect_close(double single_pass, double replayed, const std::string& what,
-                  double tolerance = 0.01) {
-  ASSERT_GT(replayed, 0.0) << what;
-  EXPECT_NEAR(single_pass / replayed, 1.0, tolerance) << what;
-}
-
-void check_parity(const std::string& workload, int nodes, int ranks) {
+void check_energy(const std::string& workload, int nodes, int ranks) {
   cluster::RunRequest request;
   request.workload = workload;
   request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), nodes,
                     ranks};
   Profile profile;
   request.profile = &profile;
-  RunTrace trace;
-  request.run_trace = &trace;
   const auto result = cluster::run(request);
-  const auto runs = cluster::replay_scenarios(request);
-  const auto d = core::decompose(runs);
   const std::string tag = workload + "@" + std::to_string(nodes);
-
-  EXPECT_TRUE(profile.evaluator_exact) << tag;
   EXPECT_EQ(profile.makespan, result.stats.makespan) << tag;
-  expect_close(profile.factors.load_balance, d.load_balance, tag + " LB");
-  expect_close(profile.factors.serialization, d.serialization, tag + " Ser");
-  expect_close(profile.factors.transfer, d.transfer, tag + " Trf");
-  expect_close(profile.factors.efficiency, d.efficiency, tag + " eta");
-  // The what-if scenarios reproduce the DIMEMAS-style replays.
-  EXPECT_EQ(profile.ideal_network, runs.ideal_network.makespan) << tag;
-  EXPECT_EQ(profile.ideal_balance, runs.ideal_balance.makespan) << tag;
 
-  // Energy attribution: the prefix integration reproduces the meter
-  // bit-exactly, and both fixed-point partitions carry zero residual.
+  // The prefix integration reproduces the meter bit-exactly, and both
+  // fixed-point partitions carry zero residual.
   ASSERT_TRUE(profile.has_energy) << tag;
   const EnergyAttribution& e = profile.energy;
   EXPECT_EQ(e.joules, result.energy.joules) << tag;  // bit-exact
@@ -492,40 +461,31 @@ void check_parity(const std::string& workload, int nodes, int ranks) {
     rank_sum += r;
   }
   EXPECT_EQ(rank_sum, e.total_uj) << tag;
-
-  // The baseline re-timing reproduces the measured runtime and energy
-  // exactly — the energy analogue of evaluator_exact.
-  const Retimed base = retime(trace, WhatIf{}, request.config.node.power,
-                              request.config.node.cpu_cores);
-  EXPECT_EQ(base.makespan, result.stats.makespan) << tag;
-  EXPECT_EQ(base.seconds, result.energy.seconds) << tag;
-  EXPECT_EQ(base.joules, result.energy.joules) << tag;
-  EXPECT_EQ(base.average_watts, result.energy.average_watts) << tag;
-  EXPECT_TRUE(base.breakdown == result.energy.breakdown) << tag;
 }
 
-TEST(SinglePassDecomposition, MatchesReplayOnFig5Configs) {
+TEST(EnergyAttribution, ExactOnFig5Configs) {
   for (const char* workload :
        {"hpl", "jacobi", "cloverleaf", "tealeaf2d", "tealeaf3d"}) {
     for (const int nodes : {2, 4, 8, 16}) {
-      check_parity(workload, nodes, nodes);
+      check_energy(workload, nodes, nodes);
     }
   }
 }
 
-TEST(SinglePassDecomposition, MatchesReplayOnFig6Configs) {
+TEST(EnergyAttribution, ExactOnFig6Configs) {
   for (const char* workload :
        {"bt", "cg", "ep", "ft", "is", "lu", "mg", "sp"}) {
     for (const int nodes : {2, 4, 8, 16}) {
-      check_parity(workload, nodes, 2 * nodes);
+      check_energy(workload, nodes, 2 * nodes);
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent passes.  At top level the two Eq. 4 replays and analyze()'s
-// what-if re-timings run on helper threads; inside a parallel_for task
-// every pass runs inline.  Both must give the same results, bit for bit.
+// Concurrent passes.  At top level the two Eq. 4 replays run on helper
+// threads; inside a parallel_for task they run inline.  Both must give the
+// same results, bit for bit, and the profiled run after them must not
+// depend on where it ran either.
 // ---------------------------------------------------------------------------
 
 struct Analysis {
@@ -574,11 +534,6 @@ void expect_concurrent_equals_inline(const cluster::RunRequest& request,
 
   const Profile& p = concurrent.profile;
   const Profile& q = inline_passes.profile;
-  EXPECT_EQ(p.measured_eval, q.measured_eval) << tag;
-  EXPECT_EQ(p.ideal_network, q.ideal_network) << tag;
-  EXPECT_EQ(p.ideal_balance, q.ideal_balance) << tag;
-  EXPECT_EQ(p.uncontended, q.uncontended) << tag;
-  EXPECT_TRUE(p.evaluator_exact && q.evaluator_exact) << tag;
   EXPECT_TRUE(p.attribution.path == q.attribution.path) << tag;
   EXPECT_TRUE(p.attribution.rank_profiles == q.attribution.rank_profiles)
       << tag;
@@ -672,93 +627,47 @@ TEST(ProfileArtifact, ByteIdenticalAcrossSweepThreadsAndRepeats) {
     EXPECT_EQ(parallel[i], repeated[i]) << "artifact " << i;
   }
   // Sanity: the artifacts are non-trivial documents.
-  EXPECT_NE(serial[0].find("soccluster-critical-path/v1"), std::string::npos);
+  EXPECT_NE(serial[0].find("soccluster-critical-path/v2"), std::string::npos);
   EXPECT_NE(serial[1].find("rank 0;phase"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
-// Energy what-ifs: DVFS and power-cap re-timing from the recorded trace.
+// Energy what-ifs: a DVFS state is a run of its own at systems::with_dvfs,
+// as `socbench explain --dvfs` and `socbench frontier` run it.  Power caps
+// are power_test's Cap* tests.
 // ---------------------------------------------------------------------------
 
-struct EnergyRun {
-  cluster::RunResult result;
-  RunTrace trace;
-  power::NodePowerConfig power;
-  int cores = 0;
-};
-
-EnergyRun energy_run(const std::string& workload, int nodes, int ranks) {
+cluster::RunResult run_at_clock(const std::string& workload, int nodes,
+                                int ranks, double freq_scale) {
   cluster::RunRequest request;
   request.workload = workload;
-  request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), nodes,
-                    ranks};
-  EnergyRun r;
-  request.run_trace = &r.trace;
-  r.result = cluster::run(request);
-  r.power = request.config.node.power;
-  r.cores = request.config.node.cpu_cores;
-  return r;
+  request.config = {
+      systems::with_dvfs(systems::jetson_tx1(net::NicKind::kTenGigabit),
+                         freq_scale),
+      nodes, ranks};
+  return cluster::run(request);
 }
 
 TEST(EnergyWhatIf, DownclockStretchesRuntimeAndSavesActiveEnergy) {
-  const EnergyRun r = energy_run("jacobi", 4, 4);
-  const Retimed base = retime(r.trace, WhatIf{}, r.power, r.cores);
-  WhatIf slow;
-  slow.dvfs_compute = 0.8;
-  slow.dvfs_dram = 0.4 + 0.6 * 0.8;  // the with_dvfs bandwidth law
-  const Retimed d = retime(r.trace, slow, r.power, r.cores);
-  EXPECT_GT(d.makespan, base.makespan);
-  // pf(f)/f = f^1.5 < 1 below nominal: active compute energy drops...
-  EXPECT_LT(d.breakdown.cpu + d.breakdown.gpu,
-            base.breakdown.cpu + base.breakdown.gpu);
-  EXPECT_LE(d.breakdown.dram, base.breakdown.dram);
+  const cluster::RunResult base = run_at_clock("jacobi", 4, 4, 1.0);
+  const cluster::RunResult slow = run_at_clock("jacobi", 4, 4, 0.8);
+  const power::EnergyBreakdown& b = base.energy.breakdown;
+  const power::EnergyBreakdown& d = slow.energy.breakdown;
+  EXPECT_GT(slow.stats.makespan, base.stats.makespan);
+  // Active power falls faster than busy time grows below nominal...
+  EXPECT_LT(d.cpu + d.gpu, b.cpu + b.gpu);
   // ...while the longer runtime accrues more frequency-independent draw.
-  EXPECT_GT(d.breakdown.idle, base.breakdown.idle);
-  EXPECT_GE(d.breakdown.nic, base.breakdown.nic);
+  EXPECT_GT(d.idle, b.idle);
+  EXPECT_GE(d.nic, b.nic);
 }
 
 TEST(EnergyWhatIf, OverclockShortensRuntime) {
-  const EnergyRun r = energy_run("cg", 2, 4);
-  WhatIf fast;
-  fast.dvfs_compute = 1.2;
-  fast.dvfs_dram = 0.4 + 0.6 * 1.2;
-  const Retimed d = retime(r.trace, fast, r.power, r.cores);
-  EXPECT_LT(d.makespan, r.result.stats.makespan);
+  const cluster::RunResult base = run_at_clock("cg", 2, 4, 1.0);
+  const cluster::RunResult fast = run_at_clock("cg", 2, 4, 1.2);
+  EXPECT_LT(fast.stats.makespan, base.stats.makespan);
   // Superlinear VF curve: faster costs more active compute energy.
-  EXPECT_GT(d.breakdown.cpu + d.breakdown.gpu,
-            r.result.energy.breakdown.cpu + r.result.energy.breakdown.gpu);
-}
-
-TEST(EnergyWhatIf, PowerCapRetimesWithoutRerunning) {
-  const EnergyRun r = energy_run("hpl", 2, 2);
-  const power::EnergyReport& measured = r.result.energy;
-
-  // A cap at the average draw must clip the above-average bins.
-  WhatIf cap;
-  cap.power_cap_w = measured.average_watts;
-  const Retimed capped = retime(r.trace, cap, r.power, r.cores);
-  EXPECT_GT(capped.capped_bins, 0u);
-  EXPECT_GT(capped.makespan, r.result.stats.makespan);
-  EXPECT_GE(capped.joules, measured.joules);
-  // Active compute energy is conserved under the cap dilation.
-  EXPECT_DOUBLE_EQ(capped.breakdown.cpu, measured.breakdown.cpu);
-  EXPECT_DOUBLE_EQ(capped.breakdown.gpu, measured.breakdown.gpu);
-  EXPECT_DOUBLE_EQ(capped.breakdown.dram, measured.breakdown.dram);
-
-  // A cap above peak is a bit-exact identity.
-  WhatIf loose;
-  loose.power_cap_w = measured.peak_watts + 5.0;
-  const Retimed same = retime(r.trace, loose, r.power, r.cores);
-  EXPECT_EQ(same.capped_bins, 0u);
-  EXPECT_EQ(same.makespan, r.result.stats.makespan);
-  EXPECT_EQ(same.joules, measured.joules);
-
-  // The cap dilates the measured timeline, so it cannot compose with
-  // knobs that change that timeline.
-  WhatIf both;
-  both.power_cap_w = 100.0;
-  both.dvfs_compute = 0.8;
-  EXPECT_THROW(retime(r.trace, both, r.power, r.cores), Error);
+  EXPECT_GT(fast.energy.breakdown.cpu + fast.energy.breakdown.gpu,
+            base.energy.breakdown.cpu + base.energy.breakdown.gpu);
 }
 
 TEST(EnergyArtifact, SchemaAndFixedPointPartition) {
@@ -788,12 +697,11 @@ TEST(ProfileArtifact, SchemaCarriesIntegerInvariants) {
   cluster::run(request);
 
   const std::string doc = profile_json(profile);
-  EXPECT_NE(doc.find("\"schema\":\"soccluster-critical-path/v1\""),
+  EXPECT_NE(doc.find("\"schema\":\"soccluster-critical-path/v2\""),
             std::string::npos);
-  EXPECT_NE(doc.find("\"evaluator_exact\":true"), std::string::npos);
-  // No floating-point values anywhere: every ratio is ppm fixed point and
-  // every duration integer nanoseconds, so the document cannot diverge
-  // between -O2 and sanitizer builds.
+  // No floating-point values anywhere: every duration is integer
+  // nanoseconds, so the document cannot diverge between -O2 and sanitizer
+  // builds.
   EXPECT_EQ(doc.find('.'), std::string::npos);
   // Lane utilization counters (shared with obs::MetricsObserver).
   EXPECT_NE(doc.find("\"nic_tx\":{\"busy_ns\":"), std::string::npos);

@@ -31,17 +31,17 @@
 //   socbench explain --workload hpl --nodes 8 [--profile-json cp.json]
 //                    [--folded cp.folded] [--energy] [--energy-json e.json]
 //                    [--dvfs 0.6,0.8] [--cap-watts 10]
-//       Single-pass critical-path profile: one instrumented run yields
-//       the bottleneck attribution (which lane/phase/rank the end-to-end
-//       time sits on), the LB/Ser/Trf factors, and what-if projections
-//       (ideal network / ideal balance / uncontended lanes) without
-//       re-running the engine.  --profile-json writes the deterministic
-//       soccluster-critical-path/v1 artifact, --folded a
+//       Critical-path profile of one instrumented run: the bottleneck
+//       attribution (which lane/phase/rank the end-to-end time sits on)
+//       and per-lane utilization.  `decompose` gives the Eq. 4 factors.
+//       --profile-json writes the deterministic
+//       soccluster-critical-path/v2 artifact, --folded a
 //       flamegraph-compatible folded-stacks file.  --energy prints the
 //       zero-residual joule attribution (per phase / per rank / per
 //       component), --energy-json the soccluster-energy-attribution/v1
-//       artifact; --dvfs and --cap-watts re-time the recorded run under
-//       DVFS states and whole-cluster power caps without re-running.
+//       artifact.  --dvfs runs the same request once per relative clock
+//       at systems::with_dvfs, as `frontier` does; --cap-watts clamps
+//       the measured run's power timeline under whole-cluster caps.
 //   socbench frontier --workload jacobi --nodes 8,16
 //                     [--gpu-fractions 0.5,0.75,1.0] [--dvfs 0.6,0.8,1.0]
 //                     [--report-json f.json]
@@ -68,6 +68,7 @@
 // `socbench: <reason>` and exits 2; --help prints the usage and exits 0;
 // any other failure exits 1.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -88,6 +89,7 @@
 #include "obs/chrome_trace.h"
 #include "obs/json.h"
 #include "obs/observers.h"
+#include "power/power_model.h"
 #include "prof/critical_path.h"
 #include "prof/energy.h"
 #include "prof/profile.h"
@@ -531,10 +533,25 @@ int cmd_decompose(const ArgParser& args) {
   return 0;
 }
 
+/// A CSV flag of positive, finite values, checked before any run.
+std::vector<double> positive_list(const ArgParser& args,
+                                  const std::string& flag) {
+  if (!args.given(flag)) return {};
+  std::vector<double> values = parse_double_list(args.get(flag));
+  for (const double v : values) {
+    if (!(v > 0.0) || !std::isfinite(v)) {
+      throw UsageError(flag + " values must be positive and finite");
+    }
+  }
+  return values;
+}
+
 int cmd_explain(const ArgParser& args) {
   const auto workload = workload_from(args);
   const auto [nodes, ranks] = shape_from(args, *workload);
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
+  const std::vector<double> dvfs = positive_list(args, "--dvfs");
+  const std::vector<double> caps = positive_list(args, "--cap-watts");
 
   cluster::RunRequest request;
   request.workload = workload->name();
@@ -542,6 +559,8 @@ int cmd_explain(const ArgParser& args) {
   request.config = cluster::ClusterConfig{node, nodes, ranks};
   request.options = options_from(args);
   request.scenario = scenario_from(args);
+  // A DVFS what-if runs this request, unprofiled, at another clock.
+  const cluster::RunRequest plain = request;
   prof::Profile profile;
   request.profile = &profile;
   if (args.given("--profile-json")) {
@@ -550,17 +569,6 @@ int cmd_explain(const ArgParser& args) {
   if (args.given("--folded")) {
     request.profile_folded_path = args.get("--folded");
   }
-  // DVFS / power-cap what-ifs re-time the recorded trace, so keep it.
-  prof::RunTrace run_trace;
-  const bool want_retime = args.given("--dvfs") || args.given("--cap-watts");
-  std::vector<double> caps;
-  if (args.given("--cap-watts")) {
-    caps = parse_double_list(args.get("--cap-watts"));
-    for (const double cap : caps) {
-      if (cap <= 0.0) throw UsageError("--cap-watts must be positive");
-    }
-  }
-  if (want_retime) request.run_trace = &run_trace;
   const auto result = cluster::run(request);
 
   std::printf("%s on %d x %s (%s, %d ranks): critical path\n\n",
@@ -592,23 +600,6 @@ int cmd_explain(const ArgParser& args) {
   }
   std::printf("\n%s", table.str().c_str());
 
-  std::printf("\nefficiency (Eq. 4, single pass): LB = %.3f, Ser = %.3f, "
-              "Trf = %.3f  ->  eta = %.3f\n",
-              profile.factors.load_balance, profile.factors.serialization,
-              profile.factors.transfer, profile.factors.efficiency);
-
-  const auto project = [&](const char* label, SimTime ns) {
-    std::printf("  %-22s: %.3f s (%.2fx)\n", label, to_seconds(ns),
-                ns > 0 ? static_cast<double>(profile.makespan) /
-                             static_cast<double>(ns)
-                       : 0.0);
-  };
-  std::printf("what-if projections (no re-run; measured re-evaluation %s):\n",
-              profile.evaluator_exact ? "exact" : "INEXACT");
-  project("ideal network", profile.ideal_network);
-  project("ideal load balance", profile.ideal_balance);
-  project("uncontended lanes", profile.uncontended);
-
   if (args.get_bool("--energy") || args.given("--energy-json")) {
     SOC_CHECK(profile.has_energy, "profile carries no energy attribution");
     const prof::EnergyAttribution& e = profile.energy;
@@ -639,38 +630,29 @@ int cmd_explain(const ArgParser& args) {
     }
   }
 
-  if (want_retime) {
-    std::printf("\nenergy what-ifs (re-timed from the trace, no re-run):\n");
-    const prof::Retimed base =
-        prof::retime(run_trace, prof::WhatIf{}, node.power, node.cpu_cores);
-    std::printf("  %-22s: %.3f s, %.1f J (reproduces measured run)\n",
-                "baseline", base.seconds, base.joules);
-    if (args.given("--dvfs")) {
-      for (const double f : parse_double_list(args.get("--dvfs"))) {
-        prof::WhatIf s;
-        s.dvfs_compute = f;
-        // Memory clock follows the same weakly-scaling law the DVFS
-        // bench applies to bandwidth (systems::with_dvfs).
-        s.dvfs_dram = 0.4 + 0.6 * f;
-        const prof::Retimed r =
-            prof::retime(run_trace, s, node.power, node.cpu_cores);
-        std::printf("  dvfs %.2f              : %.3f s (%.2fx), %.1f J "
-                    "(%.2fx), avg %.1f W\n",
-                    f, r.seconds, r.seconds / base.seconds, r.joules,
-                    r.joules / base.joules, r.average_watts);
-      }
+  if (!dvfs.empty() || !caps.empty()) {
+    std::printf("\nenergy what-ifs (dvfs re-runs at that clock; caps clamp "
+                "the measured power):\n");
+    std::printf("  %-22s: %.3f s, %.1f J\n", "measured run", result.seconds,
+                result.joules);
+    for (const double f : dvfs) {
+      cluster::RunRequest at = plain;
+      at.config.node = systems::with_dvfs(node, f);
+      const cluster::RunResult r = cluster::run(at);
+      std::printf("  dvfs %.2f              : %.3f s (%.2fx), %.1f J "
+                  "(%.2fx), avg %.1f W\n",
+                  f, r.seconds, r.seconds / result.seconds, r.joules,
+                  r.joules / result.joules, r.average_watts);
     }
-    if (args.given("--cap-watts")) {
-      for (const double cap : caps) {
-        prof::WhatIf s;
-        s.power_cap_w = cap;
-        const prof::Retimed r =
-            prof::retime(run_trace, s, node.power, node.cpu_cores);
-        std::printf("  cap %-6.1f W          : %.3f s (+%.3f s), %.1f J, "
-                    "%zu bins clamped\n",
-                    cap, r.seconds, r.seconds - base.seconds, r.joules,
-                    r.capped_bins);
-      }
+    for (const double cap : caps) {
+      const power::CappedEnergy capped = power::apply_power_cap(
+          power::power_timeline(result.stats, node.power, node.cpu_cores),
+          node.power, nodes, cap);
+      std::printf("  cap %-6.1f W          : %.3f s (+%.3f s), %.1f J, "
+                  "%zu bins clamped\n",
+                  cap, capped.energy.seconds,
+                  capped.energy.seconds - result.seconds, capped.energy.joules,
+                  capped.capped_bins);
     }
   }
 
@@ -758,10 +740,10 @@ void print_usage(const ArgParser& args) {
       "  frontier   perf-per-watt Pareto frontier over gpu-fraction x DVFS\n"
       "             x nodes (--gpu-fractions, --dvfs, --report-json)\n"
       "  decompose  LB/Ser/Trf efficiency decomposition (paper Eq. 4)\n"
-      "  explain    single-pass critical-path attribution + LB/Ser/Trf +\n"
-      "             what-if projections (--profile-json, --folded);\n"
-      "             --energy for the joule attribution, --dvfs/--cap-watts\n"
-      "             for energy what-ifs re-timed from the trace\n"
+      "  explain    critical-path attribution of one profiled run\n"
+      "             (--profile-json, --folded); --energy for the joule\n"
+      "             attribution, --dvfs for runs at other clocks,\n"
+      "             --cap-watts for power caps on the measured timeline\n"
       "  trace      record generated per-rank programs to a .soctrace file\n"
       "  replay     replay a recorded trace, costed as --workload (what-if\n"
       "             scenarios supported)\n"
@@ -810,7 +792,7 @@ int main(int argc, char** argv) {
                 "run: write a Chrome trace-event JSON (Perfetto) here");
   args.add_flag("--report-json", "run: write a canonical run report here");
   args.add_flag("--profile-json",
-                "explain: write the soccluster-critical-path/v1 artifact here");
+                "explain: write the soccluster-critical-path/v2 artifact here");
   args.add_flag("--folded",
                 "explain: write flamegraph-compatible folded stacks here");
   args.add_bool("--energy",
@@ -819,10 +801,11 @@ int main(int argc, char** argv) {
                 "explain: write the soccluster-energy-attribution/v1 "
                 "artifact here");
   args.add_flag("--dvfs",
-                "explain/frontier: CSV of relative frequencies to re-time "
-                "under", "0.6,0.8,1.0");
+                "explain/frontier: CSV of relative clock frequencies to run "
+                "at", "0.6,0.8,1.0");
   args.add_flag("--cap-watts",
-                "explain: CSV of whole-cluster power caps to re-time under");
+                "explain: CSV of whole-cluster power caps to clamp the "
+                "measured power timeline to");
   args.add_flag("--gpu-fractions",
                 "frontier: CSV of GPU work fractions to sweep",
                 "0.5,0.75,1.0");

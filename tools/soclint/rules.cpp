@@ -498,7 +498,7 @@ int self_test() {
               "src/sim/engine.h",
               "soc::flat_map<int, int> ok;\nstd::unordered_map<int, int> m;\n",
               "unordered-in-sim-state", 1);
-  t.lint_case("unordered_map in prof flagged", "src/prof/whatif.cpp",
+  t.lint_case("unordered_map in prof flagged", "src/prof/critical_path.cpp",
               "std::unordered_map<int, int> m;\n", "unordered-in-sim-state",
               1);
   t.lint_case("flat_map in prof ok", "src/prof/profiler.cpp",
