@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
                                                            : f.bisection;
       requests.push_back(
           bench::tx1_request(name, net::NicKind::kTenGigabit, nodes,
-                             bench::natural_ranks(*workload, nodes), options));
+                             sweep::natural_ranks(*workload, nodes), options));
     }
   }
 

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   std::vector<cluster::RunRequest> requests;
   for (const char* name : names) {
     const auto workload = workloads::make_workload(name);
-    const int ranks = bench::natural_ranks(*workload, nodes);
+    const int ranks = sweep::natural_ranks(*workload, nodes);
     for (Bytes threshold : thresholds) {
       cluster::RunOptions options;
       options.size_scale = 0.3;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "cluster/report.h"
 #include "common/args.h"
 #include "common/error.h"
 #include "common/io.h"
@@ -21,12 +22,6 @@
 #include "workloads/workload.h"
 
 namespace soc::bench {
-
-/// TX1 cluster with `nodes` nodes and the workload's natural rank count
-/// (delegates to the sweep library's shared definition).
-inline int natural_ranks(const workloads::Workload& w, int nodes) {
-  return sweep::natural_ranks(w, nodes);
-}
 
 /// A RunRequest against a TX1 cluster — the unit the sweep runner shards.
 inline cluster::RunRequest tx1_request(std::string workload, net::NicKind nic,
@@ -97,13 +92,9 @@ inline sweep::SweepOptions sweep_options(int argc, char** argv,
 /// The extended-roofline model instance for one TX1 node (Eq. 3 inputs).
 inline core::ExtendedRoofline tx1_roofline(net::NicKind nic,
                                            bool double_precision = true) {
-  const systems::NodeConfig node = systems::jetson_tx1(nic);
-  core::ExtendedRoofline model;
-  model.peak_flops = double_precision ? node.gpu.peak_dp_flops()
-                                      : node.gpu.peak_sp_flops();
-  model.memory_bandwidth = node.dram.gpu_bandwidth;
-  model.network_bandwidth = node.nic.effective_bandwidth;
-  return model;
+  return cluster::energy_roofline_model(systems::jetson_tx1(nic),
+                                        double_precision)
+      .roofline;
 }
 
 inline const char* nic_name(net::NicKind nic) {

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   };
   auto add_speedup_pair = [&](const char* name, int nodes, double scale) {
     const auto w = workloads::make_workload(name);
-    const int ranks = bench::natural_ranks(*w, nodes);
+    const int ranks = sweep::natural_ranks(*w, nodes);
     const auto slow =
         add_tx1(name, net::NicKind::kGigabit, nodes, ranks, scaled(scale));
     add_tx1(name, net::NicKind::kTenGigabit, nodes, ranks, scaled(scale));

@@ -8,47 +8,34 @@
 // Power model under scaling: dynamic power ∝ f·V² and V roughly tracks
 // f in the DVFS range, so active component power scales ~f^2.5 while
 // idle/NIC power is frequency-independent.  The re-clocking recipe lives
-// in systems::with_dvfs so the frontier driver sweeps the same curve.
+// in systems::with_dvfs, and the sweep is sweep::Grid's clock axis, as
+// in `socbench frontier`.
 #include <cstdio>
 
 #include "bench_common.h"
 
 int main(int argc, char** argv) {
   using namespace soc;
-  const char* names[] = {"jacobi", "tealeaf3d"};
-  const double scales[] = {0.6, 0.8, 1.0, 1.2};
-
-  // Each frequency point is its own node config — every request here
-  // deliberately misses the sweep runner's cost-model cache (configs
-  // compare by value), plus one baseline (k=1.0) per workload up front.
-  auto request_at = [](const char* name, double k) {
-    const systems::NodeConfig node = systems::with_dvfs(
-        systems::jetson_tx1(net::NicKind::kTenGigabit), k);
-
-    cluster::RunRequest request;
-    request.workload = name;
-    request.config = {node, 16, 16};
-    request.options.size_scale = 0.5;
-    return request;
-  };
-
-  std::vector<cluster::RunRequest> requests;
-  for (const char* name : names) {
-    requests.push_back(request_at(name, 1.0));  // baseline for normalization
-    for (double k : scales) requests.push_back(request_at(name, k));
-  }
+  // Each clock is its own node config, so every request here misses the
+  // sweep runner's cost-model cache (configs compare by value).
+  sweep::Grid grid;
+  grid.workloads = {"jacobi", "tealeaf3d"};
+  grid.nodes = {16};
+  grid.dvfs = {0.6, 0.8, 1.0, 1.2};
+  grid.base.size_scale = 0.5;
+  const std::size_t shipped = 2;  // dvfs 1.0: the normalization baseline
 
   sweep::SweepRunner runner(bench::sweep_options(argc, argv, "extension_dvfs"));
-  const auto results = runner.run(requests);
+  const auto results = runner.run(grid.requests());
 
-  const std::size_t stride = 1 + std::size(scales);
   TextTable table({"freq scale", "workload", "runtime (s)", "avg W",
                    "energy (kJ)", "MFLOPS/W (rel)"});
-  for (std::size_t w = 0; w < std::size(names); ++w) {
-    const double base_eff = results[w * stride].mflops_per_watt;
-    for (std::size_t i = 0; i < std::size(scales); ++i) {
-      const auto& r = results[w * stride + 1 + i];
-      table.add_row({TextTable::num(scales[i], 1), names[w],
+  for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
+    const double base_eff =
+        results[grid.index(w, 0, 0, 0, 0, shipped)].mflops_per_watt;
+    for (std::size_t i = 0; i < grid.dvfs.size(); ++i) {
+      const auto& r = results[grid.index(w, 0, 0, 0, 0, i)];
+      table.add_row({TextTable::num(grid.dvfs[i], 1), grid.workloads[w],
                      TextTable::num(r.seconds, 1),
                      TextTable::num(r.average_watts, 0),
                      TextTable::num(r.joules / 1e3, 2),

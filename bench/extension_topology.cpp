@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   std::vector<cluster::RunRequest> requests;
   for (const char* name : names) {
     const auto workload = workloads::make_workload(name);
-    const int ranks = bench::natural_ranks(*workload, nodes);
+    const int ranks = sweep::natural_ranks(*workload, nodes);
     for (const auto& f : fabrics) {
       systems::NodeConfig node =
           systems::jetson_tx1(net::NicKind::kTenGigabit);

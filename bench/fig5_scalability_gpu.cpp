@@ -11,15 +11,17 @@
 // the ideal network helps hpl and tealeaf3d the most.
 //
 // When SOC_BENCH_JSON_DIR is set, the 16-node 10GbE run of each workload
-// additionally emits its soccluster-critical-path/v2 profile (single-pass
-// bottleneck attribution, src/prof/) — serviced by the same sweep runs,
-// so stdout and every existing artifact are unchanged.
+// is also profiled, and its soccluster-critical-path/v2 document
+// (single-pass bottleneck attribution, src/prof/) is written after the
+// sweep — serviced by the same sweep runs, so stdout and every existing
+// artifact are unchanged.
 #include <cstdio>
 #include <cstdlib>
 
 #include "bench_common.h"
 #include "core/efficiency.h"
 #include "core/scaling.h"
+#include "prof/profile.h"
 
 int main(int argc, char** argv) {
   using namespace soc;
@@ -35,13 +37,14 @@ int main(int argc, char** argv) {
   grid.nics = {net::NicKind::kGigabit, net::NicKind::kTenGigabit};
   auto requests = grid.requests();
 
-  // Critical-path artifacts ride along on the 16-node 10GbE runs.
-  if (const char* dir = std::getenv("SOC_BENCH_JSON_DIR");
-      dir != nullptr && *dir != '\0') {
+  // Critical-path profiles ride along on the 16-node 10GbE runs.
+  const char* dir = std::getenv("SOC_BENCH_JSON_DIR");
+  const bool want_profiles = dir != nullptr && *dir != '\0';
+  std::vector<prof::Profile> profiles(grid.workloads.size());
+  if (want_profiles) {
     for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-      requests[grid.index(w, measured_sizes.size() - 1, 1)].profile_json_path =
-          std::string(dir) + "/fig5_scalability_gpu-critical-path-" +
-          grid.workloads[w] + ".json";
+      requests[grid.index(w, measured_sizes.size() - 1, 1)].profile =
+          &profiles[w];
     }
   }
 
@@ -55,13 +58,14 @@ int main(int argc, char** argv) {
 
   sweep::SweepRunner runner(
       bench::sweep_options(argc, argv, "fig5_scalability_gpu"));
-  // The 16-node runs write the critical-path artifacts themselves, so an
-  // unwritable SOC_BENCH_JSON_DIR surfaces here.
-  std::vector<cluster::RunResult> results;
-  try {
-    results = runner.run(requests);
-  } catch (const UsageError& e) {
-    bench::usage_exit(e);
+  const auto results = runner.run(requests);
+  if (want_profiles) {
+    for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
+      bench::write_or_exit(std::string(dir) +
+                               "/fig5_scalability_gpu-critical-path-" +
+                               grid.workloads[w] + ".json",
+                           prof::profile_json(profiles[w]));
+    }
   }
   const auto scenario_runs = runner.replay_scenarios(replays);
 

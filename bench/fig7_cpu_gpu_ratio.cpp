@@ -28,8 +28,8 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < grid.nodes.size(); ++i) {
       // Baseline: the all-GPU run (fraction index 0) at this cluster size.
       const double base =
-          results[grid.index(0, i, 0, 0, 0, 0)].mflops_per_watt;
-      const auto& result = results[grid.index(0, i, 0, 0, 0, f)];
+          results[grid.index(0, i, 0, 0, /*ifraction=*/0)].mflops_per_watt;
+      const auto& result = results[grid.index(0, i, 0, 0, f)];
       row.push_back(TextTable::num(result.mflops_per_watt / base, 2));
     }
     table.add_row(std::move(row));

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     for (int nodes : sizes) {
       requests.push_back(bench::tx1_request(
           name, net::NicKind::kTenGigabit, nodes,
-          bench::natural_ranks(*workload, nodes)));
+          sweep::natural_ranks(*workload, nodes)));
     }
   }
 

@@ -21,7 +21,7 @@ struct Shape {
 Shape shape_of(const workloads::Workload& w) {
   workloads::BuildContext ctx;
   ctx.nodes = 4;
-  ctx.ranks = bench::natural_ranks(w, 4);
+  ctx.ranks = sweep::natural_ranks(w, 4);
   ctx.size_scale = 0.05;
   Shape s;
   for (const sim::Program& prog : w.build(ctx)) {

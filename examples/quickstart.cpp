@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "cluster/cluster.h"
+#include "cluster/report.h"
 #include "core/extended_roofline.h"
 #include "net/network.h"
 #include "systems/machines.h"
@@ -35,11 +36,10 @@ int main() {
   std::printf("  DRAM traffic   : %.1f GB\n",
               static_cast<double>(result.stats.total_dram_bytes) / 1e9);
 
-  // 3. Place the run on the paper's extended Roofline model (Eqs. 1-3).
-  core::ExtendedRoofline model;
-  model.peak_flops = node.gpu.peak_dp_flops();
-  model.memory_bandwidth = node.dram.gpu_bandwidth;
-  model.network_bandwidth = node.nic.effective_bandwidth;
+  // 3. Place the run on the paper's extended Roofline model (Eqs. 1-3):
+  //    the node's double-precision GPU peak, GPU DRAM and NIC bandwidth.
+  const core::ExtendedRoofline model =
+      cluster::energy_roofline_model(node, /*dp=*/true).roofline;
   const core::RooflineMeasurement m =
       core::measure_roofline(model, result.stats, 4, "jacobi");
   std::printf("\nextended roofline position\n");

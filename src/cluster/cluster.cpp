@@ -1,7 +1,6 @@
 #include "cluster/cluster.h"
 
 #include "common/error.h"
-#include "common/io.h"
 #include "obs/observers.h"
 #include "prof/profile.h"
 #include "prof/profiler.h"
@@ -86,15 +85,13 @@ RunResult run(const RunRequest& request, const workloads::Workload& workload,
       sim::Placement::block(request.config.ranks, request.config.nodes),
       cost, engine_config(request.config, request.options));
 
-  // Per-run profiling: the request's own profile sinks compose with any
+  // Per-run profiling: the request's own profile sink composes with any
   // caller-attached observer, so sweep runs never share state.  With no
-  // sinks set, only the caller's observer (if any) is attached and the
+  // sink set, only the caller's observer (if any) is attached and the
   // engine's hot path is untouched.
   prof::Profiler profiler;
   obs::ObserverList observers;
-  const bool want_profile = request.profile != nullptr ||
-                            !request.profile_json_path.empty() ||
-                            !request.profile_folded_path.empty();
+  const bool want_profile = request.profile != nullptr;
   if (want_profile) {
     observers.add(request.options.observer);  // nullptr is ignored
     observers.add(&profiler);
@@ -109,13 +106,7 @@ RunResult run(const RunRequest& request, const workloads::Workload& workload,
     profile.energy = prof::attribute_energy(
         profiler.trace(), request.config.node.power, request.config.node.cpu_cores);
     profile.has_energy = true;
-    if (!request.profile_json_path.empty()) {
-      write_text(request.profile_json_path, prof::profile_json(profile));
-    }
-    if (!request.profile_folded_path.empty()) {
-      write_text(request.profile_folded_path, prof::folded_stacks(profile));
-    }
-    if (request.profile != nullptr) *request.profile = std::move(profile);
+    *request.profile = std::move(profile);
   }
   return result;
 }

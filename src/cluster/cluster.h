@@ -84,20 +84,17 @@ struct RunRequest {
   /// the pre-scenario API.
   workloads::ScenarioConfig scenario;
 
-  /// Critical-path profiling sinks, all optional.  When any is set the
-  /// run attaches its own prof::Profiler (composed with options.observer
-  /// when that is also set), reconstructs the dependency DAG, and runs
-  /// the attribution and energy passes (src/prof/): `profile` receives
-  /// the analyzed prof::Profile, `profile_json_path` the deterministic
-  /// soccluster-critical-path/v2 document, and `profile_folded_path` the
-  /// flamegraph-compatible folded stacks.  When none is set no profiler
-  /// is attached and the run's cost is unchanged.  A caller that needs
-  /// the reconstructed prof::RunTrace itself attaches a prof::Profiler
-  /// through options.observer.  Each request owns its sinks, so
-  /// concurrent sweep runs never share observer state.
+  /// Critical-path profiling sink, optional.  When set the run attaches
+  /// its own prof::Profiler (composed with options.observer when that is
+  /// also set), reconstructs the dependency DAG, runs the attribution and
+  /// energy passes (src/prof/), and stores the analyzed prof::Profile
+  /// here; the caller renders its artifacts (prof::profile_json,
+  /// prof::folded_stacks).  When unset no profiler is attached and the
+  /// run's cost is unchanged.  A caller that needs the reconstructed
+  /// prof::RunTrace itself attaches a prof::Profiler through
+  /// options.observer.  Each request owns its sink, so concurrent sweep
+  /// runs never share observer state.  A run writes no file.
   prof::Profile* profile = nullptr;
-  std::string profile_json_path;
-  std::string profile_folded_path;
 };
 
 /// Validates a cluster shape; throws soc::UsageError on a bad one.

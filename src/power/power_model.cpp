@@ -137,6 +137,12 @@ EnergyReport measure_energy(const sim::RunStats& stats,
   return report;
 }
 
+double idle_floor_watts(const NodePowerConfig& node, int nodes) {
+  double idle = 0.0;
+  for (int n = 0; n < nodes; ++n) idle += node.idle_w + node.host_overhead_w;
+  return idle + static_cast<double>(nodes) * node.nic_idle_w;
+}
+
 CappedEnergy apply_power_cap(const PowerTimeline& timeline,
                              const NodePowerConfig& node, int nodes,
                              double cap_w) {
@@ -147,6 +153,7 @@ CappedEnergy apply_power_cap(const PowerTimeline& timeline,
   if (timeline.seconds <= 0.0) return out;
 
   const double nic_idle = static_cast<double>(nodes) * node.nic_idle_w;
+  const double floor_w = idle_floor_watts(node, nodes);
   EnergyReport& e = out.energy;
   for (std::size_t b = 0; b < timeline.bin_watts.size(); ++b) {
     const double width = timeline.width(b);
@@ -170,7 +177,6 @@ CappedEnergy apply_power_cap(const PowerTimeline& timeline,
     // can be slowed down.  Conserving active energy at the capped active
     // rate dilates the bin by d, so the clamped bin sits exactly at the
     // cap: (floor + active/d) == cap_w.
-    const double floor_w = parts.idle + nic_idle;
     SOC_REQUIRE(cap_w > floor_w,
                 "power cap below the cluster's idle floor; run cannot finish");
     const double active_w = watts - floor_w;

@@ -110,9 +110,15 @@ struct CappedEnergy {
   std::size_t capped_bins = 0;
 };
 
-/// `nodes` is the cluster size; the idle floor per bin is the board +
-/// host + NIC-idle draw.  Throws soc::UsageError when the cap does not
-/// clear the idle floor (the run could never finish).
+/// The frequency-independent draw of a `nodes`-node cluster: board idle
+/// and host overhead summed node by node, as power_timeline sums them,
+/// plus every node's NIC idle.  No cap at or below it can be met.
+double idle_floor_watts(const NodePowerConfig& node, int nodes);
+
+/// `nodes` is the cluster size; the idle floor per bin is
+/// idle_floor_watts(node, nodes).  Throws soc::UsageError when a bin must
+/// be clamped and the cap does not clear the floor (the run could never
+/// finish).
 CappedEnergy apply_power_cap(const PowerTimeline& timeline,
                              const NodePowerConfig& node, int nodes,
                              double cap_w);

@@ -2,71 +2,33 @@
 
 #include "common/error.h"
 #include "obs/json.h"
-#include "sweep/grid.h"
-#include "systems/machines.h"
 
 namespace soc::sweep {
 
-std::size_t FrontierGrid::size() const {
-  return workloads.size() * nodes.size() * gpu_fractions.size() * dvfs.size();
-}
-
-std::vector<cluster::RunRequest> FrontierGrid::requests() const {
-  SOC_CHECK(!nodes.empty(), "frontier grid needs at least one node count");
-  SOC_CHECK(!gpu_fractions.empty(),
-            "frontier grid needs at least one GPU work fraction");
-  SOC_CHECK(!dvfs.empty(), "frontier grid needs at least one DVFS point");
-
-  std::vector<cluster::RunRequest> out;
-  out.reserve(size());
-  for (const std::string& tag : workloads) {
-    const auto workload = workloads::make_workload(tag);
-    for (const int n : nodes) {
-      const int r = natural_ranks(*workload, n);
-      for (const double fraction : gpu_fractions) {
-        for (const double f : dvfs) {
-          cluster::RunRequest request;
-          request.workload = tag;
-          request.config = {systems::with_dvfs(systems::jetson_tx1(nic), f),
-                            n, r};
-          request.options = base;
-          request.options.gpu_work_fraction = fraction;
-          out.push_back(std::move(request));
-        }
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<FrontierPoint> perf_per_watt_frontier(
-    const FrontierGrid& grid, const std::vector<cluster::RunResult>& results) {
-  SOC_CHECK(results.size() == grid.size(),
+    const Grid& grid, const std::vector<cluster::RunResult>& results) {
+  const std::vector<cluster::RunRequest> requests = grid.requests();
+  SOC_CHECK(results.size() == requests.size(),
             "frontier: results do not match the grid");
   std::vector<FrontierPoint> points;
   points.reserve(results.size());
-  std::size_t i = 0;
-  for (const std::string& tag : grid.workloads) {
-    for (const int n : grid.nodes) {
-      for (const double fraction : grid.gpu_fractions) {
-        for (const double f : grid.dvfs) {
-          const cluster::RunResult& r = results[i++];
-          FrontierPoint p;
-          p.workload = tag;
-          p.nodes = n;
-          p.ranks = static_cast<int>(r.stats.ranks.size());
-          p.gpu_fraction = fraction;
-          p.dvfs = f;
-          p.seconds = r.seconds;
-          p.joules = r.joules;
-          p.gflops = r.gflops;
-          p.average_watts = r.average_watts;
-          p.mflops_per_watt = r.mflops_per_watt;
-          p.event_checksum = r.stats.event_checksum;
-          points.push_back(std::move(p));
-        }
-      }
-    }
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const cluster::RunRequest& q = requests[i];
+    const cluster::RunResult& r = results[i];
+    FrontierPoint p;
+    p.workload = q.workload;
+    p.nodes = q.config.nodes;
+    p.ranks = q.config.ranks;
+    p.gpu_fraction = q.options.gpu_work_fraction;
+    // The clock is the grid's innermost axis.
+    p.dvfs = grid.dvfs.empty() ? 1.0 : grid.dvfs[i % grid.dvfs.size()];
+    p.seconds = r.seconds;
+    p.joules = r.joules;
+    p.gflops = r.gflops;
+    p.average_watts = r.average_watts;
+    p.mflops_per_watt = r.mflops_per_watt;
+    p.event_checksum = r.stats.event_checksum;
+    points.push_back(std::move(p));
   }
   // Pareto marking per workload: a point survives unless another point
   // of the same workload weakly dominates it in (runtime, energy) and is
@@ -87,7 +49,7 @@ std::vector<FrontierPoint> perf_per_watt_frontier(
   return points;
 }
 
-std::string frontier_json(const std::string& label, const FrontierGrid& grid,
+std::string frontier_json(const std::string& label, const Grid& grid,
                           const std::vector<FrontierPoint>& points) {
   obs::JsonWriter w;
   w.begin_object();

@@ -1,6 +1,7 @@
-// Perf-per-watt frontier sweep: CPU/GPU work split x DVFS operating
-// point x node count, evaluated through the shared SweepRunner and
-// reduced to each workload's Pareto frontier in (runtime, energy).
+// Perf-per-watt frontier: a sweep::Grid over the CPU/GPU work split x
+// DVFS operating point x node count, evaluated through the shared
+// SweepRunner and reduced to each workload's Pareto frontier in
+// (runtime, energy).
 //
 // The sweep answers the deployment question behind the paper's energy
 // argument: which operating points of the SoC cluster are *efficient* —
@@ -17,29 +18,9 @@
 #include <vector>
 
 #include "cluster/cluster.h"
-#include "net/network.h"
+#include "sweep/grid.h"
 
 namespace soc::sweep {
-
-/// Axes of the frontier sweep; enumeration is row-major with workloads
-/// outermost (workloads x nodes x gpu_fractions x dvfs).
-struct FrontierGrid {
-  std::vector<std::string> workloads;
-  std::vector<int> nodes = {16};
-  /// CPU/GPU work split (cluster::RunOptions::gpu_work_fraction).
-  std::vector<double> gpu_fractions = {1.0};
-  /// Relative frequency; each point re-clocks the node through
-  /// systems::with_dvfs (clocks, bandwidth law, VF power curve).
-  std::vector<double> dvfs = {1.0};
-  net::NicKind nic = net::NicKind::kTenGigabit;
-  /// Options every request starts from (gpu_work_fraction is overridden
-  /// by the axis above).
-  cluster::RunOptions base;
-
-  std::size_t size() const;
-  /// The flat RunRequest list, in the row-major axis order above.
-  std::vector<cluster::RunRequest> requests() const;
-};
 
 /// One evaluated operating point of the frontier sweep.
 struct FrontierPoint {
@@ -60,12 +41,13 @@ struct FrontierPoint {
 };
 
 /// Joins the grid with its sweep results (parallel to grid.requests())
-/// and marks each workload's Pareto-optimal points.
+/// and marks each workload's Pareto-optimal points.  A point's dvfs is
+/// 1.0 when the grid's clock axis is empty.
 std::vector<FrontierPoint> perf_per_watt_frontier(
-    const FrontierGrid& grid, const std::vector<cluster::RunResult>& results);
+    const Grid& grid, const std::vector<cluster::RunResult>& results);
 
 /// The deterministic "soccluster-energy-frontier/v1" JSON document.
-std::string frontier_json(const std::string& label, const FrontierGrid& grid,
+std::string frontier_json(const std::string& label, const Grid& grid,
                           const std::vector<FrontierPoint>& points);
 
 }  // namespace soc::sweep

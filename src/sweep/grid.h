@@ -1,15 +1,17 @@
-// Grid enumeration: the shared way bench binaries and socbench turn an
-// experiment's axes (workloads × nodes × NIC × mem-model × size-scale ×
-// GPU work fraction) into the flat RunRequest list a SweepRunner shards.
+// Grid enumeration: the one way bench binaries and socbench turn an
+// experiment's axes (workloads × nodes × NIC × mem-model × GPU work
+// fraction × DVFS clock) into the flat RunRequest list a SweepRunner
+// shards.
 //
-// Enumeration order is row-major with workloads outermost, matching the
-// nested loops the bench binaries used to write by hand; index() maps
-// axis indices back to the flat result slot so a bench can lay out its
-// table from the sweep's result vector.
+// Enumeration order is row-major with workloads outermost and the clock
+// innermost, matching the nested loops the bench binaries used to write
+// by hand; index() maps axis indices back to the flat result slot so a
+// bench can lay out its table from the sweep's result vector.  Every
+// request runs on systems::jetson_tx1(nic), re-clocked by the dvfs axis,
+// at the workload's natural rank count.
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -30,11 +32,14 @@ struct Grid {
   std::vector<net::NicKind> nics = {net::NicKind::kTenGigabit};
 
   /// Option axes.  An EMPTY axis means "inherit that field from `base`"
-  /// (one column, no override) — so a bench that sets base.size_scale
-  /// keeps it unless it explicitly sweeps size_scales.
+  /// (one column, no override).
   std::vector<sim::MemModel> mem_models;
-  std::vector<double> size_scales;
   std::vector<double> gpu_fractions;
+
+  /// Relative clock, the innermost axis: each value re-clocks the node
+  /// through systems::with_dvfs (clocks, bandwidth law, VF power curve).
+  /// EMPTY leaves the node as built (one column).
+  std::vector<double> dvfs;
 
   /// Options every request starts from before axis overrides apply.
   cluster::RunOptions base;
@@ -43,12 +48,6 @@ struct Grid {
   /// to every enumerated request; empty = scenario-free runs.
   workloads::ScenarioConfig scenario;
 
-  /// Node config per NIC; defaults to systems::jetson_tx1 when unset.
-  std::function<systems::NodeConfig(net::NicKind)> node;
-
-  /// Rank count per (workload, nodes); defaults to natural_ranks.
-  std::function<int(const workloads::Workload&, int)> ranks;
-
   /// Total requests the grid enumerates (0 when `workloads` is empty).
   std::size_t size() const;
 
@@ -56,7 +55,7 @@ struct Grid {
   /// option axes contribute one column, so their index must be 0.
   std::size_t index(std::size_t iworkload, std::size_t inode,
                     std::size_t inic = 0, std::size_t imem = 0,
-                    std::size_t iscale = 0, std::size_t ifraction = 0) const;
+                    std::size_t ifraction = 0, std::size_t idvfs = 0) const;
 
   /// Enumerates the grid as RunRequests, in index() order.
   std::vector<cluster::RunRequest> requests() const;

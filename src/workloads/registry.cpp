@@ -1,7 +1,7 @@
-// The workload registry: a static table of (tag, suite, factory) entries.
-// Everything else — the suite builders, list(), make_workload() — derives
-// from this one table, so adding a workload is a one-line change and the
-// name list can never drift from what make_workload accepts.
+// The workload registry: a static table of (tag, factory) entries.
+// list() and make_workload() both derive from this one table, so adding a
+// workload is a one-line change and the name list can never drift from
+// what make_workload accepts.
 #include <algorithm>
 
 #include "common/error.h"
@@ -14,86 +14,75 @@ namespace soc::workloads {
 
 namespace {
 
-enum class Suite { kClusterSoCBench, kNpb };
-
 struct Registration {
   const char* name;
-  Suite suite;
   std::unique_ptr<Workload> (*make)();
 };
 
 const std::vector<Registration>& registrations() {
   static const std::vector<Registration> kRegistry = {
-      {"hpl", Suite::kClusterSoCBench,
+      {"hpl",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<HplWorkload>();
        }},
-      {"jacobi", Suite::kClusterSoCBench,
+      {"jacobi",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<JacobiWorkload>();
        }},
-      {"cloverleaf", Suite::kClusterSoCBench,
+      {"cloverleaf",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<CloverLeafWorkload>();
        }},
-      {"tealeaf2d", Suite::kClusterSoCBench,
+      {"tealeaf2d",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<TeaLeafWorkload>(tealeaf2d_default());
        }},
-      {"tealeaf3d", Suite::kClusterSoCBench,
+      {"tealeaf3d",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<TeaLeafWorkload>(tealeaf3d_default());
        }},
-      {"alexnet", Suite::kClusterSoCBench,
+      {"alexnet",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<DnnWorkload>(DnnWorkload::Network::kAlexNet);
        }},
-      {"googlenet", Suite::kClusterSoCBench,
+      {"googlenet",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<DnnWorkload>(DnnWorkload::Network::kGoogLeNet);
        }},
-      {"bt", Suite::kNpb,
+      {"bt",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<NpbWorkload>(npb_bt_spec());
        }},
-      {"cg", Suite::kNpb,
+      {"cg",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<NpbWorkload>(npb_cg_spec());
        }},
-      {"ep", Suite::kNpb,
+      {"ep",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<NpbWorkload>(npb_ep_spec());
        }},
-      {"ft", Suite::kNpb,
+      {"ft",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<NpbWorkload>(npb_ft_spec());
        }},
-      {"is", Suite::kNpb,
+      {"is",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<NpbWorkload>(npb_is_spec());
        }},
-      {"lu", Suite::kNpb,
+      {"lu",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<NpbWorkload>(npb_lu_spec());
        }},
-      {"mg", Suite::kNpb,
+      {"mg",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<NpbWorkload>(npb_mg_spec());
        }},
-      {"sp", Suite::kNpb,
+      {"sp",
        +[]() -> std::unique_ptr<Workload> {
          return std::make_unique<NpbWorkload>(npb_sp_spec());
        }},
   };
   return kRegistry;
-}
-
-std::vector<std::unique_ptr<Workload>> make_suite(Suite suite) {
-  std::vector<std::unique_ptr<Workload>> out;
-  for (const Registration& r : registrations()) {
-    if (r.suite == suite) out.push_back(r.make());
-  }
-  return out;
 }
 
 std::string joined_names() {
@@ -106,14 +95,6 @@ std::string joined_names() {
 }
 
 }  // namespace
-
-std::vector<std::unique_ptr<Workload>> cluster_soc_bench() {
-  return make_suite(Suite::kClusterSoCBench);
-}
-
-std::vector<std::unique_ptr<Workload>> npb_suite() {
-  return make_suite(Suite::kNpb);
-}
 
 const std::vector<std::string>& list() {
   static const std::vector<std::string> kNames = [] {

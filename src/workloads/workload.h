@@ -113,16 +113,12 @@ class Workload {
   std::unique_ptr<sim::OpSource> stream(const BuildContext& ctx) const;
 };
 
-/// All GPGPU-accelerated workloads of Table I, in paper order:
-/// hpl, jacobi, cloverleaf, tealeaf2d, tealeaf3d, alexnet, googlenet.
-std::vector<std::unique_ptr<Workload>> cluster_soc_bench();
-
-/// The NPB subset of §III-A: bt, cg, ep, ft, is, lu, mg, sp (class C).
-std::vector<std::unique_ptr<Workload>> npb_suite();
-
-/// Registered workload tags, in Table I + NPB order.  This is the
-/// registry's authoritative name list: socbench usage, grid enumeration,
-/// and make_workload's error message all derive from it.
+/// Registered workload tags, in Table I + NPB order: the GPGPU-
+/// accelerated hpl, jacobi, cloverleaf, tealeaf2d, tealeaf3d, alexnet,
+/// googlenet, then the NPB subset of §III-A, bt, cg, ep, ft, is, lu, mg,
+/// sp (class C).  This is the registry's authoritative name list:
+/// socbench usage, grid enumeration, and make_workload's error message
+/// all derive from it.
 const std::vector<std::string>& list();
 
 /// Creates one workload by its Table I / NPB tag.  An unknown tag fails a

@@ -209,7 +209,14 @@ TEST(Power, CapBelowIdleFloorThrows) {
   const power::NodePowerConfig node = test_node();
   const power::PowerTimeline tl = power::power_timeline(stats, node, 4);
   // Floor per bin: 2 nodes x (idle 4 + host 0.5 + nic idle 0.4) = 9.8 W.
+  const double floor_w = power::idle_floor_watts(node, 2);
+  EXPECT_DOUBLE_EQ(floor_w, 9.8);
   EXPECT_THROW(power::apply_power_cap(tl, node, 2, 5.0), Error);
+  // The floor is the boundary a caller can check before the run: a cap
+  // at it is refused, and the next double above it is met.
+  EXPECT_THROW(power::apply_power_cap(tl, node, 2, floor_w), Error);
+  EXPECT_NO_THROW(
+      power::apply_power_cap(tl, node, 2, std::nextafter(floor_w, 1e9)));
 }
 
 }  // namespace

@@ -340,15 +340,56 @@ TEST(Grid, OptionAxesOverrideBase) {
   sweep::Grid grid;
   grid.workloads = {"jacobi"};
   grid.nodes = {2};
-  grid.base.size_scale = 0.25;
-  grid.size_scales = {0.1, 0.5};
+  grid.base.gpu_work_fraction = 0.25;
   grid.gpu_fractions = {1.0, 0.5};
+  grid.dvfs = {0.8, 1.2};
   EXPECT_EQ(grid.size(), 4u);
   const auto requests = grid.requests();
-  EXPECT_DOUBLE_EQ(requests[grid.index(0, 0, 0, 0, 1, 0)].options.size_scale,
-                   0.5);
-  EXPECT_DOUBLE_EQ(
-      requests[grid.index(0, 0, 0, 0, 1, 1)].options.gpu_work_fraction, 0.5);
+  const systems::NodeConfig tx1 =
+      systems::jetson_tx1(net::NicKind::kTenGigabit);
+  for (std::size_t f = 0; f < grid.gpu_fractions.size(); ++f) {
+    for (std::size_t d = 0; d < grid.dvfs.size(); ++d) {
+      const cluster::RunRequest& r = requests[grid.index(0, 0, 0, 0, f, d)];
+      EXPECT_DOUBLE_EQ(r.options.gpu_work_fraction, grid.gpu_fractions[f]);
+      EXPECT_EQ(r.config.node, systems::with_dvfs(tx1, grid.dvfs[d]));
+    }
+  }
+}
+
+TEST(Grid, DvfsAxisReclocksInnermost) {
+  sweep::Grid grid;
+  grid.workloads = {"jacobi", "hpl"};
+  grid.nodes = {2, 4};
+  grid.nics = {net::NicKind::kGigabit, net::NicKind::kTenGigabit};
+  grid.dvfs = {0.6, 0.8, 1.2};
+  ASSERT_EQ(grid.size(), 24u);
+  // The clock varies fastest, then the NIC.
+  EXPECT_EQ(grid.index(0, 0, 0, 0, 0, 1), 1u);
+  EXPECT_EQ(grid.index(0, 0, 1, 0, 0, 0), 3u);
+  const auto requests = grid.requests();
+  ASSERT_EQ(requests.size(), grid.size());
+  for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
+    for (std::size_t n = 0; n < grid.nodes.size(); ++n) {
+      for (std::size_t c = 0; c < grid.nics.size(); ++c) {
+        for (std::size_t d = 0; d < grid.dvfs.size(); ++d) {
+          const cluster::RunRequest& r = requests[grid.index(w, n, c, 0, 0, d)];
+          EXPECT_EQ(r.workload, grid.workloads[w]);
+          EXPECT_EQ(r.config.nodes, grid.nodes[n]);
+          EXPECT_EQ(r.config.node,
+                    systems::with_dvfs(systems::jetson_tx1(grid.nics[c]),
+                                       grid.dvfs[d]));
+        }
+      }
+    }
+  }
+
+  // An empty clock axis leaves each NIC's node as built.
+  grid.dvfs.clear();
+  const auto built = grid.requests();
+  ASSERT_EQ(built.size(), 8u);
+  for (std::size_t i = 0; i < built.size(); ++i) {
+    EXPECT_EQ(built[i].config.node, systems::jetson_tx1(grid.nics[i % 2]));
+  }
 }
 
 TEST(Grid, EmptyWorkloadsEnumeratesNothing) {
@@ -363,6 +404,7 @@ TEST(Grid, IndexRangeChecked) {
   EXPECT_THROW(grid.index(1, 0), Error);
   EXPECT_THROW(grid.index(0, 1), Error);
   EXPECT_THROW(grid.index(0, 0, 0, 1), Error);  // empty mem axis: must be 0
+  EXPECT_THROW(grid.index(0, 0, 0, 0, 0, 1), Error);  // empty clock axis
 }
 
 TEST(Grid, NaturalRanksPerWorkloadClass) {
@@ -404,8 +446,8 @@ TEST(Registry, UnknownTagErrorNamesTheValidTags) {
 
 // --- Energy frontier ------------------------------------------------------
 
-sweep::FrontierGrid small_frontier() {
-  sweep::FrontierGrid grid;
+sweep::Grid small_frontier() {
+  sweep::Grid grid;
   grid.workloads = {"jacobi", "hpl"};
   grid.nodes = {2, 4};
   grid.gpu_fractions = {1.0};
@@ -415,7 +457,7 @@ sweep::FrontierGrid small_frontier() {
 }
 
 TEST(Frontier, GridEnumeratesRowMajor) {
-  const sweep::FrontierGrid grid = small_frontier();
+  const sweep::Grid grid = small_frontier();
   EXPECT_EQ(grid.size(), 8u);
   const auto requests = grid.requests();
   ASSERT_EQ(requests.size(), grid.size());
@@ -429,7 +471,7 @@ TEST(Frontier, GridEnumeratesRowMajor) {
 }
 
 TEST(Frontier, ArtifactByteIdenticalAcrossThreadCounts) {
-  const sweep::FrontierGrid grid = small_frontier();
+  const sweep::Grid grid = small_frontier();
   const auto requests = grid.requests();
   sweep::SweepRunner serial(sweep::SweepOptions{.threads = 1});
   sweep::SweepRunner threaded(sweep::SweepOptions{.threads = 4});
@@ -442,7 +484,7 @@ TEST(Frontier, ArtifactByteIdenticalAcrossThreadCounts) {
 }
 
 TEST(Frontier, ParetoMarkingIsPerWorkloadAndConsistent) {
-  const sweep::FrontierGrid grid = small_frontier();
+  const sweep::Grid grid = small_frontier();
   sweep::SweepRunner runner(sweep::SweepOptions{.threads = 4});
   const auto points =
       sweep::perf_per_watt_frontier(grid, runner.run(grid.requests()));

@@ -217,12 +217,9 @@ void print_result(const cluster::RunResult& r, const systems::NodeConfig& node,
               static_cast<double>(r.stats.total_dram_bytes) / 1e9,
               r.stats.dram_bytes_per_second() / 1e9);
   if (node.has_gpu && r.stats.total_gpu_flops > 0.0) {
-    core::ExtendedRoofline model;
-    model.peak_flops =
-        dp ? node.gpu.peak_dp_flops() : node.gpu.peak_sp_flops();
-    model.memory_bandwidth = node.dram.gpu_bandwidth;
-    model.network_bandwidth = node.nic.effective_bandwidth;
-    const auto m = core::measure_roofline(model, r.stats, nodes, "run");
+    const auto m = core::measure_roofline(
+        cluster::energy_roofline_model(node, dp).roofline, r.stats, nodes,
+        "run");
     std::printf("roofline       : OI=%.2f NI=%s -> %.2f of %.2f GFLOP/s/node "
                 "(%s-limited)\n",
                 m.operational_intensity,
@@ -466,13 +463,27 @@ int cmd_sweep(const ArgParser& args) {
   return 0;
 }
 
+/// A CSV flag of positive, finite values, checked before any run.
+std::vector<double> positive_list(const ArgParser& args,
+                                  const std::string& flag) {
+  std::vector<double> values = parse_double_list(args.get(flag));
+  for (const double v : values) {
+    if (!(v > 0.0) || !std::isfinite(v)) {
+      throw UsageError(flag + " values must be positive and finite");
+    }
+  }
+  return values;
+}
+
 int cmd_frontier(const ArgParser& args) {
-  sweep::FrontierGrid grid;
+  sweep::Grid grid;
   grid.workloads = workload_list(args, true);
   grid.nodes = node_list(args);
+  grid.nics = {parse_nic(args.get("--nic"))};
+  // A fraction is checked when its runs build (0, all work on the CPU, is
+  // valid); a clock must be positive and finite.
   grid.gpu_fractions = parse_double_list(args.get("--gpu-fractions"));
-  grid.dvfs = parse_double_list(args.get("--dvfs"));
-  grid.nic = parse_nic(args.get("--nic"));
+  grid.dvfs = positive_list(args, "--dvfs");
   grid.base = options_from(args);
   const auto requests = grid.requests();
 
@@ -533,25 +544,25 @@ int cmd_decompose(const ArgParser& args) {
   return 0;
 }
 
-/// A CSV flag of positive, finite values, checked before any run.
-std::vector<double> positive_list(const ArgParser& args,
-                                  const std::string& flag) {
-  if (!args.given(flag)) return {};
-  std::vector<double> values = parse_double_list(args.get(flag));
-  for (const double v : values) {
-    if (!(v > 0.0) || !std::isfinite(v)) {
-      throw UsageError(flag + " values must be positive and finite");
-    }
-  }
-  return values;
-}
-
 int cmd_explain(const ArgParser& args) {
   const auto workload = workload_from(args);
   const auto [nodes, ranks] = shape_from(args, *workload);
   const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
-  const std::vector<double> dvfs = positive_list(args, "--dvfs");
-  const std::vector<double> caps = positive_list(args, "--cap-watts");
+  const std::vector<double> dvfs =
+      args.given("--dvfs") ? positive_list(args, "--dvfs")
+                           : std::vector<double>{};
+  const std::vector<double> caps =
+      args.given("--cap-watts") ? positive_list(args, "--cap-watts")
+                                : std::vector<double>{};
+  // apply_power_cap refuses a cap at or under this floor; refuse it
+  // before the run prints anything.
+  const double floor_w = power::idle_floor_watts(node.power, nodes);
+  for (const double cap : caps) {
+    if (!(cap > floor_w)) {
+      throw UsageError("--cap-watts values must clear the cluster's idle "
+                       "floor of " + TextTable::num(floor_w, 2) + " W");
+    }
+  }
 
   cluster::RunRequest request;
   request.workload = workload->name();
@@ -563,13 +574,13 @@ int cmd_explain(const ArgParser& args) {
   const cluster::RunRequest plain = request;
   prof::Profile profile;
   request.profile = &profile;
+  const auto result = cluster::run(request);
   if (args.given("--profile-json")) {
-    request.profile_json_path = args.get("--profile-json");
+    write_text(args.get("--profile-json"), prof::profile_json(profile));
   }
   if (args.given("--folded")) {
-    request.profile_folded_path = args.get("--folded");
+    write_text(args.get("--folded"), prof::folded_stacks(profile));
   }
-  const auto result = cluster::run(request);
 
   std::printf("%s on %d x %s (%s, %d ranks): critical path\n\n",
               workload->name().c_str(), nodes, node.name.c_str(),
@@ -656,13 +667,12 @@ int cmd_explain(const ArgParser& args) {
     }
   }
 
-  if (!request.profile_json_path.empty()) {
+  if (args.given("--profile-json")) {
     std::printf("wrote critical-path artifact to %s\n",
-                request.profile_json_path.c_str());
+                args.get("--profile-json").c_str());
   }
-  if (!request.profile_folded_path.empty()) {
-    std::printf("wrote folded stacks to %s\n",
-                request.profile_folded_path.c_str());
+  if (args.given("--folded")) {
+    std::printf("wrote folded stacks to %s\n", args.get("--folded").c_str());
   }
   return 0;
 }
