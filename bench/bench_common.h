@@ -13,7 +13,9 @@
 #include "common/error.h"
 #include "common/io.h"
 #include "common/table.h"
+#include "core/efficiency.h"
 #include "core/extended_roofline.h"
+#include "core/scaling.h"
 #include "net/network.h"
 #include "obs/json.h"
 #include "sweep/grid.h"
@@ -87,6 +89,62 @@ inline sweep::SweepOptions sweep_options(int argc, char** argv,
     usage_exit(e);
   }
   return options;
+}
+
+/// The tables of Figs 5 and 6 for a `grid` measured on {1GbE, 10GbE}
+/// (`results`, in grid order) and replayed on 10GbE (`scenario_runs`, in
+/// `replays` order): each workload's scaling models fitted to both NICs'
+/// runs and to the ideal-network and ideal-load-balance replays, with
+/// speedups extrapolated to 16..256 nodes, and its Eq. 4 decomposition at
+/// the largest node count.
+struct ScalingTables {
+  TextTable fits{{"workload", "model", "S(16)", "S(32)", "S(64)", "S(128)",
+                  "S(256)", "r2"}};
+  TextTable decomp{{"workload", "LB", "Ser", "Trf", "efficiency",
+                    "ideal-net speedup", "ideal-LB speedup"}};
+};
+
+inline ScalingTables scaling_tables(
+    const sweep::Grid& grid, const std::vector<cluster::RunResult>& results,
+    const sweep::Grid& replays,
+    const std::vector<trace::ScenarioRuns>& scenario_runs) {
+  ScalingTables tables;
+  const std::size_t sizes = grid.nodes.size();
+  for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
+    const std::string& name = grid.workloads[w];
+    // Series 0 and 1 are the runs on grid NIC 0 and 1.
+    const char* const series[] = {"1G model", "10G model", "ideal network",
+                                  "ideal load balance"};
+    for (std::size_t s = 0; s < 4; ++s) {
+      std::vector<core::ScalingSample> samples;
+      for (std::size_t i = 0; i < sizes; ++i) {
+        const trace::ScenarioRuns& runs = scenario_runs[replays.index(w, i)];
+        const double seconds = s < 2    ? results[grid.index(w, i, s)].seconds
+                               : s == 2 ? runs.ideal_network.seconds()
+                                        : runs.ideal_balance.seconds();
+        samples.push_back(core::ScalingSample{grid.nodes[i], seconds});
+      }
+      const core::ScalingModel model = core::fit_scaling(samples);
+      std::vector<std::string> row{name, series[s]};
+      for (int n : {16, 32, 64, 128, 256}) {
+        row.push_back(TextTable::num(model.predict_speedup(n), 1));
+      }
+      row.push_back(TextTable::num(model.r2, 3));
+      tables.fits.add_row(std::move(row));
+    }
+    const trace::ScenarioRuns& runs =
+        scenario_runs[replays.index(w, sizes - 1)];
+    const core::EfficiencyDecomposition d = core::decompose(runs);
+    tables.decomp.add_row(
+        {name, TextTable::num(d.load_balance, 3),
+         TextTable::num(d.serialization, 3), TextTable::num(d.transfer, 3),
+         TextTable::num(d.efficiency, 3),
+         TextTable::num(runs.measured.seconds() / runs.ideal_network.seconds(),
+                        2),
+         TextTable::num(runs.measured.seconds() / runs.ideal_balance.seconds(),
+                        2)});
+  }
+  return tables;
 }
 
 /// The extended-roofline model instance for one TX1 node (Eq. 3 inputs).

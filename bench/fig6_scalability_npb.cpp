@@ -7,92 +7,32 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "core/efficiency.h"
-#include "core/scaling.h"
 
 int main(int argc, char** argv) {
   using namespace soc;
-  const std::vector<int> measured_sizes = {2, 4, 8, 16};
-  const std::vector<int> extrapolated = {16, 32, 64, 128, 256};
-
   sweep::Grid grid;
   grid.workloads = {"bt", "cg", "ep", "ft", "is", "lu", "mg", "sp"};
-  grid.nodes = measured_sizes;
+  grid.nodes = {2, 4, 8, 16};
   grid.nics = {net::NicKind::kGigabit, net::NicKind::kTenGigabit};
   const auto requests = grid.requests();
 
-  std::vector<cluster::RunRequest> replays;
-  for (const std::string& name : grid.workloads) {
-    for (int nodes : measured_sizes) {
-      replays.push_back(bench::tx1_request(name, net::NicKind::kTenGigabit,
-                                           nodes, 2 * nodes));
-    }
-  }
+  sweep::Grid replays = grid;
+  replays.nics = {net::NicKind::kTenGigabit};
 
   sweep::SweepRunner runner(
       bench::sweep_options(argc, argv, "fig6_scalability_npb"));
   const auto results = runner.run(requests);
-  const auto scenario_runs = runner.replay_scenarios(replays);
+  const auto scenario_runs = runner.replay_scenarios(replays.requests());
 
-  TextTable fits({"workload", "model", "S(16)", "S(32)", "S(64)", "S(128)",
-                  "S(256)", "r2"});
-  TextTable decomp({"workload", "LB", "Ser", "Trf", "efficiency",
-                    "ideal-net speedup", "ideal-LB speedup"});
-
-  for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
-    const std::string& name = grid.workloads[w];
-    struct Series {
-      const char* label;
-      std::size_t inic;
-      int scenario;
-    };
-    const Series series[] = {
-        {"1G model", 0, 0},
-        {"10G model", 1, 0},
-        {"ideal network", 1, 1},
-        {"ideal load balance", 1, 2},
-    };
-    for (const Series& s : series) {
-      std::vector<core::ScalingSample> samples;
-      for (std::size_t i = 0; i < measured_sizes.size(); ++i) {
-        double seconds = 0.0;
-        if (s.scenario == 0) {
-          seconds = results[grid.index(w, i, s.inic)].seconds;
-        } else {
-          const auto& runs = scenario_runs[w * measured_sizes.size() + i];
-          seconds = s.scenario == 1 ? runs.ideal_network.seconds()
-                                    : runs.ideal_balance.seconds();
-        }
-        samples.push_back(core::ScalingSample{measured_sizes[i], seconds});
-      }
-      const core::ScalingModel model = core::fit_scaling(samples);
-      std::vector<std::string> row{name, s.label};
-      for (int n : extrapolated) {
-        row.push_back(TextTable::num(model.predict_speedup(n), 1));
-      }
-      row.push_back(TextTable::num(model.r2, 3));
-      fits.add_row(std::move(row));
-    }
-
-    const auto& runs =
-        scenario_runs[w * measured_sizes.size() + measured_sizes.size() - 1];
-    const core::EfficiencyDecomposition d = core::decompose(runs);
-    decomp.add_row(
-        {name, TextTable::num(d.load_balance, 3),
-         TextTable::num(d.serialization, 3), TextTable::num(d.transfer, 3),
-         TextTable::num(d.efficiency, 3),
-         TextTable::num(runs.measured.seconds() / runs.ideal_network.seconds(),
-                        2),
-         TextTable::num(runs.measured.seconds() / runs.ideal_balance.seconds(),
-                        2)});
-  }
-
+  const bench::ScalingTables tables =
+      bench::scaling_tables(grid, results, replays, scenario_runs);
   std::printf("Figure 6: NPB scalability (speedup vs 1 node)\n\n%s\n",
-              fits.str().c_str());
+              tables.fits.str().c_str());
   std::printf("Efficiency decomposition at 16 nodes, 10GbE (Eq. 4)\n\n%s",
-              decomp.str().c_str());
-  soc::bench::write_artifact("fig6_scalability_npb", fits, "speedup");
-  soc::bench::write_artifact("fig6_scalability_npb", decomp, "decomposition");
+              tables.decomp.str().c_str());
+  soc::bench::write_artifact("fig6_scalability_npb", tables.fits, "speedup");
+  soc::bench::write_artifact("fig6_scalability_npb", tables.decomp,
+                             "decomposition");
   soc::bench::write_sweep_artifact("fig6_scalability_npb", requests, results,
                                    runner.summary());
   return 0;

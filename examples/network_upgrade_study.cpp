@@ -13,6 +13,7 @@
 #include "cluster/cluster.h"
 #include "common/table.h"
 #include "net/network.h"
+#include "sweep/grid.h"
 #include "systems/machines.h"
 #include "workloads/workload.h"
 
@@ -26,17 +27,11 @@ int main(int argc, char** argv) {
 
   for (const std::string& name : workloads::list()) {
     const auto workload = workloads::make_workload(name);
-    // GPU workloads drive one rank per node; the DNNs use all four cores
-    // as decode workers; NPB runs 2 ranks per node.
-    int ranks = nodes;
-    if (name == "alexnet" || name == "googlenet") ranks = 4 * nodes;
-    if (!workload->gpu_accelerated()) ranks = 2 * nodes;
-
     cluster::RunRequest request;
     request.workload_ref = workload.get();
     request.options.size_scale = scale;
     request.config = {systems::jetson_tx1(net::NicKind::kGigabit), nodes,
-                      ranks};
+                      sweep::natural_ranks(*workload, nodes)};
     const auto slow = cluster::run(request);
     request.config.node = systems::jetson_tx1(net::NicKind::kTenGigabit);
     const auto fast = cluster::run(request);

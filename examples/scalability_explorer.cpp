@@ -14,6 +14,7 @@
 #include "core/efficiency.h"
 #include "core/scaling.h"
 #include "net/network.h"
+#include "sweep/grid.h"
 #include "systems/machines.h"
 #include "workloads/workload.h"
 
@@ -44,11 +45,8 @@ int main(int argc, char** argv) {
   double t2 = 0.0;
   core::EfficiencyDecomposition d;  // of the last (16-node) size
   for (int nodes : {2, 4, 8, 16}) {
-    int ranks = nodes;
-    if (name == "alexnet" || name == "googlenet") ranks = 4 * nodes;
-    if (!workload->gpu_accelerated()) ranks = 2 * nodes;
     request.config = {systems::jetson_tx1(net::NicKind::kTenGigabit), nodes,
-                      ranks};
+                      sweep::natural_ranks(*workload, nodes)};
     const auto runs = cluster::replay_scenarios(request);
     d = core::decompose(runs);
     const double seconds = runs.measured.seconds();

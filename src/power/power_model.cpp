@@ -69,6 +69,29 @@ PowerTimeline power_timeline(const sim::RunStats& stats,
   return tl;
 }
 
+EnergyIntegral energy_integral(const PowerTimeline& timeline) {
+  const std::size_t n = timeline.bin_watts.size();
+  EnergyIntegral out{std::vector<double>(n + 1, 0.0),
+                     std::vector<EnergyBreakdown>(n + 1)};
+  for (std::size_t b = 0; b < n; ++b) {
+    out.joules[b + 1] = out.joules[b];
+    out.parts[b + 1] = out.parts[b];
+    // Widths only shrink, so once the rounded-up bin count passes the
+    // run's end the integral stops growing.
+    const double width = timeline.width(b);
+    if (width <= 0.0) continue;
+    const EnergyBreakdown& rate = timeline.bin_parts[b];
+    EnergyBreakdown& parts = out.parts[b + 1];
+    out.joules[b + 1] += timeline.bin_watts[b] * width;
+    parts.idle += rate.idle * width;
+    parts.cpu += rate.cpu * width;
+    parts.gpu += rate.gpu * width;
+    parts.nic += rate.nic * width;
+    parts.dram += rate.dram * width;
+  }
+  return out;
+}
+
 EnergyReport measure_energy(const sim::RunStats& stats,
                             const NodePowerConfig& node, int cores_per_node) {
   EnergyReport report;
@@ -78,16 +101,11 @@ EnergyReport measure_energy(const sim::RunStats& stats,
   const double bin_s = tl.bin_seconds;
 
   // Total energy: exact integral over bins (last bin may be partial).
-  for (std::size_t b = 0; b < tl.bin_watts.size(); ++b) {
-    const double width = tl.width(b);
-    if (width <= 0.0) break;
-    report.joules += tl.bin_watts[b] * width;
+  const EnergyIntegral integral = energy_integral(tl);
+  report.joules = integral.joules.back();
+  report.breakdown = integral.parts.back();
+  for (std::size_t b = 0; b < tl.bin_watts.size() && tl.width(b) > 0.0; ++b) {
     report.peak_watts = std::max(report.peak_watts, tl.bin_watts[b]);
-    report.breakdown.idle += tl.bin_parts[b].idle * width;
-    report.breakdown.cpu += tl.bin_parts[b].cpu * width;
-    report.breakdown.gpu += tl.bin_parts[b].gpu * width;
-    report.breakdown.nic += tl.bin_parts[b].nic * width;
-    report.breakdown.dram += tl.bin_parts[b].dram * width;
   }
   report.average_watts = report.joules / report.seconds;
 
@@ -161,7 +179,7 @@ CappedEnergy apply_power_cap(const PowerTimeline& timeline,
     const double watts = timeline.bin_watts[b];
     const EnergyBreakdown& parts = timeline.bin_parts[b];
     if (watts <= cap_w) {
-      // Same terms in the same order as measure_energy: an uncapped run
+      // Same terms in the same order as energy_integral: an uncapped run
       // reproduces the measured integral bit-exactly.
       e.joules += watts * width;
       e.peak_watts = std::max(e.peak_watts, watts);

@@ -6,10 +6,11 @@
 // over the engine's busy-time timelines, sampled at the same 1 Hz.
 //
 // The binned PowerTimeline is also the substrate for the energy
-// observability layer (src/prof/energy.*) and the power-cap what-if: the
-// attribution pass and apply_power_cap re-integrate the same bins with the
-// same floating-point operation sequence, so their totals reproduce
-// measure_energy() bit-exactly.
+// observability layer (src/prof/energy.*) and the power-cap what-if:
+// measure_energy() and the attribution pass read one running integral
+// (energy_integral), so their totals agree bit for bit, and
+// apply_power_cap integrates an unclamped bin with the same terms in the
+// same order, so an uncapped run reproduces measure_energy() bit-exactly.
 #pragma once
 
 #include <cstddef>
@@ -87,6 +88,16 @@ struct PowerTimeline {
   /// Width of bin b in seconds (matches the integration expression).
   double width(std::size_t b) const;
 };
+
+/// The running energy integral of a PowerTimeline at its bin edges:
+/// entry b holds the joules of bins [0, b), in total and per component
+/// (bin_watts.size() + 1 entries; the last is the whole run's).
+struct EnergyIntegral {
+  std::vector<double> joules;
+  std::vector<EnergyBreakdown> parts;
+};
+
+EnergyIntegral energy_integral(const PowerTimeline& timeline);
 
 /// Builds the binned power timeline from a run's per-node busy
 /// timelines.  All nodes share one NodePowerConfig (homogeneous

@@ -13,28 +13,42 @@ namespace soc::prof {
 
 namespace {
 
-// Column order for the prefix integration: total + the component split.
+// Columns the attribution cuts: the total, then the component split.
 constexpr std::size_t kColumns = 6;
 
-// Evaluates a bin-edge prefix (n + 1 entries) at an arbitrary time t by
+// Column c of a (total, per-component) pair: a bin's watts or a prefix's
+// joules.
+double column(double total, const power::EnergyBreakdown& parts,
+              std::size_t c) {
+  using power::EnergyBreakdown;
+  constexpr double EnergyBreakdown::*kParts[] = {
+      &EnergyBreakdown::idle, &EnergyBreakdown::cpu, &EnergyBreakdown::gpu,
+      &EnergyBreakdown::nic, &EnergyBreakdown::dram};
+  return c == 0 ? total : parts.*kParts[c - 1];
+}
+
+// Evaluates column c of the bin-edge integral at an arbitrary time t by
 // extending into the covering bin at that bin's constant rate.  The
-// extension expression at a full bin width reproduces the next prefix
-// entry bit-exactly (same FP expression), so the function is monotone
-// nondecreasing everywhere — the property the telescoped llround cuts
-// rely on.
+// extension expression at a full bin width reproduces the next integral
+// entry bit-exactly (same FP expression as power::energy_integral), so
+// the function is monotone nondecreasing everywhere — the property the
+// telescoped llround cuts rely on.
 double prefix_at(const power::PowerTimeline& tl,
-                 const std::vector<double>& prefix,
-                 const std::vector<double>& rate, double t) {
-  const std::size_t n = rate.size();
+                 const power::EnergyIntegral& integral, std::size_t c,
+                 double t) {
+  const std::size_t n = tl.bin_watts.size();
+  const auto prefix = [&](std::size_t b) {
+    return column(integral.joules[b], integral.parts[b], c);
+  };
   if (t <= 0.0 || n == 0) return 0.0;
-  if (t >= tl.seconds) return prefix[n];
+  if (t >= tl.seconds) return prefix(n);
   const std::size_t b = std::min(
       n - 1, static_cast<std::size_t>(t / tl.bin_seconds));
   const double b0 = static_cast<double>(b) * tl.bin_seconds;
-  if (t <= b0) return prefix[b];
+  if (t <= b0) return prefix(b);
   const double width = tl.width(b);
   const double frac = std::min(t - b0, width);
-  return prefix[b] + rate[b] * frac;
+  return prefix(b) + column(tl.bin_watts[b], tl.bin_parts[b], c) * frac;
 }
 
 std::int64_t to_uj(double joules) {
@@ -92,45 +106,12 @@ EnergyAttribution attribute_energy(const RunTrace& trace,
   const power::PowerTimeline tl =
       power::power_timeline(trace.stats, node, cores_per_node);
   if (tl.seconds <= 0.0) return out;
-  const std::size_t n = tl.bin_watts.size();
 
-  // Prefix integration: snapshot measure_energy's running accumulators
-  // at every bin edge.  The operation sequence per accumulator is
-  // identical to the metering loop, so prefix[...][n] — and therefore
-  // out.joules and out.breakdown — reproduce the EnergyReport bit-exactly.
-  std::array<std::vector<double>, kColumns> rate;
-  rate[0] = tl.bin_watts;
-  for (std::size_t c = 1; c < kColumns; ++c) rate[c].resize(n, 0.0);
-  for (std::size_t b = 0; b < n; ++b) {
-    rate[1][b] = tl.bin_parts[b].idle;
-    rate[2][b] = tl.bin_parts[b].cpu;
-    rate[3][b] = tl.bin_parts[b].gpu;
-    rate[4][b] = tl.bin_parts[b].nic;
-    rate[5][b] = tl.bin_parts[b].dram;
-  }
-  std::array<std::vector<double>, kColumns> prefix;
-  for (auto& p : prefix) p.assign(n + 1, 0.0);
-  std::array<double, kColumns> acc{};
-  std::size_t filled = 0;
-  for (std::size_t b = 0; b < n; ++b) {
-    const double width = tl.width(b);
-    if (width <= 0.0) break;
-    for (std::size_t c = 0; c < kColumns; ++c) {
-      acc[c] += rate[c][b] * width;
-      prefix[c][b + 1] = acc[c];
-    }
-    filled = b + 1;
-  }
-  for (std::size_t b = filled; b < n; ++b) {
-    for (std::size_t c = 0; c < kColumns; ++c) prefix[c][b + 1] = prefix[c][b];
-  }
-
-  out.joules = prefix[0][n];
-  out.breakdown.idle = prefix[1][n];
-  out.breakdown.cpu = prefix[2][n];
-  out.breakdown.gpu = prefix[3][n];
-  out.breakdown.nic = prefix[4][n];
-  out.breakdown.dram = prefix[5][n];
+  // measure_energy's totals are the last entry of this same integral, so
+  // out.joules and out.breakdown reproduce the EnergyReport bit-exactly.
+  const power::EnergyIntegral integral = power::energy_integral(tl);
+  out.joules = integral.joules.back();
+  out.breakdown = integral.parts.back();
   out.total_uj = to_uj(out.joules);
   out.idle_uj = to_uj(out.breakdown.idle);
   out.cpu_uj = to_uj(out.breakdown.cpu);
@@ -168,7 +149,7 @@ EnergyAttribution attribute_energy(const RunTrace& trace,
     } else {
       const double t = to_seconds(pe.end);
       for (std::size_t c = 0; c < kColumns; ++c) {
-        cut[c] = to_uj(prefix_at(tl, prefix[c], rate[c], t));
+        cut[c] = to_uj(prefix_at(tl, integral, c, t));
       }
     }
     pe.uj = cut[0] - prev[0];

@@ -1,9 +1,8 @@
 // Critical-path profiler, stage 4: energy attribution.
 //
 // attribute_energy() extends the critical-path attribution to joules:
-// the run's binned power timeline (power::power_timeline, the same bins
-// measure_energy integrates) is re-integrated as prefix sums with the
-// identical floating-point operation sequence, so the attribution total
+// it cuts the run's power::energy_integral, the running integral whose
+// last entry is measure_energy's total, so the attribution total
 // reproduces EnergyReport.joules bit-exactly.  Per-phase and per-rank
 // shares follow the repo's fixed-point artifact convention (integer
 // microjoules, like the ns critical-path document): phase shares are
@@ -43,7 +42,7 @@ struct PhaseEnergy {
 /// Zero-residual energy decomposition of one recorded run.
 struct EnergyAttribution {
   /// Bit-equal to power::measure_energy(...).joules for the same run —
-  /// the prefix integration repeats the same FP operation sequence.
+  /// both read the last entry of power::energy_integral.
   double joules = 0.0;
   /// Bit-equal per component, same argument.
   power::EnergyBreakdown breakdown;

@@ -86,7 +86,7 @@ struct RunStats {
   /// (time, rank, op kind, bytes) dispatch the engine performs, in order.
   /// Replays of the same (programs, cost model, scenario) triple must
   /// produce bit-identical values; tests/determinism_test.cpp and
-  /// `socbench run --audit-determinism` enforce this.
+  /// `socbench audit` enforce this.
   std::uint64_t event_checksum = 0;
   /// Number of records folded into `event_checksum`.
   std::uint64_t events_committed = 0;

@@ -1,77 +1,19 @@
 // socbench — command-line driver for the soccluster simulator.
 //
-// Subcommands:
-//   socbench list
-//       Workloads and machine models available.
-//   socbench run --workload jacobi --nodes 16 --nic 10g [--scale 1.0]
-//                [--mem-model hd|zc|um] [--gpu-fraction 1.0] [--ranks N]
-//                [--metrics] [--chrome-trace t.json] [--report-json r.json]
-//                [--fault node-crash:node=0,t=5,down=60]
-//                [--noise interval=0.01,duration=0.001]
-//                [--checkpoint daly:size=4e9,bw=2e9,mtti=3600]
-//       One metered run: runtime, throughput, energy, traffic, roofline.
-//       --fault / --noise / --checkpoint wrap the workload's op stream in
-//       scenario decorators (run, sweep, explain, and decompose all take
-//       them); enabled scenarios are serialized into report JSON.
-//       Observability artifacts on demand: --metrics prints the run's
-//       metrics registry, --chrome-trace writes a Perfetto-loadable
-//       trace, --report-json a canonical machine-readable run report.
-//   socbench sweep --workload hpl --nodes 2,4,8,16 --nic both
-//                  [--sweep-threads N] [--progress] [--report-json s.json]
-//       Cluster-size sweep, one row per (size, NIC).  `--workload all`
-//       sweeps every registered workload.  Runs shard across host
-//       threads (--sweep-threads or SOC_SWEEP_THREADS; 0 = all cores) —
-//       thread count never changes results, only wall-clock.
-//       --report-json writes a soccluster-sweep-report/v1 document with
-//       a per-run block and the sweep summary; --energy-roofline writes
-//       the soccluster-energy-roofline/v1 artifact (achieved GFLOPS/W vs
-//       the power-derived ceiling at each run's measured OI/NI).
-//   socbench decompose --workload ft --nodes 16
-//       The paper's LB/Ser/Trf efficiency decomposition (Eq. 4).
-//   socbench explain --workload hpl --nodes 8 [--profile-json cp.json]
-//                    [--folded cp.folded] [--energy] [--energy-json e.json]
-//                    [--dvfs 0.6,0.8] [--cap-watts 10]
-//       Critical-path profile of one instrumented run: the bottleneck
-//       attribution (which lane/phase/rank the end-to-end time sits on)
-//       and per-lane utilization.  `decompose` gives the Eq. 4 factors.
-//       --profile-json writes the deterministic
-//       soccluster-critical-path/v2 artifact, --folded a
-//       flamegraph-compatible folded-stacks file.  --energy prints the
-//       zero-residual joule attribution (per phase / per rank / per
-//       component), --energy-json the soccluster-energy-attribution/v1
-//       artifact.  --dvfs runs the same request once per relative clock
-//       at systems::with_dvfs, as `frontier` does; --cap-watts clamps
-//       the measured run's power timeline under whole-cluster caps.
-//   socbench frontier --workload jacobi --nodes 8,16
-//                     [--gpu-fractions 0.5,0.75,1.0] [--dvfs 0.6,0.8,1.0]
-//                     [--report-json f.json]
-//       Perf-per-watt frontier: sweeps the CPU/GPU work split x DVFS
-//       operating point x node count through the sweep runner and marks
-//       each workload's Pareto-optimal points in (runtime, energy).
-//       --report-json writes the soccluster-energy-frontier/v1 artifact.
-//   socbench trace --workload tealeaf3d --nodes 8 --out run.soctrace
-//       Record the generated per-rank programs to a trace file.
-//   socbench replay --workload tealeaf3d --trace run.soctrace --nodes 8
-//                   [--ideal-network]
-//       Replay a recorded trace (DIMEMAS-style what-if supported).  A
-//       trace does not record its workload, so --workload is required:
-//       it picks the CPU profile the trace's compute ops are costed with,
-//       and replaying a trace under the workload that recorded it
-//       reproduces `socbench run` (runtime and event checksum).
-//   socbench run --workload jacobi --nodes 16 --audit-determinism
-//       Determinism audit: replay the workload --repeats times serially
-//       and under parallel_for; all event checksums must be bit-identical.
-//       `--workload all` audits every registered workload.
+// `socbench --help` lists the commands, and `socbench <command> --help`
+// the flags that command reads.  Both come from kCommands at the end of
+// this file: each command declares exactly the flags its handler reads,
+// so ArgParser refuses any other flag before anything runs.
 //
-// A usage mistake (unknown flag, command or workload, malformed number,
-// bad cluster shape, an output path it cannot write) prints
-// `socbench: <reason>` and exits 2; --help prints the usage and exits 0;
-// any other failure exits 1.
+// A usage mistake (unknown command, flag or workload, a flag the command
+// does not read or a stray argument, malformed number, bad cluster shape,
+// an output path it cannot write) prints `socbench: <reason>` and exits
+// 2; --help prints the usage and exits 0; any other failure exits 1.
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -162,21 +104,43 @@ int positive(int value, const std::string& flag) {
   return value;
 }
 
-/// Cluster shape from --nodes and --ranks; without --ranks, the
-/// workload's natural rank count.
-struct Shape {
-  int nodes = 0;
-  int ranks = 0;
-};
+bool positive_finite(double v) { return v > 0.0 && std::isfinite(v); }
 
-Shape shape_from(const ArgParser& args, const workloads::Workload& w) {
-  Shape shape;
-  shape.nodes = positive(args.get_int("--nodes"), "--nodes");
-  if (!args.given("--ranks")) {
-    shape.ranks = sweep::natural_ranks(w, shape.nodes);
-    return shape;
+/// The range of a GPU work fraction: 0 puts all work on the CPU.
+bool unit_interval(double v) { return v >= 0.0 && v <= 1.0; }
+
+/// A CSV flag of numbers that `valid` each accepts, checked before any run.
+std::vector<double> checked_list(const ArgParser& args, const std::string& flag,
+                                 bool (*valid)(double),
+                                 const std::string& rule) {
+  std::vector<double> values = parse_double_list(args.get(flag));
+  for (const double v : values) {
+    if (!valid(v)) throw UsageError(flag + " values must be " + rule);
   }
-  shape.ranks = positive(args.get_int("--ranks"), "--ranks");
+  return values;
+}
+
+// Flag groups several commands declare, each beside the function that
+// reads it.
+
+const char* const kWorkloadHelp = "workload tag (see 'socbench list')";
+
+/// --workload, --nodes and --ranks: the shape of one cluster.
+void add_shape(ArgParser& args, const char* workload_help) {
+  args.add_flag("--workload", workload_help, "jacobi");
+  args.add_flag("--nodes", "cluster size", "8");
+  args.add_flag("--ranks", "override the natural MPI rank count");
+}
+
+/// The nodes and ranks of that shape; without --ranks, the workload's
+/// natural rank count.
+cluster::ClusterConfig shape_from(const ArgParser& args,
+                                  const workloads::Workload& w) {
+  cluster::ClusterConfig shape;
+  shape.nodes = positive(args.get_int("--nodes"), "--nodes");
+  shape.ranks = args.given("--ranks")
+                    ? positive(args.get_int("--ranks"), "--ranks")
+                    : sweep::natural_ranks(w, shape.nodes);
   if (shape.ranks % shape.nodes != 0) {
     throw UsageError("--ranks " + std::to_string(shape.ranks) +
                      " is not a multiple of --nodes " +
@@ -188,14 +152,100 @@ Shape shape_from(const ArgParser& args, const workloads::Workload& w) {
 /// The --nodes CSV list of sweep-style commands, which always run each
 /// workload at its natural rank count.
 std::vector<int> node_list(const ArgParser& args) {
-  if (args.given("--ranks")) {
-    throw UsageError("--ranks is not supported by " +
-                     args.positional().front() +
-                     ", which runs each workload at its natural rank count");
-  }
   std::vector<int> nodes = parse_int_list(args.get("--nodes"));
   for (const int n : nodes) positive(n, "--nodes");
   return nodes;
+}
+
+void add_nic(ArgParser& args) { args.add_flag("--nic", "1g or 10g", "10g"); }
+
+/// --scale, --mem-model and (unless `gpu_fraction` is false: frontier
+/// sweeps its own fraction axis) --gpu-fraction.
+void add_options(ArgParser& args, bool gpu_fraction = true) {
+  args.add_flag("--scale", "problem-size multiplier", "1.0");
+  args.add_flag("--mem-model", "CUDA memory model: hd, zc, um", "hd");
+  if (gpu_fraction) {
+    args.add_flag("--gpu-fraction", "GPU share of offloadable work, 0 to 1",
+                  "1.0");
+  }
+}
+
+cluster::RunOptions options_from(const ArgParser& args,
+                                 bool gpu_fraction = true) {
+  cluster::RunOptions options;
+  options.size_scale = args.get_double("--scale");
+  options.mem_model = parse_mem_model(args.get("--mem-model"));
+  if (gpu_fraction) {
+    options.gpu_work_fraction = args.get_double("--gpu-fraction");
+    if (!unit_interval(options.gpu_work_fraction)) {
+      throw UsageError("--gpu-fraction must be within [0, 1]");
+    }
+  }
+  return options;
+}
+
+/// --fault, --noise and --checkpoint: the scenario decorators wrapped
+/// around each run's op stream.
+void add_scenario(ArgParser& args) {
+  args.add_flag("--fault",
+                "';'-separated fault specs: node-crash:node=N,t=S,down=S | "
+                "link-flap:node=N,t0=S,t1=S | straggler:rank=R,slowdown=F");
+  args.add_flag("--noise",
+                "OS noise: interval=S,duration=S[,seed=N][,jitter=F]");
+  args.add_flag("--checkpoint",
+                "checkpoint/restart: daly:size=B,bw=B/s,mtti=S[,runtime=S]");
+}
+
+/// All-empty flags yield a disabled config (scenario-free run).
+workloads::ScenarioConfig scenario_from(const ArgParser& args) {
+  return workloads::parse_scenario(args.get("--fault"), args.get("--noise"),
+                                   args.get("--checkpoint"));
+}
+
+/// The ten flags of one configured run: its shape, NIC, run options and
+/// scenario.
+void add_request(ArgParser& args, const char* workload_help = kWorkloadHelp) {
+  add_shape(args, workload_help);
+  add_nic(args);
+  add_options(args);
+  add_scenario(args);
+}
+
+/// The TX1-cluster run of workload `name` that add_request's flags
+/// describe.
+cluster::RunRequest request_from(const ArgParser& args,
+                                 const std::string& name) {
+  check_workload(name);
+  cluster::RunRequest request;
+  request.workload = name;
+  request.config = shape_from(args, *workloads::make_workload(name));
+  request.config.node = systems::jetson_tx1(parse_nic(args.get("--nic")));
+  request.options = options_from(args);
+  request.scenario = scenario_from(args);
+  return request;
+}
+
+/// --sweep-threads and --progress: how a sweep shards its runs across
+/// host threads.  The flag wins over SOC_SWEEP_THREADS; 0 (the default)
+/// means all host cores.
+void add_fan_out(ArgParser& args) {
+  args.add_flag("--sweep-threads",
+                "host threads (0 = all cores; overrides SOC_SWEEP_THREADS)");
+  args.add_bool("--progress", "repaint a stderr progress/ETA line");
+}
+
+sweep::SweepOptions fan_out_from(const ArgParser& args, const char* label) {
+  sweep::SweepOptions options;
+  options.label = label;
+  if (args.given("--sweep-threads")) {
+    options.threads =
+        parse_thread_count(args.get("--sweep-threads"), "--sweep-threads");
+  } else if (const char* env = std::getenv("SOC_SWEEP_THREADS");
+             env != nullptr && *env != '\0') {
+    options.threads = parse_thread_count(env, "SOC_SWEEP_THREADS");
+  }
+  options.progress = args.get_bool("--progress");
+  return options;
 }
 
 void print_result(const cluster::RunResult& r, const systems::NodeConfig& node,
@@ -231,7 +281,7 @@ void print_result(const cluster::RunResult& r, const systems::NodeConfig& node,
   }
 }
 
-int cmd_list() {
+int cmd_list(const ArgParser&) {
   std::printf("workloads:\n");
   for (const std::string& name : workloads::list()) {
     const auto w = workloads::make_workload(name);
@@ -247,88 +297,10 @@ int cmd_list() {
   return 0;
 }
 
-cluster::RunOptions options_from(const ArgParser& args) {
-  cluster::RunOptions options;
-  options.size_scale = args.get_double("--scale");
-  options.mem_model = parse_mem_model(args.get("--mem-model"));
-  options.gpu_work_fraction = args.get_double("--gpu-fraction");
-  return options;
-}
-
-/// Scenario decorators from the --fault / --noise / --checkpoint flags;
-/// all-empty flags yield a disabled config (scenario-free run).
-workloads::ScenarioConfig scenario_from(const ArgParser& args) {
-  return workloads::parse_scenario(args.get("--fault"), args.get("--noise"),
-                                   args.get("--checkpoint"));
-}
-
-// Audits one workload: the baseline run, --repeats serial replays, and
-// --repeats parallel_for replays must all commit the identical event
-// stream (RunStats::event_checksum).  Returns true when they do.
-bool audit_workload(const std::string& name, const ArgParser& args) {
-  const auto workload = workloads::make_workload(name);
-  const auto [nodes, ranks] = shape_from(args, *workload);
-  const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
-  const int repeats = args.get_int("--repeats");
-  if (repeats < 2) throw UsageError("--repeats must be at least 2");
-
-  // Scenario decorators participate in the audit: fault/noise/checkpoint
-  // streams must replay bit-identically like any workload.
-  cluster::RunRequest request;
-  request.workload = name;
-  request.config = cluster::ClusterConfig{node, nodes, ranks};
-  request.options = options_from(args);
-  request.scenario = scenario_from(args);
-
-  const auto baseline = cluster::run(request);
-  bool serial_ok = true;
-  for (int i = 1; i < repeats; ++i) {
-    const auto r = cluster::run(request);
-    serial_ok = serial_ok && r.stats.event_checksum ==
-                                 baseline.stats.event_checksum;
-  }
-
-  std::vector<std::uint64_t> checksums(static_cast<std::size_t>(repeats), 0);
-  parallel_for(checksums.size(), [&](std::size_t i) {
-    // Each replica resolves its own workload instance from the registry
-    // tag: the audit must hold with zero shared mutable state, exactly
-    // like the bench sweeps.
-    checksums[i] = cluster::run(request).stats.event_checksum;
-  });
-  bool parallel_ok = true;
-  for (std::uint64_t c : checksums) {
-    parallel_ok = parallel_ok && c == baseline.stats.event_checksum;
-  }
-
-  std::printf("%-11s checksum=%016llx events=%llu serial[%dx]=%s "
-              "parallel[%dx]=%s\n",
-              name.c_str(),
-              static_cast<unsigned long long>(baseline.stats.event_checksum),
-              static_cast<unsigned long long>(baseline.stats.events_committed),
-              repeats, serial_ok ? "ok" : "MISMATCH", repeats,
-              parallel_ok ? "ok" : "MISMATCH");
-  return serial_ok && parallel_ok;
-}
-
-int cmd_audit(const ArgParser& args) {
-  const std::vector<std::string> names = workload_list(args, false);
-  bool ok = true;
-  for (const std::string& name : names) ok = audit_workload(name, args) && ok;
-  if (!ok) {
-    std::fprintf(stderr, "socbench: determinism audit FAILED — replays of "
-                         "the same configuration diverged\n");
-    return 1;
-  }
-  std::printf("determinism audit passed (%zu workload%s)\n", names.size(),
-              names.size() == 1 ? "" : "s");
-  return 0;
-}
-
 int cmd_run(const ArgParser& args) {
-  if (args.get_bool("--audit-determinism")) return cmd_audit(args);
-  const auto workload = workload_from(args);
-  const auto [nodes, ranks] = shape_from(args, *workload);
-  const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
+  cluster::RunRequest request = request_from(args, args.get("--workload"));
+  const std::string& name = request.workload;
+  const auto& [node, nodes, ranks] = request.config;
 
   // Observability: attach only what the flags ask for, so the default
   // run keeps the engine's no-observer fast path.
@@ -339,21 +311,12 @@ int cmd_run(const ArgParser& args) {
   obs::ObserverList observers;
   if (want_metrics) observers.add(&metrics);
   if (args.given("--chrome-trace")) observers.add(&chrome);
-  auto options = options_from(args);
-  if (!observers.empty()) options.observer = &observers;
+  if (!observers.empty()) request.options.observer = &observers;
 
-  cluster::RunRequest request;
-  request.workload = workload->name();
-  request.workload_ref = workload.get();
-  request.config = cluster::ClusterConfig{node, nodes, ranks};
-  request.options = options;
-  request.scenario = scenario_from(args);
   const auto result = cluster::run(request);
-  std::printf("%s on %d x %s (%s, %d ranks)\n\n", workload->name().c_str(),
-              nodes, node.name.c_str(), node.nic.name.c_str(), ranks);
-  const bool dp = workload->name() != "alexnet" &&
-                  workload->name() != "googlenet";
-  print_result(result, node, nodes, dp);
+  std::printf("%s on %d x %s (%s, %d ranks)\n\n", name.c_str(), nodes,
+              node.name.c_str(), node.nic.name.c_str(), ranks);
+  print_result(result, node, nodes, name != "alexnet" && name != "googlenet");
   if (args.get_bool("--timeline")) {
     trace::TimelineOptions t;
     t.cores_per_node = node.cpu_cores;
@@ -370,7 +333,7 @@ int cmd_run(const ArgParser& args) {
   }
   if (args.given("--report-json")) {
     write_text(args.get("--report-json"),
-               cluster::report_json(request.config, options, workload->name(),
+               cluster::report_json(request.config, request.options, name,
                                     result, &metrics.registry(),
                                     &request.scenario));
     std::printf("wrote run report to %s\n",
@@ -379,16 +342,57 @@ int cmd_run(const ArgParser& args) {
   return 0;
 }
 
-/// Sweep fan-out: the --sweep-threads flag wins over SOC_SWEEP_THREADS;
-/// 0 (the default) means all host cores.
-unsigned sweep_threads(const ArgParser& args) {
-  if (args.given("--sweep-threads")) {
-    return parse_thread_count(args.get("--sweep-threads"), "--sweep-threads");
+// Audits one workload: the baseline run, `repeats` serial replays, and
+// `repeats` parallel_for replays must all commit the identical event
+// stream (RunStats::event_checksum).  Returns true when they do.
+bool audit_workload(const std::string& name, const ArgParser& args,
+                    int repeats) {
+  // Scenario decorators participate in the audit: fault/noise/checkpoint
+  // streams must replay bit-identically like any workload.  Every run,
+  // each parallel replica included, resolves its own workload instance
+  // from the registry tag: the audit must hold with zero shared mutable
+  // state, exactly like the bench sweeps.
+  const cluster::RunRequest request = request_from(args, name);
+  const sim::RunStats baseline = cluster::run(request).stats;
+  const auto same = [&](const sim::RunStats& r) {
+    return r.event_checksum == baseline.event_checksum;
+  };
+  bool serial_ok = true;
+  for (int i = 1; i < repeats; ++i) {
+    serial_ok = same(cluster::run(request).stats) && serial_ok;
   }
-  if (const char* env = std::getenv("SOC_SWEEP_THREADS");
-      env != nullptr && *env != '\0') {
-    return parse_thread_count(env, "SOC_SWEEP_THREADS");
+  std::vector<char> parallel(static_cast<std::size_t>(repeats), 0);
+  parallel_for(parallel.size(), [&](std::size_t i) {
+    parallel[i] = same(cluster::run(request).stats);
+  });
+  const bool parallel_ok =
+      std::find(parallel.begin(), parallel.end(), 0) == parallel.end();
+
+  std::printf("%-11s checksum=%016llx events=%llu serial[%dx]=%s "
+              "parallel[%dx]=%s\n",
+              name.c_str(),
+              static_cast<unsigned long long>(baseline.event_checksum),
+              static_cast<unsigned long long>(baseline.events_committed),
+              repeats, serial_ok ? "ok" : "MISMATCH", repeats,
+              parallel_ok ? "ok" : "MISMATCH");
+  return serial_ok && parallel_ok;
+}
+
+int cmd_audit(const ArgParser& args) {
+  const std::vector<std::string> names = workload_list(args, false);
+  const int repeats = args.get_int("--repeats");
+  if (repeats < 2) throw UsageError("--repeats must be at least 2");
+  bool ok = true;
+  for (const std::string& name : names) {
+    ok = audit_workload(name, args, repeats) && ok;
   }
+  if (!ok) {
+    std::fprintf(stderr, "socbench: determinism audit FAILED — replays of "
+                         "the same configuration diverged\n");
+    return 1;
+  }
+  std::printf("determinism audit passed (%zu workload%s)\n", names.size(),
+              names.size() == 1 ? "" : "s");
   return 0;
 }
 
@@ -396,21 +400,13 @@ int cmd_sweep(const ArgParser& args) {
   sweep::Grid grid;
   grid.workloads = workload_list(args, false);
   grid.nodes = node_list(args);
-  const std::string nic_arg = args.get("--nic");
-  if (nic_arg == "both") {
-    grid.nics = {net::NicKind::kGigabit, net::NicKind::kTenGigabit};
-  } else {
-    grid.nics = {parse_nic(nic_arg)};
-  }
+  grid.nics = {net::NicKind::kGigabit, net::NicKind::kTenGigabit};
+  if (args.get("--nic") != "both") grid.nics = {parse_nic(args.get("--nic"))};
   grid.base = options_from(args);
   grid.scenario = scenario_from(args);
   const auto requests = grid.requests();
 
-  sweep::SweepOptions sweep_options;
-  sweep_options.label = "socbench sweep";
-  sweep_options.threads = sweep_threads(args);
-  sweep_options.progress = args.get_bool("--progress");
-  sweep::SweepRunner runner(sweep_options);
+  sweep::SweepRunner runner(fan_out_from(args, "socbench sweep"));
   const auto results = runner.run(requests);
 
   for (std::size_t w = 0; w < grid.workloads.size(); ++w) {
@@ -463,35 +459,19 @@ int cmd_sweep(const ArgParser& args) {
   return 0;
 }
 
-/// A CSV flag of positive, finite values, checked before any run.
-std::vector<double> positive_list(const ArgParser& args,
-                                  const std::string& flag) {
-  std::vector<double> values = parse_double_list(args.get(flag));
-  for (const double v : values) {
-    if (!(v > 0.0) || !std::isfinite(v)) {
-      throw UsageError(flag + " values must be positive and finite");
-    }
-  }
-  return values;
-}
-
 int cmd_frontier(const ArgParser& args) {
   sweep::Grid grid;
   grid.workloads = workload_list(args, true);
   grid.nodes = node_list(args);
   grid.nics = {parse_nic(args.get("--nic"))};
-  // A fraction is checked when its runs build (0, all work on the CPU, is
-  // valid); a clock must be positive and finite.
-  grid.gpu_fractions = parse_double_list(args.get("--gpu-fractions"));
-  grid.dvfs = positive_list(args, "--dvfs");
-  grid.base = options_from(args);
+  grid.gpu_fractions =
+      checked_list(args, "--gpu-fractions", unit_interval, "within [0, 1]");
+  grid.dvfs =
+      checked_list(args, "--dvfs", positive_finite, "positive and finite");
+  grid.base = options_from(args, false);
   const auto requests = grid.requests();
 
-  sweep::SweepOptions sweep_options;
-  sweep_options.label = "socbench frontier";
-  sweep_options.threads = sweep_threads(args);
-  sweep_options.progress = args.get_bool("--progress");
-  sweep::SweepRunner runner(sweep_options);
+  sweep::SweepRunner runner(fan_out_from(args, "socbench frontier"));
   const auto results = runner.run(requests);
   const auto points = sweep::perf_per_watt_frontier(grid, results);
 
@@ -519,19 +499,13 @@ int cmd_frontier(const ArgParser& args) {
 }
 
 int cmd_decompose(const ArgParser& args) {
-  const auto workload = workload_from(args);
-  const auto [nodes, ranks] = shape_from(args, *workload);
-  const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
-  cluster::RunRequest request;
-  request.workload = workload->name();
-  request.workload_ref = workload.get();
-  request.config = cluster::ClusterConfig{node, nodes, ranks};
-  request.options = options_from(args);
-  request.scenario = scenario_from(args);
+  const cluster::RunRequest request =
+      request_from(args, args.get("--workload"));
+  const auto& [node, nodes, ranks] = request.config;
   const auto runs = cluster::replay_scenarios(request);
   const auto d = core::decompose(runs);
   std::printf("%s on %d nodes (%s, %d ranks): Eq. 4 decomposition\n\n",
-              workload->name().c_str(), nodes, node.nic.name.c_str(), ranks);
+              request.workload.c_str(), nodes, node.nic.name.c_str(), ranks);
   std::printf("  measured            : %.3f s\n", d.measured_seconds);
   std::printf("  ideal network       : %.3f s (%.2fx)\n",
               d.ideal_network_seconds,
@@ -545,15 +519,15 @@ int cmd_decompose(const ArgParser& args) {
 }
 
 int cmd_explain(const ArgParser& args) {
-  const auto workload = workload_from(args);
-  const auto [nodes, ranks] = shape_from(args, *workload);
-  const auto node = systems::jetson_tx1(parse_nic(args.get("--nic")));
-  const std::vector<double> dvfs =
-      args.given("--dvfs") ? positive_list(args, "--dvfs")
-                           : std::vector<double>{};
-  const std::vector<double> caps =
-      args.given("--cap-watts") ? positive_list(args, "--cap-watts")
-                                : std::vector<double>{};
+  cluster::RunRequest request = request_from(args, args.get("--workload"));
+  const auto& [node, nodes, ranks] = request.config;
+  const auto what_ifs = [&](const char* flag) {
+    return args.given(flag) ? checked_list(args, flag, positive_finite,
+                                           "positive and finite")
+                            : std::vector<double>{};
+  };
+  const std::vector<double> dvfs = what_ifs("--dvfs");
+  const std::vector<double> caps = what_ifs("--cap-watts");
   // apply_power_cap refuses a cap at or under this floor; refuse it
   // before the run prints anything.
   const double floor_w = power::idle_floor_watts(node.power, nodes);
@@ -564,12 +538,6 @@ int cmd_explain(const ArgParser& args) {
     }
   }
 
-  cluster::RunRequest request;
-  request.workload = workload->name();
-  request.workload_ref = workload.get();
-  request.config = cluster::ClusterConfig{node, nodes, ranks};
-  request.options = options_from(args);
-  request.scenario = scenario_from(args);
   // A DVFS what-if runs this request, unprofiled, at another clock.
   const cluster::RunRequest plain = request;
   prof::Profile profile;
@@ -583,7 +551,7 @@ int cmd_explain(const ArgParser& args) {
   }
 
   std::printf("%s on %d x %s (%s, %d ranks): critical path\n\n",
-              workload->name().c_str(), nodes, node.name.c_str(),
+              request.workload.c_str(), nodes, node.name.c_str(),
               node.nic.name.c_str(), ranks);
   std::printf("runtime        : %.3f s (%llu events, checksum %s)\n",
               result.seconds,
@@ -679,13 +647,14 @@ int cmd_explain(const ArgParser& args) {
 
 int cmd_trace(const ArgParser& args) {
   const auto workload = workload_from(args);
-  const Shape shape = shape_from(args, *workload);
+  const cluster::ClusterConfig shape = shape_from(args, *workload);
+  const cluster::RunOptions options = options_from(args);
   workloads::BuildContext ctx;
   ctx.nodes = shape.nodes;
   ctx.ranks = shape.ranks;
-  ctx.size_scale = args.get_double("--scale");
-  ctx.mem_model = parse_mem_model(args.get("--mem-model"));
-  ctx.gpu_work_fraction = args.get_double("--gpu-fraction");
+  ctx.size_scale = options.size_scale;
+  ctx.mem_model = options.mem_model;
+  ctx.gpu_work_fraction = options.gpu_work_fraction;
   const auto programs = workload->build(ctx);
   write_text(args.get("--out"), trace::export_programs(programs));
   std::size_t ops = 0;
@@ -734,118 +703,149 @@ int cmd_replay(const ArgParser& args) {
   return 0;
 }
 
-void print_usage(const ArgParser& args) {
+/// One socbench command.  `declare` declares on a fresh ArgParser exactly
+/// the flags `run` reads, so the parser refuses any other.
+struct Command {
+  const char* name;
+  const char* summary;
+  void (*declare)(ArgParser&);
+  int (*run)(const ArgParser&);
+};
+
+constexpr Command kCommands[] = {
+    {"list", "workloads and machine models available", [](ArgParser&) {},
+     cmd_list},
+    {"run", "one metered run: runtime, throughput, energy, traffic, roofline",
+     [](ArgParser& args) {
+       add_request(args);
+       args.add_bool("--timeline", "render per-node utilization strips");
+       args.add_bool("--metrics", "print the metrics registry");
+       args.add_flag("--chrome-trace", "write a Chrome trace (Perfetto) here");
+       args.add_flag("--report-json", "write a canonical run report here");
+     },
+     cmd_run},
+    {"audit", "serial and parallel replays must commit bit-identical events",
+     [](ArgParser& args) {
+       add_request(args, "workload tag, or all");
+       args.add_flag("--repeats", "replays per audit mode, at least 2", "4");
+     },
+     cmd_audit},
+    {"sweep", "cluster-size sweep, one row per (size, NIC)",
+     [](ArgParser& args) {
+       args.add_flag("--workload", "workload tag, or all", "jacobi");
+       args.add_flag("--nodes", "CSV of cluster sizes", "8");
+       args.add_flag("--nic", "1g, 10g, or both", "10g");
+       add_options(args);
+       add_scenario(args);
+       add_fan_out(args);
+       args.add_flag("--report-json",
+                     "write a soccluster-sweep-report/v1 here");
+       args.add_flag("--energy-roofline",
+                     "write a soccluster-energy-roofline/v1 (GFLOPS/W) here");
+     },
+     cmd_sweep},
+    {"frontier", "perf-per-watt Pareto frontier over GPU share x DVFS x nodes",
+     [](ArgParser& args) {
+       args.add_flag("--workload", "CSV of workload tags, or all", "jacobi");
+       args.add_flag("--nodes", "CSV of cluster sizes", "8");
+       add_nic(args);
+       add_options(args, false);
+       args.add_flag("--gpu-fractions", "CSV of GPU work fractions",
+                     "0.5,0.75,1.0");
+       args.add_flag("--dvfs", "CSV of relative clocks", "0.6,0.8,1.0");
+       add_fan_out(args);
+       args.add_flag("--report-json",
+                     "write a soccluster-energy-frontier/v1 here");
+     },
+     cmd_frontier},
+    {"decompose", "LB/Ser/Trf efficiency decomposition (paper Eq. 4)",
+     [](ArgParser& args) { add_request(args); }, cmd_decompose},
+    {"explain", "critical-path and energy attribution of one profiled run",
+     [](ArgParser& args) {
+       add_request(args);
+       args.add_flag("--profile-json",
+                     "write a soccluster-critical-path/v2 here");
+       args.add_flag("--folded",
+                     "write flamegraph-compatible folded stacks here");
+       args.add_bool("--energy", "print the zero-residual joule attribution");
+       args.add_flag("--energy-json",
+                     "write a soccluster-energy-attribution/v1 here");
+       args.add_flag("--dvfs", "CSV of relative clocks to rerun it at");
+       args.add_flag("--cap-watts",
+                     "CSV of cluster power caps for the measured run");
+     },
+     cmd_explain},
+    {"trace", "record the generated per-rank programs to a .soctrace file",
+     [](ArgParser& args) {
+       add_shape(args, kWorkloadHelp);
+       add_options(args);
+       args.add_flag("--out", "output trace path", "run.soctrace");
+     },
+     cmd_trace},
+    {"replay", "replay a recorded trace, costed as --workload",
+     [](ArgParser& args) {
+       args.add_flag("--workload",
+                     "required: whose CPU profile costs the trace");
+       args.add_flag("--trace", "input trace path", "run.soctrace");
+       args.add_flag("--nodes", "cluster size", "8");
+       add_nic(args);
+       args.add_bool("--ideal-network", "replay with zero-cost network");
+     },
+     cmd_replay},
+};
+
+void print_usage() {
+  std::printf("usage: socbench <command> [flags]\n\ncommands:\n");
+  for (const Command& command : kCommands) {
+    std::printf("  %-10s %s\n", command.name, command.summary);
+  }
   // The workload line derives from the registry, so usage can never
   // drift from what make_workload accepts.
   std::printf(
-      "usage: socbench <command> [flags]\n\n"
-      "commands:\n"
-      "  list       workloads and machine models available\n"
-      "  run        one metered run (add --metrics, --chrome-trace,\n"
-      "             --report-json for observability artifacts;\n"
-      "             --audit-determinism for a replay audit)\n"
-      "  sweep      cluster-size sweep, one row per (size, NIC); shards\n"
-      "             across host threads (--sweep-threads);\n"
-      "             --energy-roofline writes the GFLOPS/W artifact\n"
-      "  frontier   perf-per-watt Pareto frontier over gpu-fraction x DVFS\n"
-      "             x nodes (--gpu-fractions, --dvfs, --report-json)\n"
-      "  decompose  LB/Ser/Trf efficiency decomposition (paper Eq. 4)\n"
-      "  explain    critical-path attribution of one profiled run\n"
-      "             (--profile-json, --folded); --energy for the joule\n"
-      "             attribution, --dvfs for runs at other clocks,\n"
-      "             --cap-watts for power caps on the measured timeline\n"
-      "  trace      record generated per-rank programs to a .soctrace file\n"
-      "  replay     replay a recorded trace, costed as --workload (what-if\n"
-      "             scenarios supported)\n"
-      "\nscenarios (run/sweep/explain/decompose): --fault injects\n"
-      "deterministic node crashes, link flaps, and stragglers; --noise adds\n"
-      "seeded per-rank OS jitter; --checkpoint daly:... inserts\n"
-      "checkpoint/restart stalls at Daly's optimal interval.  All three\n"
-      "compose, stay bit-deterministic, and are attributed with zero\n"
-      "residual by 'explain' (category `injected`).\n"
-      "\nworkloads: %s\n"
-      "\nflags:\n%s", workload_tags().c_str(), args.usage().c_str());
+      "\n'socbench <command> --help' lists the flags a command reads; it\n"
+      "refuses any other.  Scenario decorators (--fault, --noise,\n"
+      "--checkpoint) compose, stay bit-deterministic, and are attributed\n"
+      "with zero residual by 'explain' (category `injected`).\n"
+      "\nworkloads: %s\n", workload_tags().c_str());
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  ArgParser args;
-  args.add_flag("--workload", "workload tag (see 'socbench list')", "jacobi");
-  args.add_flag("--nodes", "cluster size, or CSV list for sweep", "8");
-  args.add_flag("--ranks", "override the natural MPI rank count");
-  args.add_flag("--nic", "1g, 10g, or both (sweep only)", "10g");
-  args.add_flag("--scale", "problem-size multiplier", "1.0");
-  args.add_flag("--mem-model", "CUDA memory model: hd, zc, um", "hd");
-  args.add_flag("--gpu-fraction", "GPU share of offloadable work", "1.0");
-  args.add_flag("--fault",
-                "';'-separated fault specs: node-crash:node=N,t=S,down=S | "
-                "link-flap:node=N,t0=S,t1=S | straggler:rank=R,slowdown=F");
-  args.add_flag("--noise",
-                "OS noise: interval=S,duration=S[,seed=N][,jitter=F]");
-  args.add_flag("--checkpoint",
-                "checkpoint/restart: daly:size=B,bw=B/s,mtti=S[,runtime=S]");
-  args.add_flag("--out", "output trace path (trace)", "run.soctrace");
-  args.add_flag("--trace", "input trace path (replay)", "run.soctrace");
-  args.add_bool("--ideal-network", "replay with zero-cost network");
-  args.add_bool("--timeline", "render per-node utilization strips (run)");
-  args.add_bool("--audit-determinism",
-                "run: verify replays are bit-identical instead of reporting");
-  args.add_flag("--repeats", "replays per audit mode (audit-determinism)",
-                "4");
-  args.add_flag("--sweep-threads",
-                "sweep: host threads to shard runs across (0 = all cores; "
-                "overrides SOC_SWEEP_THREADS)");
-  args.add_bool("--progress", "sweep: repaint a stderr progress/ETA line");
-  args.add_bool("--metrics", "run: print the metrics registry");
-  args.add_flag("--chrome-trace",
-                "run: write a Chrome trace-event JSON (Perfetto) here");
-  args.add_flag("--report-json", "run: write a canonical run report here");
-  args.add_flag("--profile-json",
-                "explain: write the soccluster-critical-path/v2 artifact here");
-  args.add_flag("--folded",
-                "explain: write flamegraph-compatible folded stacks here");
-  args.add_bool("--energy",
-                "explain: print the zero-residual joule attribution");
-  args.add_flag("--energy-json",
-                "explain: write the soccluster-energy-attribution/v1 "
-                "artifact here");
-  args.add_flag("--dvfs",
-                "explain/frontier: CSV of relative clock frequencies to run "
-                "at", "0.6,0.8,1.0");
-  args.add_flag("--cap-watts",
-                "explain: CSV of whole-cluster power caps to clamp the "
-                "measured power timeline to");
-  args.add_flag("--gpu-fractions",
-                "frontier: CSV of GPU work fractions to sweep",
-                "0.5,0.75,1.0");
-  args.add_flag("--energy-roofline",
-                "sweep: write the soccluster-energy-roofline/v1 artifact "
-                "here");
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      print_usage(args);
-      return 0;
-    }
-  }
   try {
-    args.parse(argc, argv);
-    if (args.positional().empty()) {
-      print_usage(args);
+    if (argc < 2) {
+      print_usage();
       return 2;
     }
-    const std::string& command = args.positional().front();
-    if (command == "list") return cmd_list();
-    if (command == "run") return cmd_run(args);
-    if (command == "sweep") return cmd_sweep(args);
-    if (command == "frontier") return cmd_frontier(args);
-    if (command == "decompose") return cmd_decompose(args);
-    if (command == "explain") return cmd_explain(args);
-    if (command == "trace") return cmd_trace(args);
-    if (command == "replay") return cmd_replay(args);
-    throw UsageError("unknown command '" + command + "' (see socbench --help)");
+    const std::string name = argv[1];
+    if (name == "--help" || name == "-h") {
+      print_usage();
+      return 0;
+    }
+    const Command* command = std::find_if(
+        std::begin(kCommands), std::end(kCommands),
+        [&](const Command& c) { return name == c.name; });
+    if (command == std::end(kCommands)) {
+      throw UsageError("unknown command '" + name + "' (see socbench --help)");
+    }
+    ArgParser args;
+    command->declare(args);
+    for (int i = 2; i < argc; ++i) {
+      const std::string arg = argv[i];
+      if (arg == "--help" || arg == "-h") {
+        const std::string flags = args.usage();
+        std::printf("usage: socbench %s%s\n\n%s\n", command->name,
+                    flags.empty() ? "" : " [flags]", command->summary);
+        if (!flags.empty()) std::printf("\nflags:\n%s", flags.c_str());
+        return 0;
+      }
+    }
+    args.parse(argc, argv, 2);
+    if (!args.positional().empty()) {
+      throw UsageError("unexpected argument '" + args.positional().front() +
+                       "'");
+    }
+    return command->run(args);
   } catch (const UsageError& e) {
     std::fprintf(stderr, "socbench: %s\n", e.what());
     return 2;
