@@ -124,15 +124,30 @@ trace::ScenarioRuns replay_scenarios(const RunRequest& request,
                                      const workloads::Workload& workload,
                                      const ClusterCostModel& cost) {
   validate(request.config);
-  // The measured run streams (recording as it goes) and the two ideal
-  // replays re-time the recorded op sequence, so time-dependent
-  // decorators are sampled exactly once.
-  std::unique_ptr<sim::OpSource> stream = workloads::apply_scenarios(
-      workload.stream(build_context(request.config, request.options)),
-      request.scenario, request.config.nodes);
-  return trace::replay_scenarios(
-      sim::Placement::block(request.config.ranks, request.config.nodes), cost,
-      *stream, engine_config(request.config, request.options));
+  const workloads::BuildContext ctx =
+      build_context(request.config, request.options);
+  const sim::Placement placement =
+      sim::Placement::block(request.config.ranks, request.config.nodes);
+  const sim::EngineConfig engine =
+      engine_config(request.config, request.options);
+  if (request.scenario.enabled()) {
+    // Decorators sample the schedule they run under, so the ideal replays
+    // re-time the op sequence the measured run committed, as DIMEMAS
+    // re-times a measured trace: the measured run records what it pulls.
+    // (A straggler alone does not depend on the schedule; it is recorded
+    // too, so that the rule stays one condition.)
+    std::unique_ptr<sim::OpSource> stream = workloads::apply_scenarios(
+        workload.stream(ctx), request.scenario, request.config.nodes);
+    return trace::replay_scenarios(placement, cost, *stream, engine);
+  }
+  // Without decorators the op sequence is a function of the workload and
+  // its context alone, so each run pulls a fresh stream and nothing is
+  // recorded: memory stays a few iterations of ops, as in cluster::run.
+  const std::unique_ptr<sim::OpSource> measured = workload.stream(ctx);
+  const std::unique_ptr<sim::OpSource> for_network = workload.stream(ctx);
+  const std::unique_ptr<sim::OpSource> for_balance = workload.stream(ctx);
+  return trace::replay_scenarios(placement, cost, *measured, *for_network,
+                                 *for_balance, engine);
 }
 
 trace::ScenarioRuns replay_scenarios(const RunRequest& request) {

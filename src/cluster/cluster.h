@@ -124,7 +124,11 @@ RunResult run(const RunRequest& request, const workloads::Workload& workload,
               const ClusterCostModel& cost);
 
 /// Runs the three DIMEMAS-style scenarios (measured / ideal network /
-/// ideal load balance) over the same generated programs.  The request's
+/// ideal load balance) over the same op sequence.  Without scenario
+/// decorators each run pulls its own fresh Workload::stream() and nothing
+/// is recorded, so memory does not follow op count.  A decorated request
+/// records the measured run's ops and re-times that recording, because
+/// its decorators sample the schedule they run under.  The request's
 /// observability sinks are ignored — scenario replays feed the
 /// efficiency decomposition, not per-run artifacts.
 trace::ScenarioRuns replay_scenarios(const RunRequest& request);

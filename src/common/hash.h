@@ -7,6 +7,9 @@
 // width), so the digest never depends on host endianness or padding.
 #pragma once
 
+#include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 
 namespace soc {
@@ -25,11 +28,16 @@ class Fnv1a {
     return *this;
   }
 
-  /// Mixes a 64-bit value as 8 little-endian bytes.
+  /// Mixes a 64-bit value as 8 little-endian bytes.  Mixing a zero byte
+  /// is a plain multiply, (h ^ 0)·P = h·P (mod 2^64), so the k zero bytes
+  /// above the highest nonzero one fold into one multiply by P^k: a time,
+  /// rank or byte count costs its significant bytes, not always 8.
   constexpr Fnv1a& mix_u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
+    const int bytes = (71 - std::countl_zero(v)) / 8;  // 0 when v == 0
+    for (int i = 0; i < bytes; ++i) {
       mix_byte(static_cast<std::uint8_t>(v >> (8 * i)));
     }
+    state_ *= kPrimePowers[static_cast<std::size_t>(8 - bytes)];
     return *this;
   }
 
@@ -38,6 +46,15 @@ class Fnv1a {
   }
 
  private:
+  /// kPrimePowers[k] = P^k (mod 2^64), k = 0..8.
+  static constexpr std::array<std::uint64_t, 9> kPrimePowers = [] {
+    std::array<std::uint64_t, 9> powers{1};
+    for (std::size_t k = 1; k < powers.size(); ++k) {
+      powers[k] = powers[k - 1] * kPrime;
+    }
+    return powers;
+  }();
+
   std::uint64_t state_ = kOffsetBasis;
 };
 

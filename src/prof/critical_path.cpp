@@ -198,32 +198,37 @@ Attribution attribute(const RunTrace& trace) {
   const std::size_t n = static_cast<std::size_t>(trace.placement.ranks);
   const SimTime makespan = trace.stats.makespan;
 
-  // One forward pass per rank over its op windows (contiguous, each tiled
-  // by its segments), then kIdle tops the rank up to the makespan.
+  // One pass over the op windows in dispatch order (each rank's are
+  // contiguous, and each is tiled by its segments), then kIdle tops every
+  // rank up to the makespan.  The trace stores the ranks interleaved, one
+  // 64-byte record per op, so index order reads it sequentially, and the
+  // message and partner op a window reads were dispatched close by;
+  // walking one rank at a time would stride across the whole trace.
+  // Each rank's ops still arrive in its program order.
   std::size_t total_segments = 0;
   Attribution out;
   out.rank_profiles.assign(n, RankProfile{});
+  // Zero-residual invariant: every nanosecond of [0, makespan] is
+  // attributed exactly once per rank.
+  std::vector<SimTime> covered(n, 0);
+  const auto add = [&](std::size_t r, const Segment& s) {
+    SOC_CHECK(s.begin == covered[r], "attribute: gap in rank timeline");
+    covered[r] = s.end;
+    out.rank_profiles[r].by_category[static_cast<std::size_t>(s.category)] +=
+        s.end - s.begin;
+    ++total_segments;
+  };
+  for (const OpExec& op : trace.ops) {
+    for (const Segment& s : op_segments(trace, op)) {
+      add(static_cast<std::size_t>(op.rank), s);
+    }
+  }
   for (std::size_t r = 0; r < n; ++r) {
-    auto& by_category = out.rank_profiles[r].by_category;
-    // Zero-residual invariant: every nanosecond of [0, makespan] is
-    // attributed exactly once per rank.
-    SimTime covered = 0;
-    const auto add = [&](const Segment& s) {
-      SOC_CHECK(s.begin == covered, "attribute: gap in rank timeline");
-      covered = s.end;
-      by_category[static_cast<std::size_t>(s.category)] += s.end - s.begin;
-      ++total_segments;
-    };
-    for (const int oi : trace.rank_ops[r]) {
-      for (const Segment& s :
-           op_segments(trace, trace.ops[static_cast<std::size_t>(oi)])) {
-        add(s);
-      }
-    }
     if (makespan > trace.finish[r]) {
-      add(Segment{trace.finish[r], makespan, Category::kIdle});
+      add(r, Segment{trace.finish[r], makespan, Category::kIdle});
     }
-    SOC_CHECK(covered == makespan, "attribute: rank timeline short of makespan");
+    SOC_CHECK(covered[r] == makespan,
+              "attribute: rank timeline short of makespan");
   }
 
   // Backward walk from the run's final event: the smallest rank that

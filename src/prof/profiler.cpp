@@ -179,72 +179,75 @@ void Profiler::on_message(const sim::MessageRecord& m) {
   arrivals_.push(key, ArrivalRef{si, mi});
 }
 
-// Per-rank post-passes — rendezvous window validation and kWaitAll
-// determinants — need every window closed.
+// Post-passes — rendezvous window validation and kWaitAll determinants —
+// need every window closed.  One pass in dispatch order, which reads the
+// trace sequentially (a pass per rank would stride across it); each
+// rank's ops still arrive in its program order.
 void Profiler::on_run_end(const sim::RunStats& stats) {
   trace_.stats = stats;
   for (const int open : open_) {
     SOC_CHECK(open < 0, "profiler: rank never drained (deadlock?)");
   }
-  for (std::size_t r = 0; r < open_.size(); ++r) {
-    std::vector<int> window;  // isend/irecv since the last kWaitAll
-    for (const int oi : trace_.rank_ops[r]) {
-      OpExec& op = trace_.ops[oi];
-      switch (op.kind) {
-        case sim::OpKind::kSend:
-          SOC_CHECK(op.msg >= 0, "profiler: unmatched send");
-          // A rendezvous sender runs again when the CTS lands
-          // (sender_complete); across nodes that is one wire latency
-          // after the match, not the wire end itself.
-          SOC_CHECK(trace_.messages[op.msg].eager ||
-                        op.complete == trace_.messages[op.msg].sender_complete,
-                    "profiler: rendezvous send window mismatch");
-          break;
-        case sim::OpKind::kRecv: {
-          SOC_CHECK(op.msg >= 0, "profiler: unmatched recv");
-          const sim::MessageRecord& m = trace_.messages[op.msg];
-          SOC_CHECK(m.eager || op.complete == m.delivery,
-                    "profiler: rendezvous recv window mismatch");
-          break;
-        }
-        case sim::OpKind::kIsend:
-        case sim::OpKind::kIrecv:
-          window.push_back(oi);
-          break;
-        case sim::OpKind::kWaitAll: {
-          // Request completions, derived per request without needing any
-          // cost-model constant: an isend completes locally with its
-          // posting; an irecv completes at max(posting done, message
-          // arrival + its own posting overhead).
-          SimTime best = 0;
-          int det = -1;
-          for (const int qi : window) {
-            const OpExec& q = trace_.ops[qi];
-            SimTime done = q.complete;
-            if (q.kind == sim::OpKind::kIrecv) {
-              SOC_CHECK(q.msg >= 0, "profiler: unmatched irecv");
-              done = std::max(done, trace_.messages[q.msg].delivery +
-                                        (q.complete - q.dispatch));
-            }
-            if (done > best) {
-              best = done;
-              det = qi;
-            }
-          }
-          window.clear();
-          if (op.complete > op.dispatch) {
-            SOC_CHECK(det >= 0 && best == op.complete,
-                      "profiler: waitall completion mismatch");
-            op.determinant = det;
-          } else {
-            SOC_CHECK(best <= op.complete,
-                      "profiler: request outlived its waitall");
-          }
-          break;
-        }
-        default:
-          break;
+  // Per rank: its isend/irecv ops since its last kWaitAll.
+  std::vector<std::vector<int>> windows(open_.size());
+  const std::size_t count = trace_.ops.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    OpExec& op = trace_.ops[i];
+    std::vector<int>& window = windows[static_cast<std::size_t>(op.rank)];
+    switch (op.kind) {
+      case sim::OpKind::kSend:
+        SOC_CHECK(op.msg >= 0, "profiler: unmatched send");
+        // A rendezvous sender runs again when the CTS lands
+        // (sender_complete); across nodes that is one wire latency
+        // after the match, not the wire end itself.
+        SOC_CHECK(trace_.messages[op.msg].eager ||
+                      op.complete == trace_.messages[op.msg].sender_complete,
+                  "profiler: rendezvous send window mismatch");
+        break;
+      case sim::OpKind::kRecv: {
+        SOC_CHECK(op.msg >= 0, "profiler: unmatched recv");
+        const sim::MessageRecord& m = trace_.messages[op.msg];
+        SOC_CHECK(m.eager || op.complete == m.delivery,
+                  "profiler: rendezvous recv window mismatch");
+        break;
       }
+      case sim::OpKind::kIsend:
+      case sim::OpKind::kIrecv:
+        window.push_back(static_cast<int>(i));
+        break;
+      case sim::OpKind::kWaitAll: {
+        // Request completions, derived per request without needing any
+        // cost-model constant: an isend completes locally with its
+        // posting; an irecv completes at max(posting done, message
+        // arrival + its own posting overhead).
+        SimTime best = 0;
+        int det = -1;
+        for (const int qi : window) {
+          const OpExec& q = trace_.ops[qi];
+          SimTime done = q.complete;
+          if (q.kind == sim::OpKind::kIrecv) {
+            SOC_CHECK(q.msg >= 0, "profiler: unmatched irecv");
+            done = std::max(done, trace_.messages[q.msg].delivery +
+                                      (q.complete - q.dispatch));
+          }
+          if (done > best) {
+            best = done;
+            det = qi;
+          }
+        }
+        window.clear();
+        if (op.complete > op.dispatch) {
+          SOC_CHECK(det >= 0 && best == op.complete,
+                    "profiler: waitall completion mismatch");
+          op.determinant = det;
+        } else {
+          SOC_CHECK(best <= op.complete,
+                    "profiler: request outlived its waitall");
+        }
+        break;
+      }
+      default:
+        break;
     }
   }
   built_ = true;

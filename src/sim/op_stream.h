@@ -9,10 +9,12 @@
 // (rank, now) pull sequence.
 //
 // ProgramSource adapts the classic eager path (one std::vector<Op> per
-// rank); RecordingSource tees any source into materialized programs so a
-// streamed run can be replayed verbatim under the Eq. 4 what-ifs
-// (trace::replay_scenarios, whose two replays read the recording at the
-// same time, each through its own ProgramSource).
+// rank); RecordingSource tees a one-shot source into materialized
+// programs so its run can be replayed verbatim under the Eq. 4 what-ifs
+// (trace::replay_scenarios' one-shot form, whose two replays read the
+// recording at the same time, each through its own ProgramSource).  A
+// stream that can be pulled afresh, such as an undecorated
+// Workload::stream(), needs no recording: each replay pulls its own.
 #pragma once
 
 #include <vector>
@@ -55,7 +57,8 @@ class ProgramSource final : public OpSource {
 };
 
 /// Tees another source: every pulled op is appended to a per-rank
-/// program, so the exact streamed op sequence can be replayed later.
+/// program, so the exact streamed op sequence can be replayed later.  It
+/// holds every op the run pulls.
 class RecordingSource final : public OpSource {
  public:
   explicit RecordingSource(OpSource& inner);

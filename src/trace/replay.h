@@ -2,14 +2,15 @@
 //
 // The paper records Extrae traces on the real cluster and re-simulates
 // them under (a) the real network, (b) an ideal network with zero latency
-// and unlimited bandwidth, and (c) perfect load balance.  Here the
-// measured run records the op sequence it pulls, and that recording is
-// the trace the two ideal scenarios replay, concurrently and read-only.
-// Both ideals are built from pieces the plain engine already has, so it
-// needs no what-if mode: the ideal network is a cost model whose messages
-// are free plus an unlimited switch, and ideal balance multiplies each
-// op's Op::time_scale by its rank's sim::ideal_balance_scales factor as
-// the replay pulls it.
+// and unlimited bandwidth, and (c) perfect load balance.  Here the two
+// ideal scenarios run concurrently after the measured run, each over its
+// own source of the same op sequence: three fresh streams when the ops
+// depend only on the workload, or two walks over a recording of what the
+// measured run pulled when they depend on its schedule.  Both ideals are
+// built from pieces the plain engine already has, so it needs no what-if
+// mode: the ideal network is a cost model whose messages are free plus an
+// unlimited switch, and ideal balance multiplies each op's Op::time_scale
+// by its rank's sim::ideal_balance_scales factor as the replay pulls it.
 #pragma once
 
 #include <vector>
@@ -65,13 +66,14 @@ sim::RunStats replay_ideal_network(const sim::Placement& placement,
                                    sim::OpSource& source,
                                    const sim::EngineConfig& config = {});
 
-/// Runs all three scenarios: the measured run pulls `source` through a
-/// recording tee, and the two ideals replay the recorded programs.  This
-/// preserves trace-replay semantics under time-dependent streams
-/// (fault/noise decorators): the what-ifs re-time exactly the op sequence
-/// the measured run committed, instead of re-sampling the decorators
-/// under a different schedule.  To replay pre-built programs, pass a
-/// sim::ProgramSource over them.
+/// Runs all three scenarios over a one-shot `source`: the measured run
+/// pulls it through a sim::RecordingSource, and the two ideals replay the
+/// recorded programs.  This preserves trace-replay semantics under
+/// time-dependent streams (fault/noise decorators): the what-ifs re-time
+/// exactly the op sequence the measured run committed, instead of
+/// re-sampling the decorators under a different schedule.  The recording
+/// holds every op the run pulls (80 bytes each).  To replay pre-built
+/// programs, pass a sim::ProgramSource over them.
 ///
 /// The two ideal replays run at the same time through soc::parallel_for
 /// (inline when called from inside a parallel_for task), so they share
@@ -80,6 +82,22 @@ sim::RunStats replay_ideal_network(const sim::Placement& placement,
 /// are not.  If both replays throw, the ideal network's error is rethrown.
 ScenarioRuns replay_scenarios(const sim::Placement& placement,
                               const sim::CostModel& cost, sim::OpSource& source,
+                              const sim::EngineConfig& config = {});
+
+/// Streamed form, which records nothing: `measured`, `for_network` and
+/// `for_balance` are three fresh sources over the same op sequence, one
+/// for each run.  Use it only when that sequence does not depend on the
+/// schedule it is pulled under (an undecorated Workload::stream(), or
+/// pre-built programs); otherwise the ideals would not re-time what the
+/// measured run committed.  `measured` runs first on the calling thread,
+/// then the two ideals run as in the one-shot form, so `for_network`'s
+/// and `for_balance`'s next() may be called on helper threads, each
+/// source from one thread only.  Same concurrency rules for `cost`.
+ScenarioRuns replay_scenarios(const sim::Placement& placement,
+                              const sim::CostModel& cost,
+                              sim::OpSource& measured,
+                              sim::OpSource& for_network,
+                              sim::OpSource& for_balance,
                               const sim::EngineConfig& config = {});
 
 }  // namespace soc::trace

@@ -40,7 +40,16 @@ bool CursorStream::next(int rank, SimTime /*now*/, sim::Op* op) {
     }
     pending_.take(rank, ready);
     next_[r] = 0;
-    if (ready.empty()) return false;
+    if (ready.empty()) {
+      // End of the rank's stream: free both of its buffers (take() swaps
+      // them between `ready` and the shared set), so a drained stream
+      // holds nothing while its owner keeps it, as the Eq. 4 analysis
+      // keeps the measured run's stream through the ideal replays.
+      ready = sim::Program();
+      pending_.take(rank, ready);
+      ready = sim::Program();
+      return false;
+    }
   }
   *op = ready[next_[r]++];
   return true;

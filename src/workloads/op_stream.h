@@ -24,7 +24,8 @@ namespace soc::workloads {
 /// ProgramSet holds for it, stepping the cursor (one iteration for every
 /// rank per step) until something arrives or the workload ends.  Other
 /// ranks' ops from those steps wait in the shared set, so what the stream
-/// holds is bounded by how far apart in iterations the ranks run.
+/// holds is bounded by how far apart in iterations the ranks run.  A
+/// rank's buffers are freed when its stream ends.
 class CursorStream final : public sim::OpSource {
  public:
   CursorStream(std::unique_ptr<WorkloadCursor> cursor, int ranks);

@@ -8,13 +8,14 @@
 // sweeps and analyses rely on: count = 0, threads > count, the lowest
 // failing index's exception rethrown after the join, nested calls run
 // inline, the caller runs task 0, and 0 threads follows the affinity
-// mask.
+// mask.  The digest itself (Fnv1a) must equal a plain byte loop.
 #include <gtest/gtest.h>
 #include <sched.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <iterator>
 #include <set>
@@ -27,6 +28,7 @@
 #include "common/error.h"
 #include "common/hash.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "net/network.h"
 #include "obs/observers.h"
 #include "sim/engine.h"
@@ -407,6 +409,55 @@ TEST(Fnv1a, OrderSensitiveAndStable) {
   EXPECT_EQ(zero.value(), 0xA8C7F832281A39C5ull);
   Fnv1a empty;
   EXPECT_EQ(empty.value(), Fnv1a::kOffsetBasis);
+}
+
+// FNV-1a of v's 8 little-endian bytes, one byte at a time: what mix_u64
+// must equal, however it skips the high zero bytes.
+std::uint64_t mix_bytes(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h = (h ^ static_cast<std::uint8_t>(v >> (8 * i))) * Fnv1a::kPrime;
+  }
+  return h;
+}
+
+TEST(Fnv1a, MixU64EqualsTheByteLoop) {
+  // Every width boundary: the widest value of k bytes and the narrowest
+  // of k + 1.
+  std::vector<std::uint64_t> values = {0, ~std::uint64_t{0}};
+  for (int k = 1; k <= 7; ++k) {
+    const std::uint64_t first = std::uint64_t{1} << (8 * k);
+    values.push_back(first - 1);
+    values.push_back(first);
+  }
+  // Seeded values of every width, from 1 to 64 bits.
+  Rng rng(28);
+  for (int i = 0; i < 100000; ++i) {
+    values.push_back(rng.next_u64() >> rng.next_below(64));
+  }
+  for (const std::uint64_t v : values) {
+    Fnv1a digest;
+    digest.mix_u64(v);
+    ASSERT_EQ(digest.value(), mix_bytes(Fnv1a::kOffsetBasis, v)) << v;
+  }
+
+  // Chained (time, rank, kind, bytes) records, as the engine folds each
+  // committed event, starting from every intermediate state.
+  Fnv1a digest;
+  std::uint64_t want = Fnv1a::kOffsetBasis;
+  for (int i = 0; i < 10000; ++i) {
+    const auto time = static_cast<std::int64_t>(rng.next_u64() >> 4);
+    const auto rank = static_cast<std::uint32_t>(rng.next_below(256));
+    const auto kind = static_cast<std::uint8_t>(rng.next_below(256));
+    const auto bytes = static_cast<std::int64_t>(rng.next_below(1u << 24));
+    digest.mix_i64(time).mix_u64(rank).mix_byte(kind).mix_i64(bytes);
+    want = mix_bytes(want, static_cast<std::uint64_t>(time));
+    want = mix_bytes(want, rank);
+    want = (want ^ kind) * Fnv1a::kPrime;
+    want = mix_bytes(want, static_cast<std::uint64_t>(bytes));
+    ASSERT_EQ(digest.value(), want) << "record " << i;
+  }
+  static_assert(Fnv1a{}.mix_u64(0).value() == 0xA8C7F832281A39C5ull,
+                "mix_u64 stays constexpr");
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 // buffering, BuildContext validation, Daly's optimal checkpoint interval,
 // the fault/noise/checkpoint stream decorators (semantics +
 // bit-determinism across thread counts), the scenario spec parsers,
-// scenario blocks in report documents, and the `injected` critical-path
-// category's zero-residual contract.
+// scenario blocks in report documents, the `injected` critical-path
+// category's zero-residual contract, and the Eq. 4 replays: streamed
+// when undecorated, recorded when decorated, equal to the recorded
+// replays either way.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include "sweep/sweep.h"
 #include "systems/machines.h"
 #include "trace/export.h"
+#include "trace/replay.h"
 #include "workloads/op_stream.h"
 #include "workloads/scenario.h"
 #include "workloads/workload.h"
@@ -475,6 +478,84 @@ TEST(Scenario, ReplayMeasuredMatchesTheMeteredRun) {
   // The straggler's stretch is real work to the replay, so the ideal-
   // balance scenario (which equalizes compute) beats the measured run.
   EXPECT_LT(runs.ideal_balance.makespan, runs.measured.makespan);
+}
+
+// --- streamed Eq. 4 replays ----------------------------------------------
+
+/// The three replays of `request` through the one-shot overload, which
+/// records the measured run's ops and re-times that recording.
+trace::ScenarioRuns recorded_replays(const cluster::RunRequest& request,
+                                     sim::OpSource& source) {
+  const auto workload = workloads::make_workload(request.workload);
+  const cluster::ClusterCostModel cost(
+      request.config.node, request.config.nodes, request.config.ranks,
+      workload->cpu_profile());
+  return trace::replay_scenarios(
+      sim::Placement::block(request.config.ranks, request.config.nodes), cost,
+      source, cluster::engine_config(request.config, request.options));
+}
+
+void expect_same_runs(const trace::ScenarioRuns& got,
+                      const trace::ScenarioRuns& want,
+                      const std::string& tag) {
+  EXPECT_TRUE(got.measured == want.measured) << tag << ": measured";
+  EXPECT_TRUE(got.ideal_network == want.ideal_network)
+      << tag << ": ideal network";
+  EXPECT_TRUE(got.ideal_balance == want.ideal_balance)
+      << tag << ": ideal balance";
+}
+
+// An undecorated request streams each of its three runs from the workload
+// and records nothing: every RunStats equals the recorded replays of the
+// workload's whole programs.
+TEST(StreamedReplays, EqualRecordedOnEveryWorkload) {
+  for (const std::string& name : workloads::list()) {
+    const auto workload = workloads::make_workload(name);
+    for (const int nodes : {2, 4}) {
+      const int ranks = sweep::natural_ranks(*workload, nodes);
+      const cluster::RunRequest request = quick_request(name, nodes, ranks);
+      const auto programs = workload->build(quick_context(nodes, ranks));
+      sim::ProgramSource source(programs);
+      expect_same_runs(cluster::replay_scenarios(request),
+                       recorded_replays(request, source),
+                       name + "@" + std::to_string(nodes));
+    }
+  }
+}
+
+// A decorated request's decorators sample the schedule they run under, so
+// its ideal replays must re-time the op sequence the measured run
+// committed.  Streamed ideals would re-sample the decorators on their own
+// schedules: on cg@4 (8 ranks) under the checkpoint, ideal network would
+// read 25.121 s instead of 31.121 s.
+TEST(StreamedReplays, DecoratedRequestsReplayTheRecording) {
+  const struct {
+    const char* name;
+    workloads::ScenarioConfig scenario;
+  } cases[] = {
+      {"daly checkpoint",
+       workloads::parse_scenario("", "", "daly:size=4e9,bw=2e9,mtti=60")},
+      {"os noise",
+       workloads::parse_scenario("", "interval=0.05,duration=0.002,seed=7",
+                                 "")},
+      {"node crash",
+       workloads::parse_scenario("node-crash:node=0,t=2,down=10", "", "")},
+      {"straggler",
+       workloads::parse_scenario("straggler:rank=1,slowdown=2.0", "", "")},
+  };
+  for (const char* name : {"cg", "jacobi"}) {
+    const auto workload = workloads::make_workload(name);
+    const int ranks = sweep::natural_ranks(*workload, 4);
+    for (const auto& c : cases) {
+      cluster::RunRequest request = quick_request(name, 4, ranks, 0.1);
+      request.scenario = c.scenario;
+      const std::unique_ptr<sim::OpSource> source = workloads::apply_scenarios(
+          workload->stream(quick_context(4, ranks, 0.1)), c.scenario, 4);
+      expect_same_runs(cluster::replay_scenarios(request),
+                       recorded_replays(request, *source),
+                       std::string(name) + "@4 " + c.name);
+    }
+  }
 }
 
 // --- trace round-trip for the new delay verb -----------------------------

@@ -63,6 +63,22 @@ trace::ScenarioRuns replay(const std::vector<sim::Program>& programs) {
   return trace::replay_scenarios(sim::Placement::block(2, 2), cost, source);
 }
 
+// Three fresh sources over the same programs give what the one-shot
+// overload gives by recording the measured run.
+TEST(Replay, StreamedEqualsRecorded) {
+  SimpleCost cost;
+  const auto programs = unbalanced_programs();
+  sim::ProgramSource measured(programs);
+  sim::ProgramSource for_network(programs);
+  sim::ProgramSource for_balance(programs);
+  const trace::ScenarioRuns streamed = trace::replay_scenarios(
+      sim::Placement::block(2, 2), cost, measured, for_network, for_balance);
+  const trace::ScenarioRuns recorded = replay(programs);
+  EXPECT_TRUE(streamed.measured == recorded.measured);
+  EXPECT_TRUE(streamed.ideal_network == recorded.ideal_network);
+  EXPECT_TRUE(streamed.ideal_balance == recorded.ideal_balance);
+}
+
 TEST(Replay, IdealBalanceScalesInversely) {
   SimpleCost cost;
   sim::Engine engine(sim::Placement::block(2, 2), cost);

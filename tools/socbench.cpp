@@ -5,10 +5,11 @@
 // this file: each command declares exactly the flags its handler reads,
 // so ArgParser refuses any other flag before anything runs.
 //
-// A usage mistake (unknown command, flag or workload, a flag the command
-// does not read or a stray argument, malformed number, bad cluster shape,
-// an output path it cannot write) prints `socbench: <reason>` and exits
-// 2; --help prints the usage and exits 0; any other failure exits 1.
+// A usage mistake (no command, an unknown command, flag or workload, a
+// flag the command does not read or a stray argument, malformed number,
+// bad cluster shape, an output path it cannot write) prints `socbench:
+// <reason>` on stderr and exits 2; --help prints the usage and exits 0;
+// any other failure exits 1.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -813,10 +814,7 @@ void print_usage() {
 
 int main(int argc, char** argv) {
   try {
-    if (argc < 2) {
-      print_usage();
-      return 2;
-    }
+    if (argc < 2) throw UsageError("no command (see socbench --help)");
     const std::string name = argv[1];
     if (name == "--help" || name == "-h") {
       print_usage();
